@@ -35,17 +35,24 @@ SWEEP_COLUMNS = ("beta", "seed", "variant") + ("status",) + METRIC_COLUMNS
 VARIANTS = ("stacked", "vanilla")
 TABLE1_VARIANTS = ("unfair", "lafr", "stacked")
 TABLE1_MODELS = ("logreg", "forest")
+# What main maps to exit code 2 (the config) and to exit code 1 (the run);
+# a sweep job turns a run error into a failed row.
+CONFIG_ERRORS = (ConfigError, SpecError)
+RUN_ERRORS = (DivergenceError, DatasetError, ModelFormatError, OSError)
 
 
 def _run_dir(out_dir: str, command: str) -> Path:
+    """A fresh directory; mkdir itself decides, so concurrent runs never share one."""
     stamp = time.strftime("%Y%m%d-%H%M%S")
     base = Path(out_dir) / f"{command}-{stamp}"
     path, n = base, 0
-    while path.exists():
-        n += 1
-        path = Path(f"{base}-{n}")
-    path.mkdir(parents=True)
-    return path
+    while True:
+        try:
+            path.mkdir(parents=True, exist_ok=False)
+            return path
+        except FileExistsError:
+            n += 1
+            path = Path(f"{base}-{n}")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -149,7 +156,13 @@ def _read_numeric_csv(path: Path) -> np.ndarray:
     bad = next((r for r in rows if not numeric(r)), None)
     if bad is not None:
         raise DatasetError(f"non-numeric row in {path}: {bad[:5]}...")
-    return np.array([[float(x) for x in r] for r in rows])
+    X = np.array([[float(x) for x in r] for r in rows])
+    bad_rows = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad_rows.size:
+        i = bad_rows[0]
+        raise DatasetError(f"non-finite value (nan or inf) in data row {i + 1} of {path}: "
+                           f"{rows[i][:5]}...")
+    return X
 
 
 def cmd_transform(model_path: str, input_path: str, output_path: str) -> int:
@@ -191,7 +204,7 @@ def _sweep_job(cfg: ExperimentConfig, beta: float, seed: int, variant: str) -> d
         rj = report.to_json()
         for m in METRIC_COLUMNS:
             row[m] = rj[m]
-    except Exception as exc:  # a failed run becomes a failed row, not a crash
+    except RUN_ERRORS as exc:  # a failed run becomes a failed row, not a crash
         row["status"] = "failed"
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -208,7 +221,7 @@ def _baseline_job(cfg: ExperimentConfig, seed: int) -> dict:
         rj = report.to_json()
         for m in METRIC_COLUMNS:
             row[m] = rj[m]
-    except Exception as exc:
+    except RUN_ERRORS as exc:
         row["status"] = "failed"
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -421,10 +434,10 @@ def main(argv=None) -> int:
         if args.command == "table1":
             return cmd_table1(cfg, jobs=args.jobs)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, SpecError) as exc:
+    except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, DatasetError, ModelFormatError, OSError) as exc:
+    except RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

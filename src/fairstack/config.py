@@ -1,41 +1,19 @@
 """Experiment configuration: one JSON file drives every CLI command.
 
-Keys (defaults in parentheses):
-
-  dataset.id            "adult" | "german" | "synthetic"
-  dataset.path          file or directory of the raw data; falls back to
-                        $FAIRSTACK_DATA_DIR for adult/german
-  dataset.include_sensitive (false)   keep the sensitive column in X
-  dataset.n / n_noise / flip_y        synthetic-generator knobs
-  dataset.subsample (null)            seeded row cap, for desk-scale runs
-  dataset.subsample_seed (0)
-  stack.levels          list of {latent, hidden: []}; input width is taken
-                        from the dataset at build time
-  stack.adv_hidden (20) / stack.cls_hidden (20)
-  train.epochs (150) train.batch (64) train.lr (0.01) train.lr_adv (null)
-  train.adv_steps (1) train.freeze_previous (true)
-  train.adversary_warm_start (false) train.eopp_adv_label (0)
-  loss.alpha (1.0) loss.beta (1.0) loss.gamma (1.0) loss.root_mse (false)
-  criterion             "dp" | "eo" | "eopp"
-  eo_mode               "sum" | "max"
-  sweep.betas           list of beta values for cmd_sweep
-  seeds                 non-empty list of run seeds
-  out_dir ("runs")
-  val_frac (0.2)        validation share of the train split
-  cv_folds (5)
-  probe.hidden (20) probe.epochs (100) probe.lr (0.01) probe.batch (64)
-  forest.n_trees (100) forest.max_depth (null) forest.min_samples_split (2)
+Every config key is declared once, as a field of :class:`ExperimentConfig`:
+its dotted key, type, default and bound. The parser, ``to_dict`` and the
+README key list (:func:`describe_keys`) are all derived from those fields.
 
 Unknown keys are rejected with their full dotted path, so typos fail loudly
 instead of silently running defaults.
 """
 
-from __future__ import annotations
-
+import dataclasses
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,89 +32,6 @@ class ConfigError(ValueError):
     """A config file is malformed; the message carries the offending key path."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    dataset_id: str
-    dataset_path: str | None
-    include_sensitive: bool
-    synthetic_n: int
-    synthetic_noise: int
-    synthetic_flip_y: float
-    subsample: int | None
-    subsample_seed: int
-    levels: tuple                      # ((hidden tuple, latent), ...)
-    adv_hidden: int
-    cls_hidden: int
-    epochs: int
-    batch: int
-    lr: float
-    lr_adv: float | None
-    adv_steps: int
-    freeze_previous: bool
-    adversary_warm_start: bool
-    eopp_adv_label: int
-    alpha: float
-    beta: float
-    gamma: float
-    root_mse: bool
-    criterion: str
-    eo_mode: str
-    betas: tuple
-    seeds: tuple
-    out_dir: str
-    val_frac: float
-    cv_folds: int
-    probe_hidden: int
-    probe_epochs: int
-    probe_lr: float
-    probe_batch: int
-    forest_trees: int
-    forest_max_depth: int | None
-    forest_min_split: int
-
-    def to_dict(self) -> dict:
-        """The fully resolved config in its file shape (defaults filled in)."""
-        return {
-            "dataset": {
-                "id": self.dataset_id, "path": self.dataset_path,
-                "include_sensitive": self.include_sensitive,
-                "n": self.synthetic_n, "n_noise": self.synthetic_noise,
-                "flip_y": self.synthetic_flip_y,
-                "subsample": self.subsample, "subsample_seed": self.subsample_seed,
-            },
-            "stack": {
-                "levels": [{"hidden": list(h), "latent": l} for h, l in self.levels],
-                "adv_hidden": self.adv_hidden, "cls_hidden": self.cls_hidden,
-            },
-            "train": {
-                "epochs": self.epochs, "batch": self.batch, "lr": self.lr,
-                "lr_adv": self.lr_adv, "adv_steps": self.adv_steps,
-                "freeze_previous": self.freeze_previous,
-                "adversary_warm_start": self.adversary_warm_start,
-                "eopp_adv_label": self.eopp_adv_label,
-            },
-            "loss": {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma,
-                     "root_mse": self.root_mse},
-            "criterion": self.criterion,
-            "eo_mode": self.eo_mode,
-            "sweep": {"betas": list(self.betas)},
-            "seeds": list(self.seeds),
-            "out_dir": self.out_dir,
-            "val_frac": self.val_frac,
-            "cv_folds": self.cv_folds,
-            "probe": {"hidden": self.probe_hidden, "epochs": self.probe_epochs,
-                      "lr": self.probe_lr, "batch": self.probe_batch},
-            "forest": {"n_trees": self.forest_trees, "max_depth": self.forest_max_depth,
-                       "min_samples_split": self.forest_min_split},
-        }
-
-
-def config_hash(cfg: ExperimentConfig | dict) -> str:
-    d = cfg.to_dict() if isinstance(cfg, ExperimentConfig) else cfg
-    blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # Validation helpers — every error names the dotted path of the bad key.
 
@@ -146,201 +41,221 @@ def _reject_unknown(d: dict, allowed, path: str) -> None:
     if unknown:
         raise ConfigError(
             f"unknown config key{'s' if len(unknown) > 1 else ''} "
-            f"{', '.join(repr(_join(path, k)) for k in unknown)}; "
+            f"{', '.join(repr(f'{path}.{k}' if path else k) for k in unknown)}; "
             f"allowed here: {', '.join(sorted(allowed))}"
         )
 
 
-def _join(path: str, key) -> str:
-    return f"{path}.{key}" if path else str(key)
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _section(d: dict, key: str, path: str = "") -> dict:
-    sub = d.get(key, {})
-    if not isinstance(sub, dict):
-        raise ConfigError(f"{_join(path, key)}: expected an object, got {type(sub).__name__}")
-    return sub
-
-
-def _typed(d: dict, key: str, path: str, kind, default, allow_none: bool = False):
-    if key not in d:
-        return default
-    v = d[key]
-    if v is None and allow_none:
+def _check(value, key: str, kind, nullable: bool = False, min=None, choices=None):
+    """Type- and bound-check one scalar value; an int widens to a float."""
+    if value is None and nullable:
         return None
-    if kind is float and isinstance(v, int) and not isinstance(v, bool):
-        v = float(v)
-    if kind is int and isinstance(v, bool):
-        raise ConfigError(f"{_join(path, key)}: expected int, got bool")
-    if not isinstance(v, kind):
-        raise ConfigError(
-            f"{_join(path, key)}: expected {kind.__name__}, got {type(v).__name__} ({v!r})"
-        )
-    return v
-
-
-def _positive(value, key: str, path: str, minimum=1):
-    if value is not None and value < minimum:
-        raise ConfigError(f"{_join(path, key)}: must be >= {minimum}, got {value}")
+    if kind is float and _is_int(value):
+        value = float(value)
+    if kind is int and isinstance(value, bool):
+        raise ConfigError(f"{key}: expected int, got bool")
+    if not isinstance(value, kind):
+        raise ConfigError(f"{key}: expected {kind.__name__}, "
+                          f"got {type(value).__name__} ({value!r})")
+    if min is not None and value < min:
+        raise ConfigError(f"{key}: must be >= {min}, got {value}")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"{key}: unknown value {value!r}, "
+                          f"allowed values: {', '.join(map(str, choices))}")
     return value
 
 
-def _choice(value, key: str, path: str, allowed):
-    if value not in allowed:
-        raise ConfigError(
-            f"{_join(path, key)}: unknown value {value!r}, allowed values: "
-            f"{', '.join(allowed)}"
-        )
-    return value
-
-
-def _parse_levels(stack: dict) -> tuple:
-    raw = stack.get("levels")
-    if raw is None:
-        raise ConfigError("stack.levels: required (list of {latent, hidden})")
+def _parse_levels(raw, key: str) -> tuple:
     if not isinstance(raw, list) or not raw:
-        raise ConfigError("stack.levels: expected a non-empty list")
+        raise ConfigError(f"{key}: expected a non-empty list")
     levels = []
     for i, item in enumerate(raw):
-        path = f"stack.levels[{i}]"
+        path = f"{key}[{i}]"
         if not isinstance(item, dict):
             raise ConfigError(f"{path}: expected an object")
         _reject_unknown(item, {"latent", "hidden"}, path)
-        latent = _typed(item, "latent", path, int, None)
-        if latent is None:
+        if "latent" not in item:
             raise ConfigError(f"{path}.latent: required")
-        _positive(latent, "latent", path)
+        latent = _check(item["latent"], f"{path}.latent", int, min=1)
         hidden = item.get("hidden", [])
-        if not isinstance(hidden, list) or not all(
-            isinstance(h, int) and not isinstance(h, bool) and h >= 1 for h in hidden
-        ):
+        if not isinstance(hidden, list) or not all(_is_int(h) and h >= 1 for h in hidden):
             raise ConfigError(f"{path}.hidden: expected a list of ints >= 1")
         levels.append((tuple(hidden), latent))
     for i in range(len(levels) - 1):
         if levels[i + 1][1] >= levels[i][1]:
-            raise ConfigError(
-                f"stack.levels[{i + 1}].latent: widths must strictly decrease "
-                f"({levels[i][1]} then {levels[i + 1][1]})"
-            )
+            raise ConfigError(f"{key}[{i + 1}].latent: widths must strictly decrease "
+                              f"({levels[i][1]} then {levels[i + 1][1]})")
     return tuple(levels)
 
 
-def _int_list(d: dict, key: str, path: str, default, minimum=0) -> tuple:
-    raw = d.get(key, default)
-    if not isinstance(raw, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in raw
-    ):
-        raise ConfigError(f"{_join(path, key)}: expected a list of ints")
-    if any(x < minimum for x in raw):
-        raise ConfigError(f"{_join(path, key)}: entries must be >= {minimum}")
+def _dump_levels(levels: tuple) -> list:
+    return [{"hidden": list(h), "latent": l} for h, l in levels]
+
+
+def _parse_seeds(raw, key: str) -> tuple:
+    if not isinstance(raw, list) or not all(_is_int(x) for x in raw):
+        raise ConfigError(f"{key}: expected a list of ints")
+    if any(x < 0 for x in raw):
+        raise ConfigError(f"{key}: entries must be >= 0")
+    if not raw:
+        raise ConfigError(f"{key}: must be non-empty")
     return tuple(raw)
 
 
-def _num_list(d: dict, key: str, path: str, default) -> tuple:
-    raw = d.get(key, default)
-    if not isinstance(raw, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
-    ):
-        raise ConfigError(f"{_join(path, key)}: expected a list of numbers")
+def _parse_betas(raw, key: str) -> tuple:
+    if not isinstance(raw, list) or not all(_is_int(x) or isinstance(x, float) for x in raw):
+        raise ConfigError(f"{key}: expected a list of numbers")
     if any(x < 0 for x in raw):
-        raise ConfigError(f"{_join(path, key)}: entries must be >= 0")
+        raise ConfigError(f"{key}: entries must be >= 0")
     return tuple(float(x) for x in raw)
 
 
-TOP_KEYS = {"dataset", "stack", "train", "loss", "criterion", "eo_mode", "sweep",
-            "seeds", "out_dir", "val_frac", "cv_folds", "probe", "forest"}
+def _key(key: str, default=MISSING, doc: str = "", *, min=None, choices=None, parse=None,
+         dump=None):
+    """One config key: its dotted path in the file, its default (none: the key
+    is required), a short ``doc`` for the README, and its bound, a minimum or
+    a set of choices; a field typed ``X | None`` may be null. A structured key
+    brings its own ``parse`` and, when its file form is not a list, ``dump``."""
+    return dataclasses.field(default=default, metadata=dict(
+        key=key, min=min, choices=choices, parse=parse, dump=dump, doc=doc))
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig:
+    """The fully resolved config, and the table of config keys: one field each."""
+
+    dataset_id: str = _key("dataset.id", doc="the dataset to load", choices=DATASET_IDS)
+    dataset_path: str | None = _key("dataset.path", None,
+                                    "data file or directory; null: $FAIRSTACK_DATA_DIR")
+    include_sensitive: bool = _key("dataset.include_sensitive", False, "keep the sensitive column")
+    synthetic_n: int = _key("dataset.n", 2000, "synthetic rows", min=4)
+    synthetic_noise: int = _key("dataset.n_noise", 3, "synthetic noise columns", min=0)
+    synthetic_flip_y: float = _key("dataset.flip_y", 0.0, "synthetic label flip rate")
+    subsample: int | None = _key("dataset.subsample", None, "seeded row cap; null: all", min=10)
+    subsample_seed: int = _key("dataset.subsample_seed", 0, "subsample and generator seed", min=0)
+    levels: tuple = _key("stack.levels", doc="list of {latent, hidden}, latents decreasing",
+                         parse=_parse_levels, dump=_dump_levels)
+    adv_hidden: int = _key("stack.adv_hidden", 20, "adversary hidden width, 0: linear", min=0)
+    cls_hidden: int = _key("stack.cls_hidden", 20, "classifier hidden width, 0: linear", min=0)
+    epochs: int = _key("train.epochs", 150, "training epochs per level", min=1)
+    batch: int = _key("train.batch", 64, "minibatch rows", min=1)
+    lr: float = _key("train.lr", 0.01, "learning rate", min=1e-12)
+    lr_adv: float | None = _key("train.lr_adv", None, "adversary lr; null: train.lr", min=1e-12)
+    adv_steps: int = _key("train.adv_steps", 1, "adversary updates per main update", min=1)
+    freeze_previous: bool = _key("train.freeze_previous", True, "freeze the earlier levels")
+    adversary_warm_start: bool = _key("train.adversary_warm_start", False,
+                                      "copy matching layers of the previous adversary")
+    eopp_adv_label: int = _key("train.eopp_adv_label", 0, "eopp adversary's rows have this y",
+                               choices=(0, 1))
+    alpha: float = _key("loss.alpha", 1.0, "reconstruction weight", min=0)
+    beta: float = _key("loss.beta", 1.0, "adversary weight", min=0)
+    gamma: float = _key("loss.gamma", 1.0, "classifier weight", min=0)
+    root_mse: bool = _key("loss.root_mse", False, "root mean squared reconstruction error")
+    criterion: str = _key("criterion", "dp", "fairness criterion", choices=CRITERIA)
+    eo_mode: str = _key("eo_mode", "sum", "how the two eo gaps combine", choices=("sum", "max"))
+    betas: tuple = _key("sweep.betas", (1.0, 2.0, 3.0, 5.0, 15.0), "beta values of sweep",
+                        parse=_parse_betas)
+    seeds: tuple = _key("seeds", (0,), "run seeds; fit and table1 use the first",
+                        parse=_parse_seeds)
+    out_dir: str = _key("out_dir", "runs", "artifact root")
+    val_frac: float = _key("val_frac", 0.2, "validation share, in (0, 0.5)")
+    cv_folds: int = _key("cv_folds", 5, "cross-validation folds of table1", min=2)
+    probe_hidden: int = _key("probe.hidden", 20, "probe hidden width, 0: linear", min=0)
+    probe_epochs: int = _key("probe.epochs", 100, "probe epochs", min=1)
+    probe_lr: float = _key("probe.lr", 0.01, "probe learning rate", min=1e-12)
+    probe_batch: int = _key("probe.batch", 64, "probe minibatch rows", min=1)
+    forest_trees: int = _key("forest.n_trees", 100, "trees per forest", min=1)
+    forest_max_depth: int | None = _key("forest.max_depth", None, "depth cap; null: none", min=1)
+    forest_min_split: int = _key("forest.min_samples_split", 2, "fewest rows to split", min=2)
+
+    def to_dict(self) -> dict:
+        """The fully resolved config in its file shape (defaults filled in)."""
+        out: dict = {}
+        for f in fields(self):
+            section, _, leaf = f.metadata["key"].rpartition(".")
+            (out.setdefault(section, {}) if section else out)[leaf] = \
+                _file_value(f, getattr(self, f.name))
+        return out
+
+
+def _file_value(f: dataclasses.Field, value):
+    """A field's value in its JSON file form."""
+    if f.metadata["dump"]:
+        return f.metadata["dump"](value)
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _kind(f: dataclasses.Field) -> tuple[type, bool]:
+    """The scalar type of a field and whether it may be null (``int | None``)."""
+    args = typing.get_args(f.type)
+    return next((a for a in args if a is not type(None)), f.type), type(None) in args
+
+
+def describe_keys() -> str:
+    """The README's config key list, one line per key."""
+    lines = []
+    for f in fields(ExperimentConfig):
+        meta = f.metadata
+        kind, nullable = _kind(f)
+        bound = ("list" if meta["parse"] else
+                 " | ".join(map(str, meta["choices"])) if meta["choices"] else kind.__name__)
+        bound += f" >= {meta['min']}" if meta["min"] is not None else ""
+        bound += " or null" if nullable else ""
+        default = ("required" if f.default is MISSING
+                   else f"default {json.dumps(_file_value(f, f.default))}")
+        lines.append(f"{meta['key']:<26} {meta['doc']} ({bound}; {default})")
+    return "\n".join(lines)
+
+
+def config_hash(cfg: ExperimentConfig | dict) -> str:
+    d = cfg.to_dict() if isinstance(cfg, ExperimentConfig) else cfg
+    blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
+    """Validate a config dict key by key against :class:`ExperimentConfig`.
+
+    ``base_dir`` is the config file's directory: a relative ``dataset.path``
+    is looked up there first, then in the cwd, and stored absolute.
+    """
     if not isinstance(raw, dict):
         raise ConfigError(f"config root: expected an object, got {type(raw).__name__}")
-    _reject_unknown(raw, TOP_KEYS, "")
+    allowed: dict = {"": set()}  # allowed keys per section; '' is the top level
+    for f in fields(ExperimentConfig):
+        section, _, leaf = f.metadata["key"].rpartition(".")
+        allowed[""].add(section or leaf)
+        allowed.setdefault(section, set()).add(leaf)
+    sections = {}
+    for name, keys in allowed.items():
+        sub = raw.get(name, {}) if name else raw
+        if not isinstance(sub, dict):
+            raise ConfigError(f"{name}: expected an object, got {type(sub).__name__}")
+        _reject_unknown(sub, keys, name)
+        sections[name] = sub
 
-    ds = _section(raw, "dataset")
-    _reject_unknown(ds, {"id", "path", "include_sensitive", "n", "n_noise",
-                         "flip_y", "subsample", "subsample_seed"}, "dataset")
-    dataset_id = _choice(_typed(ds, "id", "dataset", str, None), "id", "dataset", DATASET_IDS)
-    dataset_path = _typed(ds, "path", "dataset", str, None, allow_none=True)
+    values = {}
+    for f in fields(ExperimentConfig):
+        meta = f.metadata
+        section, _, leaf = meta["key"].rpartition(".")
+        if leaf not in sections[section]:
+            if f.default is MISSING:
+                raise ConfigError(f"{meta['key']}: required ({meta['doc']})")
+            continue
+        value = sections[section][leaf]
+        if meta["parse"]:
+            values[f.name] = meta["parse"](value, meta["key"])
+        else:
+            values[f.name] = _check(value, meta["key"], *_kind(f), meta["min"], meta["choices"])
+    cfg = ExperimentConfig(**values)
 
-    stack = _section(raw, "stack")
-    _reject_unknown(stack, {"levels", "adv_hidden", "cls_hidden"}, "stack")
-    levels = _parse_levels(stack)
-
-    train = _section(raw, "train")
-    _reject_unknown(train, {"epochs", "batch", "lr", "lr_adv", "adv_steps",
-                            "freeze_previous", "adversary_warm_start",
-                            "eopp_adv_label"}, "train")
-
-    loss = _section(raw, "loss")
-    _reject_unknown(loss, {"alpha", "beta", "gamma", "root_mse"}, "loss")
-    for key in ("alpha", "beta", "gamma"):
-        if _typed(loss, key, "loss", float, 1.0) < 0:
-            raise ConfigError(f"loss.{key}: must be >= 0")
-
-    sweep = _section(raw, "sweep")
-    _reject_unknown(sweep, {"betas"}, "sweep")
-
-    probe = _section(raw, "probe")
-    _reject_unknown(probe, {"hidden", "epochs", "lr", "batch"}, "probe")
-
-    forest = _section(raw, "forest")
-    _reject_unknown(forest, {"n_trees", "max_depth", "min_samples_split"}, "forest")
-
-    seeds = _int_list(raw, "seeds", "", [0], minimum=0)
-    if not seeds:
-        raise ConfigError("seeds: must be non-empty")
-
-    val_frac = _typed(raw, "val_frac", "", float, 0.2)
-    if not 0.0 < val_frac < 0.5:
-        raise ConfigError(f"val_frac: expected a fraction in (0, 0.5), got {val_frac}")
-
-    cfg = ExperimentConfig(
-        dataset_id=dataset_id,
-        dataset_path=dataset_path,
-        include_sensitive=_typed(ds, "include_sensitive", "dataset", bool, False),
-        synthetic_n=_positive(_typed(ds, "n", "dataset", int, 2000), "n", "dataset", 4),
-        synthetic_noise=_positive(_typed(ds, "n_noise", "dataset", int, 3), "n_noise", "dataset", 0),
-        synthetic_flip_y=_typed(ds, "flip_y", "dataset", float, 0.0),
-        subsample=_positive(_typed(ds, "subsample", "dataset", int, None, allow_none=True),
-                            "subsample", "dataset", 10),
-        subsample_seed=_positive(_typed(ds, "subsample_seed", "dataset", int, 0),
-                                 "subsample_seed", "dataset", 0),
-        levels=levels,
-        adv_hidden=_positive(_typed(stack, "adv_hidden", "stack", int, 20), "adv_hidden", "stack", 0),
-        cls_hidden=_positive(_typed(stack, "cls_hidden", "stack", int, 20), "cls_hidden", "stack", 0),
-        epochs=_positive(_typed(train, "epochs", "train", int, 150), "epochs", "train"),
-        batch=_positive(_typed(train, "batch", "train", int, 64), "batch", "train"),
-        lr=_positive(_typed(train, "lr", "train", float, 0.01), "lr", "train", 1e-12),
-        lr_adv=_positive(_typed(train, "lr_adv", "train", float, None, allow_none=True),
-                         "lr_adv", "train", 1e-12),
-        adv_steps=_positive(_typed(train, "adv_steps", "train", int, 1), "adv_steps", "train"),
-        freeze_previous=_typed(train, "freeze_previous", "train", bool, True),
-        adversary_warm_start=_typed(train, "adversary_warm_start", "train", bool, False),
-        eopp_adv_label=_choice(_typed(train, "eopp_adv_label", "train", int, 0),
-                               "eopp_adv_label", "train", (0, 1)),
-        alpha=_typed(loss, "alpha", "loss", float, 1.0),
-        beta=_typed(loss, "beta", "loss", float, 1.0),
-        gamma=_typed(loss, "gamma", "loss", float, 1.0),
-        root_mse=_typed(loss, "root_mse", "loss", bool, False),
-        criterion=_choice(_typed(raw, "criterion", "", str, "dp"), "criterion", "", CRITERIA),
-        eo_mode=_choice(_typed(raw, "eo_mode", "", str, "sum"), "eo_mode", "", ("sum", "max")),
-        betas=_num_list(sweep, "betas", "sweep", [1.0, 2.0, 3.0, 5.0, 15.0]),
-        seeds=seeds,
-        out_dir=_typed(raw, "out_dir", "", str, "runs"),
-        val_frac=val_frac,
-        cv_folds=_positive(_typed(raw, "cv_folds", "", int, 5), "cv_folds", "", 2),
-        probe_hidden=_positive(_typed(probe, "hidden", "probe", int, 20), "hidden", "probe", 0),
-        probe_epochs=_positive(_typed(probe, "epochs", "probe", int, 100), "epochs", "probe"),
-        probe_lr=_positive(_typed(probe, "lr", "probe", float, 0.01), "lr", "probe", 1e-12),
-        probe_batch=_positive(_typed(probe, "batch", "probe", int, 64), "batch", "probe"),
-        forest_trees=_positive(_typed(forest, "n_trees", "forest", int, 100), "n_trees", "forest"),
-        forest_max_depth=_positive(_typed(forest, "max_depth", "forest", int, None,
-                                          allow_none=True), "max_depth", "forest"),
-        forest_min_split=_positive(_typed(forest, "min_samples_split", "forest", int, 2),
-                                   "min_samples_split", "forest", 2),
-    )
-    _check_dataset_path(cfg, base_dir)
-    return cfg
+    if not 0.0 < cfg.val_frac < 0.5:
+        raise ConfigError(f"val_frac: expected a fraction in (0, 0.5), got {cfg.val_frac}")
+    return _with_dataset_path(cfg, base_dir)
 
 
 def load_config(path, seed: int | None = None, beta: float | None = None,
@@ -371,40 +286,43 @@ def load_config(path, seed: int | None = None, beta: float | None = None,
     return parse_config(raw, base_dir=p.parent)
 
 
-def _check_dataset_path(cfg: ExperimentConfig, base_dir: Path | None) -> None:
+def _with_dataset_path(cfg: ExperimentConfig, base_dir: Path | None) -> ExperimentConfig:
+    """Check that the data can be found, and store a given dataset.path as the
+    absolute path it names. A null path stays null: $FAIRSTACK_DATA_DIR is
+    read again when the data is loaded, so the config hash does not depend
+    on the environment."""
     if cfg.dataset_id == "synthetic":
-        return
-    if resolve_data_path(cfg, base_dir) is None:
-        raise ConfigError(
-            f"dataset.path: no path configured for dataset {cfg.dataset_id!r} and "
-            f"${DATA_DIR_ENV} is not set (or the file does not exist)"
-        )
-
-
-def resolve_data_path(cfg: ExperimentConfig, base_dir: Path | None = None) -> Path | None:
-    """dataset.path if it exists (relative paths resolve against the config
-    file's directory, then the cwd), else $FAIRSTACK_DATA_DIR."""
+        return cfg
     if cfg.dataset_path:
         p = Path(cfg.dataset_path)
-        candidates = [p] if p.is_absolute() else [
-            (base_dir / p) if base_dir else p, p
-        ]
-        for c in candidates:
-            if c.exists():
-                return c
-        return None
+        found = next((c for c in ([base_dir / p] if base_dir else []) + [p] if c.exists()), None)
+        if found is not None:
+            return dataclasses.replace(cfg, dataset_path=str(found.resolve()))
+    elif resolve_data_path(cfg) is not None:
+        return cfg
+    raise ConfigError(
+        f"dataset.path: no path configured for dataset {cfg.dataset_id!r} and "
+        f"${DATA_DIR_ENV} is not set (or the file does not exist)"
+    )
+
+
+def resolve_data_path(cfg: ExperimentConfig) -> Path | None:
+    """dataset.path (absolute once parsed) if it exists, else $FAIRSTACK_DATA_DIR."""
+    if cfg.dataset_path:
+        p = Path(cfg.dataset_path)
+        return p if p.exists() else None
     env = os.environ.get(DATA_DIR_ENV)
     if env and Path(env).exists():
         return Path(env)
     return None
 
 
-def load_dataset(cfg: ExperimentConfig, base_dir: Path | None = None) -> Dataset:
+def load_dataset(cfg: ExperimentConfig) -> Dataset:
     if cfg.dataset_id == "synthetic":
         ds = make_synthetic(n=cfg.synthetic_n, seed=cfg.subsample_seed,
                             n_noise=cfg.synthetic_noise, flip_y=cfg.synthetic_flip_y)
     else:
-        path = resolve_data_path(cfg, base_dir)
+        path = resolve_data_path(cfg)
         if path is None:
             raise ConfigError(f"dataset.path: cannot locate data for {cfg.dataset_id!r}")
         loader = load_adult if cfg.dataset_id == "adult" else load_german

@@ -10,7 +10,6 @@ training index set only, so splits control their own normalization.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -431,7 +430,3 @@ def batches(n, batch_size: int, seed, epoch: int) -> list[np.ndarray]:
         raise ValueError("seed and epoch must be non-negative")
     perm = np.random.default_rng(entropy + [int(epoch)]).permutation(n)
     return [perm[i:i + batch_size] for i in range(0, n, batch_size)]
-
-
-def write_summary(ds: Dataset, path) -> None:
-    Path(path).write_text(json.dumps(ds.summary(), indent=2, sort_keys=True) + "\n")

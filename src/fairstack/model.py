@@ -240,19 +240,40 @@ def encode(stack, X: np.ndarray, upto: int | None = None) -> np.ndarray:
 
 @dataclass
 class LevelLoss:
-    """Combined level objective and its parts (each a graph node).
+    """The objective a level's main step descends, and its parts (graph nodes).
 
-    ``adv`` is None when the criterion subset of the batch is empty; ``total``
-    then omits the adversary term. ``total`` is the plain weighted sum
-    alpha*rec + beta*adv + gamma*cls; the alternating trainer builds its own
-    signed objectives from the parts.
+    ``objective`` is alpha*rec + gamma*cls - beta*adv: encoder, decoder and
+    classifier minimize it, so they work against the adversary, which the
+    trainer updates separately to minimize ``adv``. ``adv`` is None when the
+    criterion subset of the batch is empty; ``objective`` then omits it.
     """
 
-    total: Var
+    objective: Var
     rec: Var
     cls: Var
     adv: Var | None
     n_adv: int
+
+
+def adversary_input(level: Level, z, y: np.ndarray,
+                    eopp_label: int = 0) -> tuple[Var | None, np.ndarray]:
+    """The adversary's input rows of the codes ``z`` and their row index.
+
+    Under eopp only rows with y == eopp_label are used, otherwise all rows;
+    under eo the label column is appended. ``z`` is a matrix or a graph node;
+    the input is None when no row qualifies.
+    """
+    z = ad.as_var(z)
+    if level.criterion == "eopp":
+        idx = np.flatnonzero(y == eopp_label)
+    else:
+        idx = np.arange(y.shape[0])
+    if idx.size == 0:
+        return None, idx
+    rows = z if idx.size == y.shape[0] else ad.take_rows(z, idx)
+    if level.criterion == "eo":
+        rows = ad.concat_cols(rows, Var(y[idx].reshape(-1, 1).astype(float)))
+    return rows, idx
 
 
 def level_loss(level: Level, z_prev, y: np.ndarray, s: np.ndarray,
@@ -262,8 +283,7 @@ def level_loss(level: Level, z_prev, y: np.ndarray, s: np.ndarray,
 
     ``z_prev`` is the level's input (matrix or graph node when fine-tuning
     through earlier levels); the reconstruction target is its detached value.
-    Under eopp, the adversary term is restricted to rows with y == eopp_label;
-    under eo, the label column is appended to the adversary input.
+    The adversary sees the rows :func:`adversary_input` picks.
     """
     z_in = ad.as_var(z_prev)
     y = np.asarray(y).reshape(-1)
@@ -276,21 +296,14 @@ def level_loss(level: Level, z_prev, y: np.ndarray, s: np.ndarray,
     z = level.encode_var(z_in)
     rec = ad.mse_loss(level.decoder.forward(z), target, root=root_mse)
     cls = ad.bce_loss(level.classifier.forward(z), y.reshape(-1, 1).astype(float))
+    objective = ad.add(ad.scale(rec, alpha), ad.scale(cls, gamma))
 
-    if level.criterion == "eopp":
-        idx = np.flatnonzero(y == eopp_label)
-    else:
-        idx = np.arange(y.shape[0])
-    if idx.size == 0:
-        total = ad.add(ad.scale(rec, alpha), ad.scale(cls, gamma))
-        return LevelLoss(total=total, rec=rec, cls=cls, adv=None, n_adv=0)
-
-    z_adv = z if idx.size == y.shape[0] else ad.take_rows(z, idx)
-    if level.criterion == "eo":
-        z_adv = ad.concat_cols(z_adv, Var(y[idx].reshape(-1, 1).astype(float)))
-    adv = ad.bce_loss(level.adversary.forward(z_adv), s[idx].reshape(-1, 1).astype(float))
-    total = ad.add(ad.add(ad.scale(rec, alpha), ad.scale(adv, beta)), ad.scale(cls, gamma))
-    return LevelLoss(total=total, rec=rec, cls=cls, adv=adv, n_adv=int(idx.size))
+    rows, idx = adversary_input(level, z, y, eopp_label)
+    if rows is None:
+        return LevelLoss(objective=objective, rec=rec, cls=cls, adv=None, n_adv=0)
+    adv = ad.bce_loss(level.adversary.forward(rows), s[idx].reshape(-1, 1).astype(float))
+    return LevelLoss(objective=ad.add(objective, ad.scale(adv, -beta)), rec=rec, cls=cls,
+                     adv=adv, n_adv=int(idx.size))
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +404,18 @@ class TrainedStack:
             )
         (n_levels,) = struct.unpack("<I", take(4))
         levels = []
-        for _ in range(n_levels):
+        for i in range(n_levels):
             (n_layers,) = struct.unpack("<I", take(4))
             layers = []
-            for _ in range(n_layers):
+            for j in range(n_layers):
                 n_in, n_out, act_idx = struct.unpack("<IIB", take(9))
                 if act_idx >= len(ACTIVATIONS):
                     raise ModelFormatError(f"unknown activation code {act_idx}")
                 W = np.frombuffer(take(8 * n_in * n_out), dtype="<f8").reshape(n_in, n_out).copy()
                 b = np.frombuffer(take(8 * n_out), dtype="<f8").reshape(1, n_out).copy()
+                if not (np.isfinite(W).all() and np.isfinite(b).all()):
+                    raise ModelFormatError(
+                        f"non-finite weight or bias in level {i}, layer {j}: {path}")
                 layers.append((W, b, ACTIVATIONS[act_idx]))
             levels.append(layers)
         (prov_len,) = struct.unpack("<I", take(4))
@@ -410,11 +426,3 @@ class TrainedStack:
         if pos != len(data):
             raise ModelFormatError(f"trailing bytes after model data: {path}")
         return cls(in_dim=in_dim, levels=levels, provenance=provenance)
-
-
-def save(stack: TrainedStack, path) -> None:
-    stack.save(path)
-
-
-def load(path) -> TrainedStack:
-    return TrainedStack.load(path)

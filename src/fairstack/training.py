@@ -21,7 +21,8 @@ from . import autodiff as ad
 from .autodiff import Var
 from .data import Dataset, batches
 from .metrics import PredictionBatch, UndefinedMetricError, delta_dp, delta_eo, delta_eopp
-from .model import Level, StackSpec, TrainedStack, encode, level_loss, build, spec_hash
+from .model import (Level, StackSpec, TrainedStack, adversary_input, build, encode,
+                    level_loss, spec_hash)
 from .nn import Adam
 
 
@@ -116,25 +117,12 @@ def log_csv_string(logs, comment: str | None = None) -> str:
 # Level training
 
 
-def _adversary_input(level: Level, z: np.ndarray, y: np.ndarray,
-                     eopp_label: int) -> tuple[np.ndarray, np.ndarray]:
-    """Criterion-consistent adversary input rows; returns (rows, row index)."""
-    if level.criterion == "eopp":
-        idx = np.flatnonzero(y == eopp_label)
-    else:
-        idx = np.arange(y.shape[0])
-    rows = z[idx]
-    if level.criterion == "eo":
-        rows = np.hstack([rows, y[idx].reshape(-1, 1).astype(float)])
-    return rows, idx
-
-
 def _adversary_accuracy(level: Level, z_val: np.ndarray, y_val: np.ndarray,
                         s_val: np.ndarray, eopp_label: int) -> float:
-    rows, idx = _adversary_input(level, z_val, y_val, eopp_label)
-    if idx.size == 0:
+    rows, idx = adversary_input(level, z_val, y_val, eopp_label)
+    if rows is None:
         return math.nan
-    pred = (level.adversary.forward_value(rows) >= 0.5).astype(int).reshape(-1)
+    pred = (level.adversary.forward_value(rows.value) >= 0.5).astype(int).reshape(-1)
     return float((pred == s_val[idx]).mean())
 
 
@@ -181,17 +169,14 @@ def _run_level(level: Level, level_index: int, prefix: list[Level],
                 xb = X0[idx]
                 yb, sb = y[idx], s[idx]
                 # Main step: encoder/decoder/classifier (and unfrozen prefix
-                # encoders) descend; the adversary term enters negated.
+                # encoders) descend the signed level objective.
                 ad.zero_grads(main_params + level.adv_params())
                 z_in: Var = Var(xb)
                 for lv in prefix:
                     z_in = lv.encode_var(z_in)
                 parts = level_loss(level, z_in, yb, sb, alpha, beta, gamma,
                                    eopp_label=cfg.eopp_adv_label, root_mse=root_mse)
-                main_obj = ad.add(ad.scale(parts.rec, alpha), ad.scale(parts.cls, gamma))
-                if parts.adv is not None:
-                    main_obj = ad.add(main_obj, ad.scale(parts.adv, -beta))
-                ad.backward(main_obj)
+                ad.backward(parts.objective)
                 adam_main.step()
 
                 rec_sum += parts.rec.item()
@@ -206,12 +191,12 @@ def _run_level(level: Level, level_index: int, prefix: list[Level],
                 for lv in prefix:
                     z_now = lv.encode_value(z_now)
                 z_now = level.encode_value(z_now)
-                rows, sub = _adversary_input(level, z_now, yb, cfg.eopp_adv_label)
-                if sub.size:
+                rows, sub = adversary_input(level, z_now, yb, cfg.eopp_adv_label)
+                if rows is not None:
                     target = sb[sub].reshape(-1, 1).astype(float)
                     for _ in range(cfg.adv_steps):
                         ad.zero_grads(level.adv_params())
-                        loss = ad.bce_loss(level.adversary.forward(Var(rows)), target)
+                        loss = ad.bce_loss(level.adversary.forward(rows), target)
                         ad.backward(loss)
                         adam_adv.step()
             except FloatingPointError as exc:

@@ -94,8 +94,9 @@ def test_gradients_match_finite_differences():
         idx = rng.integers(0, 5, 7)  # repeats force scatter-add in the pullback
         cases += _fd_case(lambda u: sum_all(sigmoid(take_rows(u, idx))), [m])
 
-    # the full level objective: rec + beta*adv + gamma*cls through encoder,
-    # decoder, classifier and adversary at once, for every criterion
+    # the signed level objective the trainer descends, alpha*rec + gamma*cls
+    # - beta*adv, through encoder, decoder, classifier and adversary at once,
+    # for every criterion
     for seed, crit in enumerate(("dp", "eo", "eopp")):
         spec = StackSpec(levels=(LevelSpec(in_dim=4, latent=2, hidden=(3,)),),
                          alpha=0.7, beta=1.3, gamma=0.9, criterion=crit,
@@ -105,17 +106,17 @@ def test_gradients_match_finite_differences():
         y = np.array([0, 1, 0, 1, 1, 0])
         s = np.array([1, 0, 0, 1, 0, 1])
 
-        def total():
+        def objective():
             return level_loss(level, X, y, s, alpha=0.7, beta=1.3,
-                              gamma=0.9).total
+                              gamma=0.9).objective
 
         zero_grads(level.all_params())
-        backward(total())
+        backward(objective())
         for p in level.all_params():
             def f(v, p=p):
                 keep = p.value.copy()
                 p.value[...] = v
-                out = total().value.item()
+                out = objective().value.item()
                 p.value[...] = keep
                 return out
             numeric = finite_difference(f, p.value)

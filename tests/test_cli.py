@@ -13,12 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fairstack import cli
 from fairstack.cli import main
 from fairstack.config import (ConfigError, config_hash, load_config,
                               load_dataset, parse_config, resolve_data_path,
                               stack_spec_for)
 from fairstack.data import make_synthetic
 from fairstack.model import TrainedStack
+from fairstack.training import DivergenceError
 
 
 def _base_config(out_dir: str) -> dict:
@@ -155,7 +157,31 @@ def test_dataset_path_resolves_relative_to_config(tmp_path, monkeypatch):
     (tmp_path / "adult.data").write_text("")
     path = _write_config(tmp_path, dataset={"id": "adult", "path": "adult.data"})
     cfg = load_config(path)
-    assert resolve_data_path(cfg, base_dir=tmp_path) == tmp_path / "adult.data"
+    # stored absolute at parse time, so loading no longer depends on the cwd
+    assert cfg.dataset_path == str((tmp_path / "adult.data").resolve())
+    assert resolve_data_path(cfg) == Path(cfg.dataset_path)
+
+
+def _write_tiny_adult(path: Path, n: int = 40) -> None:
+    """Adult-format rows with both sexes and both income labels."""
+    rows = [f"{20 + i}, Private, {77516 + 31 * i}, Bachelors, 13, Never-married, "
+            f"Adm-clerical, Not-in-family, White, {('Female', 'Male')[i % 2]}, 0, 0, "
+            f"{30 + i % 7}, United-States, {('<=50K', '>50K')[(i // 2) % 2]}"
+            for i in range(n)]
+    path.write_text("\n".join(rows) + "\n")
+
+
+def test_fit_finds_relative_dataset_path_from_another_cwd(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("FAIRSTACK_DATA_DIR", raising=False)
+    cfg_dir = tmp_path / "cfgdir"
+    cfg_dir.mkdir()
+    _write_tiny_adult(cfg_dir / "tiny.data")
+    _write_config(cfg_dir, name="c.json", dataset={"id": "adult", "path": "tiny.data"})
+    monkeypatch.chdir(tmp_path)  # the data path is relative to cfgdir, not to the cwd
+    assert main(["fit", "--config", "cfgdir/c.json"]) == 0
+    run = _run_dir_from(capsys.readouterr().out)
+    record = json.loads((run / "run.json").read_text())
+    assert record["config"]["dataset"]["path"] == str((cfg_dir / "tiny.data").resolve())
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +433,18 @@ def test_transform_ragged_input_exit_1(fitted, tmp_path, capsys):
     assert "ragged" in capsys.readouterr().err
 
 
+def test_transform_non_finite_input_exit_1(fitted, tmp_path, capsys):
+    _, run = fitted
+    src = tmp_path / "nan.csv"
+    src.write_text("a,b,c,d\n1.0,2.0,3.0,4.0\n1.0,inf,3.0,4.0\nnan,2.0,3.0,4.0\n")
+    dst = tmp_path / "out.csv"
+    rc = main(["transform", "--model", str(run / "model.fstk"),
+               "--input", str(src), "--output", str(dst)])
+    assert rc == 1
+    assert "data row 2" in capsys.readouterr().err  # the first bad row, not the header
+    assert not dst.exists()
+
+
 def test_transform_missing_model_exit_1(tmp_path, capsys):
     src = tmp_path / "in.csv"
     src.write_text("1.0\n")
@@ -472,6 +510,34 @@ def test_sweep_failed_rows_exit_1(tmp_path, capsys):
     assert record["n_failed"] == 2
     assert all("DivergenceError" in f["error"] for f in record["failures"])
     assert "FAILED" in err
+
+
+def test_sweep_job_errors_outside_the_run_contract_propagate(tmp_path, monkeypatch, capsys):
+    cfg = load_config(_write_config(tmp_path, sweep={"betas": [1.0]}))
+
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a failed run")
+
+    monkeypatch.setattr(cli, "train_stack", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        cli.cmd_sweep(cfg)
+
+    def diverged(*args, **kwargs):
+        raise DivergenceError("non-finite value")
+
+    monkeypatch.setattr(cli, "train_stack", diverged)
+    assert cli.cmd_sweep(cfg) == 1
+    run = _run_dir_from(capsys.readouterr().out)
+    assert [r["status"] for r in _read_csv_rows(run / "sweep.csv")] == ["failed", "failed"]
+
+
+def test_run_dir_relies_on_mkdir_not_exists(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20260101-000000")
+    monkeypatch.setattr(Path, "exists", lambda self: False)
+    a = cli._run_dir(str(tmp_path), "fit")
+    b = cli._run_dir(str(tmp_path), "fit")
+    assert a != b
+    assert a.is_dir() and b.is_dir() and not any(a.iterdir()) and not any(b.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ from fairstack.model import (
     build,
     encode,
     level_loss,
-    load,
-    save,
     spec_from_dict,
     spec_hash,
     stacked_spec,
@@ -165,7 +163,7 @@ def test_alpha_zero_kills_decoder_gradient():
     levels = build(stacked_spec(10, (4,)), seed=0)
     X, y, s = _toy_batch()
     parts = level_loss(levels[0], X, y, s, alpha=0.0, beta=1.0, gamma=1.0)
-    backward(parts.total)
+    backward(parts.objective)
     for p in levels[0].decoder.params():
         np.testing.assert_array_equal(p.grad, np.zeros_like(p.grad))
     assert any(np.abs(p.grad).max() > 0 for p in levels[0].encoder.params())
@@ -175,10 +173,10 @@ def test_beta_zero_kills_adversary_gradient():
     levels = build(stacked_spec(10, (4,)), seed=0)
     X, y, s = _toy_batch()
     parts = level_loss(levels[0], X, y, s, alpha=1.0, beta=0.0, gamma=1.0)
-    backward(parts.total)
+    backward(parts.objective)
     for p in levels[0].adversary.params():
         np.testing.assert_array_equal(p.grad, np.zeros_like(p.grad))
-    assert parts.total.item() == pytest.approx(
+    assert parts.objective.item() == pytest.approx(
         parts.rec.item() + parts.cls.item(), rel=1e-12
     )
 
@@ -207,13 +205,13 @@ def test_level_loss_hand_computed_two_samples():
     cls = -(np.log(p_cls[0, 0]) + np.log(1 - p_cls[1, 0])) / 2
     p_adv = _sigmoid(-z + 0.3)
     adv = -(np.log(1 - p_adv[0, 0]) + np.log(p_adv[1, 0])) / 2
-    expected_total = alpha * rec + beta * adv + gamma * cls
+    expected_objective = alpha * rec + gamma * cls - beta * adv
 
     parts = level_loss(level, X, y, s, alpha=alpha, beta=beta, gamma=gamma)
     assert parts.rec.item() == pytest.approx(rec, rel=1e-12)
     assert parts.cls.item() == pytest.approx(cls, rel=1e-12)
     assert parts.adv.item() == pytest.approx(adv, rel=1e-12)
-    assert parts.total.item() == pytest.approx(expected_total, rel=1e-12)
+    assert parts.objective.item() == pytest.approx(expected_objective, rel=1e-12)
     assert parts.n_adv == 2
 
 
@@ -236,10 +234,10 @@ def test_eopp_empty_subset_drops_adversary_term():
     parts = level_loss(levels[0], X, y, s, alpha=1.0, beta=1.0, gamma=1.0,
                        eopp_label=0)
     assert parts.adv is None and parts.n_adv == 0
-    assert parts.total.item() == pytest.approx(
+    assert parts.objective.item() == pytest.approx(
         parts.rec.item() + parts.cls.item(), rel=1e-12
     )
-    backward(parts.total)
+    backward(parts.objective)
     for p in levels[0].adversary.params():
         np.testing.assert_array_equal(p.grad, np.zeros_like(p.grad))
 
@@ -279,8 +277,8 @@ def test_level_loss_row_mismatch():
 def _round_trip(stack: TrainedStack) -> TrainedStack:
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "model.fstk"
-        save(stack, path)
-        return load(path)
+        stack.save(path)
+        return TrainedStack.load(path)
 
 
 def test_round_trip_bit_exact():
@@ -321,41 +319,51 @@ def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.fstk"
     path.write_bytes(b"NOPE" + b"\x00" * 40)
     with pytest.raises(ModelFormatError) as exc:
-        load(path)
+        TrainedStack.load(path)
     assert "bad magic" in str(exc.value)
 
 
 def test_load_rejects_truncation(tmp_path):
     levels = build(stacked_spec(8, (3,)), seed=0)
     path = tmp_path / "model.fstk"
-    save(TrainedStack.from_levels(levels), path)
+    TrainedStack.from_levels(levels).save(path)
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(ModelFormatError) as exc:
-        load(path)
+        TrainedStack.load(path)
     assert "truncated" in str(exc.value)
 
 
 def test_load_rejects_future_version(tmp_path):
     levels = build(stacked_spec(8, (3,)), seed=0)
     path = tmp_path / "model.fstk"
-    save(TrainedStack.from_levels(levels), path)
+    TrainedStack.from_levels(levels).save(path)
     blob = bytearray(path.read_bytes())
     blob[4:8] = (99).to_bytes(4, "little")
     path.write_bytes(bytes(blob))
     with pytest.raises(ModelFormatError) as exc:
-        load(path)
+        TrainedStack.load(path)
     assert "99" in str(exc.value) and "1" in str(exc.value)
 
 
 def test_load_rejects_trailing_bytes(tmp_path):
     levels = build(stacked_spec(8, (3,)), seed=0)
     path = tmp_path / "model.fstk"
-    save(TrainedStack.from_levels(levels), path)
+    TrainedStack.from_levels(levels).save(path)
     path.write_bytes(path.read_bytes() + b"junk")
     with pytest.raises(ModelFormatError) as exc:
-        load(path)
+        TrainedStack.load(path)
     assert "trailing" in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_load_rejects_non_finite_weights(tmp_path, bad):
+    stack = TrainedStack.from_levels(build(stacked_spec(8, (5, 3)), seed=0))
+    stack.levels[1][0][1][0, 2] = bad  # level 1, layer 0: a bias entry
+    path = tmp_path / "model.fstk"
+    stack.save(path)
+    with pytest.raises(ModelFormatError, match="level 1, layer 0"):
+        TrainedStack.load(path)
 
 
 @settings(max_examples=30, deadline=None)
