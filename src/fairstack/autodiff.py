@@ -8,6 +8,10 @@ call :func:`zero_grads` (or an optimizer's ``zero_grad``) between steps.
 
 Finiteness is enforced at the API boundaries (loss values, optimizer
 updates, user-constructed leaves), not after every intermediate op.
+
+No training loop builds a graph: they run on the explicit kernel of
+:mod:`nn`. This module is the reference that kernel is checked against, and
+the finite-difference gate certifies it.
 """
 
 from __future__ import annotations

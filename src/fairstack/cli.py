@@ -138,25 +138,23 @@ def _read_numeric_csv(path: Path) -> np.ndarray:
     """Float matrix from a CSV that may start with a non-numeric header row."""
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
-    if not rows:
-        return np.zeros((0, 0))
-    def numeric(row):
+    def floats(row):
         try:
-            [float(x) for x in row]
-            return True
+            return [float(x) for x in row]
         except ValueError:
-            return False
-    if not numeric(rows[0]):
-        rows = rows[1:]
+            return None
+    values = [floats(r) for r in rows]  # each row parsed once; None: not numeric
+    if values and values[0] is None:
+        rows, values = rows[1:], values[1:]
     if not rows:
         return np.zeros((0, 0))
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise DatasetError(f"ragged CSV: row widths {sorted(widths)} in {path}")
-    bad = next((r for r in rows if not numeric(r)), None)
+    bad = next((r for r, v in zip(rows, values) if v is None), None)
     if bad is not None:
         raise DatasetError(f"non-numeric row in {path}: {bad[:5]}...")
-    X = np.array([[float(x) for x in r] for r in rows])
+    X = np.array(values)
     bad_rows = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad_rows.size:
         i = bad_rows[0]

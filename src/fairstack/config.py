@@ -11,6 +11,7 @@ instead of silently running defaults.
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import typing
 from dataclasses import MISSING, dataclass, fields
@@ -61,6 +62,8 @@ def _check(value, key: str, kind, nullable: bool = False, min=None, choices=None
     if not isinstance(value, kind):
         raise ConfigError(f"{key}: expected {kind.__name__}, "
                           f"got {type(value).__name__} ({value!r})")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key}: must be a finite number, got {value}")
     if min is not None and value < min:
         raise ConfigError(f"{key}: must be >= {min}, got {value}")
     if choices is not None and value not in choices:
@@ -109,6 +112,8 @@ def _parse_seeds(raw, key: str) -> tuple:
 def _parse_betas(raw, key: str) -> tuple:
     if not isinstance(raw, list) or not all(_is_int(x) or isinstance(x, float) for x in raw):
         raise ConfigError(f"{key}: expected a list of numbers")
+    if not all(math.isfinite(x) for x in raw):
+        raise ConfigError(f"{key}: entries must be finite numbers")
     if any(x < 0 for x in raw):
         raise ConfigError(f"{key}: entries must be >= 0")
     return tuple(float(x) for x in raw)
@@ -279,8 +284,11 @@ def load_config(path, seed: int | None = None, beta: float | None = None,
     if beta is not None:
         if beta < 0:
             raise ConfigError(f"--beta must be >= 0, got {beta}")
-        raw.setdefault("loss", {})["beta"] = beta
-        raw.setdefault("sweep", {})["betas"] = [beta]
+        for section, leaf, value in (("loss", "beta", beta), ("sweep", "betas", [beta])):
+            sub = raw.setdefault(section, {})
+            if not isinstance(sub, dict):
+                raise ConfigError(f"{section}: expected an object, got {type(sub).__name__}")
+            sub[leaf] = value
     if criterion is not None:
         raw["criterion"] = criterion
     return parse_config(raw, base_dir=p.parent)

@@ -1,10 +1,11 @@
 """Downstream evaluation of learned representations.
 
 Three independent predictors score a frozen encoding: a one-hidden-layer MLP
-probe, logistic regression (both trained with plain BCE, no fairness terms),
-and a random forest. ``cross_validate`` runs the k-fold protocol — encode,
-fit on the train fold, report fairness metrics on the test fold — and
-aggregates mean and sample standard deviation per metric.
+probe, logistic regression (both trained with plain BCE, no fairness terms,
+on the explicit kernel of :mod:`nn`), and a random forest.
+``cross_validate`` runs the k-fold protocol — encode, fit on the train fold,
+report fairness metrics on the test fold — and aggregates mean and sample
+standard deviation per metric.
 """
 
 from __future__ import annotations
@@ -13,13 +14,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Var
 from .data import Dataset, batches, make_folds, fold_train_indices
 from .forest import ForestSpec, train_forest
 from .metrics import FairnessReport, PredictionBatch, evaluate, threshold_predictions
 from .model import TrainedStack
-from .nn import MLP, Adam
+from .nn import MLP, Adam, bce_step
 
 
 @dataclass
@@ -69,12 +68,7 @@ def _fit_bce_mlp(X: np.ndarray, y: np.ndarray, dims: list[int], epochs: int,
         total = 0.0
         count = 0
         for idx in batches(n, batch_size, seed, epoch):
-            opt.zero_grad()
-            loss = ad.bce_loss(mlp.forward(Var(X[idx])),
-                               y[idx].reshape(-1, 1).astype(float))
-            ad.backward(loss)
-            opt.step()
-            total += loss.item()
+            total += bce_step(mlp, opt, X[idx], y[idx].reshape(-1, 1).astype(float))
             count += 1
         mean = total / count
         if epoch == 0:
@@ -116,17 +110,10 @@ def train_logreg(features: np.ndarray, y: np.ndarray, seed: int = 0,
     mlp = MLP([X.shape[1], 1], np.random.default_rng(seed), output_activation="sigmoid")
     opt = Adam(mlp.params(), lr=lr)
     target = y.reshape(-1, 1).astype(float)
-    first = None
-    for _ in range(epochs):
-        opt.zero_grad()
-        loss = ad.bce_loss(mlp.forward(Var(X)), target)
-        ad.backward(loss)
-        opt.step()
-        if first is None:
-            first = loss.item()
-    if loss.item() >= first:
+    losses = [bce_step(mlp, opt, X, target) for _ in range(epochs)]
+    if losses[-1] >= losses[0]:
         raise RuntimeError(
-            f"logistic regression failed to converge: loss {first:.6f} -> {loss.item():.6f}"
+            f"logistic regression failed to converge: loss {losses[0]:.6f} -> {losses[-1]:.6f}"
         )
     return MLPPredictor(mlp)
 

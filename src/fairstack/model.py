@@ -15,12 +15,13 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DimensionError, Var
-from .nn import ACTIVATIONS, MLP, apply_activation
+from .nn import ACTIVATIONS, MLP, apply_activation, bce, mse
 
 CRITERIA = ("dp", "eo", "eopp")
 
@@ -255,55 +256,112 @@ class LevelLoss:
     n_adv: int
 
 
-def adversary_input(level: Level, z, y: np.ndarray,
-                    eopp_label: int = 0) -> tuple[Var | None, np.ndarray]:
+def adversary_rows(level: Level, y: np.ndarray, eopp_label: int = 0) -> np.ndarray:
+    """Index of the rows the adversary sees: under eopp the rows with
+    y == eopp_label, otherwise all rows."""
+    if level.criterion == "eopp":
+        return np.flatnonzero(y == eopp_label)
+    return np.arange(y.shape[0])
+
+
+def adversary_input(level: Level, z: np.ndarray, y: np.ndarray,
+                    eopp_label: int = 0) -> tuple[np.ndarray | None, np.ndarray]:
     """The adversary's input rows of the codes ``z`` and their row index.
 
-    Under eopp only rows with y == eopp_label are used, otherwise all rows;
-    under eo the label column is appended. ``z`` is a matrix or a graph node;
-    the input is None when no row qualifies.
+    The rows are those :func:`adversary_rows` picks; under eo the label column
+    is appended. The input is None when no row qualifies.
     """
-    z = ad.as_var(z)
-    if level.criterion == "eopp":
-        idx = np.flatnonzero(y == eopp_label)
-    else:
-        idx = np.arange(y.shape[0])
+    idx = adversary_rows(level, y, eopp_label)
     if idx.size == 0:
         return None, idx
-    rows = z if idx.size == y.shape[0] else ad.take_rows(z, idx)
+    rows = z if idx.size == y.shape[0] else z[idx]
     if level.criterion == "eo":
-        rows = ad.concat_cols(rows, Var(y[idx].reshape(-1, 1).astype(float)))
+        rows = np.hstack([rows, y[idx].reshape(-1, 1).astype(float)])
     return rows, idx
+
+
+def _check_rows(n: int, y: np.ndarray, s: np.ndarray, what: str) -> None:
+    if y.shape[0] != n or s.shape[0] != n:
+        raise DimensionError(f"{what}: {n} rows vs y {y.shape[0]}, s {s.shape[0]}")
 
 
 def level_loss(level: Level, z_prev, y: np.ndarray, s: np.ndarray,
                alpha: float, beta: float, gamma: float,
                eopp_label: int = 0, root_mse: bool = False) -> LevelLoss:
-    """Reconstruction + adversary + classifier losses at one level.
+    """Reconstruction + adversary + classifier losses at one level, as a graph.
 
-    ``z_prev`` is the level's input (matrix or graph node when fine-tuning
-    through earlier levels); the reconstruction target is its detached value.
-    The adversary sees the rows :func:`adversary_input` picks.
+    ``z_prev`` is the level's input (matrix or graph node); the reconstruction
+    target is its detached value. The adversary sees the rows
+    :func:`adversary_input` picks. This is the reference :func:`level_grads`
+    is checked against; training runs on :func:`level_grads`.
     """
     z_in = ad.as_var(z_prev)
     y = np.asarray(y).reshape(-1)
     s = np.asarray(s).reshape(-1)
-    if y.shape[0] != z_in.value.shape[0] or s.shape[0] != z_in.value.shape[0]:
-        raise DimensionError(
-            f"level_loss: {z_in.value.shape[0]} rows vs y {y.shape[0]}, s {s.shape[0]}"
-        )
+    _check_rows(z_in.value.shape[0], y, s, "level_loss")
     target = z_in.value.copy()
     z = level.encode_var(z_in)
     rec = ad.mse_loss(level.decoder.forward(z), target, root=root_mse)
     cls = ad.bce_loss(level.classifier.forward(z), y.reshape(-1, 1).astype(float))
     objective = ad.add(ad.scale(rec, alpha), ad.scale(cls, gamma))
 
-    rows, idx = adversary_input(level, z, y, eopp_label)
-    if rows is None:
+    idx = adversary_rows(level, y, eopp_label)
+    if idx.size == 0:
         return LevelLoss(objective=objective, rec=rec, cls=cls, adv=None, n_adv=0)
+    rows = z if idx.size == y.shape[0] else ad.take_rows(z, idx)
+    if level.criterion == "eo":
+        rows = ad.concat_cols(rows, Var(y[idx].reshape(-1, 1).astype(float)))
     adv = ad.bce_loss(level.adversary.forward(rows), s[idx].reshape(-1, 1).astype(float))
     return LevelLoss(objective=ad.add(objective, ad.scale(adv, -beta)), rec=rec, cls=cls,
                      adv=adv, n_adv=int(idx.size))
+
+
+def level_grads(level: Level, x: np.ndarray, y: np.ndarray, s: np.ndarray,
+                alpha: float, beta: float, gamma: float, eopp_label: int = 0,
+                root_mse: bool = False,
+                prefix: Sequence[Level] = ()) -> tuple[float, float, float | None]:
+    """The explicit kernel of :func:`level_loss`: forward ``x`` through the
+    ``prefix`` levels' encoders and this level, and accumulate d(objective)/
+    d(parameter) into ``.grad`` of this level's encoder, classifier and
+    decoder and of the prefix encoders. The adversary is only read.
+
+    With ``alpha == 0`` the decoder's gradient is exactly zero: its forward
+    pass still gives the rec value, but its backward pass is skipped and its
+    ``.grad`` is left alone. Returns the rec, cls and adv loss values; adv is
+    None when the criterion subset of the batch is empty.
+    """
+    y = np.asarray(y).reshape(-1)
+    s = np.asarray(s).reshape(-1)
+    _check_rows(x.shape[0], y, s, "level_grads")
+    z_in = x
+    for lv in prefix:
+        z_in = lv.encoder.forward_value(z_in, cache=True)
+    z = level.encoder.forward_value(z_in, cache=True)
+    rec, g_rec = mse(level.decoder.forward_value(z, cache=True), z_in, root_mse,
+                     alpha if alpha else None)
+    cls, g_cls = bce(level.classifier.forward_value(z, cache=True),
+                     y.reshape(-1, 1).astype(float), gamma)
+    # d(objective)/dz sums the heads in the graph's order: rec, cls, adv
+    g_z = level.classifier.backward(g_cls)
+    if g_rec is not None:
+        g_z = level.decoder.backward(g_rec) + g_z
+    rows, idx = adversary_input(level, z, y, eopp_label)
+    adv = None
+    if rows is not None:
+        adv, g_adv = bce(level.adversary.forward_value(rows, cache=True),
+                         s[idx].reshape(-1, 1).astype(float), -beta)
+        g_rows = level.adversary.backward(g_adv, param_grads=False)
+        if level.criterion == "eo":
+            g_rows = g_rows[:, :level.latent]
+        if idx.size < y.shape[0]:
+            scattered = np.zeros_like(z)
+            scattered[idx] += g_rows
+            g_rows = scattered
+        g_z = g_z + g_rows
+    g = level.encoder.backward(g_z, input_grad=bool(prefix))
+    for i in range(len(prefix) - 1, -1, -1):
+        g = prefix[i].encoder.backward(g, input_grad=i > 0)
+    return rec, cls, adv
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,15 @@
 
 Weight initialization is uniform in +-sqrt(6 / (fan_in + fan_out)); biases
 start at zero. Hidden activations default to leaky ReLU (slope 0.01).
+
+Every training loop runs on one explicit kernel: ``forward_value(x,
+cache=True)`` keeps each layer's input, pre-activation and output,
+``backward(g)`` walks the layers in reverse and accumulates into each
+parameter's ``.grad``, and :func:`bce` / :func:`mse` return a loss value with
+its gradient. The element-wise math is that of the :mod:`autodiff` ops, in
+the same order, so a step gives the same bytes as the graph path.
+``forward(Var)`` builds that graph; it is the reference the
+finite-difference gate certifies, and no training loop calls it.
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import (
+    BCE_EPS,
     LEAKY_SLOPE,
     Var,
     _sigmoid,
@@ -70,12 +80,35 @@ class DenseLayer:
         self.activation = activation
         self.weight = parameter(init_weight(rng, in_dim, out_dim))
         self.bias = parameter(np.zeros((1, out_dim)))
+        self._cache = None  # (input, pre-activation, output) of the last cached forward
 
     def forward(self, x: Var) -> Var:
         return _activate(self.activation, add(matmul(x, self.weight), self.bias))
 
-    def forward_value(self, x: np.ndarray) -> np.ndarray:
-        return apply_activation(self.activation, x @ self.weight.value + self.bias.value)
+    def forward_value(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
+        pre = x @ self.weight.value + self.bias.value
+        out = apply_activation(self.activation, pre)
+        if cache:
+            self._cache = (x, pre, out)
+        return out
+
+    def backward(self, g: np.ndarray, input_grad: bool = True,
+                 param_grads: bool = True) -> np.ndarray | None:
+        """Pull d(loss)/d(output) ``g`` back through the last cached forward:
+        accumulate into the weight's and bias's ``.grad`` (unless
+        ``param_grads`` is off) and return d(loss)/d(input) (None unless
+        ``input_grad``)."""
+        x, pre, out = self._cache
+        if self.activation == "relu":
+            g = g * (pre > 0)
+        elif self.activation == "leaky_relu":
+            g = g * np.where(pre > 0, 1.0, LEAKY_SLOPE)
+        elif self.activation == "sigmoid":
+            g = g * out * (1.0 - out)
+        if param_grads:
+            self.weight.grad += x.T @ g
+            self.bias.grad += g.sum(axis=0, keepdims=True)
+        return g @ self.weight.value.T if input_grad else None
 
     def params(self) -> list[Var]:
         return [self.weight, self.bias]
@@ -107,42 +140,109 @@ class MLP:
             x = layer.forward(x)
         return x
 
-    def forward_value(self, x: np.ndarray) -> np.ndarray:
+    def forward_value(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
         for layer in self.layers:
-            x = layer.forward_value(x)
+            x = layer.forward_value(x, cache)
         return x
+
+    def backward(self, g: np.ndarray, input_grad: bool = True,
+                 param_grads: bool = True) -> np.ndarray | None:
+        """:meth:`DenseLayer.backward` through every layer, last to first."""
+        for i in range(len(self.layers) - 1, -1, -1):
+            g = self.layers[i].backward(g, input_grad or i > 0, param_grads)
+        return g
 
     def params(self) -> list[Var]:
         return [p for layer in self.layers for p in layer.params()]
 
 
+def bce(predicted: np.ndarray, target: np.ndarray,
+        scale: float = 1.0) -> tuple[float, np.ndarray]:
+    """Mean binary cross-entropy and ``scale`` times its gradient: the value
+    and pullback of :func:`autodiff.bce_loss` (same clamp, zero gradient where
+    it is active)."""
+    p = np.clip(predicted, BCE_EPS, 1.0 - BCE_EPS)
+    value = float(-(target * np.log(p) + (1.0 - target) * np.log1p(-p)).mean())
+    assert_finite(np.array(value), "bce_loss")
+    inside = (predicted > BCE_EPS) & (predicted < 1.0 - BCE_EPS)
+    return value, scale * inside * (p - target) / (p * (1.0 - p)) / p.size
+
+
+def mse(reconstruction: np.ndarray, target: np.ndarray, root: bool = False,
+        scale: float | None = None) -> tuple[float, np.ndarray | None]:
+    """Squared error per row (its root with ``root``) and ``scale`` times its
+    gradient, None without a ``scale``: the value and pullback of
+    :func:`autodiff.mse_loss`."""
+    diff = reconstruction - target
+    n_rows = target.shape[0]
+    base = float((diff * diff).sum() / n_rows)
+    assert_finite(np.array(base), "mse_loss")
+    value = float(np.sqrt(base)) if root else base
+    if scale is None:
+        return value, None
+    if not root:
+        return value, scale * 2.0 * diff / n_rows
+    if value == 0.0:  # derivative undefined at the minimum; use 0
+        return value, np.zeros_like(diff)
+    return value, scale * diff / (n_rows * value)
+
+
+def bce_step(net: MLP, opt: Adam, x: np.ndarray, target: np.ndarray) -> float:
+    """One Adam step of ``net`` on the BCE of ``net(x)`` against ``target``;
+    returns the loss before the step."""
+    opt.zero_grad()
+    loss, g = bce(net.forward_value(x, cache=True), target)
+    net.backward(g, input_grad=False)
+    opt.step()
+    return loss
+
+
 class Adam:
-    """Adam with bias correction: p -= lr * m_hat / (sqrt(v_hat) + eps)."""
+    """Adam with bias correction: p -= lr * m_hat / (sqrt(v_hat) + eps).
+
+    The optimizer owns its parameters' storage: each ``.value`` and ``.grad``
+    becomes a view into one flat buffer, so a step is one vectorized update
+    and one finiteness check over all of them.
+    """
 
     def __init__(self, params: Sequence[Var], lr: float = 0.01,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ValueError("Adam: a parameter is listed more than once")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        self.value = _flatten(self.params, "value")
+        self.grad = _flatten(self.params, "grad")
+        self.m = np.zeros_like(self.value)
+        self.v = np.zeros_like(self.value)
 
     def step(self) -> None:
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for i, p in enumerate(self.params):
-            g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / b1t
-            v_hat = self.v[i] / b2t
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            assert_finite(p.value, f"parameter after Adam step {self.t}")
+        g = self.grad
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * (g * g)
+        m_hat = self.m / b1t
+        v_hat = self.v / b2t
+        self.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        assert_finite(self.value, f"parameter after Adam step {self.t}")
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        self.grad[...] = 0.0
+
+
+def _flatten(params: list[Var], attr: str) -> np.ndarray:
+    """Copy ``attr`` of every parameter into one flat buffer and rebind each
+    to a view of its slice."""
+    arrays = [getattr(p, attr) for p in params]
+    flat = np.concatenate([a.ravel() for a in arrays]) if arrays else np.zeros(0)
+    start = 0
+    for p, a in zip(params, arrays):
+        setattr(p, attr, flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return flat

@@ -6,6 +6,12 @@ adversary alone takes ``adv_steps`` minimization steps on BCE(f(z), s) against
 the freshly updated (and detached) codes. Levels train sequentially: by
 default earlier levels are frozen and their codes precomputed; a fine-tune
 mode lets gradients flow into earlier encoders instead.
+
+Both steps run on the explicit kernel of :mod:`nn` (:func:`model.level_grads`
+for the main step, :func:`nn.bce_step` for the adversary), with one flat Adam
+per side. With alpha == 0 the decoder's gradient is exactly zero, so its
+backward pass and Adam update are skipped; it still runs forward, so the
+``loss_rec`` column is unchanged.
 """
 
 from __future__ import annotations
@@ -17,13 +23,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Var
 from .data import Dataset, batches
 from .metrics import PredictionBatch, UndefinedMetricError, delta_dp, delta_eo, delta_eopp
 from .model import (Level, StackSpec, TrainedStack, adversary_input, build, encode,
-                    level_loss, spec_hash)
-from .nn import Adam
+                    level_grads, spec_hash)
+from .nn import Adam, bce_step
 
 
 class DivergenceError(RuntimeError):
@@ -122,7 +126,7 @@ def _adversary_accuracy(level: Level, z_val: np.ndarray, y_val: np.ndarray,
     rows, idx = adversary_input(level, z_val, y_val, eopp_label)
     if rows is None:
         return math.nan
-    pred = (level.adversary.forward_value(rows.value) >= 0.5).astype(int).reshape(-1)
+    pred = (level.adversary.forward_value(rows) >= 0.5).astype(int).reshape(-1)
     return float((pred == s_val[idx]).mean())
 
 
@@ -149,12 +153,14 @@ def _run_level(level: Level, level_index: int, prefix: list[Level],
     """The alternating-update loop for one level.
 
     ``X0`` is the raw stack input when ``prefix`` is non-empty (fine-tuning:
-    batches are forwarded through the earlier encoders inside the graph);
+    batches are forwarded through the earlier encoders, which train too);
     with an empty prefix it is this level's input matrix directly.
     """
     n = X0.shape[0]
-    main_params = level.main_params() + [p for lv in prefix for p in lv.encoder.params()]
-    adam_main = Adam(main_params, lr=cfg.lr)
+    # with alpha == 0 the decoder's Adam update is exactly zero: leave it out
+    nets = [level.encoder, level.classifier, *([level.decoder] if alpha else []),
+            *(lv.encoder for lv in prefix)]
+    adam_main = Adam([p for net in nets for p in net.params()], lr=cfg.lr)
     adam_adv = Adam(level.adv_params(), lr=cfg.adversary_lr)
     log = TrainLog(level=level_index)
 
@@ -170,20 +176,16 @@ def _run_level(level: Level, level_index: int, prefix: list[Level],
                 yb, sb = y[idx], s[idx]
                 # Main step: encoder/decoder/classifier (and unfrozen prefix
                 # encoders) descend the signed level objective.
-                ad.zero_grads(main_params + level.adv_params())
-                z_in: Var = Var(xb)
-                for lv in prefix:
-                    z_in = lv.encode_var(z_in)
-                parts = level_loss(level, z_in, yb, sb, alpha, beta, gamma,
-                                   eopp_label=cfg.eopp_adv_label, root_mse=root_mse)
-                ad.backward(parts.objective)
+                adam_main.zero_grad()
+                rec, cls, adv = level_grads(level, xb, yb, sb, alpha, beta, gamma,
+                                            cfg.eopp_adv_label, root_mse, prefix)
                 adam_main.step()
 
-                rec_sum += parts.rec.item()
-                cls_sum += parts.cls.item()
+                rec_sum += rec
+                cls_sum += cls
                 n_batches += 1
-                if parts.adv is not None:
-                    adv_sum += parts.adv.item()
+                if adv is not None:
+                    adv_sum += adv
                     n_adv_batches += 1
 
                 # Adversary steps on the updated, detached codes.
@@ -195,10 +197,7 @@ def _run_level(level: Level, level_index: int, prefix: list[Level],
                 if rows is not None:
                     target = sb[sub].reshape(-1, 1).astype(float)
                     for _ in range(cfg.adv_steps):
-                        ad.zero_grads(level.adv_params())
-                        loss = ad.bce_loss(level.adversary.forward(rows), target)
-                        ad.backward(loss)
-                        adam_adv.step()
+                        bce_step(level.adversary, adam_adv, rows, target)
             except FloatingPointError as exc:
                 raise DivergenceError(f"non-finite value at {where}: {exc}") from exc
 

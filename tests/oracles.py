@@ -56,6 +56,31 @@ def adam_reference_trace(grad_fn, x0: float, steps: int, lr: float = 0.01,
     return xs
 
 
+class AdamReference:
+    """Adam over objects with ``.value`` / ``.grad`` arrays, one parameter at a
+    time, each updated in place with the rule above."""
+
+    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
+                 eps: float = 1e-8):
+        self.params = list(params)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p.value) for p in self.params]
+        self.v = [np.zeros_like(p.value) for p in self.params]
+
+    def step(self) -> None:
+        self.t += 1
+        for i, p in enumerate(self.params):
+            g = p.grad
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
+            m_hat = self.m[i] / (1.0 - self.beta1 ** self.t)
+            v_hat = self.v[i] / (1.0 - self.beta2 ** self.t)
+            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if not np.isfinite(p.value).all():
+                raise FloatingPointError("non-finite parameter after a reference Adam step")
+
+
 # ---------------------------------------------------------------------------
 # Fairness metrics by direct filtering (no numpy, no shared helpers).
 

@@ -25,7 +25,7 @@ from fairstack.cli import main
 from fairstack.data import make_synthetic, standardize, train_val_test_split
 from fairstack.downstream import ProbeSpec, train_probe, train_sensitive_probe
 from fairstack.metrics import PredictionBatch, UndefinedMetricError, evaluate
-from fairstack.model import (LevelSpec, StackSpec, build, level_loss,
+from fairstack.model import (LevelSpec, StackSpec, build, encode, level_grads, level_loss,
                              stacked_spec)
 from fairstack.nn import Adam
 from fairstack.training import TrainConfig, train_stack
@@ -125,6 +125,46 @@ def test_gradients_match_finite_differences():
                 f"{p.value.shape} parameter")
             cases += 1
 
+    # the explicit kernel the trainer runs (model.level_grads) against central
+    # differences of the objective it reports; the adversary is frozen in the
+    # main step. The reconstruction target is the level's input held fixed,
+    # so the fine-tuning case (gradients into a prefix encoder) runs with
+    # alpha = 0.
+    for seed, crit in enumerate(("dp", "eo", "eopp")):
+        spec = StackSpec(levels=(LevelSpec(in_dim=5, latent=4, hidden=(3,)),
+                                 LevelSpec(in_dim=4, latent=2, hidden=(3,))),
+                         criterion=crit, adv_hidden=3, cls_hidden=3)
+        prefix, level = build(spec, seed=seed)
+        X = rng.uniform(-1, 1, (6, 5))
+        y = np.array([0, 1, 0, 1, 1, 0])
+        s = np.array([1, 0, 0, 1, 0, 1])
+        for alpha, before, trained in ((0.7, [], level.main_params()),
+                                       (0.0, [prefix], prefix.encoder.params())):
+            z = encode([prefix], X) if not before else X
+
+            def kernel_objective(alpha=alpha, before=before, z=z):
+                rec, cls, adv = level_grads(level, z, y, s, alpha=alpha, beta=1.3,
+                                            gamma=0.9, root_mse=crit == "eo",
+                                            prefix=before)
+                return alpha * rec + 0.9 * cls - 1.3 * adv
+
+            zero_grads(prefix.all_params() + level.all_params())
+            kernel_objective()
+            grads = [p.grad.copy() for p in trained]
+            assert all(not p.grad.any() for p in level.adv_params())
+            for p, grad in zip(trained, grads):
+                def f(v, p=p):
+                    keep = p.value.copy()
+                    p.value[...] = v
+                    out = kernel_objective()
+                    p.value[...] = keep
+                    return out
+                numeric = finite_difference(f, p.value)
+                assert grad_close(grad, numeric, rtol=1e-4), (
+                    f"kernel ({crit}, alpha={alpha}) gradient mismatch for a "
+                    f"{p.value.shape} parameter")
+                cases += 1
+
     assert cases >= 100, f"only {cases} gradient checks ran"
 
 
@@ -177,6 +217,30 @@ def test_adam_matches_independent_reference_trace():
         ref = adam_reference_trace(lambda x: 2.0 * a * (x - c), w0, steps=10,
                                    lr=0.01)
         np.testing.assert_allclose(trace, ref, rtol=0.0, atol=1e-12)
+
+    # one optimizer over parameters of several shapes, as the trainer builds
+    # it: every element must follow its own scalar trace on a * (w - c)^2
+    shapes = [(1, 1), (3, 2), (1, 4), (5, 1)]
+    curv = [rng.uniform(0.2, 3.0, shape) for shape in shapes]
+    centre = [rng.uniform(-2, 2, shape) for shape in shapes]
+    start = [rng.uniform(-2, 2, shape) for shape in shapes]
+    params = [parameter(w.copy()) for w in start]
+    opt = Adam(params, lr=0.01)
+    traces = [[w.copy()] for w in start]
+    for _ in range(10):
+        opt.zero_grad()
+        for p, ak, ck in zip(params, curv, centre):
+            p.grad += 2.0 * ak * (p.value - ck)
+        opt.step()
+        for trace, p in zip(traces, params):
+            trace.append(p.value.copy())
+    for k, shape in enumerate(shapes):
+        for i, j in np.ndindex(shape):
+            a, c = curv[k][i, j], centre[k][i, j]
+            ref = adam_reference_trace(lambda x: 2.0 * a * (x - c), start[k][i, j],
+                                       steps=10, lr=0.01)
+            got = [float(w[i, j]) for w in traces[k]]
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

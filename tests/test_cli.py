@@ -290,6 +290,21 @@ def test_bad_criterion_flag_exit_2(tmp_path, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", ["loss", "sweep"])
+def test_beta_flag_on_a_null_section_exit_2(tmp_path, capsys, section):
+    path = _write_config(tmp_path, **{section: None})
+    assert main(["fit", "--config", str(path), "--beta", "1"]) == 2
+    assert f"{section}: expected an object, got NoneType" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_float_in_config_exit_2(tmp_path, capsys, value):
+    path = _write_config(tmp_path)
+    path.write_text(path.read_text().replace('"batch": 32', f'"batch": 32, "lr": {value}', 1))
+    assert main(["fit", "--config", str(path)]) == 2
+    assert "train.lr: must be a finite number" in capsys.readouterr().err
+
+
 def test_jobs_must_be_positive(tmp_path, capsys):
     path = _write_config(tmp_path)
     assert main(["sweep", "--config", str(path), "--jobs", "0"]) == 2

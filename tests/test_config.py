@@ -118,9 +118,15 @@ def _with(d: dict, key: str, value) -> dict:
 
 
 def _bad_values(f):
-    """A wrong-type value for every key, plus one just outside its bound."""
+    """A wrong-type value for every key, one just outside its bound, and the
+    non-finite numbers JSON can spell for a float key."""
     meta = f.metadata
     bad = [{"not": "a value"}]
+    non_finite = [float("nan"), float("inf"), float("-inf")]
+    if (typing.get_args(f.type) or (f.type,))[0] is float:
+        bad += non_finite
+    if f.name == "betas":
+        bad += [[1.0, x] for x in non_finite]
     if meta["min"] is not None:
         bad.append(meta["min"] - 1)
     if meta["choices"]:

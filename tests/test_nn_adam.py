@@ -104,3 +104,10 @@ def test_adam_zero_grad_clears_all_params():
     b.grad[...] = 4.0
     Adam([a, b]).zero_grad()
     assert a.grad[0, 0] == 0.0 and b.grad[0, 0] == 0.0
+
+
+def test_adam_rejects_a_parameter_listed_twice():
+    # each parameter's storage becomes one slice of the flat buffer
+    w = parameter([[1.0]])
+    with pytest.raises(ValueError, match="more than once"):
+        Adam([w, w])
