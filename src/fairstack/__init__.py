@@ -7,8 +7,7 @@ from .data import (Dataset, DatasetError, batches, load_adult, load_german,
                    make_folds, make_synthetic, standardize,
                    train_val_test_split)
 from .downstream import (CVResult, ForestSpec, MLPPredictor, ProbeSpec,
-                         cross_validate, train_logreg, train_probe,
-                         train_sensitive_probe)
+                         cross_validate, train_logreg, train_probe)
 from .forest import DecisionTree, RandomForest, train_forest
 from .metrics import (FairnessReport, PredictionBatch, UndefinedMetricError,
                       accuracy, delta_dp, delta_eo, delta_eopp, evaluate,
@@ -18,8 +17,7 @@ from .model import (CRITERIA, Level, LevelSpec, ModelFormatError, SpecError,
                     spec_hash, stacked_spec, vanilla_spec)
 from .nn import MLP, Adam, DenseLayer
 from .training import (DivergenceError, EpochRecord, TrainConfig, TrainLog,
-                       train_level, train_stack, train_vanilla_lafr,
-                       write_log_csv)
+                       train_level, train_stack, write_log_csv)
 
 __version__ = "0.1.0"
 
@@ -36,7 +34,6 @@ __all__ = [
     "load_adult", "load_config", "load_german", "make_folds",
     "make_synthetic", "mse_loss", "parameter", "spec_hash", "stacked_spec",
     "standardize", "threshold_predictions", "train_forest", "train_level",
-    "train_logreg", "train_probe", "train_sensitive_probe", "train_stack",
-    "train_val_test_split", "train_vanilla_lafr", "vanilla_spec",
-    "write_log_csv", "zero_grads",
+    "train_logreg", "train_probe", "train_stack", "train_val_test_split",
+    "vanilla_spec", "write_log_csv", "zero_grads",
 ]

@@ -5,6 +5,12 @@ overrides, and writes its artifacts into a fresh timestamped directory under
 ``out_dir`` — nothing is ever overwritten. All artifacts embed the config
 hash and seed so a run can be traced back to its exact inputs.
 
+``sweep`` runs one job per row: a (beta, seed, variant) training run scored
+by the probe, and per seed the raw-feature baseline, which is the ``unfair``
+variant of the same job (identity stack, no training). ``--jobs N`` runs all
+sweep rows plus the baseline, or table1's six CV cells, in one pool of N
+worker processes.
+
 Exit codes: 0 success, 1 runtime failure (training/IO), 2 config error.
 """
 
@@ -189,40 +195,35 @@ def cmd_transform(model_path: str, input_path: str, output_path: str) -> int:
 # sweep
 
 
-def _sweep_job(cfg: ExperimentConfig, beta: float, seed: int, variant: str) -> dict:
-    """One independent training run: returns a sweep row dict."""
+def _sweep_job(cfg: ExperimentConfig, beta: float | None, seed: int, variant: str) -> dict:
+    """One sweep row: train the variant's stack and score its codes with the
+    probe. The "unfair" variant is the baseline: the identity stack (raw
+    standardized features), untrained, with no beta."""
     row = {"beta": beta, "seed": seed, "variant": variant, "status": "ok",
            **{m: "" for m in METRIC_COLUMNS}}
     try:
         ds = load_dataset(cfg)
         _, train_ds, val_ds = _split_standardize(ds, seed, cfg.val_frac)
-        spec = stack_spec_for(cfg, in_dim=ds.d, variant=variant, beta=beta)
-        stack, _ = train_stack(spec, train_ds, train_config_for(cfg, seed), val=None)
-        report = _probe_report(stack, train_ds, val_ds, cfg, seed)
-        rj = report.to_json()
-        for m in METRIC_COLUMNS:
-            row[m] = rj[m]
+        if variant == "unfair":
+            stack = TrainedStack.identity(ds.d, provenance={"variant": "unfair"})
+        else:
+            spec = stack_spec_for(cfg, in_dim=ds.d, variant=variant, beta=beta)
+            stack, _ = train_stack(spec, train_ds, train_config_for(cfg, seed), val=None)
+        rj = _probe_report(stack, train_ds, val_ds, cfg, seed).to_json()
+        row.update((m, rj[m]) for m in METRIC_COLUMNS)
     except RUN_ERRORS as exc:  # a failed run becomes a failed row, not a crash
         row["status"] = "failed"
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
 
-def _baseline_job(cfg: ExperimentConfig, seed: int) -> dict:
-    """Unfair reference: probe on raw standardized features (identity stack)."""
-    row = {"seed": seed, "status": "ok", **{m: "" for m in METRIC_COLUMNS}}
-    try:
-        ds = load_dataset(cfg)
-        _, train_ds, val_ds = _split_standardize(ds, seed, cfg.val_frac)
-        identity = TrainedStack.identity(ds.d, provenance={"variant": "unfair"})
-        report = _probe_report(identity, train_ds, val_ds, cfg, seed)
-        rj = report.to_json()
-        for m in METRIC_COLUMNS:
-            row[m] = rj[m]
-    except RUN_ERRORS as exc:
-        row["status"] = "failed"
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
+def _map(fn, calls: list[tuple], jobs: int) -> list:
+    """``[fn(*c) for c in calls]``, run in one pool of ``jobs`` worker
+    processes when ``jobs > 1``; results keep the order of ``calls``."""
+    if jobs == 1:
+        return [fn(*c) for c in calls]
+    with ProcessPoolExecutor(max_workers=jobs) as ex:
+        return list(ex.map(fn, *zip(*calls)))
 
 
 def _write_rows(path: Path, columns, rows, comment: str | None = None) -> None:
@@ -236,7 +237,8 @@ def _write_rows(path: Path, columns, rows, comment: str | None = None) -> None:
 
 
 def _mean_rows(rows: list[dict], key_cols: tuple) -> list[dict]:
-    """Arithmetic means of the metric columns over ok-rows per key."""
+    """Arithmetic means of the metric columns over ok-rows per key, in
+    ascending key order (betas by value)."""
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         if row["status"] != "ok":
@@ -244,7 +246,7 @@ def _mean_rows(rows: list[dict], key_cols: tuple) -> list[dict]:
         key = tuple(row[c] for c in key_cols)
         groups.setdefault(key, []).append(row)
     means = []
-    for key in sorted(groups, key=lambda k: tuple(str(x) for x in k)):
+    for key in sorted(groups):
         members = groups[key]
         out = dict(zip(key_cols, key))
         out["n"] = len(members)
@@ -260,17 +262,13 @@ def cmd_sweep(cfg: ExperimentConfig, jobs: int = 1) -> int:
         raise ConfigError("sweep.betas: must be non-empty for the sweep command")
     chash = config_hash(cfg)
     run = _run_dir(cfg.out_dir, "sweep")
-    tasks = [(beta, seed, variant)
+    tasks = [(cfg, beta, seed, variant)
              for beta in cfg.betas for seed in cfg.seeds for variant in VARIANTS]
+    baseline_tasks = [(cfg, None, seed, "unfair") for seed in cfg.seeds]
 
     t0 = time.perf_counter()
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(_sweep_job, *zip(*[(cfg, b, s, v) for b, s, v in tasks])))
-            baseline = list(ex.map(_baseline_job, [cfg] * len(cfg.seeds), cfg.seeds))
-    else:
-        rows = [_sweep_job(cfg, b, s, v) for b, s, v in tasks]
-        baseline = [_baseline_job(cfg, s) for s in cfg.seeds]
+    results = _map(_sweep_job, tasks + baseline_tasks, jobs)
+    rows, baseline = results[:len(tasks)], results[len(tasks):]
     wall = time.perf_counter() - t0
 
     comment = f"config_hash={chash}"
@@ -299,20 +297,12 @@ def cmd_sweep(cfg: ExperimentConfig, jobs: int = 1) -> int:
 # table1
 
 
-def _cv_job(args):
-    kind, stack, ds, k, seed, eo_mode, probe_spec, forest_spec = args
-    return cross_validate(kind, stack, ds, k=k, seed=seed, eo_mode=eo_mode,
-                          probe_spec=probe_spec, forest_spec=forest_spec)
-
-
 def cmd_table1(cfg: ExperimentConfig, jobs: int = 1) -> int:
     seed = cfg.seeds[0]
     # The tabulated protocol pins the loss weights; note the pin in run.json.
     forced = {"alpha": 0.0, "beta": 1.0, "gamma": 1.0}
     ds = load_dataset(cfg)
-    plan = train_val_test_split(ds.n, seed=seed, val_frac=cfg.val_frac)
-    std = standardize(ds, plan.train)
-    train_ds = std.subset(plan.train)
+    std, train_ds, _ = _split_standardize(ds, seed, cfg.val_frac)
 
     def spec_for(variant):
         s = stack_spec_for(cfg, in_dim=ds.d, variant=variant)
@@ -329,26 +319,16 @@ def cmd_table1(cfg: ExperimentConfig, jobs: int = 1) -> int:
     }
 
     labels = [(kind, variant) for kind in TABLE1_MODELS for variant in TABLE1_VARIANTS]
-    cv_args = [
-        (kind, encoders[variant], std, cfg.cv_folds, seed, cfg.eo_mode,
-         probe_spec_for(cfg, seed), forest_spec_for(cfg, seed))
-        for kind, variant in labels
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_cv_job, cv_args))
-    else:
-        results = [_cv_job(a) for a in cv_args]
+    calls = [(kind, encoders[variant], std, cfg.cv_folds, seed, cfg.eo_mode,
+              probe_spec_for(cfg, seed), forest_spec_for(cfg, seed))
+             for kind, variant in labels]
+    results = _map(cross_validate, calls, jobs)
     wall = time.perf_counter() - t0
 
     cells: dict = {kind: {} for kind in TABLE1_MODELS}
     for (kind, variant), res in zip(labels, results):
-        cells[kind][variant] = {
-            "delta_dp_mean": res.mean["delta_dp"], "delta_dp_std": res.std["delta_dp"],
-            "accuracy_mean": res.mean["accuracy"], "accuracy_std": res.std["accuracy"],
-            "delta_eo_mean": res.mean["delta_eo"], "delta_eo_std": res.std["delta_eo"],
-            "delta_eopp_mean": res.mean["delta_eopp"], "delta_eopp_std": res.std["delta_eopp"],
-        }
+        cells[kind][variant] = {f"{m}_{stat}": getattr(res, stat)[m]
+                                for m in METRIC_COLUMNS for stat in ("mean", "std")}
 
     chash = config_hash(cfg)
     run = _run_dir(cfg.out_dir, "table1")
@@ -358,16 +338,13 @@ def cmd_table1(cfg: ExperimentConfig, jobs: int = 1) -> int:
         "seed": seed, "std_kind": "sample (ddof=1)", "wall_time_s": wall,
         "cells": cells,
     })
-    csv_rows = []
-    for kind in TABLE1_MODELS:
-        for variant in TABLE1_VARIANTS:
-            c = cells[kind][variant]
-            csv_rows.append({"model": kind, "variant": variant, **c})
+    csv_rows = [{"model": kind, "variant": variant,
+                 **{k: ("" if v is None else v) for k, v in cells[kind][variant].items()}}
+                for kind, variant in labels]
     _write_rows(run / "table1.csv",
                 ("model", "variant", "delta_dp_mean", "delta_dp_std",
                  "accuracy_mean", "accuracy_std"),
-                [{k: ("" if v is None else v) for k, v in r.items()} for r in csv_rows],
-                f"config_hash={chash} std=sample(ddof=1)")
+                csv_rows, f"config_hash={chash} std=sample(ddof=1)")
     for kind in TABLE1_MODELS:
         parts = []
         for variant in TABLE1_VARIANTS:

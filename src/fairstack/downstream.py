@@ -17,7 +17,7 @@ import numpy as np
 from .data import Dataset, batches, make_folds, fold_train_indices
 from .forest import ForestSpec, train_forest
 from .metrics import FairnessReport, PredictionBatch, evaluate, threshold_predictions
-from .model import TrainedStack
+from .model import TrainedStack, head_dims
 from .nn import MLP, Adam, bce_step
 
 
@@ -85,16 +85,9 @@ def train_probe(stack: TrainedStack, X: np.ndarray, y: np.ndarray,
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y).reshape(-1)
     z = stack.encode(X)
-    dims = [z.shape[1], spec.hidden, 1] if spec.hidden > 0 else [z.shape[1], 1]
-    mlp, _, _ = _fit_bce_mlp(z, y, dims, spec.epochs, spec.lr, spec.batch_size, spec.seed)
+    mlp, _, _ = _fit_bce_mlp(z, y, head_dims(z.shape[1], spec.hidden), spec.epochs, spec.lr,
+                             spec.batch_size, spec.seed)
     return MLPPredictor(mlp, stack=stack)
-
-
-def train_sensitive_probe(stack: TrainedStack, X: np.ndarray, s: np.ndarray,
-                          spec: ProbeSpec | None = None) -> MLPPredictor:
-    """Adversarial audit: a fresh probe trained to recover the sensitive
-    attribute from the encoding. Low held-out accuracy certifies removal."""
-    return train_probe(stack, X, s, spec)
 
 
 def train_logreg(features: np.ndarray, y: np.ndarray, seed: int = 0,
@@ -170,11 +163,8 @@ def _fit_kind(kind: str, z_train: np.ndarray, y_train: np.ndarray, seed: int,
             spec = replace(spec, seed=seed)
         return train_forest(z_train, y_train, spec)
     if kind == "probe":
-        spec = probe_spec or ProbeSpec()
-        dims = [z_train.shape[1], spec.hidden, 1] if spec.hidden > 0 else [z_train.shape[1], 1]
-        mlp, _, _ = _fit_bce_mlp(z_train, y_train, dims, spec.epochs, spec.lr,
-                                 spec.batch_size, seed)
-        return MLPPredictor(mlp)
+        return train_probe(TrainedStack.identity(z_train.shape[1]), z_train, y_train,
+                           replace(probe_spec or ProbeSpec(), seed=seed))
     raise ValueError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
 
 

@@ -22,7 +22,6 @@ class ForestSpec:
     n_trees: int = 100
     max_depth: int | None = None      # None = grow until pure/too small
     min_samples_split: int = 2
-    n_features_per_split: int | None = None  # None = ceil(sqrt(d))
     seed: int = 0
 
     def __post_init__(self):
@@ -90,8 +89,7 @@ class DecisionTree:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
         n, d = X.shape
-        m = self.spec.n_features_per_split or math.ceil(math.sqrt(d))
-        m = min(m, d)
+        m = math.ceil(math.sqrt(d))
         feature: list[int] = []
         threshold: list[float] = []
         left: list[int] = []

@@ -153,7 +153,8 @@ def vanilla_spec(in_dim: int, hidden=(20,), latent: int = 8, **kwargs) -> StackS
 # Levels
 
 
-def _head_dims(in_dim: int, hidden: int) -> list[int]:
+def head_dims(in_dim: int, hidden: int) -> list[int]:
+    """Dims of a sigmoid head: in_dim -> hidden -> 1, or in_dim -> 1 when hidden is 0."""
     return [in_dim, hidden, 1] if hidden > 0 else [in_dim, 1]
 
 
@@ -168,10 +169,10 @@ class Level:
         self.criterion = criterion
         self.encoder = MLP(enc_dims, rng)
         self.decoder = MLP(dec_dims, rng)
-        self.classifier = MLP(_head_dims(spec.latent, cls_hidden), rng,
+        self.classifier = MLP(head_dims(spec.latent, cls_hidden), rng,
                               output_activation="sigmoid")
         adv_in = spec.latent + (1 if criterion == "eo" else 0)
-        self.adversary = MLP(_head_dims(adv_in, adv_hidden), rng,
+        self.adversary = MLP(head_dims(adv_in, adv_hidden), rng,
                              output_activation="sigmoid")
         self.trained = False
 
@@ -215,13 +216,9 @@ def _check_width(x: np.ndarray, expected: int, what: str) -> None:
         )
 
 
-def encode(stack, X: np.ndarray, upto: int | None = None) -> np.ndarray:
-    """z_k = E_k(...E_1(X)); ``upto=0`` returns X unchanged.
-
-    ``stack`` is a list of built levels or a TrainedStack.
-    """
-    if isinstance(stack, TrainedStack):
-        return stack.encode(X, upto)
+def encode(stack: Sequence[Level], X: np.ndarray, upto: int | None = None) -> np.ndarray:
+    """z_k = E_k(...E_1(X)) through a list of built levels; ``upto=0``
+    returns X unchanged."""
     X = np.asarray(X, dtype=np.float64)
     if upto is None:
         upto = len(stack)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import Dataset, batches
-from .metrics import PredictionBatch, UndefinedMetricError, delta_dp, delta_eo, delta_eopp
+from .metrics import PredictionBatch, evaluate
 from .model import (Level, StackSpec, TrainedStack, adversary_input, build, encode,
                     level_grads, spec_hash)
 from .nn import Adam, bce_step
@@ -133,17 +133,12 @@ def _adversary_accuracy(level: Level, z_val: np.ndarray, y_val: np.ndarray,
 def _classifier_gaps(level: Level, z_val: np.ndarray, y_val: np.ndarray,
                      s_val: np.ndarray) -> tuple[float, float, float]:
     pred = (level.classifier.forward_value(z_val) >= 0.5).astype(int).reshape(-1)
-    try:
-        batch = PredictionBatch(pred, y_val, s_val)
+    try:  # an empty group makes every gap undefined
+        report = evaluate(PredictionBatch(pred, y_val, s_val))
     except ValueError:
         return math.nan, math.nan, math.nan
-    out = []
-    for fn in (delta_dp, delta_eo, delta_eopp):
-        try:
-            out.append(fn(batch))
-        except UndefinedMetricError:
-            out.append(math.nan)
-    return tuple(out)
+    gaps = (report.delta_dp, report.delta_eo, report.delta_eopp)
+    return tuple(math.nan if g is None else g for g in gaps)
 
 
 def _run_level(level: Level, level_index: int, prefix: list[Level],
@@ -189,10 +184,7 @@ def _run_level(level: Level, level_index: int, prefix: list[Level],
                     n_adv_batches += 1
 
                 # Adversary steps on the updated, detached codes.
-                z_now = xb
-                for lv in prefix:
-                    z_now = lv.encode_value(z_now)
-                z_now = level.encode_value(z_now)
+                z_now = encode([*prefix, level], xb)
                 rows, sub = adversary_input(level, z_now, yb, cfg.eopp_adv_label)
                 if rows is not None:
                     target = sb[sub].reshape(-1, 1).astype(float)
@@ -203,10 +195,7 @@ def _run_level(level: Level, level_index: int, prefix: list[Level],
 
         if val is not None:
             Xv, yv, sv = val
-            zv = Xv
-            for lv in prefix:
-                zv = lv.encode_value(zv)
-            zv = level.encode_value(zv)
+            zv = encode([*prefix, level], Xv)
             adv_acc = _adversary_accuracy(level, zv, yv, sv, cfg.eopp_adv_label)
             dp, eo, eopp = _classifier_gaps(level, zv, yv, sv)
         else:
@@ -265,20 +254,13 @@ def train_stack(spec: StackSpec, train: Dataset, cfg: TrainConfig,
     for i, level in enumerate(levels):
         if cfg.adversary_warm_start and i > 0:
             _warm_start_adversary(level, levels[i - 1])
-        if cfg.freeze_previous:
-            z_prev = encode(levels, train.X, upto=i)
-            if val is not None:
-                val_tuple = (encode(levels, val.X, upto=i), val.y, val.s)
-            log = _run_level(level, i, [], z_prev, train.y, train.s,
-                             spec.alpha, spec.beta, spec.gamma, spec.root_mse,
-                             cfg, val_tuple)
-        else:
-            if val is not None:
-                val_tuple = (val.X, val.y, val.s)
-            log = _run_level(level, i, levels[:i], train.X, train.y, train.s,
-                             spec.alpha, spec.beta, spec.gamma, spec.root_mse,
-                             cfg, val_tuple)
-        logs.append(log)
+        # frozen: train on precomputed codes; fine-tune: forward through the prefix
+        upto, prefix = (i, []) if cfg.freeze_previous else (0, levels[:i])
+        if val is not None:
+            val_tuple = (encode(levels, val.X, upto=upto), val.y, val.s)
+        logs.append(_run_level(level, i, prefix, encode(levels, train.X, upto=upto),
+                               train.y, train.s, spec.alpha, spec.beta, spec.gamma,
+                               spec.root_mse, cfg, val_tuple))
     provenance = {
         "spec": spec.to_dict(),
         "spec_hash": spec_hash(spec),
@@ -287,13 +269,3 @@ def train_stack(spec: StackSpec, train: Dataset, cfg: TrainConfig,
         "dataset": train.summary(),
     }
     return TrainedStack.from_levels(levels, provenance), logs
-
-
-def train_vanilla_lafr(spec: StackSpec, train: Dataset, cfg: TrainConfig,
-                       val: Dataset | None = None) -> tuple[TrainedStack, list[TrainLog]]:
-    """Single-level baseline: fairness pressure on the final code only."""
-    if len(spec.levels) != 1:
-        raise ValueError(
-            f"the vanilla baseline is a single-level stack; got {len(spec.levels)} levels"
-        )
-    return train_stack(spec, train, cfg, val)

@@ -23,7 +23,7 @@ from fairstack.autodiff import (Var, add, backward, bce_loss, concat_cols,
 from fairstack import autodiff as ad
 from fairstack.cli import main
 from fairstack.data import make_synthetic, standardize, train_val_test_split
-from fairstack.downstream import ProbeSpec, train_probe, train_sensitive_probe
+from fairstack.downstream import ProbeSpec, train_probe
 from fairstack.metrics import PredictionBatch, UndefinedMetricError, evaluate
 from fairstack.model import (LevelSpec, StackSpec, build, encode, level_grads, level_loss,
                              stacked_spec)
@@ -262,7 +262,7 @@ def test_adversarial_training_removes_sensitive_signal():
                                TrainConfig(epochs=40, batch_size=64, seed=seed))
 
         pspec = ProbeSpec(hidden=8, epochs=60, seed=seed)
-        s_probe = train_sensitive_probe(stack, train_ds.X, train_ds.s, pspec)
+        s_probe = train_probe(stack, train_ds.X, train_ds.s, pspec)
         y_probe = train_probe(stack, train_ds.X, train_ds.y, pspec)
         probe_on_s.append(float(np.mean(s_probe.predict(val_ds.X) == val_ds.s)))
         probe_on_y.append(float(np.mean(y_probe.predict(val_ds.X) == val_ds.y)))

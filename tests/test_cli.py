@@ -546,6 +546,45 @@ def test_sweep_job_errors_outside_the_run_contract_propagate(tmp_path, monkeypat
     assert [r["status"] for r in _read_csv_rows(run / "sweep.csv")] == ["failed", "failed"]
 
 
+def test_sweep_failed_baseline_rows_exit_1(tmp_path, monkeypatch, capsys):
+    cfg = load_config(_write_config(tmp_path, seeds=[0, 1], sweep={"betas": [1.0]}))
+
+    def diverged(*args, **kwargs):
+        raise DivergenceError("non-finite probe")
+
+    monkeypatch.setattr(cli, "train_probe", diverged)
+    assert cli.cmd_sweep(cfg) == 1
+    run = _run_dir_from(capsys.readouterr().out)
+    baseline = _read_csv_rows(run / "baseline.csv")
+    assert [(r["seed"], r["status"], r["accuracy"]) for r in baseline] == [
+        ("0", "failed", ""), ("1", "failed", "")]
+    record = json.loads((run / "run.json").read_text())
+    assert record["n_failed"] == 6  # 2 seeds x 2 variants, plus the 2 baseline rows
+    unfair = [f for f in record["failures"] if f["variant"] == "unfair"]
+    assert [(f["beta"], f["seed"]) for f in unfair] == [(None, 0), (None, 1)]
+    assert all("DivergenceError" in f["error"] for f in unfair)
+
+
+def test_sweep_means_sort_betas_by_value(tmp_path, capsys):
+    path = _write_config(tmp_path, sweep={"betas": [2.0, 15.0]})
+    assert main(["sweep", "--config", str(path)]) == 0
+    run = _run_dir_from(capsys.readouterr().out)
+    means = _read_csv_rows(run / "sweep_means.csv")
+    assert [(m["beta"], m["variant"]) for m in means] == [
+        ("2.0", "stacked"), ("2.0", "vanilla"), ("15.0", "stacked"), ("15.0", "vanilla")]
+
+
+def test_sweep_in_a_pool_matches_the_serial_run(tmp_path, capsys):
+    path = _write_config(tmp_path, seeds=[0, 1], sweep={"betas": [0.0, 1.0]})
+    names = ("sweep.csv", "baseline.csv", "sweep_means.csv", "baseline_means.csv")
+    outputs = []
+    for jobs in ("1", "2"):
+        assert main(["sweep", "--config", str(path), "--jobs", jobs]) == 0
+        run = _run_dir_from(capsys.readouterr().out)
+        outputs.append({name: (run / name).read_bytes() for name in names})
+    assert outputs[0] == outputs[1]
+
+
 def test_run_dir_relies_on_mkdir_not_exists(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20260101-000000")
     monkeypatch.setattr(Path, "exists", lambda self: False)
@@ -584,3 +623,14 @@ def test_table1_grid(tmp_path, capsys):
         (kind, variant)
         for kind in ("logreg", "forest")
         for variant in ("unfair", "lafr", "stacked")]
+
+
+def test_table1_in_a_pool_matches_the_serial_run(tmp_path, capsys):
+    path = _write_config(tmp_path, dataset={"id": "synthetic", "n": 80, "n_noise": 1})
+    outputs = []
+    for jobs in ("1", "2"):
+        assert main(["table1", "--config", str(path), "--jobs", jobs]) == 0
+        run = _run_dir_from(capsys.readouterr().out)
+        cells = json.loads((run / "table1.json").read_text())["cells"]
+        outputs.append(((run / "table1.csv").read_bytes(), cells))
+    assert outputs[0] == outputs[1]

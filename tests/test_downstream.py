@@ -10,7 +10,6 @@ from fairstack.downstream import (
     cross_validate,
     train_logreg,
     train_probe,
-    train_sensitive_probe,
 )
 from fairstack.forest import DecisionTree, ForestSpec, RandomForest, gini, train_forest
 from fairstack.metrics import FairnessReport
@@ -62,8 +61,8 @@ def test_probe_seeded_determinism():
 
 def test_sensitive_probe_reads_planted_attribute_from_raw_features():
     ds = make_synthetic(n=300, seed=3)
-    audit = train_sensitive_probe(TrainedStack.identity(ds.d), ds.X, ds.s,
-                                  ProbeSpec(epochs=60, seed=0))
+    audit = train_probe(TrainedStack.identity(ds.d), ds.X, ds.s,
+                        ProbeSpec(epochs=60, seed=0))
     acc = (audit.predict(ds.X) == ds.s).mean()
     assert acc > 0.9
 
@@ -139,7 +138,7 @@ def test_single_tree_split_matches_brute_force_oracle():
     rng = np.random.default_rng(8)
     x = rng.normal(size=25)
     y = (x + 0.3 * rng.normal(size=25) > 0).astype(int)
-    spec = ForestSpec(n_trees=1, max_depth=1, n_features_per_split=1)
+    spec = ForestSpec(n_trees=1, max_depth=1)
     tree = DecisionTree(spec, np.random.default_rng(0)).fit(x.reshape(-1, 1), y)
     thr, _ = brute_force_best_split(x.tolist(), y.tolist())
     assert tree.feature[0] == 0
@@ -149,7 +148,7 @@ def test_single_tree_split_matches_brute_force_oracle():
 def test_threshold_sits_between_closest_opposite_values():
     x = np.array([0.0, 1.0, 2.0, 2.4, 3.0, 4.0])
     y = np.array([0, 0, 0, 1, 1, 1])
-    spec = ForestSpec(n_trees=1, max_depth=1, n_features_per_split=1)
+    spec = ForestSpec(n_trees=1, max_depth=1)
     tree = DecisionTree(spec, np.random.default_rng(0)).fit(x.reshape(-1, 1), y)
     assert tree.threshold[0] == pytest.approx(2.2)
 

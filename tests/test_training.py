@@ -15,7 +15,6 @@ from fairstack.training import (
     log_csv_string,
     train_level,
     train_stack,
-    train_vanilla_lafr,
 )
 
 
@@ -165,11 +164,9 @@ def test_vanilla_wrapper_single_level_only():
     train, _ = _synthetic_split(n=64)
     cfg = TrainConfig(epochs=1, batch_size=32)
     spec1 = stacked_spec(train.d, (3,))
-    stack, logs = train_vanilla_lafr(spec1, train, cfg)
+    stack, logs = train_stack(spec1, train, cfg)
     assert stack.n_levels == 1 and stack.out_dim == 3
     assert len(logs) == 1
-    with pytest.raises(ValueError):
-        train_vanilla_lafr(stacked_spec(train.d, (4, 2)), train, cfg)
 
 
 # ---------------------------------------------------------------------------
