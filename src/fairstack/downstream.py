@@ -100,6 +100,8 @@ def train_logreg(features: np.ndarray, y: np.ndarray, seed: int = 0,
     y = np.asarray(y).reshape(-1)
     if not np.isfinite(X).all():
         raise ValueError("features must be finite")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be 0/1")
     mlp = MLP([X.shape[1], 1], np.random.default_rng(seed), output_activation="sigmoid")
     opt = Adam(mlp.params(), lr=lr)
     target = y.reshape(-1, 1).astype(float)

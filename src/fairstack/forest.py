@@ -1,12 +1,16 @@
 """Random forest for binary labels, built on CART with Gini impurity.
 
-Trees grow greedily: at each node a fresh random subset of ceil(sqrt(d))
-features is drawn, the best boundary (midpoint between consecutive distinct
-sorted values) is chosen by weighted child Gini, and splitting continues
-while the node is impure and large enough. Zero-gain splits are allowed;
-greedy Gini needs them to express XOR-like concepts. Bagging draws one
-bootstrap sample per tree from a per-tree seeded stream, and the forest
-predicts by strict-majority vote (ties go to class 0).
+Trees grow greedily, level by level. At each depth every node that is impure,
+large enough and above ``max_depth`` draws a fresh random subset of
+ceil(sqrt(d)) features from the tree's stream, one draw per node in
+breadth-first order, and all of them are searched in one vectorized pass for
+the boundary (midpoint between consecutive distinct values) of least weighted
+child Gini. Node ids are breadth-first. Zero-gain splits are allowed; greedy
+Gini needs them to express XOR-like concepts. Each tree's bootstrap sample,
+drawn from a per-tree seeded stream, is kept as counts on the original rows:
+CART on counts splits exactly as CART on the duplicated rows, and X is ranked
+once per forest instead of copied per tree. The forest predicts by
+strict-majority vote (ties go to class 0).
 """
 
 from __future__ import annotations
@@ -41,38 +45,62 @@ def gini(y: np.ndarray) -> float:
     return float(1.0 - p * p - (1.0 - p) * (1.0 - p))
 
 
-def _best_split(Xf: np.ndarray, y: np.ndarray):
-    """Best boundary over the given feature columns.
+def _ranks(X: np.ndarray) -> np.ndarray:
+    """Per-column ranks of X as int32; equal values share a rank. One column
+    at a time, so no n x d sort temporary is held."""
+    ranks = np.zeros(X.shape, dtype=np.int32)
+    for j, col in enumerate(X.T):
+        order = np.argsort(col, kind="stable")
+        xs = col[order]
+        ranks[order[1:], j] = np.cumsum(xs[1:] != xs[:-1])
+    return ranks
 
-    Returns (column-index-within-Xf, threshold, weighted-child-impurity) or
-    None when no column has two distinct values. Candidate thresholds are
-    midpoints between consecutive distinct sorted values; the weighted
-    impurity of all candidates is computed per column via prefix sums and
-    minimized jointly (ties: lowest boundary position, then first column).
+
+def _best_splits(X, ranks, rows, w, wy, node, feats, size, pos):
+    """Best boundary of every node at one depth, in one pass.
+
+    Live row i (``rows``, counts ``w``, weighted labels ``wy``) sits in node
+    ``node[i]``, whose drawn columns are ``feats[node[i]]`` and whose total
+    count and positives are ``size``/``pos``. Sorting each slot by (node,
+    rank) makes every node one segment, at the same place in every slot; a
+    candidate ends a run of equal values inside its node, and its left count
+    and positives are prefix sums minus the segment's start. Returns (slot,
+    threshold) per node, slot -1 where no drawn column has two distinct
+    values; ties go to the smallest left count, then the first slot.
     """
-    n = Xf.shape[0]
-    if n < 2:
-        return None
-    order = np.argsort(Xf, axis=0, kind="stable")
-    xs = np.take_along_axis(Xf, order, axis=0)
-    ys = y[order]
-    pos = np.cumsum(ys, axis=0, dtype=np.float64)
-    total_pos = pos[-1]
+    k, m = feats.shape
+    key = node * X.shape[0] + ranks[rows, feats[node].T]          # (m, n_live)
+    order = np.argsort(key, axis=1)
+    key = np.take_along_axis(key, order, axis=1)
+    seg = np.bincount(node, minlength=k)
+    start = np.concatenate(([0], np.cumsum(seg)[:-1]))
+    owner = np.repeat(np.arange(k), seg)
+    ws, wys = w[order], wy[order]
+    cw, cp = np.cumsum(ws, axis=1), np.cumsum(wys, axis=1)
+    nl = cw - (cw[:, start] - ws[:, start])[:, owner]
+    pl = cp - (cp[:, start] - wys[:, start])[:, owner]
+    n = size[owner]
+    nr, pr = n - nl, pos[owner] - pl
+    with np.errstate(divide="ignore", invalid="ignore"):   # nr == 0 at a node's last row
+        gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
+        gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
+        weighted = (nl * gini_l + nr * gini_r) / n
+    weighted[:, :-1][key[:, 1:] == key[:, :-1]] = np.inf   # not between distinct values
+    weighted[:, start + seg - 1] = np.inf   # a node's last row: nothing on the right
 
-    nl = np.arange(1, n, dtype=np.float64).reshape(-1, 1)
-    nr = float(n) - nl
-    pl = pos[:-1]
-    pr = total_pos - pl
-    gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
-    gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
-    weighted = (nl * gini_l + nr * gini_r) / n
-    weighted[xs[1:] == xs[:-1]] = np.inf   # not a boundary between distinct values
-
-    flat = int(np.argmin(weighted))
-    i, j = divmod(flat, weighted.shape[1])
-    if not np.isfinite(weighted[i, j]):
-        return None
-    return j, float((xs[i, j] + xs[i + 1, j]) / 2.0), float(weighted[i, j])
+    best = np.minimum.reduceat(weighted, start, axis=1).min(axis=0)
+    best[np.isinf(best)] = np.nan            # no candidate: matches nothing below
+    j, p = np.nonzero(weighted == best[owner])
+    pick = np.lexsort((j, nl[j, p], owner[p]))
+    _, first = np.unique(owner[p[pick]], return_index=True)
+    j, p = j[pick[first]], p[pick[first]]
+    hit = owner[p]
+    slot = np.full(k, -1, dtype=np.intp)
+    slot[hit] = j
+    threshold = np.zeros(k)
+    f = feats[hit, j]
+    threshold[hit] = (X[rows[order[j, p]], f] + X[rows[order[j, p + 1]], f]) / 2.0
+    return slot, threshold
 
 
 class DecisionTree:
@@ -81,62 +109,66 @@ class DecisionTree:
     def __init__(self, spec: ForestSpec, rng: np.random.Generator):
         self.spec = spec
         self._rng = rng
-        self.feature: np.ndarray | None = None
-        self.threshold: np.ndarray | None = None
-        self.left: np.ndarray | None = None
-        self.right: np.ndarray | None = None
-        self.value: np.ndarray | None = None
+        self.n_features: int | None = None
+        self.feature = self.threshold = self.left = self.right = self.value = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
-        n, d = X.shape
+        X = np.asarray(X)
+        return self._grow(X, _ranks(X), np.asarray(y).reshape(-1), np.ones(X.shape[0]))
+
+    def _grow(self, X: np.ndarray, ranks: np.ndarray, y: np.ndarray,
+              counts: np.ndarray) -> "DecisionTree":
+        """Grow on the rows of X weighted by ``counts`` (a bootstrap's
+        multiplicities), one depth per iteration; node ids are breadth-first."""
+        d = X.shape[1]
         m = math.ceil(math.sqrt(d))
-        feature: list[int] = []
-        threshold: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        value: list[int] = []
+        spec = self.spec
+        rows = np.flatnonzero(counts)
+        w = counts[rows].astype(np.float64)
+        wy = w * y[rows]
+        node = np.zeros(rows.size, dtype=np.intp)   # each live row's node within its depth
+        parts = []                                  # per depth: its nodes' arrays, ids in order
+        width, next_id, depth = 1, 1, 0
+        while width:
+            size = np.bincount(node, weights=w, minlength=width)
+            pos = np.bincount(node, weights=wy, minlength=width)
+            feature, left, right = (np.full(width, -1, dtype=np.intp) for _ in range(3))
+            threshold = np.zeros(width)
+            parts.append((feature, threshold, left, right, (2 * pos > size).astype(np.int64)))
+            depth_ok = spec.max_depth is None or depth < spec.max_depth
+            can = (pos > 0) & (pos < size) & (size >= spec.min_samples_split) & depth_ok
+            cand = np.flatnonzero(can)
+            if not cand.size:
+                break
+            feats = np.array([self._rng.choice(d, size=m, replace=False) for _ in cand])
+            live = can[node]
+            rows, w, wy = rows[live], w[live], wy[live]
+            node = (np.cumsum(can) - 1)[node[live]]
+            slot, thr = _best_splits(X, ranks, rows, w, wy, node, feats, size[cand], pos[cand])
+            hit = slot >= 0
+            at = cand[hit]
+            feature[at] = feats[hit, slot[hit]]
+            threshold[at] = thr[hit]
+            left[at] = next_id + 2 * np.arange(at.size)
+            right[at] = left[at] + 1
+            next_id += 2 * at.size
+            live = hit[node]
+            rows, w, wy, node = rows[live], w[live], wy[live], node[live]
+            go_left = X[rows, feats[node, slot[node]]] <= thr[node]
+            node = 2 * (np.cumsum(hit) - 1)[node] + ~go_left
+            width = 2 * at.size
+            depth += 1
 
-        def new_node() -> int:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(0)
-            return len(feature) - 1
-
-        stack = [(new_node(), np.arange(n), 0)]
-        while stack:
-            node, idx, depth = stack.pop()
-            yn = y[idx]
-            n_pos = int(yn.sum())
-            value[node] = 1 if 2 * n_pos > idx.size else 0   # majority, tie -> 0
-            pure = n_pos == 0 or n_pos == idx.size
-            depth_ok = self.spec.max_depth is None or depth < self.spec.max_depth
-            if pure or idx.size < self.spec.min_samples_split or not depth_ok:
-                continue
-            feats = self._rng.choice(d, size=m, replace=False)
-            found = _best_split(X[np.ix_(idx, feats)], yn)
-            if found is None:
-                continue
-            j, thr, _ = found
-            f = int(feats[j])
-            go_left = X[idx, f] <= thr
-            feature[node] = f
-            threshold[node] = thr
-            left[node] = new_node()
-            right[node] = new_node()
-            stack.append((right[node], idx[~go_left], depth + 1))
-            stack.append((left[node], idx[go_left], depth + 1))
-
-        self.feature = np.array(feature, dtype=np.intp)
-        self.threshold = np.array(threshold)
-        self.left = np.array(left, dtype=np.intp)
-        self.right = np.array(right, dtype=np.intp)
-        self.value = np.array(value, dtype=np.int64)
+        self.n_features = d
+        self.feature, self.threshold, self.left, self.right, self.value = (
+            np.concatenate(field) for field in zip(*parts))
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise ValueError(f"X has shape {X.shape}; the tree was fitted on "
+                             f"{self.n_features} features")
         cur = np.zeros(X.shape[0], dtype=np.intp)
         while True:
             f = self.feature[cur]
@@ -153,27 +185,31 @@ class RandomForest:
     def __init__(self, spec: ForestSpec):
         self.spec = spec
         self.trees: list[DecisionTree] = []
+        self.n_features: int | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
         X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y).reshape(-1).astype(np.int64)
+        y = np.asarray(y).reshape(-1)
         if X.ndim != 2 or X.shape[0] != y.shape[0]:
             raise ValueError(f"X {X.shape} and y {y.shape} do not align")
+        if X.shape[0] == 0:
+            raise ValueError("cannot fit a forest on zero rows")
+        if not np.isin(y, (0, 1)).all():
+            raise ValueError("labels must be 0/1")
         if not np.isfinite(X).all():
             raise ValueError("features must be finite")
-        n = X.shape[0]
+        y = y.astype(np.int64)
+        n, self.n_features = X.shape
+        ranks = _ranks(X)
         self.trees = []
         for t in range(self.spec.n_trees):
             rng = np.random.default_rng([self.spec.seed, t])
-            boot = rng.integers(0, n, size=n)
-            self.trees.append(DecisionTree(self.spec, rng).fit(X[boot], y[boot]))
+            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            self.trees.append(DecisionTree(self.spec, rng)._grow(X, ranks, y, counts))
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        votes = np.zeros(np.asarray(X).shape[0])
-        for tree in self.trees:
-            votes += tree.predict(X)
-        return votes / len(self.trees)
+        return np.mean([tree.predict(X) for tree in self.trees], axis=0)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         votes = self.predict_proba(X) * len(self.trees)

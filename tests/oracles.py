@@ -7,6 +7,7 @@ circularity.
 
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
@@ -174,3 +175,112 @@ def brute_force_best_split(x, y):
         if best is None or w < best[1] - 1e-12:
             best = (thr, w)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Reference CART grower: one node at a time, each node's split found by
+# sorting its own rows. Nodes are processed in FIFO order (left child queued
+# first), so feature subsets are drawn breadth-first, the order the package's
+# level-wise grower draws them in. A forest tree is grown on the duplicated
+# bootstrap rows X[boot].
+
+
+def reference_best_split(Xf: np.ndarray, y: np.ndarray):
+    """Best boundary over the given feature columns.
+
+    Returns (column-index-within-Xf, threshold, weighted-child-impurity) or
+    None when no column has two distinct values. Candidate thresholds are
+    midpoints between consecutive distinct sorted values; the weighted
+    impurity of all candidates is computed per column via prefix sums and
+    minimized jointly (ties: lowest boundary position, then first column).
+    """
+    n = Xf.shape[0]
+    if n < 2:
+        return None
+    order = np.argsort(Xf, axis=0, kind="stable")
+    xs = np.take_along_axis(Xf, order, axis=0)
+    ys = y[order]
+    pos = np.cumsum(ys, axis=0, dtype=np.float64)
+    total_pos = pos[-1]
+
+    nl = np.arange(1, n, dtype=np.float64).reshape(-1, 1)
+    nr = float(n) - nl
+    pl = pos[:-1]
+    pr = total_pos - pl
+    gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
+    gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
+    weighted = (nl * gini_l + nr * gini_r) / n
+    weighted[xs[1:] == xs[:-1]] = np.inf   # not a boundary between distinct values
+
+    flat = int(np.argmin(weighted))
+    i, j = divmod(flat, weighted.shape[1])
+    if not np.isfinite(weighted[i, j]):
+        return None
+    return j, float((xs[i, j] + xs[i + 1, j]) / 2.0), float(weighted[i, j])
+
+
+def reference_tree(X: np.ndarray, y: np.ndarray, spec, rng: np.random.Generator) -> dict:
+    """CART tree arrays (feature, threshold, left, right, value) for ``spec``
+    (``max_depth``, ``min_samples_split``), drawing from ``rng``."""
+    n, d = X.shape
+    m = math.ceil(math.sqrt(d))
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    value: list[int] = []
+
+    def new_node() -> int:
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0)
+        return len(feature) - 1
+
+    queue = collections.deque([(new_node(), np.arange(n), 0)])
+    while queue:
+        node, idx, depth = queue.popleft()
+        yn = y[idx]
+        n_pos = int(yn.sum())
+        value[node] = 1 if 2 * n_pos > idx.size else 0   # majority, tie -> 0
+        pure = n_pos == 0 or n_pos == idx.size
+        depth_ok = spec.max_depth is None or depth < spec.max_depth
+        if pure or idx.size < spec.min_samples_split or not depth_ok:
+            continue
+        feats = rng.choice(d, size=m, replace=False)
+        found = reference_best_split(X[np.ix_(idx, feats)], yn)
+        if found is None:
+            continue
+        j, thr, _ = found
+        f = int(feats[j])
+        go_left = X[idx, f] <= thr
+        feature[node] = f
+        threshold[node] = thr
+        left[node] = new_node()
+        right[node] = new_node()
+        queue.append((left[node], idx[go_left], depth + 1))
+        queue.append((right[node], idx[~go_left], depth + 1))
+
+    return {
+        "feature": np.array(feature, dtype=np.intp),
+        "threshold": np.array(threshold),
+        "left": np.array(left, dtype=np.intp),
+        "right": np.array(right, dtype=np.intp),
+        "value": np.array(value, dtype=np.int64),
+    }
+
+
+def reference_forest_trees(X: np.ndarray, y: np.ndarray, spec) -> list[dict]:
+    """Tree arrays of a bagged forest for ``spec`` (``n_trees``, ``seed`` and
+    the tree fields): per tree, a stream seeded ``[seed, t]`` draws the
+    bootstrap rows, then grows the tree on them."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y).reshape(-1).astype(np.int64)
+    n = X.shape[0]
+    trees = []
+    for t in range(spec.n_trees):
+        rng = np.random.default_rng([spec.seed, t])
+        boot = rng.integers(0, n, size=n)
+        trees.append(reference_tree(X[boot], y[boot], spec, rng))
+    return trees

@@ -416,6 +416,34 @@ def test_transform_round_trips_the_encoder(fitted, tmp_path, capsys):
     np.testing.assert_array_equal(got, want)  # repr round-trip is exact
 
 
+def test_transform_writes_what_csv_writer_writes(fitted, tmp_path, capsys):
+    _, run = fitted
+    model = run / "model.fstk"
+    X = make_synthetic(n=7, seed=98, n_noise=1).X
+    src = tmp_path / "in.csv"
+    src.write_text("\n".join(",".join(map(repr, row)) for row in X.tolist()) + "\n")
+    dst = tmp_path / "out.csv"
+    assert main(["transform", "--model", str(model), "--input", str(src),
+                 "--output", str(dst)]) == 0
+    capsys.readouterr()
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["z_0", "z_1", "z_2"])
+    for row in TrainedStack.load(model).encode(X):
+        writer.writerow([repr(float(v)) for v in row])
+    assert dst.read_bytes() == want.getvalue().encode()
+
+
+def test_transform_non_numeric_data_row_exit_1(fitted, tmp_path, capsys):
+    _, run = fitted
+    src = tmp_path / "text.csv"
+    src.write_text("a,b,c,d\n1.0,2.0,3.0,4.0\n1.0,two,3.0,4.0\n")
+    rc = main(["transform", "--model", str(run / "model.fstk"),
+               "--input", str(src), "--output", str(tmp_path / "out.csv")])
+    assert rc == 1
+    assert "non-numeric" in capsys.readouterr().err
+
+
 def test_transform_header_only_input(fitted, tmp_path, capsys):
     _, run = fitted
     src = tmp_path / "empty.csv"

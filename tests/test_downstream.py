@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairstack.data import make_synthetic
 from fairstack.downstream import (
@@ -14,7 +16,8 @@ from fairstack.downstream import (
 from fairstack.forest import DecisionTree, ForestSpec, RandomForest, gini, train_forest
 from fairstack.metrics import FairnessReport
 from fairstack.model import TrainedStack, build, stacked_spec
-from oracles import brute_force_best_split, gini_of
+from oracles import (brute_force_best_split, gini_of, reference_forest_trees,
+                     reference_tree)
 
 
 def _separable_toy(n=400, seed=0):
@@ -205,6 +208,104 @@ def test_forest_input_validation():
         ForestSpec(n_trees=0)
     with pytest.raises(ValueError):
         ForestSpec(max_depth=0)
+
+
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+
+def _assert_same_trees(trees, reference):
+    assert len(trees) == len(reference)
+    for tree, want in zip(trees, reference):
+        for name in TREE_ARRAYS:
+            got = getattr(tree, name)
+            assert got.dtype == want[name].dtype, name
+            assert got.tobytes() == want[name].tobytes(), name
+
+
+def _grower_cases():
+    rng = np.random.default_rng(21)
+    cases = []
+    for d in (1, 2, 8, 100):
+        X = rng.normal(size=(3000, d))
+        y = (X[:, 0] + rng.normal(size=3000) > 0).astype(int)
+        cases.append(pytest.param(X, y, ForestSpec(n_trees=2, max_depth=10, seed=d),
+                                  id=f"continuous-d{d}"))
+    X = rng.integers(0, 3, size=(500, 6)).astype(float)
+    y = (X.sum(axis=1) + rng.integers(0, 3, size=500) > 6).astype(int)
+    cases.append(pytest.param(X, y, ForestSpec(n_trees=3, seed=2), id="ties"))
+    X = rng.normal(size=(800, 5))
+    y = (X[:, 1] > 0).astype(int) ^ (rng.random(800) < 0.2)
+    cases.append(pytest.param(X, y, ForestSpec(n_trees=3, max_depth=6, min_samples_split=5),
+                              id="min-split-5"))
+    X = np.tile(np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float), (25, 1))
+    y = X[:, 0].astype(int) ^ X[:, 1].astype(int)
+    cases.append(pytest.param(X, y, ForestSpec(n_trees=5), id="xor"))
+    X = rng.normal(size=(600, 4))
+    y = (rng.random(600) < 0.4).astype(int)
+    cases.append(pytest.param(X, y, ForestSpec(n_trees=3), id="depth-none"))
+    cases.append(pytest.param(X, np.ones(600, dtype=int), ForestSpec(n_trees=2), id="pure"))
+    cases.append(pytest.param(np.array([[1.0, 2.0]]), np.array([1]), ForestSpec(n_trees=2),
+                              id="one-row"))
+    X = rng.normal(size=(300, 3))
+    X[:, 1] = 7.0
+    y = (X[:, 0] > 0).astype(int) ^ (rng.random(300) < 0.3)
+    cases.append(pytest.param(X, y, ForestSpec(n_trees=3), id="constant-column"))
+    y = (rng.random(50) < 0.5).astype(int)
+    cases.append(pytest.param(np.ones((50, 3)), y, ForestSpec(n_trees=2), id="all-constant"))
+    return cases
+
+
+@pytest.mark.parametrize("X,y,spec", _grower_cases())
+def test_level_wise_grower_matches_fifo_reference(X, y, spec):
+    _assert_same_trees(train_forest(X, y, spec).trees, reference_forest_trees(X, y, spec))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    d=st.integers(1, 6),
+    levels=st.integers(1, 4),
+    max_depth=st.one_of(st.none(), st.integers(1, 5)),
+    min_split=st.integers(2, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_grower_matches_reference_on_tied_data(n, d, levels, max_depth, min_split, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, size=(n, d)) / 2.0   # few distinct values: heavy ties
+    y = rng.integers(0, 2, size=n)
+    spec = ForestSpec(n_trees=2, max_depth=max_depth, min_samples_split=min_split, seed=seed)
+    _assert_same_trees(train_forest(X, y, spec).trees, reference_forest_trees(X, y, spec))
+
+
+def test_single_tree_on_unit_counts_matches_reference():
+    rng = np.random.default_rng(22)
+    X = np.round(rng.normal(size=(400, 9)), 1)
+    y = (X[:, 0] + X[:, 3] + rng.normal(size=400) > 0).astype(int)
+    spec = ForestSpec(n_trees=1, max_depth=7)
+    tree = DecisionTree(spec, np.random.default_rng(5)).fit(X, y)
+    _assert_same_trees([tree], [reference_tree(X, y, spec, np.random.default_rng(5))])
+
+
+@pytest.mark.parametrize("train", [train_forest, train_logreg])
+def test_predictors_reject_non_binary_labels(train):
+    X, y = _separable_toy(n=40, seed=1)
+    y[3] = 2
+    with pytest.raises(ValueError, match="0/1"):
+        train(X, y)
+
+
+def test_forest_rejects_zero_rows():
+    with pytest.raises(ValueError, match="zero rows"):
+        train_forest(np.zeros((0, 3)), np.zeros(0, dtype=int), ForestSpec(n_trees=2))
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_forest_predict_rejects_another_width(width):
+    X, y = _separable_toy(n=60, seed=2)
+    forest = train_forest(X, y, ForestSpec(n_trees=3, max_depth=3))
+    assert forest.n_features == 2
+    with pytest.raises(ValueError, match="fitted on 2 features"):
+        forest.predict(np.zeros((5, width)))
 
 
 # ---------------------------------------------------------------------------
