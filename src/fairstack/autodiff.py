@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense float64 matrices.
+"""Reverse-mode automatic differentiation: the reference the kernel is held to.
 
 Every value in the graph is a 2-D numpy array. ``Var`` wraps a value together
 with a gradient buffer of the same shape; operations build the graph by
@@ -9,24 +9,27 @@ call :func:`zero_grads` (or an optimizer's ``zero_grad``) between steps.
 Finiteness is enforced at the API boundaries (loss values, optimizer
 updates, user-constructed leaves), not after every intermediate op.
 
-No training loop builds a graph: they run on the explicit kernel of
-:mod:`nn`. This module is the reference that kernel is checked against, and
-the finite-difference gate certifies it.
+No production module imports this one: every training loop runs on the
+explicit kernel of :mod:`nn`, whose parameters are plain :class:`nn.Param`
+holders. The graph builders for the package's networks live here too:
+:func:`forward` runs an MLP as a graph and :func:`level_loss` builds one
+level's objective. Both make their leaves with :func:`leaf`, which shares a
+parameter's ``value`` and ``grad``, so ``backward`` accumulates straight into
+``Param.grad``. The finite-difference gate certifies this module, and the
+kernel tests require the kernel to give its bytes.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-BCE_EPS = 1e-7
-LEAKY_SLOPE = 0.01
-
-
-class DimensionError(ValueError):
-    """Operand shapes are incompatible for the requested operation."""
+from . import nn
+from .model import Level, _check_rows, adversary_rows
+from .nn import BCE_EPS, LEAKY_SLOPE, DimensionError, Param, assert_finite
 
 
 class GraphError(RuntimeError):
@@ -70,16 +73,6 @@ class Var:
     def shape(self) -> tuple[int, int]:
         return self.value.shape
 
-    def detach(self) -> "Var":
-        """A constant copy, cut off from the graph (safe against in-place updates)."""
-        return Var(self.value.copy())
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
-    def backward(self) -> None:
-        backward(self)
-
     def item(self) -> float:
         if self.value.size != 1:
             raise GraphError(f"item() requires a 1x1 value, got shape {self.value.shape}")
@@ -109,16 +102,17 @@ def as_var(x) -> Var:
     return x if isinstance(x, Var) else Var(x)
 
 
-def parameter(value) -> Var:
-    """A leaf Var that participates in gradient computation."""
-    v = Var(value, requires_grad=True)
-    assert_finite(v.value, "parameter")
+def leaf(p: Param) -> Var:
+    """A requires-grad leaf over ``p``'s storage: it reads ``p.value``, and
+    ``backward`` accumulates into ``p.grad``."""
+    v = Var(p.value, requires_grad=True)
+    v.grad = p.grad
     return v
 
 
-def assert_finite(arr: np.ndarray, what: str) -> None:
-    if not np.isfinite(arr).all():
-        raise FloatingPointError(f"non-finite values in {what}")
+def parameter(value) -> Var:
+    """A leaf over a fresh :class:`nn.Param` (finite values only)."""
+    return leaf(Param(_as_matrix(value)))
 
 
 def _make(value: np.ndarray, parents: tuple[Var, ...], vjp) -> Var:
@@ -189,18 +183,9 @@ def leaky_relu(a: Var, slope: float = LEAKY_SLOPE) -> Var:
     return _make(np.where(mask, a.value, slope * a.value), (a,), vjp)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def sigmoid(a: Var) -> Var:
     a = as_var(a)
-    s = _sigmoid(a.value)
+    s = nn.sigmoid(a.value)
 
     def vjp(g):
         return (g * s * (1.0 - s),)
@@ -357,6 +342,70 @@ def backward(loss: Var) -> None:
             flow[parent.node_id] = pg if acc is None else acc + pg
 
 
-def zero_grads(params: Sequence[Var]) -> None:
+def zero_grads(params: Sequence[Param | Var]) -> None:
     for p in params:
-        p.zero_grad()
+        p.grad[...] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# The package's networks as graphs
+
+_ACTIVATE = {"identity": lambda a: a, "relu": relu, "leaky_relu": leaky_relu,
+             "sigmoid": sigmoid}
+
+
+def forward(net: nn.MLP, x) -> Var:
+    """``net`` on ``x`` as a graph over leaves of its parameters: the
+    reference for ``net.forward_value(x)``."""
+    for layer in net.layers:
+        x = add(matmul(x, leaf(layer.weight)), leaf(layer.bias))
+        x = _ACTIVATE[layer.activation](x)
+    return x
+
+
+@dataclass
+class LevelLoss:
+    """The objective a level's main step descends, and its parts (graph nodes).
+
+    ``objective`` is alpha*rec + gamma*cls - beta*adv: encoder, decoder and
+    classifier minimize it, so they work against the adversary, which the
+    trainer updates separately to minimize ``adv``. ``adv`` is None when the
+    criterion subset of the batch is empty; ``objective`` then omits it.
+    """
+
+    objective: Var
+    rec: Var
+    cls: Var
+    adv: Var | None
+    n_adv: int
+
+
+def level_loss(level: Level, z_prev, y: np.ndarray, s: np.ndarray,
+               alpha: float, beta: float, gamma: float,
+               eopp_label: int = 0, root_mse: bool = False) -> LevelLoss:
+    """Reconstruction + adversary + classifier losses at one level, as a graph.
+
+    ``z_prev`` is the level's input (matrix or graph node); the reconstruction
+    target is its detached value. The adversary sees the rows
+    :func:`model.adversary_input` picks. This is the reference
+    :func:`model.level_grads` is checked against.
+    """
+    z_in = as_var(z_prev)
+    y = np.asarray(y).reshape(-1)
+    s = np.asarray(s).reshape(-1)
+    _check_rows(z_in.value.shape[0], y, s, "level_loss")
+    target = z_in.value.copy()
+    z = forward(level.encoder, z_in)
+    rec = mse_loss(forward(level.decoder, z), target, root=root_mse)
+    cls = bce_loss(forward(level.classifier, z), y.reshape(-1, 1).astype(float))
+    objective = add(scale(rec, alpha), scale(cls, gamma))
+
+    idx = adversary_rows(level, y, eopp_label)
+    if idx.size == 0:
+        return LevelLoss(objective=objective, rec=rec, cls=cls, adv=None, n_adv=0)
+    rows = z if idx.size == y.shape[0] else take_rows(z, idx)
+    if level.criterion == "eo":
+        rows = concat_cols(rows, Var(y[idx].reshape(-1, 1).astype(float)))
+    adv = bce_loss(forward(level.adversary, rows), s[idx].reshape(-1, 1).astype(float))
+    return LevelLoss(objective=add(objective, scale(adv, -beta)), rec=rec, cls=cls,
+                     adv=adv, n_adv=int(idx.size))

@@ -84,6 +84,8 @@ def train_probe(stack: TrainedStack, X: np.ndarray, y: np.ndarray,
     spec = spec or ProbeSpec()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y).reshape(-1)
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be 0/1")
     z = stack.encode(X)
     mlp, _, _ = _fit_bce_mlp(z, y, head_dims(z.shape[1], spec.hidden), spec.epochs, spec.lr,
                              spec.batch_size, spec.seed)

@@ -4,8 +4,9 @@ Trees grow greedily, level by level. At each depth every node that is impure,
 large enough and above ``max_depth`` draws a fresh random subset of
 ceil(sqrt(d)) features from the tree's stream, one draw per node in
 breadth-first order, and all of them are searched in one vectorized pass for
-the boundary (midpoint between consecutive distinct values) of least weighted
-child Gini. Node ids are breadth-first. Zero-gain splits are allowed; greedy
+the boundary (midpoint between consecutive distinct values, or the lower
+value where the midpoint rounds up to the upper) of least weighted child
+Gini. Node ids are breadth-first. Zero-gain splits are allowed; greedy
 Gini needs them to express XOR-like concepts. Each tree's bootstrap sample,
 drawn from a per-tree seeded stream, is kept as counts on the original rows:
 CART on counts splits exactly as CART on the duplicated rows, and X is ranked
@@ -99,8 +100,17 @@ def _best_splits(X, ranks, rows, w, wy, node, feats, size, pos):
     slot[hit] = j
     threshold = np.zeros(k)
     f = feats[hit, j]
-    threshold[hit] = (X[rows[order[j, p]], f] + X[rows[order[j, p + 1]], f]) / 2.0
+    threshold[hit] = _midpoint(X[rows[order[j, p]], f], X[rows[order[j, p + 1]], f])
     return slot, threshold
+
+
+def _midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a + b) / 2 for a < b, or ``a`` where that rounds (or overflows) out
+    of [a, b): the threshold must keep ``a`` on the left and ``b`` on the
+    right, or the node would repeat itself."""
+    with np.errstate(over="ignore"):
+        mid = (a + b) / 2.0
+    return np.where((a <= mid) & (mid < b), mid, a)
 
 
 class DecisionTree:

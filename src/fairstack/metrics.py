@@ -19,12 +19,12 @@ class UndefinedMetricError(ValueError):
 
 
 def _binary_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values).reshape(-1).astype(np.int64)
+    arr = np.asarray(values).reshape(-1)
     if arr.size == 0:
         raise ValueError(f"{name} is empty")
-    if not np.isin(arr, (0, 1)).all():
+    if not np.isin(arr, (0, 1)).all():   # the values as given: 0.5 is not 0
         raise ValueError(f"{name} must contain only 0/1 values")
-    return arr
+    return arr.astype(np.int64)
 
 
 @dataclass(frozen=True)

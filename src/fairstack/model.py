@@ -5,7 +5,10 @@ to a narrower code z_i, a decoder D_i mirroring the encoder, a classifier head
 h_i predicting the label from z_i, and an adversary head f_i predicting the
 sensitive attribute from z_i (plus the label column under the eo criterion).
 Levels compose: z_0 is the raw input, z_i = E_i(z_{i-1}), with strictly
-decreasing code widths. After training, only the encoders survive as a
+decreasing code widths. :func:`level_grads` computes a level's signed
+objective and its gradients on the explicit :mod:`nn` kernel; the graph form
+of the same objective, which the tests check it against, lives with the
+reference graph engine. After training, only the encoders survive as a
 :class:`TrainedStack`, which serializes to a small binary format.
 """
 
@@ -19,9 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import DimensionError, Var
-from .nn import ACTIVATIONS, MLP, apply_activation, bce, mse
+from .nn import ACTIVATIONS, MLP, DimensionError, Param, apply_activation, bce, mse
 
 CRITERIA = ("dp", "eo", "eopp")
 
@@ -184,19 +185,16 @@ class Level:
     def latent(self) -> int:
         return self.encoder.out_dim
 
-    def encode_var(self, x: Var) -> Var:
-        return self.encoder.forward(x)
-
     def encode_value(self, x: np.ndarray) -> np.ndarray:
         return self.encoder.forward_value(x)
 
-    def main_params(self) -> list[Var]:
+    def main_params(self) -> list[Param]:
         return self.encoder.params() + self.decoder.params() + self.classifier.params()
 
-    def adv_params(self) -> list[Var]:
+    def adv_params(self) -> list[Param]:
         return self.adversary.params()
 
-    def all_params(self) -> list[Var]:
+    def all_params(self) -> list[Param]:
         return self.main_params() + self.adv_params()
 
 
@@ -236,23 +234,6 @@ def encode(stack: Sequence[Level], X: np.ndarray, upto: int | None = None) -> np
 # Per-level loss
 
 
-@dataclass
-class LevelLoss:
-    """The objective a level's main step descends, and its parts (graph nodes).
-
-    ``objective`` is alpha*rec + gamma*cls - beta*adv: encoder, decoder and
-    classifier minimize it, so they work against the adversary, which the
-    trainer updates separately to minimize ``adv``. ``adv`` is None when the
-    criterion subset of the batch is empty; ``objective`` then omits it.
-    """
-
-    objective: Var
-    rec: Var
-    cls: Var
-    adv: Var | None
-    n_adv: int
-
-
 def adversary_rows(level: Level, y: np.ndarray, eopp_label: int = 0) -> np.ndarray:
     """Index of the rows the adversary sees: under eopp the rows with
     y == eopp_label, otherwise all rows."""
@@ -282,45 +263,16 @@ def _check_rows(n: int, y: np.ndarray, s: np.ndarray, what: str) -> None:
         raise DimensionError(f"{what}: {n} rows vs y {y.shape[0]}, s {s.shape[0]}")
 
 
-def level_loss(level: Level, z_prev, y: np.ndarray, s: np.ndarray,
-               alpha: float, beta: float, gamma: float,
-               eopp_label: int = 0, root_mse: bool = False) -> LevelLoss:
-    """Reconstruction + adversary + classifier losses at one level, as a graph.
-
-    ``z_prev`` is the level's input (matrix or graph node); the reconstruction
-    target is its detached value. The adversary sees the rows
-    :func:`adversary_input` picks. This is the reference :func:`level_grads`
-    is checked against; training runs on :func:`level_grads`.
-    """
-    z_in = ad.as_var(z_prev)
-    y = np.asarray(y).reshape(-1)
-    s = np.asarray(s).reshape(-1)
-    _check_rows(z_in.value.shape[0], y, s, "level_loss")
-    target = z_in.value.copy()
-    z = level.encode_var(z_in)
-    rec = ad.mse_loss(level.decoder.forward(z), target, root=root_mse)
-    cls = ad.bce_loss(level.classifier.forward(z), y.reshape(-1, 1).astype(float))
-    objective = ad.add(ad.scale(rec, alpha), ad.scale(cls, gamma))
-
-    idx = adversary_rows(level, y, eopp_label)
-    if idx.size == 0:
-        return LevelLoss(objective=objective, rec=rec, cls=cls, adv=None, n_adv=0)
-    rows = z if idx.size == y.shape[0] else ad.take_rows(z, idx)
-    if level.criterion == "eo":
-        rows = ad.concat_cols(rows, Var(y[idx].reshape(-1, 1).astype(float)))
-    adv = ad.bce_loss(level.adversary.forward(rows), s[idx].reshape(-1, 1).astype(float))
-    return LevelLoss(objective=ad.add(objective, ad.scale(adv, -beta)), rec=rec, cls=cls,
-                     adv=adv, n_adv=int(idx.size))
-
-
 def level_grads(level: Level, x: np.ndarray, y: np.ndarray, s: np.ndarray,
                 alpha: float, beta: float, gamma: float, eopp_label: int = 0,
                 root_mse: bool = False,
                 prefix: Sequence[Level] = ()) -> tuple[float, float, float | None]:
-    """The explicit kernel of :func:`level_loss`: forward ``x`` through the
-    ``prefix`` levels' encoders and this level, and accumulate d(objective)/
-    d(parameter) into ``.grad`` of this level's encoder, classifier and
-    decoder and of the prefix encoders. The adversary is only read.
+    """The objective of a level's main step, alpha*rec + gamma*cls - beta*adv,
+    on the explicit kernel: forward ``x`` through the ``prefix`` levels'
+    encoders and this level, and accumulate d(objective)/d(parameter) into
+    ``.grad`` of this level's encoder, classifier and decoder and of the
+    prefix encoders. The adversary is only read; the trainer updates it
+    separately to minimize adv, so the two sides play against each other.
 
     With ``alpha == 0`` the decoder's gradient is exactly zero: its forward
     pass still gives the rec value, but its backward pass is skipped and its

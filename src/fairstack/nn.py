@@ -1,4 +1,4 @@
-"""Dense layers, MLPs and the Adam optimizer used by every network here.
+"""Parameters, dense layers, MLPs and the Adam optimizer used by every network.
 
 Weight initialization is uniform in +-sqrt(6 / (fan_in + fan_out)); biases
 start at zero. Hidden activations default to leaky ReLU (slope 0.01).
@@ -6,11 +6,10 @@ start at zero. Hidden activations default to leaky ReLU (slope 0.01).
 Every training loop runs on one explicit kernel: ``forward_value(x,
 cache=True)`` keeps each layer's input, pre-activation and output,
 ``backward(g)`` walks the layers in reverse and accumulates into each
-parameter's ``.grad``, and :func:`bce` / :func:`mse` return a loss value with
-its gradient. The element-wise math is that of the :mod:`autodiff` ops, in
-the same order, so a step gives the same bytes as the graph path.
-``forward(Var)`` builds that graph; it is the reference the
-finite-difference gate certifies, and no training loop calls it.
+:class:`Param`'s ``.grad``, and :func:`bce` / :func:`mse` return a loss value
+with its gradient. The reference reverse-mode graph does the same element-wise
+math in the same order; the tests hold this kernel to it byte for byte, and
+no production module imports it.
 """
 
 from __future__ import annotations
@@ -19,44 +18,47 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import (
-    BCE_EPS,
-    LEAKY_SLOPE,
-    Var,
-    _sigmoid,
-    add,
-    assert_finite,
-    leaky_relu,
-    matmul,
-    parameter,
-    relu,
-    sigmoid,
-)
-
+BCE_EPS = 1e-7
+LEAKY_SLOPE = 0.01
 ACTIVATIONS = ("identity", "relu", "leaky_relu", "sigmoid")
 
 
+class DimensionError(ValueError):
+    """Operand shapes are incompatible for the requested operation."""
+
+
+def assert_finite(arr: np.ndarray, what: str) -> None:
+    if not np.isfinite(arr).all():
+        raise FloatingPointError(f"non-finite values in {what}")
+
+
+class Param:
+    """A trainable matrix and the gradient accumulated into it."""
+
+    __slots__ = ("value", "grad")
+
+    def __init__(self, value: np.ndarray):
+        self.value = np.asarray(value, dtype=np.float64)
+        self.grad = np.zeros_like(self.value)
+        assert_finite(self.value, "parameter")
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) without overflow: exp only ever sees -|x|."""
+    t = np.exp(-np.abs(x))
+    d = 1.0 + t
+    return np.where(x >= 0, 1.0 / d, t / d)
+
+
 def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
-    """Pure numpy activation, shared with the graph ops so that a forward
-    pass through raw weights is bit-identical to the autodiff forward."""
+    """One of :data:`ACTIVATIONS` on a raw matrix; the graph's ops apply the
+    same functions, so a forward pass gives the same bytes on both paths."""
     if name == "identity":
         return x
     if name == "relu":
         return np.maximum(x, 0.0)
     if name == "leaky_relu":
         return np.where(x > 0, x, LEAKY_SLOPE * x)
-    if name == "sigmoid":
-        return _sigmoid(x)
-    raise ValueError(f"unknown activation {name!r}, expected one of {ACTIVATIONS}")
-
-
-def _activate(name: str, x: Var) -> Var:
-    if name == "identity":
-        return x
-    if name == "relu":
-        return relu(x)
-    if name == "leaky_relu":
-        return leaky_relu(x)
     if name == "sigmoid":
         return sigmoid(x)
     raise ValueError(f"unknown activation {name!r}, expected one of {ACTIVATIONS}")
@@ -78,12 +80,9 @@ class DenseLayer:
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.activation = activation
-        self.weight = parameter(init_weight(rng, in_dim, out_dim))
-        self.bias = parameter(np.zeros((1, out_dim)))
+        self.weight = Param(init_weight(rng, in_dim, out_dim))
+        self.bias = Param(np.zeros((1, out_dim)))
         self._cache = None  # (input, pre-activation, output) of the last cached forward
-
-    def forward(self, x: Var) -> Var:
-        return _activate(self.activation, add(matmul(x, self.weight), self.bias))
 
     def forward_value(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
         pre = x @ self.weight.value + self.bias.value
@@ -110,7 +109,7 @@ class DenseLayer:
             self.bias.grad += g.sum(axis=0, keepdims=True)
         return g @ self.weight.value.T if input_grad else None
 
-    def params(self) -> list[Var]:
+    def params(self) -> list[Param]:
         return [self.weight, self.bias]
 
 
@@ -135,11 +134,6 @@ class MLP:
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    def forward(self, x: Var) -> Var:
-        for layer in self.layers:
-            x = layer.forward(x)
-        return x
-
     def forward_value(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward_value(x, cache)
@@ -152,14 +146,14 @@ class MLP:
             g = self.layers[i].backward(g, input_grad or i > 0, param_grads)
         return g
 
-    def params(self) -> list[Var]:
+    def params(self) -> list[Param]:
         return [p for layer in self.layers for p in layer.params()]
 
 
 def bce(predicted: np.ndarray, target: np.ndarray,
         scale: float = 1.0) -> tuple[float, np.ndarray]:
     """Mean binary cross-entropy and ``scale`` times its gradient: the value
-    and pullback of :func:`autodiff.bce_loss` (same clamp, zero gradient where
+    and pullback of the graph's ``bce_loss`` (same clamp, zero gradient where
     it is active)."""
     p = np.clip(predicted, BCE_EPS, 1.0 - BCE_EPS)
     value = float(-(target * np.log(p) + (1.0 - target) * np.log1p(-p)).mean())
@@ -172,7 +166,7 @@ def mse(reconstruction: np.ndarray, target: np.ndarray, root: bool = False,
         scale: float | None = None) -> tuple[float, np.ndarray | None]:
     """Squared error per row (its root with ``root``) and ``scale`` times its
     gradient, None without a ``scale``: the value and pullback of
-    :func:`autodiff.mse_loss`."""
+    the graph's ``mse_loss``."""
     diff = reconstruction - target
     n_rows = target.shape[0]
     base = float((diff * diff).sum() / n_rows)
@@ -205,7 +199,7 @@ class Adam:
     and one finiteness check over all of them.
     """
 
-    def __init__(self, params: Sequence[Var], lr: float = 0.01,
+    def __init__(self, params: Sequence[Param], lr: float = 0.01,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
         if len({id(p) for p in self.params}) != len(self.params):
@@ -236,7 +230,7 @@ class Adam:
         self.grad[...] = 0.0
 
 
-def _flatten(params: list[Var], attr: str) -> np.ndarray:
+def _flatten(params: list[Param], attr: str) -> np.ndarray:
     """Copy ``attr`` of every parameter into one flat buffer and rebind each
     to a view of its slice."""
     arrays = [getattr(p, attr) for p in params]

@@ -211,22 +211,6 @@ def _run_level(level: Level, level_index: int, prefix: list[Level],
     return log
 
 
-def train_level(level: Level, z_prev: np.ndarray, y: np.ndarray, s: np.ndarray,
-                alpha: float, beta: float, gamma: float, cfg: TrainConfig,
-                level_index: int = 0, val: tuple | None = None,
-                root_mse: bool = False) -> TrainLog:
-    """Train one level on precomputed inputs ``z_prev`` (earlier levels frozen).
-
-    ``val``, when given, is a ``(z_prev_val, y_val, s_val)`` triple used for
-    the per-epoch adversary-accuracy and classifier-gap columns of the log.
-    """
-    z_prev = np.asarray(z_prev, dtype=np.float64)
-    y = np.asarray(y).reshape(-1)
-    s = np.asarray(s).reshape(-1)
-    return _run_level(level, level_index, [], z_prev, y, s,
-                      alpha, beta, gamma, root_mse, cfg, val)
-
-
 def _warm_start_adversary(target: Level, source: Level) -> int:
     """Copy adversary weights layer-wise where shapes match; returns the
     number of layers copied."""

@@ -35,6 +35,20 @@ def grad_close(analytic: np.ndarray, numeric: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# Sigmoid, as the package computed it before its branch-free form: each sign
+# handled on its own boolean mask, exp only ever of a non-positive number.
+
+
+def masked_sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Adam reference: transcribed line by line from the published update rule.
 
 
@@ -190,7 +204,8 @@ def reference_best_split(Xf: np.ndarray, y: np.ndarray):
 
     Returns (column-index-within-Xf, threshold, weighted-child-impurity) or
     None when no column has two distinct values. Candidate thresholds are
-    midpoints between consecutive distinct sorted values; the weighted
+    midpoints between consecutive distinct sorted values (the lower value
+    where the midpoint rounds up to the upper one); the weighted
     impurity of all candidates is computed per column via prefix sums and
     minimized jointly (ties: lowest boundary position, then first column).
     """
@@ -216,7 +231,10 @@ def reference_best_split(Xf: np.ndarray, y: np.ndarray):
     i, j = divmod(flat, weighted.shape[1])
     if not np.isfinite(weighted[i, j]):
         return None
-    return j, float((xs[i, j] + xs[i + 1, j]) / 2.0), float(weighted[i, j])
+    a, b = xs[i, j], xs[i + 1, j]
+    with np.errstate(over="ignore"):
+        mid = (a + b) / 2.0
+    return j, float(mid if a <= mid < b else a), float(weighted[i, j])
 
 
 def reference_tree(X: np.ndarray, y: np.ndarray, spec, rng: np.random.Generator) -> dict:

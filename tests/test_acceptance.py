@@ -18,15 +18,13 @@ import numpy as np
 import pytest
 
 from fairstack.autodiff import (Var, add, backward, bce_loss, concat_cols,
-                                leaky_relu, matmul, mse_loss, parameter, relu,
-                                scale, sigmoid, sum_all, take_rows, zero_grads)
-from fairstack import autodiff as ad
+                                leaky_relu, level_loss, matmul, mse_loss, parameter,
+                                relu, scale, sigmoid, sum_all, take_rows, zero_grads)
 from fairstack.cli import main
 from fairstack.data import make_synthetic, standardize, train_val_test_split
 from fairstack.downstream import ProbeSpec, train_probe
 from fairstack.metrics import PredictionBatch, UndefinedMetricError, evaluate
-from fairstack.model import (LevelSpec, StackSpec, build, encode, level_grads, level_loss,
-                             stacked_spec)
+from fairstack.model import LevelSpec, StackSpec, build, encode, level_grads, stacked_spec
 from fairstack.nn import Adam
 from fairstack.training import TrainConfig, train_stack
 from oracles import (adam_reference_trace, enumerate_count_batches,

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +159,43 @@ def test_threshold_sits_between_closest_opposite_values():
     assert tree.threshold[0] == pytest.approx(2.2)
 
 
+def test_split_between_adjacent_doubles_separates_them():
+    # (a + b) / 2 rounds up to b here; the threshold falls back to a
+    X = [[1 + 2**-52], [1 + 2**-51]]
+    tree = DecisionTree(ForestSpec(n_trees=1, max_depth=5), np.random.default_rng(0)).fit(X, [0, 1])
+    np.testing.assert_array_equal(tree.predict(X), [0, 1])
+    assert tree.feature.size == 3 and tree.threshold[0] == 1 + 2**-52
+
+
+def test_unbounded_tree_on_rounding_midpoints_ends():
+    # before the fallback, a split that sends every row one way repeated its
+    # node forever when max_depth is None
+    X, y = _rounding_column()
+    with _deadline(seconds=20):
+        tree = DecisionTree(ForestSpec(n_trees=1), np.random.default_rng(0)).fit(X, y)
+    np.testing.assert_array_equal(tree.predict(X), y)
+    assert tree.feature.size == 2 * y.size - 1   # one leaf per row
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Fail instead of hanging where the platform has SIGALRM."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def test_gini_matches_independent_formula():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -252,7 +292,20 @@ def _grower_cases():
     cases.append(pytest.param(X, y, ForestSpec(n_trees=3), id="constant-column"))
     y = (rng.random(50) < 0.5).astype(int)
     cases.append(pytest.param(np.ones((50, 3)), y, ForestSpec(n_trees=2), id="all-constant"))
+    X, y = _rounding_column()
+    cases.append(pytest.param(X, y, ForestSpec(n_trees=4, max_depth=12), id="midpoint-rounding"))
     return cases
+
+
+def _rounding_column():
+    """One column whose neighbours' midpoints round up to the upper value
+    (adjacent doubles) or overflow (near the float range), labels alternating
+    so that every neighbouring pair must be split apart."""
+    near_one = [1.0]
+    for _ in range(7):
+        near_one.append(np.nextafter(near_one[-1], 2.0))
+    x = np.array([-1.7e308, -1e308, *near_one, 1e308, 1.7e308])
+    return x.reshape(-1, 1), np.arange(x.size) % 2
 
 
 @pytest.mark.parametrize("X,y,spec", _grower_cases())
@@ -286,7 +339,11 @@ def test_single_tree_on_unit_counts_matches_reference():
     _assert_same_trees([tree], [reference_tree(X, y, spec, np.random.default_rng(5))])
 
 
-@pytest.mark.parametrize("train", [train_forest, train_logreg])
+def _train_probe(X, y):
+    return train_probe(TrainedStack.identity(X.shape[1]), X, y, ProbeSpec(epochs=1, hidden=2))
+
+
+@pytest.mark.parametrize("train", [train_forest, train_logreg, _train_probe])
 def test_predictors_reject_non_binary_labels(train):
     X, y = _separable_toy(n=40, seed=1)
     y[3] = 2

@@ -2,7 +2,7 @@
 
 Training runs on :func:`model.level_grads` and :func:`nn.bce_step` with one
 flat :class:`nn.Adam` per side. Here the same levels are also driven through
-the graph (:func:`model.level_loss` plus :func:`autodiff.backward`) and the
+the graph (:func:`autodiff.level_loss` plus :func:`autodiff.backward`) and the
 per-parameter :class:`oracles.AdamReference`, which is the trainer as it was
 before the kernel, and the two must agree: per-parameter gradients, and
 multi-epoch ``train_stack`` logs and encoder weights.
@@ -14,16 +14,20 @@ heads' terms of d(objective)/dz in the order the graph's backward pass does.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fairstack
 from fairstack import autodiff as ad
 from fairstack import training
-from fairstack.autodiff import Var
+from fairstack.autodiff import Var, forward, level_loss
 from fairstack.data import batches, make_synthetic
-from fairstack.downstream import ProbeSpec, train_logreg, train_probe
-from fairstack.model import CRITERIA, LevelSpec, StackSpec, build, level_grads, level_loss
+from fairstack.model import CRITERIA, LevelSpec, StackSpec, build, level_grads
 from fairstack.training import (EpochRecord, TrainConfig, TrainLog, log_csv_string,
                                 train_stack)
 from oracles import AdamReference
@@ -66,7 +70,7 @@ def test_kernel_gradients_match_the_graph(crit, alpha, root_mse, fine_tune, labe
 
     z_graph: Var = Var(X if fine_tune else graph[0].encode_value(X))
     if fine_tune:
-        z_graph = graph[0].encode_var(z_graph)
+        z_graph = forward(graph[0].encoder, z_graph)
     parts = level_loss(graph[1], z_graph, y, s, alpha, 1.3, 0.9, label, root_mse)
     ad.backward(parts.objective)
 
@@ -123,7 +127,7 @@ def _reference_run_level(level, level_index, prefix, X0, y, s, alpha, beta, gamm
             ad.zero_grads(main_params + level.adv_params())
             z_in = Var(xb)
             for lv in prefix:
-                z_in = lv.encode_var(z_in)
+                z_in = forward(lv.encoder, z_in)
             parts = level_loss(level, z_in, yb, sb, alpha, beta, gamma,
                                eopp_label=cfg.eopp_adv_label, root_mse=root_mse)
             ad.backward(parts.objective)
@@ -150,7 +154,7 @@ def _reference_run_level(level, level_index, prefix, X0, y, s, alpha, beta, gamm
             target = sb[sub].reshape(-1, 1).astype(float)
             for _ in range(cfg.adv_steps):
                 ad.zero_grads(level.adv_params())
-                ad.backward(ad.bce_loss(level.adversary.forward(rows), target))
+                ad.backward(ad.bce_loss(forward(level.adversary, rows), target))
                 adam_adv.step()
         adv_acc = dp = eo = eopp = math.nan
         if val is not None:
@@ -224,35 +228,36 @@ def test_train_stack_matches_the_graph_trainer(name, monkeypatch):
 # no graph in the hot path
 
 
-def test_training_builds_no_graph_per_batch(monkeypatch):
-    counts = {"nodes": 0, "backward": 0}
-    var_init, backward = ad.Var.__init__, ad.backward
+GUARD_SCRIPT = """
+import sys
+import fairstack.cli
+from fairstack.data import make_synthetic
+from fairstack.downstream import ProbeSpec, train_logreg, train_probe
+from fairstack.model import CRITERIA, LevelSpec, StackSpec
+from fairstack.training import TrainConfig, train_stack
 
-    def counting_init(self, *args, **kwargs):
-        counts["nodes"] += 1
-        var_init(self, *args, **kwargs)
-
-    def counting_backward(loss):
-        counts["backward"] += 1
-        backward(loss)
-
-    monkeypatch.setattr(ad.Var, "__init__", counting_init)
-    monkeypatch.setattr(ad, "backward", counting_backward)
-    train, val = _data()
-    per_batch_size = {}
-    for crit in CRITERIA:
+ds = make_synthetic(n=240, seed=5, n_noise=4)
+train, val = ds.subset(range(180)), ds.subset(range(180, 240))
+for crit in CRITERIA:
+    for freeze in (True, False):
         spec = StackSpec(levels=(LevelSpec(in_dim=train.d, latent=4),
                                  LevelSpec(in_dim=4, latent=2)), criterion=crit)
-        for batch_size in (64, 8):  # 3 vs 23 batches per level-epoch
-            before = dict(counts)
-            stack, _ = train_stack(spec, train, TrainConfig(epochs=2, batch_size=batch_size),
-                                   val=val)
-            train_probe(stack, train.X, train.y, ProbeSpec(hidden=3, epochs=2,
-                                                           batch_size=batch_size))
-            per_batch_size[crit, batch_size] = {k: counts[k] - before[k] for k in counts}
-        # building the levels makes the parameters; nothing else makes a node
-        assert per_batch_size[crit, 64] == per_batch_size[crit, 8]
-        assert per_batch_size[crit, 8]["backward"] == 0
-    before = dict(counts)
-    train_logreg(train.X, train.y, epochs=20)
-    assert counts["nodes"] - before["nodes"] == 2  # the weight and the bias
+        stack, _ = train_stack(spec, train, TrainConfig(epochs=2, batch_size=32,
+                                                        freeze_previous=freeze), val=val)
+train_probe(stack, train.X, train.y, ProbeSpec(hidden=3, epochs=2))
+train_logreg(train.X, train.y, epochs=20)
+print(" ".join(sorted(m for m in sys.modules if m.startswith("fairstack"))))
+"""
+
+
+def test_training_builds_no_graph_per_batch():
+    # production code never imports the graph engine: the CLI, the trainer
+    # (frozen and fine-tuned, every criterion), the probe and logreg run
+    # in a fresh interpreter and leave it unloaded
+    src = Path(fairstack.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", GUARD_SCRIPT], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "fairstack.training" in out and "fairstack.cli" in out
+    assert "fairstack.autodiff" not in out

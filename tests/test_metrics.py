@@ -223,6 +223,21 @@ def test_batch_rejects_nonbinary():
         batch([1, 2], [1, 0], [0, 1])
 
 
+@pytest.mark.parametrize("column", range(3))
+def test_batch_rejects_fractional_values(column):
+    # checked as given, not after a cast to int that would read 0.5 as 0
+    cols = [[1, 1, 0, 1], [1, 0, 0, 1], [0, 1, 0, 1]]
+    cols[column] = [0.5, 1, 0, 1]
+    with pytest.raises(ValueError, match="0/1"):
+        batch(*cols)
+
+
+def test_batch_accepts_integral_floats_and_bools():
+    b = batch([1.0, 0.0], [True, False], [0, 1])
+    assert b.y_pred.dtype == b.y_true.dtype == np.int64
+    np.testing.assert_array_equal(b.y_true, [1, 0])
+
+
 def test_batch_rejects_empty():
     with pytest.raises(ValueError):
         batch([], [], [])

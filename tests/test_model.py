@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairstack.autodiff import DimensionError, backward
+from fairstack.autodiff import backward, level_loss
 from fairstack.model import (
     Level,
     LevelSpec,
@@ -16,12 +16,12 @@ from fairstack.model import (
     TrainedStack,
     build,
     encode,
-    level_loss,
     spec_from_dict,
     spec_hash,
     stacked_spec,
     vanilla_spec,
 )
+from fairstack.nn import DimensionError
 
 
 def _sigmoid(t):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fairstack.autodiff import Var, backward, mse_loss, parameter
-from fairstack.nn import ACTIVATIONS, Adam, DenseLayer, MLP, init_weight
-from oracles import adam_reference_trace
+from fairstack.autodiff import Var, backward, forward, mse_loss, parameter
+from fairstack.nn import ACTIVATIONS, Adam, DenseLayer, MLP, init_weight, sigmoid
+from oracles import adam_reference_trace, masked_sigmoid
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +48,20 @@ def test_graph_forward_matches_raw_forward_bitwise():
     rng = np.random.default_rng(5)
     mlp = MLP([3, 4, 2], rng, output_activation="sigmoid")
     x = np.random.default_rng(6).normal(size=(7, 3))
-    assert np.array_equal(mlp.forward(Var(x)).value, mlp.forward_value(x))
+    assert np.array_equal(forward(mlp, Var(x)).value, mlp.forward_value(x))
+
+
+def test_sigmoid_matches_the_masked_form_bytewise():
+    edges = [0.0, -0.0, 745.0, -745.0, 746.0, -746.0, np.inf, -np.inf,
+             1e308, -1e308, 5e-324, -5e-324]
+    rng = np.random.default_rng(11)
+    scales = [1e-300, 1e-100, 1e-20, 1e-5, 1.0, 10.0, 40.0, 100.0, 800.0]
+    x = np.concatenate([edges, *(sc * rng.uniform(-1, 1, 400) for sc in scales)])
+    for shape in ((-1, 1), (-1, 4)):
+        xs = x.reshape(shape)
+        assert sigmoid(xs).tobytes() == masked_sigmoid(xs).tobytes()
+    # a nan only has to stay nan; its sign bit may differ
+    assert np.isnan(sigmoid(np.array([[np.nan, -np.nan]]))).all()
 
 
 def test_mlp_param_count():

@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 
 from fairstack import autodiff as ad
-from fairstack.autodiff import Var
+from fairstack.autodiff import Var, forward, level_loss
 from fairstack.data import make_synthetic
-from fairstack.model import build, encode, level_loss, stacked_spec
+from fairstack.model import build, stacked_spec
 from fairstack.nn import Adam
 from fairstack.training import (
     LOG_COLUMNS,
     DivergenceError,
     TrainConfig,
-    TrainLog,
     _warm_start_adversary,
     log_csv_string,
-    train_level,
     train_stack,
 )
 
@@ -56,10 +54,7 @@ def test_beta_zero_classifier_learns_adversary_unopposed():
     train, val = _synthetic_split()
     spec = stacked_spec(train.d, (4,), alpha=1.0, beta=0.0, gamma=1.0)
     cfg = TrainConfig(epochs=20, batch_size=32, seed=0)
-    level = build(spec, cfg.seed)[0]
-    log = train_level(level, train.X, train.y, train.s,
-                      spec.alpha, spec.beta, spec.gamma, cfg,
-                      val=(val.X, val.y, val.s))
+    _, (log,) = train_stack(spec, train, cfg, val=val)
     assert len(log.records) == 20
     first, last = log.records[0], log.records[-1]
     assert last.loss_class < first.loss_class
@@ -74,31 +69,8 @@ def test_fixed_seed_reproduces_identical_log():
     train, val = _synthetic_split(n=128)
     spec = stacked_spec(train.d, (3,), beta=1.0)
     cfg = TrainConfig(epochs=3, batch_size=32, seed=5)
-    outs = []
-    for _ in range(2):
-        level = build(spec, cfg.seed)[0]
-        log = train_level(level, train.X, train.y, train.s,
-                          spec.alpha, spec.beta, spec.gamma, cfg,
-                          val=(val.X, val.y, val.s))
-        outs.append(log_csv_string(log))
+    outs = [log_csv_string(train_stack(spec, train, cfg, val=val)[1]) for _ in range(2)]
     assert outs[0] == outs[1]
-
-
-def test_one_level_stack_equals_train_level_wiring():
-    train, val = _synthetic_split(n=128)
-    spec = stacked_spec(train.d, (3,), beta=2.0)
-    cfg = TrainConfig(epochs=3, batch_size=32, seed=9)
-
-    stack, logs = train_stack(spec, train, cfg, val=val)
-
-    level = build(spec, cfg.seed)[0]
-    manual = train_level(level, train.X, train.y, train.s,
-                         spec.alpha, spec.beta, spec.gamma, cfg,
-                         level_index=0, val=(val.X, val.y, val.s))
-    assert log_csv_string(logs) == log_csv_string(manual)
-    for (w, b, _), layer in zip(stack.levels[0], level.encoder.layers):
-        assert np.array_equal(w, layer.weight.value)
-        assert np.array_equal(b, layer.bias.value)
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +87,10 @@ def test_frozen_levels_stay_bit_identical():
 
     # train only level 0, identically seeded: its weights must match the
     # full run's level-0 weights exactly (level-1 training never touched them)
-    levels = build(spec, cfg.seed)
-    train_level(levels[0], train.X, train.y, train.s,
-                spec.alpha, spec.beta, spec.gamma, cfg, level_index=0)
-    for (w, b, _), layer in zip(stack.levels[0], levels[0].encoder.layers):
-        assert np.array_equal(w, layer.weight.value)
-        assert np.array_equal(b, layer.bias.value)
+    alone, _ = train_stack(stacked_spec(train.d, (4,), beta=1.0), train, cfg)
+    for (w, b, _), (w0, b0, _) in zip(stack.levels[0], alone.levels[0]):
+        assert np.array_equal(w, w0)
+        assert np.array_equal(b, b0)
 
 
 def test_fine_tuning_updates_earlier_encoders():
@@ -206,7 +176,7 @@ def test_adversary_step_descends_its_loss_on_average():
         target = sb.reshape(-1, 1).astype(float)
 
         def adv_loss():
-            return ad.bce_loss(level.adversary.forward(Var(z)), target)
+            return ad.bce_loss(forward(level.adversary, Var(z)), target)
 
         before = adv_loss()
         ad.zero_grads(level.adv_params())
@@ -244,11 +214,9 @@ def test_divergence_error_names_location():
     # Adam steps are lr-sized regardless of gradient scale, so one enormous
     # step pushes the next forward pass past float range
     cfg = TrainConfig(epochs=1, batch_size=16, seed=0, lr=1e200)
-    level = build(spec, cfg.seed)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as exc:
-            train_level(level, train.X, train.y, train.s,
-                        spec.alpha, spec.beta, spec.gamma, cfg)
+            train_stack(spec, train, cfg)
     msg = str(exc.value)
     assert "level 0" in msg and "epoch" in msg and "batch" in msg
 
@@ -285,14 +253,11 @@ def test_warm_start_flag_changes_level2_adversary_path():
 
 
 def test_log_csv_layout():
-    log = TrainLog(level=0)
     train, _ = _synthetic_split(n=64)
     spec = stacked_spec(train.d, (3,))
     cfg = TrainConfig(epochs=2, batch_size=32, seed=0)
-    level = build(spec, cfg.seed)[0]
-    log = train_level(level, train.X, train.y, train.s,
-                      spec.alpha, spec.beta, spec.gamma, cfg)
-    text = log_csv_string(log, comment="config_hash=abc seed=0")
+    _, logs = train_stack(spec, train, cfg)
+    text = log_csv_string(logs, comment="config_hash=abc seed=0")
     lines = text.strip().splitlines()
     assert lines[0] == "# config_hash=abc seed=0"
     assert lines[1] == ",".join(LOG_COLUMNS)
