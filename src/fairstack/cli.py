@@ -19,9 +19,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import resource
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,7 +32,7 @@ from .config import (ConfigError, ExperimentConfig, config_hash, forest_spec_for
                      train_config_for)
 from .data import Dataset, DatasetError, standardize, train_val_test_split
 from .downstream import cross_validate, train_probe
-from .metrics import PredictionBatch, evaluate
+from .metrics import PredictionBatch, UndefinedMetricError, evaluate
 from .model import ModelFormatError, SpecError, TrainedStack
 from .training import DivergenceError, train_stack, write_log_csv
 
@@ -44,7 +44,7 @@ TABLE1_MODELS = ("logreg", "forest")
 # What main maps to exit code 2 (the config) and to exit code 1 (the run);
 # a sweep job turns a run error into a failed row.
 CONFIG_ERRORS = (ConfigError, SpecError)
-RUN_ERRORS = (DivergenceError, DatasetError, ModelFormatError, OSError)
+RUN_ERRORS = (DivergenceError, DatasetError, ModelFormatError, UndefinedMetricError, OSError)
 
 
 def _run_dir(out_dir: str, command: str) -> Path:
@@ -65,12 +65,21 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _split_standardize(ds: Dataset, seed: int, val_frac: float):
-    """Shared per-run protocol: seeded train/val split, z-scoring fit on the
-    train rows only. Returns (standardized full ds, train subset, val subset)."""
-    plan = train_val_test_split(ds.n, seed=seed, val_frac=val_frac)
-    std = standardize(ds, plan.train)
-    return std, std.subset(plan.train), std.subset(plan.val)
+def _peak_rss_mb() -> float:
+    """Peak RSS of this process or of a finished child (pool workers), in MB;
+    ``ru_maxrss`` is in KiB on Linux and in bytes on macOS."""
+    peak = max(resource.getrusage(who).ru_maxrss
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return peak / (1024 * 1024 if sys.platform == "darwin" else 1024)
+
+
+def _load_split(cfg: ExperimentConfig, seed: int):
+    """Shared per-run protocol: load, seeded train/val split, z-scoring fit on
+    the train rows only. Only those two row sets are standardized, and the
+    raw matrix is freed on return. Returns (dataset summary, train, val)."""
+    ds = load_dataset(cfg)
+    plan = train_val_test_split(ds.n, seed=seed, val_frac=cfg.val_frac)
+    return (ds.summary(), *standardize(ds, plan.train, plan.train, plan.val))
 
 
 def _probe_report(stack: TrainedStack, train_ds: Dataset, val_ds: Dataset,
@@ -86,9 +95,8 @@ def _probe_report(stack: TrainedStack, train_ds: Dataset, val_ds: Dataset,
 
 def cmd_fit(cfg: ExperimentConfig) -> int:
     seed = cfg.seeds[0]
-    ds = load_dataset(cfg)
-    std, train_ds, val_ds = _split_standardize(ds, seed, cfg.val_frac)
-    spec = stack_spec_for(cfg, in_dim=ds.d, variant="stacked")
+    summary, train_ds, val_ds = _load_split(cfg, seed)
+    spec = stack_spec_for(cfg, in_dim=train_ds.d, variant="stacked")
     tcfg = train_config_for(cfg, seed)
 
     t0 = time.perf_counter()
@@ -114,11 +122,12 @@ def cmd_fit(cfg: ExperimentConfig) -> int:
         "beta": spec.beta,
         "criterion": cfg.criterion,
         "wall_time_s": wall,
+        "peak_rss_mb": _peak_rss_mb(),
         "decoder_inactive": spec.alpha == 0.0,
         "model_path": str(model_path),
         "log_paths": log_paths,
         "probe_report": report.to_json(),
-        "dataset": ds.summary(),
+        "dataset": summary,
         "n_train": train_ds.n,
         "n_val": val_ds.n,
     }
@@ -202,12 +211,11 @@ def _sweep_job(cfg: ExperimentConfig, beta: float | None, seed: int, variant: st
     row = {"beta": beta, "seed": seed, "variant": variant, "status": "ok",
            **{m: "" for m in METRIC_COLUMNS}}
     try:
-        ds = load_dataset(cfg)
-        _, train_ds, val_ds = _split_standardize(ds, seed, cfg.val_frac)
+        _, train_ds, val_ds = _load_split(cfg, seed)
         if variant == "unfair":
-            stack = TrainedStack.identity(ds.d, provenance={"variant": "unfair"})
+            stack = TrainedStack.identity(train_ds.d, provenance={"variant": "unfair"})
         else:
-            spec = stack_spec_for(cfg, in_dim=ds.d, variant=variant, beta=beta)
+            spec = stack_spec_for(cfg, in_dim=train_ds.d, variant=variant, beta=beta)
             stack, _ = train_stack(spec, train_ds, train_config_for(cfg, seed), val=None)
         rj = _probe_report(stack, train_ds, val_ds, cfg, seed).to_json()
         row.update((m, rj[m]) for m in METRIC_COLUMNS)
@@ -222,6 +230,7 @@ def _map(fn, calls: list[tuple], jobs: int) -> list:
     processes when ``jobs > 1``; results keep the order of ``calls``."""
     if jobs == 1:
         return [fn(*c) for c in calls]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: pool runs only
     with ProcessPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(fn, *zip(*calls)))
 
@@ -282,7 +291,8 @@ def cmd_sweep(cfg: ExperimentConfig, jobs: int = 1) -> int:
     failures = [r for r in rows + baseline if r["status"] != "ok"]
     _write_json(run / "run.json", {
         "command": "sweep", "config_hash": chash, "config": cfg.to_dict(),
-        "wall_time_s": wall, "n_rows": len(rows), "n_failed": len(failures),
+        "wall_time_s": wall, "peak_rss_mb": _peak_rss_mb(),
+        "n_rows": len(rows), "n_failed": len(failures),
         "failures": [{k: r.get(k) for k in ("beta", "seed", "variant", "error")}
                      for r in failures],
     })
@@ -302,18 +312,26 @@ def cmd_table1(cfg: ExperimentConfig, jobs: int = 1) -> int:
     # The tabulated protocol pins the loss weights; note the pin in run.json.
     forced = {"alpha": 0.0, "beta": 1.0, "gamma": 1.0}
     ds = load_dataset(cfg)
-    std, train_ds, _ = _split_standardize(ds, seed, cfg.val_frac)
+    if cfg.cv_folds > ds.n:
+        raise ConfigError(f"cv_folds: {cfg.cv_folds} folds need at least as many rows, "
+                          f"the dataset has {ds.n}")
+    d, summary = ds.d, ds.summary()
+    plan = train_val_test_split(ds.n, seed=seed, val_frac=cfg.val_frac)
+    std = standardize(ds, plan.train)
+    del ds  # CV runs on the standardized rows; the raw matrix is not needed again
+    train_ds = std.subset(plan.train)
 
     def spec_for(variant):
-        s = stack_spec_for(cfg, in_dim=ds.d, variant=variant)
+        s = stack_spec_for(cfg, in_dim=d, variant=variant)
         return replace(s, **forced)
 
     t0 = time.perf_counter()
     tcfg = train_config_for(cfg, seed)
     stacked, _ = train_stack(spec_for("stacked"), train_ds, tcfg)
     lafr, _ = train_stack(spec_for("vanilla"), train_ds, tcfg)
+    del train_ds
     encoders = {
-        "unfair": TrainedStack.identity(ds.d, provenance={"variant": "unfair"}),
+        "unfair": TrainedStack.identity(d, provenance={"variant": "unfair"}),
         "lafr": lafr,
         "stacked": stacked,
     }
@@ -334,8 +352,9 @@ def cmd_table1(cfg: ExperimentConfig, jobs: int = 1) -> int:
     run = _run_dir(cfg.out_dir, "table1")
     _write_json(run / "table1.json", {
         "command": "table1", "config_hash": chash, "config": cfg.to_dict(),
-        "dataset": ds.summary(), "loss_weights": forced, "k": cfg.cv_folds,
+        "dataset": summary, "loss_weights": forced, "k": cfg.cv_folds,
         "seed": seed, "std_kind": "sample (ddof=1)", "wall_time_s": wall,
+        "peak_rss_mb": _peak_rss_mb(),
         "cells": cells,
     })
     csv_rows = [{"model": kind, "variant": variant,

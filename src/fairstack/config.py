@@ -139,7 +139,7 @@ class ExperimentConfig:
     include_sensitive: bool = _key("dataset.include_sensitive", False, "keep the sensitive column")
     synthetic_n: int = _key("dataset.n", 2000, "synthetic rows", min=4)
     synthetic_noise: int = _key("dataset.n_noise", 3, "synthetic noise columns", min=0)
-    synthetic_flip_y: float = _key("dataset.flip_y", 0.0, "synthetic label flip rate")
+    synthetic_flip_y: float = _key("dataset.flip_y", 0.0, "synthetic label flip rate, in [0, 1]")
     subsample: int | None = _key("dataset.subsample", None, "seeded row cap; null: all", min=10)
     subsample_seed: int = _key("dataset.subsample_seed", 0, "subsample and generator seed", min=0)
     levels: tuple = _key("stack.levels", doc="list of {latent, hidden}, latents decreasing",
@@ -260,6 +260,9 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
 
     if not 0.0 < cfg.val_frac < 0.5:
         raise ConfigError(f"val_frac: expected a fraction in (0, 0.5), got {cfg.val_frac}")
+    if not 0.0 <= cfg.synthetic_flip_y <= 1.0:
+        raise ConfigError(f"dataset.flip_y: expected a fraction in [0, 1], got "
+                          f"{cfg.synthetic_flip_y}")
     return _with_dataset_path(cfg, base_dir)
 
 

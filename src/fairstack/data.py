@@ -6,6 +6,12 @@ one-hot encoded, binary categoricals as a single 0/1 column), binary labels y,
 and the binary sensitive attribute s (gender). Continuous columns are kept
 raw at load time; :func:`standardize` z-scores them with statistics from a
 training index set only, so splits control their own normalization.
+
+Memory: each matrix is built once, in place. :meth:`Dataset.subset` copies
+the chosen rows once (fancy indexing), and :func:`standardize` computes the
+train-row statistics once and applies them to the row sets the caller asks
+for, so a caller that needs only the train and val rows never holds a
+standardized copy of the whole matrix.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ class Dataset:
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx, dtype=np.intp)
         return Dataset(
-            X=self.X[idx].copy(), y=self.y[idx].copy(), s=self.s[idx].copy(),
+            X=self.X[idx], y=self.y[idx], s=self.s[idx],  # fancy indexing copies
             feature_names=list(self.feature_names), continuous=list(self.continuous),
             norm_stats=None if self.norm_stats is None else dict(self.norm_stats),
             meta=dict(self.meta),
@@ -312,15 +318,16 @@ def make_synthetic(n: int = 2000, seed: int = 0, n_noise: int = 3,
     s = np.zeros(n, dtype=np.int64)
     s[: n // 2] = 1
     rng.shuffle(s)
-    x0 = (np.abs(rng.normal(size=n)) + 0.2) * np.where(s == 1, 1.0, -1.0)
-    x1 = rng.normal(size=n)
-    x2 = rng.normal(size=n)
-    y = (x1 + x2 > 0).astype(np.int64)
+    X = np.empty((n, 3 + n_noise))  # columns drawn in order, straight into place
+    X[:, 0] = (np.abs(rng.normal(size=n)) + 0.2) * np.where(s == 1, 1.0, -1.0)
+    X[:, 1] = rng.normal(size=n)
+    X[:, 2] = rng.normal(size=n)
+    y = (X[:, 1] + X[:, 2] > 0).astype(np.int64)
     if flip_y > 0:
         flip = rng.random(n) < flip_y
         y = np.where(flip, 1 - y, y)
-    cols = [x0, x1, x2] + [rng.normal(size=n) for _ in range(n_noise)]
-    X = np.column_stack(cols)
+    for j in range(3, X.shape[1]):
+        X[:, j] = rng.normal(size=n)
     names = [f"f{i}" for i in range(X.shape[1])]
     return Dataset(
         X=X, y=y, s=s, feature_names=names, continuous=list(names),
@@ -331,31 +338,34 @@ def make_synthetic(n: int = 2000, seed: int = 0, n_noise: int = 3,
 # ---------------------------------------------------------------------------
 # Standardization
 
-def standardize(ds: Dataset, train_idx) -> Dataset:
+def standardize(ds: Dataset, train_idx, *row_sets) -> Dataset | tuple[Dataset, ...]:
     """Z-score continuous columns using statistics of ``train_idx`` rows only.
 
-    The same transform is applied to every row; validation/test means are in
-    general not zero. Constant columns (train std ~ 0) are left unscaled.
+    With no ``row_sets``, returns the whole dataset standardized. Otherwise
+    returns one standardized subset per index set in ``row_sets`` (as
+    ``standardize(ds, train_idx).subset(rows)`` would, without the whole
+    copy). The same transform is applied to every row; validation/test means
+    are in general not zero. Constant columns (train std ~ 0) are left
+    unscaled.
     """
     train_idx = np.asarray(train_idx, dtype=np.intp)
     if train_idx.size == 0:
         raise DatasetError("standardize needs a non-empty training index set")
-    X = ds.X.copy()
+    parts = [ds.subset(rows) for rows in row_sets] or [ds.subset(np.arange(ds.n))]
     stats: dict[str, tuple[float, float]] = {}
     col_of = {name: i for i, name in enumerate(ds.feature_names)}
     for name in ds.continuous:
         j = col_of[name]
-        mean = float(X[train_idx, j].mean())
-        std = float(X[train_idx, j].std())
+        col = ds.X[train_idx, j]
+        mean, std = float(col.mean()), float(col.std())
         if std < 1e-12:
             std = 1.0
-        X[:, j] = (X[:, j] - mean) / std
+        for part in parts:
+            part.X[:, j] = (part.X[:, j] - mean) / std
         stats[name] = (mean, std)
-    return Dataset(
-        X=X, y=ds.y.copy(), s=ds.s.copy(),
-        feature_names=list(ds.feature_names), continuous=list(ds.continuous),
-        norm_stats=stats, meta=dict(ds.meta),
-    )
+    for part in parts:
+        part.norm_stats = dict(stats)
+    return tuple(parts) if row_sets else parts[0]
 
 
 # ---------------------------------------------------------------------------

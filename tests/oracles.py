@@ -302,3 +302,42 @@ def reference_forest_trees(X: np.ndarray, y: np.ndarray, spec) -> list[dict]:
         boot = rng.integers(0, n, size=n)
         trees.append(reference_tree(X[boot], y[boot], spec, rng))
     return trees
+
+
+# ---------------------------------------------------------------------------
+# Data: the list-then-stack synthetic generator and the copy-everything
+# z-scoring, the forms the in-place versions must reproduce byte for byte.
+
+
+def column_stack_synthetic(n: int, seed: int, n_noise: int, flip_y: float):
+    """(X, y, s) of the synthetic generator built as a list of columns, then
+    ``np.column_stack``; same draws, in the same order."""
+    rng = np.random.default_rng(seed)
+    s = np.zeros(n, dtype=np.int64)
+    s[: n // 2] = 1
+    rng.shuffle(s)
+    x0 = (np.abs(rng.normal(size=n)) + 0.2) * np.where(s == 1, 1.0, -1.0)
+    x1 = rng.normal(size=n)
+    x2 = rng.normal(size=n)
+    y = (x1 + x2 > 0).astype(np.int64)
+    if flip_y > 0:
+        flip = rng.random(n) < flip_y
+        y = np.where(flip, 1 - y, y)
+    cols = [x0, x1, x2] + [rng.normal(size=n) for _ in range(n_noise)]
+    return np.column_stack(cols), y, s
+
+
+def copy_whole_standardize(X: np.ndarray, feature_names, continuous, train_idx):
+    """(z-scored copy of all of X, stats): each continuous column centred and
+    scaled by its train-row mean and std, a std below 1e-12 taken as 1."""
+    X = X.copy()
+    stats = {}
+    for name in continuous:
+        j = list(feature_names).index(name)
+        mean = float(X[train_idx, j].mean())
+        std = float(X[train_idx, j].std())
+        if std < 1e-12:
+            std = 1.0
+        X[:, j] = (X[:, j] - mean) / std
+        stats[name] = (mean, std)
+    return X, stats

@@ -18,7 +18,7 @@ from fairstack.cli import main
 from fairstack.config import (ConfigError, config_hash, load_config,
                               load_dataset, parse_config, resolve_data_path,
                               stack_spec_for)
-from fairstack.data import make_synthetic
+from fairstack.data import make_synthetic, standardize, train_val_test_split
 from fairstack.model import TrainedStack
 from fairstack.training import DivergenceError
 
@@ -116,6 +116,21 @@ def test_val_frac_bounds():
         cfg["val_frac"] = bad
         with pytest.raises(ConfigError, match="val_frac"):
             parse_config(cfg)
+
+
+@pytest.mark.parametrize("bad", [2.0, -0.5, 1.0000001])
+def test_flip_y_outside_unit_interval_exit_2(tmp_path, capsys, bad):
+    path = _write_config(tmp_path, dataset={"flip_y": bad})
+    assert main(["fit", "--config", str(path)]) == 2
+    assert "dataset.flip_y" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("ok", [0.0, 1.0])
+def test_flip_y_bounds_are_inclusive(ok):
+    cfg = _base_config("runs")
+    cfg["dataset"]["flip_y"] = ok
+    assert parse_config(cfg).synthetic_flip_y == ok
 
 
 def test_criterion_choice_names_alternatives():
@@ -344,6 +359,35 @@ def test_fit_artifact_layout(fitted):
     assert config_hash(record["config"]) == record["config_hash"]
 
 
+def test_fit_run_json_records_peak_rss(fitted):
+    _, run = fitted
+    peak = json.loads((run / "run.json").read_text())["peak_rss_mb"]
+    assert isinstance(peak, float) and 0 < peak < 1e5
+
+
+def test_fit_with_a_one_row_val_split_exit_1(tmp_path, capsys):
+    # n=4 leaves one val row, so one group is empty and dp is undefined
+    path = _write_config(tmp_path, dataset={"id": "synthetic", "n": 4, "n_noise": 1})
+    assert main(["fit", "--config", str(path)]) == 1
+    assert "error: group" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_load_split_equals_subsets_of_the_whole_standardization(tmp_path):
+    cfg = load_config(_write_config(tmp_path, dataset={"id": "synthetic", "n": 90,
+                                                       "n_noise": 2}, val_frac=0.3))
+    summary, train, val = cli._load_split(cfg, seed=4)
+    ds = load_dataset(cfg)
+    plan = train_val_test_split(ds.n, seed=4, val_frac=0.3)
+    whole = standardize(ds, plan.train)
+    assert summary == ds.summary()
+    for part, idx in ((train, plan.train), (val, plan.val)):
+        ref = whole.subset(idx)
+        for name in ("X", "y", "s"):
+            assert getattr(part, name).tobytes() == getattr(ref, name).tobytes()
+        assert part.norm_stats == ref.norm_stats
+
+
 def test_fit_log_carries_hash_and_seed(fitted):
     cfg_path, run = fitted
     first = (run / "train-level0.csv").read_text().splitlines()[0]
@@ -555,6 +599,25 @@ def test_sweep_failed_rows_exit_1(tmp_path, capsys):
     assert "FAILED" in err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_with_a_one_row_val_split_fails_rows_not_the_run(tmp_path, capsys, jobs):
+    # n=4 leaves one val row: every job's metrics are undefined, and each
+    # becomes a failed row instead of a traceback that loses the sweep
+    path = _write_config(tmp_path, dataset={"id": "synthetic", "n": 4, "n_noise": 1},
+                         sweep={"betas": [1.0]})
+    assert main(["sweep", "--config", str(path), "--jobs", jobs]) == 1
+    out, err = capsys.readouterr()
+    run = _run_dir_from(out)
+    rows = _read_csv_rows(run / "sweep.csv")
+    assert [(r["variant"], r["status"]) for r in rows] == [
+        ("stacked", "failed"), ("vanilla", "failed")]
+    assert [r["status"] for r in _read_csv_rows(run / "baseline.csv")] == ["failed"]
+    record = json.loads((run / "run.json").read_text())
+    assert record["n_failed"] == 3 and record["peak_rss_mb"] > 0
+    assert all(f["error"].startswith("UndefinedMetricError") for f in record["failures"])
+    assert "FAILED" in err
+
+
 def test_sweep_job_errors_outside_the_run_contract_propagate(tmp_path, monkeypatch, capsys):
     cfg = load_config(_write_config(tmp_path, sweep={"betas": [1.0]}))
 
@@ -651,6 +714,25 @@ def test_table1_grid(tmp_path, capsys):
         (kind, variant)
         for kind in ("logreg", "forest")
         for variant in ("unfair", "lafr", "stacked")]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_table1_with_an_empty_fold_group_exit_1(tmp_path, capsys, jobs):
+    # 8 rows in 4 folds: a 2-row test fold misses a group
+    path = _write_config(tmp_path, dataset={"id": "synthetic", "n": 8, "n_noise": 1},
+                         cv_folds=4)
+    assert main(["table1", "--config", str(path), "--jobs", jobs]) == 1
+    assert "error: group" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_table1_more_folds_than_rows_exit_2(tmp_path, capsys):
+    path = _write_config(tmp_path, dataset={"id": "synthetic", "n": 4, "n_noise": 1},
+                         cv_folds=5)
+    assert main(["table1", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: cv_folds" in err and "4" in err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_table1_in_a_pool_matches_the_serial_run(tmp_path, capsys):

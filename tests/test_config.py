@@ -46,6 +46,8 @@ def _strategy(f):
     args = typing.get_args(f.type)  # (int, NoneType) for ``int | None``
     if f.name == "val_frac":  # bounded by an explicit cross-check, not the table
         return st.floats(0.01, 0.49)
+    if f.name == "synthetic_flip_y":  # likewise
+        return st.floats(0.0, 1.0)
     if meta["choices"]:
         base = st.sampled_from(meta["choices"])
     else:

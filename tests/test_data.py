@@ -13,6 +13,7 @@ from fairstack.data import (
     standardize,
     train_val_test_split,
 )
+from oracles import column_stack_synthetic, copy_whole_standardize
 
 # ---------------------------------------------------------------------------
 # Adult loader on crafted files
@@ -258,6 +259,27 @@ def test_synthetic_label_noise():
     assert 0.1 < flips < 0.3
 
 
+@pytest.mark.parametrize("n,n_noise,flip_y", [
+    (4, 0, 0.0), (5, 1, 0.3), (37, 3, 0.0), (200, 7, 0.1), (64, 97, 1.0)])
+def test_make_synthetic_matches_the_column_stack_form(n, n_noise, flip_y):
+    ds = make_synthetic(n=n, seed=n + n_noise, n_noise=n_noise, flip_y=flip_y)
+    X, y, s = column_stack_synthetic(n, n + n_noise, n_noise, flip_y)
+    assert ds.X.flags.c_contiguous and ds.X.shape == X.shape and ds.X.dtype == X.dtype
+    assert ds.X.tobytes() == X.tobytes()
+    assert ds.y.tobytes() == y.tobytes() and ds.y.dtype == y.dtype
+    assert ds.s.tobytes() == s.tobytes() and ds.s.dtype == s.dtype
+
+
+def test_subset_copies_without_sharing_memory():
+    ds = make_synthetic(n=50, seed=1)
+    sub = ds.subset([3, 1, 4, 1, 5])
+    for name in ("X", "y", "s"):
+        assert not np.shares_memory(getattr(sub, name), getattr(ds, name))
+    np.testing.assert_array_equal(sub.X, ds.X[[3, 1, 4, 1, 5]])
+    sub.X[0, 0] = 1e9
+    assert ds.X[3, 0] != 1e9
+
+
 # ---------------------------------------------------------------------------
 # Standardization
 
@@ -290,6 +312,43 @@ def test_standardize_constant_column_left_finite():
 def test_standardize_requires_train_rows():
     with pytest.raises(DatasetError):
         standardize(_toy_dataset(), train_idx=[])
+
+
+def _mixed_dataset(n=60):
+    """Continuous columns (one constant) beside a 0/1 column that is not."""
+    ds = make_synthetic(n=n, seed=11, n_noise=2)
+    X = np.column_stack([ds.X, np.full(n, 3.5), (ds.X[:, 0] > 0).astype(float)])
+    names = [f"f{j}" for j in range(ds.d)] + ["const", "flag"]
+    return Dataset(X=X, y=ds.y, s=ds.s, feature_names=names, continuous=names[:-1],
+                   meta={"source": "test"})
+
+
+def test_standardize_matches_the_copy_whole_form():
+    ds = _mixed_dataset()
+    train = np.arange(0, 60, 2)
+    out = standardize(ds, train)
+    X, stats = copy_whole_standardize(ds.X, ds.feature_names, ds.continuous, train)
+    assert out.X.tobytes() == X.tobytes() and out.norm_stats == stats
+    assert out.y.tobytes() == ds.y.tobytes() and out.s.tobytes() == ds.s.tobytes()
+    assert not np.shares_memory(out.X, ds.X)
+
+
+def test_standardize_row_sets_equal_subsets_of_the_whole():
+    ds = _mixed_dataset()
+    raw = ds.X.copy()
+    plan = train_val_test_split(ds.n, seed=3, val_frac=0.25)
+    whole = standardize(ds, plan.train)
+    parts = standardize(ds, plan.train, plan.train, plan.val, [5, 5, 0])
+    assert len(parts) == 3
+    for part, idx in zip(parts, (plan.train, plan.val, [5, 5, 0])):
+        ref = whole.subset(idx)
+        for name in ("X", "y", "s"):
+            got, want = getattr(part, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert part.norm_stats == ref.norm_stats == whole.norm_stats
+        assert part.norm_stats["const"] == (3.5, 1.0)
+        assert part.feature_names == ref.feature_names and part.meta == ref.meta
+    assert ds.X.tobytes() == raw.tobytes() and ds.norm_stats is None
 
 
 # ---------------------------------------------------------------------------

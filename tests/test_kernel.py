@@ -231,6 +231,8 @@ def test_train_stack_matches_the_graph_trainer(name, monkeypatch):
 GUARD_SCRIPT = """
 import sys
 import fairstack.cli
+print(" ".join(m for m in ("concurrent.futures.process", "multiprocessing")
+               if m in sys.modules) or "-")
 from fairstack.data import make_synthetic
 from fairstack.downstream import ProbeSpec, train_logreg, train_probe
 from fairstack.model import CRITERIA, LevelSpec, StackSpec
@@ -257,7 +259,10 @@ def test_training_builds_no_graph_per_batch():
     src = Path(fairstack.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    out = subprocess.run([sys.executable, "-c", GUARD_SCRIPT], env=env, check=True,
-                         capture_output=True, text=True).stdout.split()
+    pool, loaded = subprocess.run([sys.executable, "-c", GUARD_SCRIPT], env=env, check=True,
+                                  capture_output=True, text=True).stdout.splitlines()
+    out = loaded.split()
     assert "fairstack.training" in out and "fairstack.cli" in out
     assert "fairstack.autodiff" not in out
+    # the process pool (and multiprocessing) loads only when a command runs one
+    assert pool == "-"

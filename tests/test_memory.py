@@ -1,0 +1,58 @@
+"""Memory budgets of the CLI commands, as multiples of the feature matrix.
+
+Each command runs in-process on an Adult-shaped synthetic config (6,000 rows,
+100 columns, two levels 100->20->8, one epoch) under ``tracemalloc``, which
+sees numpy's data buffers. The traced peak above the start must stay within
+a few copies of ``X``: one raw matrix at load, then one standardized copy of
+the rows each phase needs. A needless whole-matrix copy breaks the budget.
+"""
+
+import contextlib
+import io
+import json
+import tracemalloc
+
+import pytest
+
+from fairstack.cli import main
+from fairstack.config import load_config, load_dataset
+
+
+def _config(out_dir, n: int, n_noise: int) -> dict:
+    return {
+        "dataset": {"id": "synthetic", "n": n, "n_noise": n_noise, "flip_y": 0.1},
+        "stack": {"levels": [{"latent": 20}, {"latent": 8}],
+                  "adv_hidden": 20, "cls_hidden": 20},
+        "train": {"epochs": 1, "batch": 64, "lr": 0.01},
+        "loss": {"alpha": 0.0, "beta": 1.0, "gamma": 1.0},
+        "sweep": {"betas": [1]},
+        "seeds": [0],
+        "probe": {"hidden": 20, "epochs": 1},
+        "forest": {"n_trees": 3, "max_depth": 10},
+        "cv_folds": 2,
+        "out_dir": str(out_dir),
+    }
+
+
+def _traced_peak(command: str, path) -> int:
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, "--config", str(path)]) == 0
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command,budget", [("fit", 2.5), ("table1", 2.75)])
+def test_peak_traced_memory_within_budget(tmp_path, command, budget):
+    # a small run of the same command first, so that modules imported on
+    # first use are not counted against the matrix
+    warm, path = tmp_path / "warm.json", tmp_path / "adult.json"
+    warm.write_text(json.dumps(_config(tmp_path / "runs", 200, 27)))
+    path.write_text(json.dumps(_config(tmp_path / "runs", 6000, 97)))
+    _traced_peak(command, warm)
+    nbytes = load_dataset(load_config(path)).X.nbytes
+    ratio = _traced_peak(command, path) / nbytes
+    assert ratio <= budget, f"{command} peaked at {ratio:.2f} x X.nbytes ({nbytes} bytes)"
