@@ -11,6 +11,14 @@ variant of the same job (identity stack, no training). ``--jobs N`` runs all
 sweep rows plus the baseline, or table1's six CV cells, in one pool of N
 worker processes.
 
+``transform`` reads a CSV of numeric feature rows: an optional non-numeric
+header row, ``,`` delimiters, ``"`` quotes, blank lines skipped. The body is
+parsed by one ``np.loadtxt`` call into the float matrix, so its memory is
+about that matrix, not a Python object per value; a value ``float`` accepts
+but ``loadtxt`` does not (``1_0``, non-ASCII digits) is non-numeric. The codes
+are written as ``repr`` floats joined by ``,`` with ``\\r\\n`` line ends, the
+bytes ``csv.writer`` writes.
+
 Exit codes: 0 success, 1 runtime failure (training/IO), 2 config error.
 """
 
@@ -148,40 +156,65 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 # transform
 
+WRITE_ROWS = 8192  # output rows joined into one write
+
+
+def _is_numeric(record: list[str]) -> bool:
+    try:
+        for x in record:
+            float(x)
+    except ValueError:
+        return False
+    return True
+
 
 def _read_numeric_csv(path: Path) -> np.ndarray:
-    """Float matrix from a CSV that may start with a non-numeric header row."""
+    """Float matrix from a CSV that may start with a non-numeric header row.
+
+    The first non-blank record is the header if any of its fields is not a
+    float. The body is parsed in one ``np.loadtxt`` call; only a file that
+    call refuses is read again, record by record, to say what is wrong."""
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    def floats(row):
-        try:
-            return [float(x) for x in row]
-        except ValueError:
-            return None
-    values = [floats(r) for r in rows]  # each row parsed once; None: not numeric
-    if values and values[0] is None:
-        rows, values = rows[1:], values[1:]
-    if not rows:
+        records = csv.reader(fh)
+        first = next((r for r in records if r), None)
+        skip = 0 if first is None or _is_numeric(first) else records.line_num
+        if skip and next((r for r in records if r), None) is None:
+            first = None  # a header and no body
+    if first is None:
         return np.zeros((0, 0))
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise DatasetError(f"ragged CSV: row widths {sorted(widths)} in {path}")
-    bad = next((r for r, v in zip(rows, values) if v is None), None)
-    if bad is not None:
-        raise DatasetError(f"non-numeric row in {path}: {bad[:5]}...")
-    X = np.array(values)
+    try:
+        X = np.loadtxt(path, delimiter=",", dtype=np.float64, skiprows=skip, ndmin=2,
+                       comments=None, quotechar='"')
+    except ValueError as exc:
+        raise _body_error(path, skip, exc) from None
     bad_rows = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad_rows.size:
         i = bad_rows[0]
         raise DatasetError(f"non-finite value (nan or inf) in data row {i + 1} of {path}: "
-                           f"{rows[i][:5]}...")
+                           f"{X[i, :5].tolist()}...")
     return X
+
+
+def _body_error(path: Path, skip: int, exc: ValueError) -> DatasetError:
+    """Why ``np.loadtxt`` refused the body below the first ``skip`` lines:
+    ragged rows first, then the first row with a field ``float`` refuses,
+    else a value ``float`` takes but ``loadtxt`` does not (``1_0``)."""
+    widths, bad = set(), None
+    with open(path, newline="") as fh:
+        records = csv.reader(fh)
+        for r in records:
+            if r and records.line_num > skip:
+                widths.add(len(r))
+                if bad is None and not _is_numeric(r):
+                    bad = r
+    if len(widths) > 1:
+        return DatasetError(f"ragged CSV: row widths {sorted(widths)} in {path}")
+    return DatasetError(f"non-numeric row in {path}: " + (f"{bad[:5]}..." if bad else str(exc)))
 
 
 def cmd_transform(model_path: str, input_path: str, output_path: str) -> int:
     stack = TrainedStack.load(model_path)
     X = _read_numeric_csv(Path(input_path))
-    header = [f"z_{i}" for i in range(stack.out_dim)]
     if X.size == 0:
         Z = np.zeros((0, stack.out_dim))
     else:
@@ -191,11 +224,12 @@ def cmd_transform(model_path: str, input_path: str, output_path: str) -> int:
                 f"{input_path} has {X.shape[1]}"
             )
         Z = stack.encode(X)
+    # the bytes csv.writer would write: repr of each float, "," and "\r\n"
     with open(output_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in Z:
-            writer.writerow([repr(float(v)) for v in row])
+        fh.write(",".join(f"z_{i}" for i in range(stack.out_dim)) + "\r\n")
+        for start in range(0, len(Z), WRITE_ROWS):
+            fh.write("".join(",".join(map(repr, row)) + "\r\n"
+                             for row in Z[start:start + WRITE_ROWS].tolist()))
     print(f"transform: {Z.shape[0]} rows -> {output_path} ({stack.out_dim} columns)")
     return 0
 

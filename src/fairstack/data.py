@@ -80,48 +80,52 @@ class _Column:
     kind: str  # "continuous" | "categorical"
 
 
-def _encode_columns(rows: list[list[str]], columns: list[_Column]):
-    """Encode string columns into a float matrix.
+def _encode_columns(rows: list[list[str]], columns: list[_Column], extra: int = 0):
+    """Encode string columns into a float matrix, leaving ``extra`` zero
+    columns at its right end for the caller to fill.
 
     Continuous columns parse as floats. Categorical columns with two values
     become one 0/1 indicator; with k > 2 values, k one-hot indicators
-    (categories in sorted order); single-valued columns are dropped.
+    (categories in sorted order); single-valued columns are dropped. The
+    width is known after one pass over the categories, so the matrix is
+    filled in place.
     """
     n = len(rows)
-    blocks: list[np.ndarray] = []
+    cats = {j: sorted({r[j] for r in rows}) for j, col in enumerate(columns)
+            if col.kind == "categorical"}
+    # k categories take k indicators, or k - 1 for k <= 2 (a constant is
+    # dropped, a pair is one 0/1 column)
+    width = sum(1 if j not in cats else len(cats[j]) - (len(cats[j]) <= 2)
+                for j in range(len(columns)))
+    X = np.zeros((n, width + extra))
     names: list[str] = []
     continuous: list[str] = []
     encoding: dict[str, str] = {}
     for j, col in enumerate(columns):
-        raw = [r[j] for r in rows]
+        at = len(names)  # the next free column
         if col.kind == "continuous":
             try:
-                vals = np.array([float(v) for v in raw])
+                X[:, at] = [float(r[j]) for r in rows]
             except ValueError as exc:
                 raise DatasetError(f"column {col.name!r}: non-numeric value ({exc})") from exc
-            blocks.append(vals.reshape(-1, 1))
             names.append(col.name)
             continuous.append(col.name)
             encoding[col.name] = "continuous"
             continue
-        cats = sorted(set(raw))
-        if len(cats) == 1:
+        levels = cats[j]
+        if len(levels) == 1:
             encoding[col.name] = "constant-dropped"
             continue
-        if len(cats) == 2:
-            vals = np.array([1.0 if v == cats[1] else 0.0 for v in raw])
-            blocks.append(vals.reshape(-1, 1))
-            names.append(f"{col.name}={cats[1]}")
+        if len(levels) == 2:
+            X[:, at] = [1.0 if r[j] == levels[1] else 0.0 for r in rows]
+            names.append(f"{col.name}={levels[1]}")
             encoding[col.name] = "binary"
             continue
-        index = {c: i for i, c in enumerate(cats)}
-        block = np.zeros((n, len(cats)))
-        for i, v in enumerate(raw):
-            block[i, index[v]] = 1.0
-        blocks.append(block)
-        names.extend(f"{col.name}={c}" for c in cats)
+        index = {c: at + i for i, c in enumerate(levels)}
+        for i, r in enumerate(rows):
+            X[i, index[r[j]]] = 1.0
+        names.extend(f"{col.name}={c}" for c in levels)
         encoding[col.name] = "onehot"
-    X = np.hstack(blocks) if blocks else np.zeros((n, 0))
     return X, names, continuous, encoding
 
 
@@ -208,9 +212,9 @@ def load_adult(path, include_sensitive: bool = False) -> Dataset:
 
     keep = [c for i, c in enumerate(ADULT_COLUMNS) if i != _ADULT_SEX_IDX]
     data = [[r[i] for i in range(14) if i != _ADULT_SEX_IDX] for r in rows]
-    X, names, continuous, encoding = _encode_columns(data, keep)
+    X, names, continuous, encoding = _encode_columns(data, keep, extra=int(include_sensitive))
     if include_sensitive:
-        X = np.hstack([X, s.reshape(-1, 1).astype(float)])
+        X[:, -1] = s
         names.append("sex=Male")
     return Dataset(
         X=X, y=y, s=s, feature_names=names, continuous=continuous,
@@ -289,9 +293,9 @@ def load_german(path, include_sensitive: bool = False) -> Dataset:
 
     keep = [c for i, c in enumerate(GERMAN_COLUMNS) if i != _GERMAN_STATUS_IDX]
     data = [[r[i] for i in range(20) if i != _GERMAN_STATUS_IDX] for r in rows]
-    X, names, continuous, encoding = _encode_columns(data, keep)
+    X, names, continuous, encoding = _encode_columns(data, keep, extra=int(include_sensitive))
     if include_sensitive:
-        X = np.hstack([X, s.reshape(-1, 1).astype(float)])
+        X[:, -1] = s
         names.append("sex=male")
     return Dataset(
         X=X, y=y, s=s, feature_names=names, continuous=continuous,

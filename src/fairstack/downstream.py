@@ -74,6 +74,7 @@ def _fit_bce_mlp(X: np.ndarray, y: np.ndarray, dims: list[int], epochs: int,
         if epoch == 0:
             first = mean
         last = mean
+    mlp.clear_cache()
     return mlp, first, last
 
 
@@ -112,6 +113,7 @@ def train_logreg(features: np.ndarray, y: np.ndarray, seed: int = 0,
         raise RuntimeError(
             f"logistic regression failed to converge: loss {losses[0]:.6f} -> {losses[-1]:.6f}"
         )
+    mlp.clear_cache()
     return MLPPredictor(mlp)
 
 

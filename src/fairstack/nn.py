@@ -149,6 +149,12 @@ class MLP:
     def params(self) -> list[Param]:
         return [p for layer in self.layers for p in layer.params()]
 
+    def clear_cache(self) -> None:
+        """Drop every layer's cached forward, so a trained net keeps no copy
+        of its training input."""
+        for layer in self.layers:
+            layer._cache = None
+
 
 def bce(predicted: np.ndarray, target: np.ndarray,
         scale: float = 1.0) -> tuple[float, np.ndarray]:

@@ -305,8 +305,37 @@ def reference_forest_trees(X: np.ndarray, y: np.ndarray, spec) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Data: the list-then-stack synthetic generator and the copy-everything
-# z-scoring, the forms the in-place versions must reproduce byte for byte.
+# Data: the list-then-stack synthetic generator and UCI encoder, and the
+# copy-everything z-scoring, the forms the in-place versions must reproduce
+# byte for byte.
+
+
+def hstack_encode_columns(rows, columns, s=None, s_name=None):
+    """(X, names) of the UCI column encoder built as one block per column,
+    then ``np.hstack``; with ``s``, a second ``np.hstack`` appends it as a
+    float column named ``s_name``. ``columns`` carry ``.name`` and ``.kind``."""
+    blocks, names = [], []
+    for j, col in enumerate(columns):
+        raw = [r[j] for r in rows]
+        if col.kind == "continuous":
+            blocks.append(np.array([float(v) for v in raw]).reshape(-1, 1))
+            names.append(col.name)
+            continue
+        cats = sorted(set(raw))
+        if len(cats) == 2:
+            blocks.append(np.array([1.0 if v == cats[1] else 0.0 for v in raw]).reshape(-1, 1))
+            names.append(f"{col.name}={cats[1]}")
+        elif len(cats) > 2:
+            block = np.zeros((len(rows), len(cats)))
+            for i, v in enumerate(raw):
+                block[i, cats.index(v)] = 1.0
+            blocks.append(block)
+            names.extend(f"{col.name}={c}" for c in cats)
+    X = np.hstack(blocks) if blocks else np.zeros((len(rows), 0))
+    if s is not None:
+        X = np.hstack([X, s.reshape(-1, 1).astype(float)])
+        names.append(s_name)
+    return X, names
 
 
 def column_stack_synthetic(n: int, seed: int, n_noise: int, flip_y: float):

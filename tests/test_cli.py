@@ -532,6 +532,74 @@ def test_transform_non_finite_input_exit_1(fitted, tmp_path, capsys):
     assert not dst.exists()
 
 
+def _transform(model: Path, tmp_path: Path, text: str, capsys):
+    """(exit code, output bytes or None, stderr) of transform on ``text``."""
+    src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+    dst.unlink(missing_ok=True)
+    src.write_bytes(text.encode())
+    rc = main(["transform", "--model", str(model), "--input", str(src), "--output", str(dst)])
+    err = capsys.readouterr().err
+    return rc, dst.read_bytes() if dst.exists() else None, err
+
+
+DIALECT_ROWS = make_synthetic(n=5, seed=97, n_noise=1).X.tolist()
+
+
+def _lines(fmt, rows=DIALECT_ROWS) -> list[str]:
+    return [",".join(fmt(v) for v in row) for row in rows]
+
+
+@pytest.mark.parametrize("text", [
+    "\r\n".join(_lines(repr)) + "\r\n",                          # CRLF line ends
+    "\n".join(_lines(lambda v: f'"{v!r}"')) + "\n",              # quoted fields
+    "\n\n" + "\n\n".join(_lines(repr)) + "\n\n\n",               # blank lines
+    "\n".join(_lines(lambda v: f" {v!r}\t")) + "\n",             # spaces around fields
+    "a,b,c,d\n" + "\n".join(_lines(repr)),                       # header, no last newline
+    '"#x","y",z,w\r\n' + "\r\n".join(_lines(repr)) + "\r\n",     # quoted '#' header
+], ids=["crlf", "quoted", "blank-lines", "spaces", "header-no-eol", "hash-header"])
+def test_transform_dialect_reads_the_same_rows(fitted, tmp_path, capsys, text):
+    model = fitted[1] / "model.fstk"
+    _, want, _ = _transform(model, tmp_path, "\n".join(_lines(repr)) + "\n", capsys)
+    assert _transform(model, tmp_path, text, capsys) == (0, want, "")
+
+
+def test_transform_single_column_and_single_row(tmp_path, capsys):
+    model = tmp_path / "identity.fstk"
+    TrainedStack.identity(1).save(model)
+    assert _transform(model, tmp_path, "x\n-1.5\n\n2\n", capsys) == \
+        (0, b"z_0\r\n-1.5\r\n2.0\r\n", "")
+    TrainedStack.identity(3).save(model)
+    assert _transform(model, tmp_path, "1,2e-3,-0", capsys) == \
+        (0, b"z_0,z_1,z_2\r\n1.0,0.002,-0.0\r\n", "")
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "a,b,c,d\r\n\r\n"], ids=["0-byte", "blank", "header"])
+def test_transform_no_rows_writes_the_header(fitted, tmp_path, capsys, text):
+    assert _transform(fitted[1] / "model.fstk", tmp_path, text, capsys) == \
+        (0, b"z_0,z_1,z_2\r\n", "")
+
+
+@pytest.mark.parametrize("text", [
+    "1,2,3,4\n#5,6,7,8\n",        # a '#' row is data, not a comment
+    "1,2,3,4\n1_0,2,3,4\n",       # float() takes these two; the parser does not
+    "1,2,3,4\n١,2,3,4\n",
+])
+def test_transform_non_numeric_rows_exit_1(fitted, tmp_path, capsys, text):
+    rc, out, err = _transform(fitted[1] / "model.fstk", tmp_path, text, capsys)
+    assert (rc, out) == (1, None)
+    assert "non-numeric row" in err
+
+
+@pytest.mark.parametrize("text,widths", [
+    ("1,2,3,4\nx,2,3,4\n5,6\n", "[2, 4]"),   # ragged is reported before non-numeric
+    ("1,2,3,4\n \n", "[1, 4]"),               # a line of spaces is a row, not a blank line
+])
+def test_transform_ragged_rows_exit_1(fitted, tmp_path, capsys, text, widths):
+    rc, out, err = _transform(fitted[1] / "model.fstk", tmp_path, text, capsys)
+    assert (rc, out) == (1, None)
+    assert f"ragged CSV: row widths {widths}" in err
+
+
 def test_transform_missing_model_exit_1(tmp_path, capsys):
     src = tmp_path / "in.csv"
     src.write_text("1.0\n")

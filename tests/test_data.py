@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fairstack import data
 from fairstack.data import (
     Dataset,
     DatasetError,
@@ -13,7 +14,9 @@ from fairstack.data import (
     standardize,
     train_val_test_split,
 )
-from oracles import column_stack_synthetic, copy_whole_standardize
+from conftest import ADULT_TWO_ROWS
+from oracles import (column_stack_synthetic, copy_whole_standardize,
+                     hstack_encode_columns)
 
 # ---------------------------------------------------------------------------
 # Adult loader on crafted files
@@ -203,6 +206,42 @@ def test_german_degenerate_error(tmp_path):
     with pytest.raises(DatasetError) as exc:
         load_german(_german_file(tmp_path, [GERMAN_GOOD_MALE, other_male]))
     assert "sensitive/label column degenerate" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# UCI encoder against the block-then-hstack form
+
+THREE_EDUCATIONS = [
+    ROW_TEMPLATE.format(age=age, workclass="Private", education=edu, sex=sex, label=label)
+    for age, edu, sex, label in [(30, "Bachelors", "Male", ">50K"),
+                                 (40, "HS-grad", "Female", "<=50K"),
+                                 (50, "Masters", "Male", "<=50K")]
+]
+
+
+@pytest.mark.parametrize("include_sensitive", [False, True])
+@pytest.mark.parametrize("loader,sex_name,lines", [
+    (load_adult, "sex=Male", ADULT_TWO_ROWS.splitlines()),
+    (load_adult, "sex=Male", THREE_EDUCATIONS),
+    (load_german, "sex=male", [GERMAN_GOOD_MALE, GERMAN_BAD_FEMALE]),
+])
+def test_uci_matrix_matches_the_hstack_form(tmp_path, monkeypatch, loader, sex_name, lines,
+                                            include_sensitive):
+    seen = []
+    encode = data._encode_columns
+
+    def spy(rows, columns, *args, **kwargs):
+        seen.append((rows, columns))
+        return encode(rows, columns, *args, **kwargs)
+
+    monkeypatch.setattr(data, "_encode_columns", spy)
+    path = _german_file(tmp_path, lines) if loader is load_german else _adult_file(tmp_path, lines)
+    ds = loader(path, include_sensitive=include_sensitive)
+    (rows, columns), = seen
+    X, names = hstack_encode_columns(rows, columns, ds.s if include_sensitive else None, sex_name)
+    assert ds.X.dtype == X.dtype and ds.X.shape == X.shape and ds.X.flags.c_contiguous
+    assert ds.X.tobytes() == X.tobytes()
+    assert ds.feature_names == names
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from fairstack.downstream import (
 from fairstack.forest import DecisionTree, ForestSpec, RandomForest, gini, train_forest
 from fairstack.metrics import FairnessReport
 from fairstack.model import TrainedStack, build, stacked_spec
+from fairstack.nn import MLP, Adam, bce_step
 from oracles import (brute_force_best_split, gini_of, reference_forest_trees,
                      reference_tree)
 
@@ -118,6 +119,24 @@ def test_logreg_convergence_guard():
 def test_logreg_rejects_nonfinite_features():
     with pytest.raises(ValueError):
         train_logreg(np.array([[np.nan], [1.0]]), np.array([0, 1]))
+
+
+def test_trained_predictors_hold_no_training_cache():
+    # a cached forward would keep the training matrix alive as long as the
+    # predictor, e.g. through the next cross-validation fold's fit
+    X, y = _separable_toy(n=90, seed=8)
+    logreg = train_logreg(X, y, seed=2, epochs=40)
+    probe = train_probe(TrainedStack.identity(2), X, y, ProbeSpec(hidden=4, epochs=3, seed=2))
+    for predictor in (logreg, probe):
+        assert all(layer._cache is None for layer in predictor.mlp.layers)
+    # the same full-batch steps without train_logreg predict the same bytes
+    mlp = MLP([2, 1], np.random.default_rng(2), output_activation="sigmoid")
+    opt = Adam(mlp.params(), lr=0.05)
+    for _ in range(40):
+        bce_step(mlp, opt, X, y.reshape(-1, 1).astype(float))
+    grid = np.random.default_rng(1).normal(size=(30, 2))
+    np.testing.assert_array_equal(logreg.predict_proba(grid),
+                                  mlp.forward_value(grid).reshape(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ Each command runs in-process on an Adult-shaped synthetic config (6,000 rows,
 sees numpy's data buffers. The traced peak above the start must stay within
 a few copies of ``X``: one raw matrix at load, then one standardized copy of
 the rows each phase needs. A needless whole-matrix copy breaks the budget.
+``transform`` gets the same kind of budget on a 12,000 x 100 CSV: the parsed
+matrix plus the encoder's working memory, not a Python object per value.
 """
 
 import contextlib
@@ -12,10 +14,12 @@ import io
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from fairstack.cli import main
 from fairstack.config import load_config, load_dataset
+from fairstack.model import TrainedStack, build, stacked_spec
 
 
 def _config(out_dir, n: int, n_noise: int) -> dict:
@@ -34,12 +38,12 @@ def _config(out_dir, n: int, n_noise: int) -> dict:
     }
 
 
-def _traced_peak(command: str, path) -> int:
+def _traced_peak(argv: list[str]) -> int:
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         with contextlib.redirect_stdout(io.StringIO()):
-            assert main([command, "--config", str(path)]) == 0
+            assert main(argv) == 0
         return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -52,7 +56,25 @@ def test_peak_traced_memory_within_budget(tmp_path, command, budget):
     warm, path = tmp_path / "warm.json", tmp_path / "adult.json"
     warm.write_text(json.dumps(_config(tmp_path / "runs", 200, 27)))
     path.write_text(json.dumps(_config(tmp_path / "runs", 6000, 97)))
-    _traced_peak(command, warm)
+    _traced_peak([command, "--config", str(warm)])
     nbytes = load_dataset(load_config(path)).X.nbytes
-    ratio = _traced_peak(command, path) / nbytes
+    ratio = _traced_peak([command, "--config", str(path)]) / nbytes
     assert ratio <= budget, f"{command} peaked at {ratio:.2f} x X.nbytes ({nbytes} bytes)"
+
+
+def test_transform_peak_traced_memory_within_budget(tmp_path):
+    model = tmp_path / "model.fstk"
+    TrainedStack.from_levels(build(stacked_spec(100, (20, 8)), seed=0)).save(model)
+    X = np.round(np.random.default_rng(0).normal(size=(12_000, 100)), 4)
+    for name, rows in (("warm.csv", X[:50]), ("in.csv", X)):
+        (tmp_path / name).write_text(
+            "\n".join([",".join(f"f{j}" for j in range(100))]
+                      + [",".join(map(repr, row)) for row in rows.tolist()]) + "\n")
+
+    def argv(name):
+        return ["transform", "--model", str(model), "--input", str(tmp_path / name),
+                "--output", str(tmp_path / f"out-{name}")]
+
+    _traced_peak(argv("warm.csv"))
+    ratio = _traced_peak(argv("in.csv")) / X.nbytes
+    assert ratio <= 3.0, f"transform peaked at {ratio:.2f} x X.nbytes ({X.nbytes} bytes)"
