@@ -7,7 +7,13 @@ and the binary sensitive attribute s (gender). Continuous columns are kept
 raw at load time; :func:`standardize` z-scores them with statistics from a
 training index set only, so splits control their own normalization.
 
-Memory: each matrix is built once, in place. :meth:`Dataset.subset` copies
+Both UCI loaders are one reader, :func:`_load_table`, driven by one
+:class:`_Table` per dataset. Blank lines and lines starting with ``|`` are
+skipped; rows with a ``?`` field are dropped and counted in ``meta``.
+
+Memory: each matrix is built once, in place. The UCI reader streams lines
+into one list of rows in which each distinct field value is one shared
+string, and encodes the matrix from it. :meth:`Dataset.subset` copies
 the chosen rows once (fancy indexing), and :func:`standardize` computes the
 train-row statistics once and applies them to the row sets the caller asks
 for, so a caller that needs only the train and val rows never holds a
@@ -66,13 +72,8 @@ class Dataset:
         )
 
 
-def _check_binary_column(values: np.ndarray, what: str) -> None:
-    if len(np.unique(values)) < 2:
-        raise DatasetError(f"{what} column degenerate: only one class present")
-
-
 # ---------------------------------------------------------------------------
-# Column encoding
+# UCI tables: one reader, driven by one table per dataset
 
 @dataclass
 class _Column:
@@ -80,9 +81,105 @@ class _Column:
     kind: str  # "continuous" | "categorical"
 
 
-def _encode_columns(rows: list[list[str]], columns: list[_Column], extra: int = 0):
-    """Encode string columns into a float matrix, leaving ``extra`` zero
-    columns at its right end for the caller to fill.
+@dataclass(frozen=True)
+class _Table:
+    """One UCI dataset. A line holds one field per column, then the label,
+    split on ``sep`` (None: whitespace). ``labels`` maps the label to y and
+    ``groups`` maps field ``sensitive`` to s; that field is left out of X,
+    and ``include_sensitive`` appends s named ``sensitive_name``. A directory
+    holds ``files``, read in order. The nouns name the codes in errors.
+    """
+
+    columns: tuple[_Column, ...]
+    files: tuple[str, ...]
+    sep: str | None
+    labels: dict[str, int]
+    groups: dict[str, int]
+    sensitive: int
+    sensitive_name: str
+    label_noun: str
+    group_noun: str
+
+
+ADULT = _Table(
+    columns=(
+        _Column("age", "continuous"),
+        _Column("workclass", "categorical"),
+        _Column("fnlwgt", "continuous"),
+        _Column("education", "categorical"),
+        _Column("education-num", "continuous"),
+        _Column("marital-status", "categorical"),
+        _Column("occupation", "categorical"),
+        _Column("relationship", "categorical"),
+        _Column("race", "categorical"),
+        _Column("sex", "categorical"),
+        _Column("capital-gain", "continuous"),
+        _Column("capital-loss", "continuous"),
+        _Column("hours-per-week", "continuous"),
+        _Column("native-country", "categorical"),
+    ),
+    files=("adult.data", "adult.test"),
+    sep=",",
+    # adult.test spells its labels with a trailing period
+    labels={">50K": 1, ">50K.": 1, "<=50K": 0, "<=50K.": 0},
+    groups={"Male": 1, "Female": 0},
+    sensitive=9,
+    sensitive_name="sex=Male",
+    label_noun="income label",
+    group_noun="sex value",
+)
+
+GERMAN = _Table(
+    columns=(
+        _Column("checking_status", "categorical"),
+        _Column("duration", "continuous"),
+        _Column("credit_history", "categorical"),
+        _Column("purpose", "categorical"),
+        _Column("credit_amount", "continuous"),
+        _Column("savings", "categorical"),
+        _Column("employment", "categorical"),
+        _Column("installment_rate", "continuous"),
+        _Column("personal_status", "categorical"),
+        _Column("other_debtors", "categorical"),
+        _Column("residence_since", "continuous"),
+        _Column("property", "categorical"),
+        _Column("age", "continuous"),
+        _Column("installment_plans", "categorical"),
+        _Column("housing", "categorical"),
+        _Column("existing_credits", "continuous"),
+        _Column("job", "categorical"),
+        _Column("num_dependents", "continuous"),
+        _Column("telephone", "categorical"),
+        _Column("foreign_worker", "categorical"),
+    ),
+    files=("german.data",),
+    sep=None,
+    labels={"1": 1, "2": 0},
+    # personal-status/sex codes: A91/A93/A94 male, A92/A95 female
+    groups={"A91": 1, "A93": 1, "A94": 1, "A92": 0, "A95": 0},
+    sensitive=8,
+    sensitive_name="sex=male",
+    label_noun="credit class",
+    group_noun="personal-status code",
+)
+
+
+def _table_files(table: _Table, path) -> list[Path]:
+    p = Path(path)
+    if p.is_dir():
+        files = [p / name for name in table.files if (p / name).exists()]
+        if not files:
+            raise DatasetError(f"no {'/'.join(table.files)} found under {p}")
+        return files
+    if not p.exists():
+        raise DatasetError(f"cannot read {p}")
+    return [p]
+
+
+def _encode_columns(rows: list[list[str]], columns, keep: list[int], extra: int = 0):
+    """Encode fields ``keep`` of the string rows, field ``j`` as described by
+    ``columns[j]``, into a float matrix, leaving ``extra`` zero columns at its
+    right end for the caller to fill.
 
     Continuous columns parse as floats. Categorical columns with two values
     become one 0/1 indicator; with k > 2 values, k one-hot indicators
@@ -91,17 +188,16 @@ def _encode_columns(rows: list[list[str]], columns: list[_Column], extra: int = 
     filled in place.
     """
     n = len(rows)
-    cats = {j: sorted({r[j] for r in rows}) for j, col in enumerate(columns)
-            if col.kind == "categorical"}
+    cats = {j: sorted({r[j] for r in rows}) for j in keep if columns[j].kind == "categorical"}
     # k categories take k indicators, or k - 1 for k <= 2 (a constant is
     # dropped, a pair is one 0/1 column)
-    width = sum(1 if j not in cats else len(cats[j]) - (len(cats[j]) <= 2)
-                for j in range(len(columns)))
+    width = sum(1 if j not in cats else len(cats[j]) - (len(cats[j]) <= 2) for j in keep)
     X = np.zeros((n, width + extra))
     names: list[str] = []
     continuous: list[str] = []
     encoding: dict[str, str] = {}
-    for j, col in enumerate(columns):
+    for j in keep:
+        col = columns[j]
         at = len(names)  # the next free column
         if col.kind == "continuous":
             try:
@@ -129,93 +225,52 @@ def _encode_columns(rows: list[list[str]], columns: list[_Column], extra: int = 
     return X, names, continuous, encoding
 
 
-# ---------------------------------------------------------------------------
-# UCI Adult Income
-
-ADULT_COLUMNS = [
-    _Column("age", "continuous"),
-    _Column("workclass", "categorical"),
-    _Column("fnlwgt", "continuous"),
-    _Column("education", "categorical"),
-    _Column("education-num", "continuous"),
-    _Column("marital-status", "categorical"),
-    _Column("occupation", "categorical"),
-    _Column("relationship", "categorical"),
-    _Column("race", "categorical"),
-    _Column("sex", "categorical"),
-    _Column("capital-gain", "continuous"),
-    _Column("capital-loss", "continuous"),
-    _Column("hours-per-week", "continuous"),
-    _Column("native-country", "categorical"),
-]
-_ADULT_SEX_IDX = 9
-
-
-def _adult_files(path) -> list[Path]:
-    p = Path(path)
-    if p.is_dir():
-        files = [p / "adult.data", p / "adult.test"]
-        files = [f for f in files if f.exists()]
-        if not files:
-            raise DatasetError(f"no adult.data/adult.test found under {p}")
-        return files
-    if not p.exists():
-        raise DatasetError(f"cannot read {p}")
-    return [p]
-
-
-def load_adult(path, include_sensitive: bool = False) -> Dataset:
-    """UCI Adult Income: y=1 for income >50K, s=1 for sex Male.
-
-    ``path`` is one CSV file or a directory holding adult.data/adult.test
-    (both files are concatenated; re-splitting is the caller's job). Rows
-    containing a '?' field are dropped and counted in meta.
-    """
+def _load_table(table: _Table, path, include_sensitive: bool) -> Dataset:
+    """Read ``path``, a file or a directory holding ``table.files`` (their
+    rows concatenated; re-splitting is the caller's job), into a Dataset."""
+    width = len(table.columns) + 1  # the features, then the label
     rows: list[list[str]] = []
-    n_raw = 0
-    n_dropped = 0
-    for f in _adult_files(path):
-        for lineno, line in enumerate(f.read_text().splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("|"):
-                continue
-            fields = [x.strip() for x in line.split(",")]
-            if len(fields) != 15:
-                raise DatasetError(f"{f}:{lineno}: expected 15 fields, got {len(fields)}")
-            n_raw += 1
-            if "?" in fields:
-                n_dropped += 1
-                continue
-            rows.append(fields)
+    seen: dict[str, str] = {}  # one shared str per distinct field value
+    n_raw = n_dropped = 0
+    for f in _table_files(table, path):
+        with open(f) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("|"):
+                    continue
+                fields = line.split(table.sep)
+                if len(fields) != width:
+                    raise DatasetError(f"{f}:{lineno}: expected {width} fields, got {len(fields)}")
+                n_raw += 1
+                fields = [seen.setdefault(v, v) for v in map(str.strip, fields)]
+                if "?" in fields:
+                    n_dropped += 1
+                    continue
+                rows.append(fields)
     if not rows:
         raise DatasetError(f"no usable rows in {path}")
 
     y = np.empty(len(rows), dtype=np.int64)
     s = np.empty(len(rows), dtype=np.int64)
     for i, r in enumerate(rows):
-        label = r[14].rstrip(".")
-        if label == ">50K":
-            y[i] = 1
-        elif label == "<=50K":
-            y[i] = 0
-        else:
-            raise DatasetError(f"unknown income label {r[14]!r} in row {i}")
-        sex = r[_ADULT_SEX_IDX]
-        if sex == "Male":
-            s[i] = 1
-        elif sex == "Female":
-            s[i] = 0
-        else:
-            raise DatasetError(f"unknown sex value {sex!r} in row {i}")
-    _check_binary_column(y, "label (sensitive/label column degenerate)")
-    _check_binary_column(s, "sensitive (sensitive/label column degenerate)")
+        if r[-1] not in table.labels:
+            raise DatasetError(f"unknown {table.label_noun} {r[-1]!r} in row {i}")
+        group = r[table.sensitive]
+        if group not in table.groups:
+            raise DatasetError(f"unknown {table.group_noun} {group!r} in row {i}")
+        y[i] = table.labels[r[-1]]
+        s[i] = table.groups[group]
+    for values, what in ((y, "label"), (s, "sensitive")):
+        if len(np.unique(values)) < 2:
+            raise DatasetError(f"{what} (sensitive/label column degenerate) column "
+                               "degenerate: only one class present")
 
-    keep = [c for i, c in enumerate(ADULT_COLUMNS) if i != _ADULT_SEX_IDX]
-    data = [[r[i] for i in range(14) if i != _ADULT_SEX_IDX] for r in rows]
-    X, names, continuous, encoding = _encode_columns(data, keep, extra=int(include_sensitive))
+    keep = [j for j in range(len(table.columns)) if j != table.sensitive]
+    X, names, continuous, encoding = _encode_columns(rows, table.columns, keep,
+                                                     extra=int(include_sensitive))
     if include_sensitive:
         X[:, -1] = s
-        names.append("sex=Male")
+        names.append(table.sensitive_name)
     return Dataset(
         X=X, y=y, s=s, feature_names=names, continuous=continuous,
         meta={"source": str(path), "n_raw": n_raw, "n_dropped": n_dropped,
@@ -223,85 +278,21 @@ def load_adult(path, include_sensitive: bool = False) -> Dataset:
     )
 
 
-# ---------------------------------------------------------------------------
-# UCI German Credit
+def load_adult(path, include_sensitive: bool = False) -> Dataset:
+    """UCI Adult Income: y=1 for income >50K, s=1 for sex Male.
 
-GERMAN_COLUMNS = [
-    _Column("checking_status", "categorical"),
-    _Column("duration", "continuous"),
-    _Column("credit_history", "categorical"),
-    _Column("purpose", "categorical"),
-    _Column("credit_amount", "continuous"),
-    _Column("savings", "categorical"),
-    _Column("employment", "categorical"),
-    _Column("installment_rate", "continuous"),
-    _Column("personal_status", "categorical"),
-    _Column("other_debtors", "categorical"),
-    _Column("residence_since", "continuous"),
-    _Column("property", "categorical"),
-    _Column("age", "continuous"),
-    _Column("installment_plans", "categorical"),
-    _Column("housing", "categorical"),
-    _Column("existing_credits", "continuous"),
-    _Column("job", "categorical"),
-    _Column("num_dependents", "continuous"),
-    _Column("telephone", "categorical"),
-    _Column("foreign_worker", "categorical"),
-]
-_GERMAN_STATUS_IDX = 8
-_GERMAN_MALE = {"A91", "A93", "A94"}
-_GERMAN_FEMALE = {"A92", "A95"}
+    ``path`` is one CSV file or a directory holding adult.data/adult.test.
+    """
+    return _load_table(ADULT, path, include_sensitive)
 
 
 def load_german(path, include_sensitive: bool = False) -> Dataset:
     """UCI German Credit: y=1 for class 1 (good), s from the
-    personal-status/sex codes (A91/A93/A94 male=1, A92/A95 female=0)."""
-    p = Path(path)
-    if p.is_dir():
-        p = p / "german.data"
-    if not p.exists():
-        raise DatasetError(f"cannot read {p}")
-    rows: list[list[str]] = []
-    for lineno, line in enumerate(p.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split()
-        if len(fields) != 21:
-            raise DatasetError(f"{p}:{lineno}: expected 21 fields, got {len(fields)}")
-        rows.append(fields)
-    if not rows:
-        raise DatasetError(f"no usable rows in {p}")
+    personal-status/sex codes (A91/A93/A94 male=1, A92/A95 female=0).
 
-    y = np.empty(len(rows), dtype=np.int64)
-    s = np.empty(len(rows), dtype=np.int64)
-    for i, r in enumerate(rows):
-        if r[20] == "1":
-            y[i] = 1
-        elif r[20] == "2":
-            y[i] = 0
-        else:
-            raise DatasetError(f"unknown credit class {r[20]!r} in row {i}")
-        code = r[_GERMAN_STATUS_IDX]
-        if code in _GERMAN_MALE:
-            s[i] = 1
-        elif code in _GERMAN_FEMALE:
-            s[i] = 0
-        else:
-            raise DatasetError(f"unknown personal-status code {code!r} in row {i}")
-    _check_binary_column(y, "label (sensitive/label column degenerate)")
-    _check_binary_column(s, "sensitive (sensitive/label column degenerate)")
-
-    keep = [c for i, c in enumerate(GERMAN_COLUMNS) if i != _GERMAN_STATUS_IDX]
-    data = [[r[i] for i in range(20) if i != _GERMAN_STATUS_IDX] for r in rows]
-    X, names, continuous, encoding = _encode_columns(data, keep, extra=int(include_sensitive))
-    if include_sensitive:
-        X[:, -1] = s
-        names.append("sex=male")
-    return Dataset(
-        X=X, y=y, s=s, feature_names=names, continuous=continuous,
-        meta={"source": str(path), "n_raw": len(rows), "n_dropped": 0,
-              "encoding": encoding, "include_sensitive": include_sensitive},
-    )
+    ``path`` is the whitespace-separated german.data or its directory.
+    """
+    return _load_table(GERMAN, path, include_sensitive)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ silently returning 0 would fake fairness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -139,13 +139,9 @@ class FairnessReport:
     pos_rate_s1: float
     n_s0: int
     n_s1: int
-    extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        out = asdict(self)
-        out.pop("extra")
-        out.update(self.extra)
-        return out
+        return asdict(self)
 
 
 def evaluate(batch: PredictionBatch, eo_mode: str = "sum") -> FairnessReport:

@@ -86,17 +86,9 @@ class StackSpec:
 
 
 def spec_from_dict(d: dict) -> StackSpec:
-    levels = tuple(
-        LevelSpec(in_dim=l["in_dim"], latent=l["latent"], hidden=tuple(l.get("hidden", ())))
-        for l in d["levels"]
-    )
-    return StackSpec(
-        levels=levels,
-        alpha=d.get("alpha", 1.0), beta=d.get("beta", 1.0), gamma=d.get("gamma", 1.0),
-        criterion=d.get("criterion", "dp"),
-        adv_hidden=d.get("adv_hidden", 20), cls_hidden=d.get("cls_hidden", 20),
-        root_mse=d.get("root_mse", False),
-    )
+    """The inverse of :meth:`StackSpec.to_dict`; absent keys take the defaults."""
+    rest = {k: v for k, v in d.items() if k != "levels"}
+    return StackSpec(levels=tuple(LevelSpec(**l) for l in d["levels"]), **rest)
 
 
 def spec_hash(spec: StackSpec) -> str:
@@ -175,7 +167,6 @@ class Level:
         adv_in = spec.latent + (1 if criterion == "eo" else 0)
         self.adversary = MLP(head_dims(adv_in, adv_hidden), rng,
                              output_activation="sigmoid")
-        self.trained = False
 
     @property
     def in_dim(self) -> int:
@@ -411,13 +402,21 @@ class TrainedStack:
             )
         (n_levels,) = struct.unpack("<I", take(4))
         levels = []
+        width = in_dim  # what the next layer must take: the header, then each n_out
         for i in range(n_levels):
             (n_layers,) = struct.unpack("<I", take(4))
+            if n_layers == 0:
+                raise ModelFormatError(f"level {i} has no layers: {path}")
             layers = []
             for j in range(n_layers):
                 n_in, n_out, act_idx = struct.unpack("<IIB", take(9))
                 if act_idx >= len(ACTIVATIONS):
                     raise ModelFormatError(f"unknown activation code {act_idx}")
+                if n_in != width:
+                    raise ModelFormatError(
+                        f"level {i}, layer {j} takes width {n_in}, but its input has "
+                        f"width {width}: {path}")
+                width = n_out
                 W = np.frombuffer(take(8 * n_in * n_out), dtype="<f8").reshape(n_in, n_out).copy()
                 b = np.frombuffer(take(8 * n_out), dtype="<f8").reshape(1, n_out).copy()
                 if not (np.isfinite(W).all() and np.isfinite(b).all()):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import Dataset, batches
-from .metrics import PredictionBatch, evaluate
+from .metrics import PredictionBatch, evaluate, threshold_predictions
 from .model import (Level, StackSpec, TrainedStack, adversary_input, build, encode,
                     level_grads, spec_hash)
 from .nn import Adam, bce_step
@@ -81,8 +81,7 @@ class EpochRecord:
     val_eopp: float
 
 
-LOG_COLUMNS = ("level", "epoch", "loss_rec", "loss_adv", "loss_class",
-               "adv_acc", "val_dp", "val_eo", "val_eopp")
+LOG_COLUMNS = tuple(f.name for f in fields(EpochRecord))
 
 
 @dataclass
@@ -126,13 +125,13 @@ def _adversary_accuracy(level: Level, z_val: np.ndarray, y_val: np.ndarray,
     rows, idx = adversary_input(level, z_val, y_val, eopp_label)
     if rows is None:
         return math.nan
-    pred = (level.adversary.forward_value(rows) >= 0.5).astype(int).reshape(-1)
+    pred = threshold_predictions(level.adversary.forward_value(rows))
     return float((pred == s_val[idx]).mean())
 
 
 def _classifier_gaps(level: Level, z_val: np.ndarray, y_val: np.ndarray,
                      s_val: np.ndarray) -> tuple[float, float, float]:
-    pred = (level.classifier.forward_value(z_val) >= 0.5).astype(int).reshape(-1)
+    pred = threshold_predictions(level.classifier.forward_value(z_val))
     try:  # an empty group makes every gap undefined
         report = evaluate(PredictionBatch(pred, y_val, s_val))
     except ValueError:
@@ -207,7 +206,6 @@ def _run_level(level: Level, level_index: int, prefix: list[Level],
             loss_class=cls_sum / max(n_batches, 1),
             adv_acc=adv_acc, val_dp=dp, val_eo=eo, val_eopp=eopp,
         ))
-    level.trained = True
     return log
 
 

@@ -13,10 +13,10 @@ from pathlib import Path
 
 import pytest
 
-DATA_FILES = {
-    "adult": ("adult.data", "adult.test"),
-    "german": ("german.data",),
-}
+from fairstack.data import ADULT, GERMAN
+
+# the files a data directory must hold, as the loaders look for them
+DATA_FILES = {"adult": ADULT.files, "german": GERMAN.files}
 
 
 def _data_dir() -> Path | None:
@@ -50,7 +50,7 @@ def adult_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def german_file() -> Path:
-    return _require("german") / "german.data"
+    return _require("german") / GERMAN.files[0]
 
 
 ADULT_TWO_ROWS = (

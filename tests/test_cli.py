@@ -609,6 +609,24 @@ def test_transform_missing_model_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _layer(n_in: int, n_out: int):
+    return (np.zeros((n_in, n_out)), np.zeros((1, n_out)), "identity")
+
+
+@pytest.mark.parametrize("in_dim,levels,message", [
+    (4, [[_layer(3, 2)]], "level 0, layer 0 takes width 3, but its input has width 4"),
+    (4, [[_layer(4, 3), _layer(2, 1)]], "level 0, layer 1 takes width 2"),
+    (4, [[_layer(4, 3)], []], "level 1 has no layers"),
+], ids=["header-in-dim", "layer-chain", "empty-level"])
+def test_transform_model_whose_widths_do_not_chain_exit_1(tmp_path, capsys, in_dim, levels,
+                                                          message):
+    model = tmp_path / "bad.fstk"
+    TrainedStack(in_dim=in_dim, levels=levels).save(model)
+    rc, out, err = _transform(model, tmp_path, "1,2,3,4\n", capsys)
+    assert (rc, out) == (1, None)
+    assert err.startswith("error:") and message in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

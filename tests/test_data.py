@@ -87,6 +87,17 @@ def test_adult_skips_comment_header_lines(tmp_path):
     assert load_adult(_adult_file(tmp_path, rows)).n == 2
 
 
+def test_adult_unknown_label_names_it(tmp_path):
+    rows = [
+        ROW_TEMPLATE.format(age=30, workclass="Private", education="Bachelors",
+                            sex="Male", label=">50K.."),
+        ROW_TEMPLATE.format(age=40, workclass="Private", education="HS-grad",
+                            sex="Female", label="<=50K"),
+    ]
+    with pytest.raises(DatasetError, match=r"unknown income label '>50K\.\.' in row 0"):
+        load_adult(_adult_file(tmp_path, rows))
+
+
 def test_adult_wrong_field_count_names_line(tmp_path):
     path = _adult_file(tmp_path, ["1, 2, 3"])
     with pytest.raises(DatasetError) as exc:
@@ -201,6 +212,28 @@ def test_german_wrong_field_count(tmp_path):
     assert "21 fields" in str(exc.value)
 
 
+def test_german_drops_rows_with_missing_fields(tmp_path):
+    missing = GERMAN_BAD_FEMALE.replace("A61", "?")
+    ds = load_german(_german_file(tmp_path, [GERMAN_GOOD_MALE, missing, GERMAN_BAD_FEMALE]))
+    assert ds.n == 2
+    assert ds.meta["n_raw"] == 3
+    assert ds.meta["n_dropped"] == 1
+    np.testing.assert_array_equal(ds.y, [1, 0])
+
+
+def test_german_skips_comment_and_blank_lines(tmp_path):
+    lines = ["|German Credit, 21 fields", "", GERMAN_GOOD_MALE, "  ", GERMAN_BAD_FEMALE]
+    ds = load_german(_german_file(tmp_path, lines))
+    assert ds.n == 2 and ds.meta["n_raw"] == 2
+
+
+@pytest.mark.parametrize("loader,names", [(load_adult, "adult.data/adult.test"),
+                                          (load_german, "german.data")])
+def test_directory_without_the_files_names_them(tmp_path, loader, names):
+    with pytest.raises(DatasetError, match=f"no {names} found under"):
+        loader(tmp_path)
+
+
 def test_german_degenerate_error(tmp_path):
     other_male = GERMAN_BAD_FEMALE.replace("A92", "A93")
     with pytest.raises(DatasetError) as exc:
@@ -230,9 +263,10 @@ def test_uci_matrix_matches_the_hstack_form(tmp_path, monkeypatch, loader, sex_n
     seen = []
     encode = data._encode_columns
 
-    def spy(rows, columns, *args, **kwargs):
-        seen.append((rows, columns))
-        return encode(rows, columns, *args, **kwargs)
+    def spy(rows, columns, keep, *args, **kwargs):
+        # the oracle reads column j of each row: hand it the kept fields only
+        seen.append(([[r[j] for j in keep] for r in rows], [columns[j] for j in keep]))
+        return encode(rows, columns, keep, *args, **kwargs)
 
     monkeypatch.setattr(data, "_encode_columns", spy)
     path = _german_file(tmp_path, lines) if loader is load_german else _adult_file(tmp_path, lines)

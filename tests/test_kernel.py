@@ -168,7 +168,6 @@ def _reference_run_level(level, level_index, prefix, X0, y, s, alpha, beta, gamm
             loss_adv=adv_sum / n_adv_batches if n_adv_batches else math.nan,
             loss_class=cls_sum / n_batches, adv_acc=adv_acc,
             val_dp=dp, val_eo=eo, val_eopp=eopp))
-    level.trained = True
     return log
 
 

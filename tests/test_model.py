@@ -94,6 +94,11 @@ def test_spec_dict_round_trip():
     assert again == spec
 
 
+def test_spec_from_dict_fills_the_spec_defaults():
+    spec = spec_from_dict({"levels": [{"in_dim": 12, "latent": 6}, {"in_dim": 6, "latent": 3}]})
+    assert spec == StackSpec(levels=(LevelSpec(12, 6), LevelSpec(6, 3)))
+
+
 # ---------------------------------------------------------------------------
 # build / encode
 
