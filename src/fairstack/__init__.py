@@ -15,7 +15,7 @@ from .model import (CRITERIA, Level, LevelSpec, ModelFormatError, SpecError,
                     stacked_spec, vanilla_spec)
 from .nn import BCE_EPS, MLP, Adam, DenseLayer, DimensionError
 from .training import (DivergenceError, EpochRecord, TrainConfig, TrainLog,
-                       train_stack, write_log_csv)
+                       train_stack)
 
 __version__ = "0.1.0"
 
@@ -31,5 +31,5 @@ __all__ = [
     "evaluate", "load_adult", "load_config", "load_german", "make_folds",
     "make_synthetic", "spec_hash", "stacked_spec", "standardize",
     "threshold_predictions", "train_forest", "train_logreg", "train_probe",
-    "train_stack", "train_val_test_split", "vanilla_spec", "write_log_csv",
+    "train_stack", "train_val_test_split", "vanilla_spec",
 ]

@@ -42,7 +42,7 @@ from .data import Dataset, DatasetError, standardize, train_val_test_split
 from .downstream import cross_validate, train_probe
 from .metrics import PredictionBatch, UndefinedMetricError, evaluate
 from .model import ModelFormatError, SpecError, TrainedStack
-from .training import DivergenceError, train_stack, write_log_csv
+from .training import LOG_COLUMNS, DivergenceError, train_stack
 
 METRIC_COLUMNS = ("accuracy", "delta_dp", "delta_eo", "delta_eopp")
 SWEEP_COLUMNS = ("beta", "seed", "variant") + ("status",) + METRIC_COLUMNS
@@ -119,7 +119,7 @@ def cmd_fit(cfg: ExperimentConfig) -> int:
     log_paths = []
     for log in logs:
         p = run / f"train-level{log.level}.csv"
-        write_log_csv(log, p, comment=f"config_hash={chash} seed={seed}")
+        _write_rows(p, LOG_COLUMNS, map(vars, log.records), f"config_hash={chash} seed={seed}")
         log_paths.append(str(p))
 
     record = {
@@ -361,8 +361,11 @@ def cmd_table1(cfg: ExperimentConfig, jobs: int = 1) -> int:
 
     t0 = time.perf_counter()
     tcfg = train_config_for(cfg, seed)
-    stacked, _ = train_stack(spec_for("stacked"), train_ds, tcfg)
-    lafr, _ = train_stack(spec_for("vanilla"), train_ds, tcfg)
+    stacked_spec, lafr_spec = spec_for("stacked"), spec_for("vanilla")
+    stacked, _ = train_stack(stacked_spec, train_ds, tcfg)
+    # with one level the single-level spec is the stacked one: train that stack once
+    lafr = (stacked if lafr_spec == stacked_spec
+            else train_stack(lafr_spec, train_ds, tcfg)[0])
     del train_ds
     encoders = {
         "unfair": TrainedStack.identity(d, provenance={"variant": "unfair"}),

@@ -22,7 +22,8 @@ import numpy as np
 from .data import Dataset, load_adult, load_german, make_synthetic
 from .downstream import ProbeSpec
 from .forest import ForestSpec
-from .model import CRITERIA, LevelSpec, StackSpec
+from .metrics import EO_MODES
+from .model import CRITERIA, LevelSpec, StackSpec, vanilla_spec
 from .training import TrainConfig
 
 DATA_DIR_ENV = "FAIRSTACK_DATA_DIR"
@@ -161,7 +162,7 @@ class ExperimentConfig:
     gamma: float = _key("loss.gamma", 1.0, "classifier weight", min=0)
     root_mse: bool = _key("loss.root_mse", False, "root mean squared reconstruction error")
     criterion: str = _key("criterion", "dp", "fairness criterion", choices=CRITERIA)
-    eo_mode: str = _key("eo_mode", "sum", "how the two eo gaps combine", choices=("sum", "max"))
+    eo_mode: str = _key("eo_mode", "sum", "how the two eo gaps combine", choices=EO_MODES)
     betas: tuple = _key("sweep.betas", (1.0, 2.0, 3.0, 5.0, 15.0), "beta values of sweep",
                         parse=_parse_betas)
     seeds: tuple = _key("seeds", (0,), "run seeds; fit and table1 use the first",
@@ -376,10 +377,7 @@ def stack_spec_for(cfg: ExperimentConfig, in_dim: int, variant: str = "stacked",
             chain.extend(hidden)
             chain.append(latent)
         chain.extend(cfg.levels[-1][0])
-        return StackSpec(
-            levels=(LevelSpec(in_dim=in_dim, latent=cfg.levels[-1][1], hidden=tuple(chain)),),
-            **common,
-        )
+        return vanilla_spec(in_dim, hidden=chain, latent=cfg.levels[-1][1], **common)
     raise ValueError(f"unknown variant {variant!r}, expected 'stacked' or 'vanilla'")
 
 

@@ -19,6 +19,7 @@ from .forest import ForestSpec, train_forest
 from .metrics import FairnessReport, PredictionBatch, evaluate, threshold_predictions
 from .model import TrainedStack, head_dims
 from .nn import MLP, Adam, bce_step
+from .training import DivergenceError
 
 
 @dataclass
@@ -39,10 +40,9 @@ class ProbeSpec:
 class MLPPredictor:
     """Thresholded sigmoid-MLP predictor, optionally behind a frozen encoder."""
 
-    def __init__(self, mlp: MLP, stack: TrainedStack | None = None, threshold: float = 0.5):
+    def __init__(self, mlp: MLP, stack: TrainedStack | None = None):
         self.mlp = mlp
         self.stack = stack
-        self.threshold = threshold
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -51,45 +51,29 @@ class MLPPredictor:
         return self.mlp.forward_value(X).reshape(-1)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return threshold_predictions(self.predict_proba(X), self.threshold)
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        return self.predict(X)
-
-
-def _fit_bce_mlp(X: np.ndarray, y: np.ndarray, dims: list[int], epochs: int,
-                 lr: float, batch_size: int, seed: int) -> tuple[MLP, float, float]:
-    """Minibatch-Adam BCE training; returns (net, first-epoch loss, last-epoch loss)."""
-    n = X.shape[0]
-    mlp = MLP(dims, np.random.default_rng(seed), output_activation="sigmoid")
-    opt = Adam(mlp.params(), lr=lr)
-    first = last = float("nan")
-    for epoch in range(epochs):
-        total = 0.0
-        count = 0
-        for idx in batches(n, batch_size, seed, epoch):
-            total += bce_step(mlp, opt, X[idx], y[idx].reshape(-1, 1).astype(float))
-            count += 1
-        mean = total / count
-        if epoch == 0:
-            first = mean
-        last = mean
-    mlp.clear_cache()
-    return mlp, first, last
+        return threshold_predictions(self.predict_proba(X))
 
 
 def train_probe(stack: TrainedStack, X: np.ndarray, y: np.ndarray,
                 spec: ProbeSpec | None = None) -> MLPPredictor:
     """Label probe on frozen encodings: encode X, fit hidden->sigmoid MLP
-    with plain BCE. The stack is only ever read."""
+    with plain BCE, minibatch Adam. The stack is only ever read."""
     spec = spec or ProbeSpec()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y).reshape(-1)
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0/1")
     z = stack.encode(X)
-    mlp, _, _ = _fit_bce_mlp(z, y, head_dims(z.shape[1], spec.hidden), spec.epochs, spec.lr,
-                             spec.batch_size, spec.seed)
+    mlp = MLP(head_dims(z.shape[1], spec.hidden), np.random.default_rng(spec.seed),
+              output_activation="sigmoid")
+    opt = Adam(mlp.params(), lr=spec.lr)
+    try:
+        for epoch in range(spec.epochs):
+            for idx in batches(z.shape[0], spec.batch_size, spec.seed, epoch):
+                bce_step(mlp, opt, z[idx], y[idx].reshape(-1, 1).astype(float))
+    except FloatingPointError as exc:
+        raise DivergenceError(f"non-finite value in probe epoch {epoch}: {exc}") from exc
+    mlp.clear_cache()
     return MLPPredictor(mlp, stack=stack)
 
 
@@ -108,7 +92,10 @@ def train_logreg(features: np.ndarray, y: np.ndarray, seed: int = 0,
     mlp = MLP([X.shape[1], 1], np.random.default_rng(seed), output_activation="sigmoid")
     opt = Adam(mlp.params(), lr=lr)
     target = y.reshape(-1, 1).astype(float)
-    losses = [bce_step(mlp, opt, X, target) for _ in range(epochs)]
+    try:
+        losses = [bce_step(mlp, opt, X, target) for _ in range(epochs)]
+    except FloatingPointError as exc:
+        raise DivergenceError(f"non-finite value in logistic regression: {exc}") from exc
     if losses[-1] >= losses[0]:
         raise RuntimeError(
             f"logistic regression failed to converge: loss {losses[0]:.6f} -> {losses[-1]:.6f}"

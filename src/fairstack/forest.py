@@ -38,14 +38,6 @@ class ForestSpec:
             raise ValueError(f"min_samples_split must be >= 2, got {self.min_samples_split}")
 
 
-def gini(y: np.ndarray) -> float:
-    """Gini impurity 1 - p0^2 - p1^2 of a 0/1 label vector."""
-    if y.size == 0:
-        return 0.0
-    p = y.mean()
-    return float(1.0 - p * p - (1.0 - p) * (1.0 - p))
-
-
 def _ranks(X: np.ndarray) -> np.ndarray:
     """Per-column ranks of X as int32; equal values share a rank. One column
     at a time, so no n x d sort temporary is held."""
@@ -224,9 +216,6 @@ class RandomForest:
     def predict(self, X: np.ndarray) -> np.ndarray:
         votes = self.predict_proba(X) * len(self.trees)
         return (2.0 * votes > len(self.trees)).astype(np.int64)
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        return self.predict(X)
 
 
 def train_forest(features: np.ndarray, y: np.ndarray, spec: ForestSpec | None = None) -> RandomForest:

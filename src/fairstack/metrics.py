@@ -1,10 +1,11 @@
 """Group fairness gaps of a binary predictor: statistical parity (delta_dp),
 equalized odds (delta_eo), equal opportunity (delta_eopp), plus accuracy.
 
-All metrics are computed from empirical frequencies of a
-:class:`PredictionBatch`. A gap is *undefined* (raises
-:class:`UndefinedMetricError`) when one of its conditioning cells is empty;
-silently returning 0 would fake fairness.
+All metrics are computed once, by :func:`evaluate`, from empirical
+frequencies of a :class:`PredictionBatch`; ``delta_dp`` and the others return
+one field of its report. A gap is *undefined* (None in the report; the
+single-gap functions raise :class:`UndefinedMetricError`) when one of its
+conditioning cells is empty; silently returning 0 would fake fairness.
 """
 
 from __future__ import annotations
@@ -83,43 +84,6 @@ def accuracy(batch: PredictionBatch) -> float:
     return float((batch.y_pred == batch.y_true).mean())
 
 
-def delta_dp(batch: PredictionBatch) -> float:
-    """|P(y_pred=1 | s=0) - P(y_pred=1 | s=1)| from empirical frequencies."""
-    r0 = group_rates(batch, 0)
-    r1 = group_rates(batch, 1)
-    return abs(r0.pos_rate - r1.pos_rate)
-
-
-def delta_eo(batch: PredictionBatch, mode: str = "sum") -> float:
-    """Equalized-odds gap over both label classes.
-
-    ``mode="sum"`` (default) returns |TPR0-TPR1| + |FPR0-FPR1| in [0, 2];
-    ``mode="max"`` returns the larger of the two gaps.
-    """
-    if mode not in ("sum", "max"):
-        raise ValueError(f"mode must be 'sum' or 'max', got {mode!r}")
-    r0 = group_rates(batch, 0)
-    r1 = group_rates(batch, 1)
-    for g, r in ((0, r0), (1, r1)):
-        if r.tpr is None:
-            raise UndefinedMetricError(f"cell (s={g}, y=1) is empty")
-        if r.fpr is None:
-            raise UndefinedMetricError(f"cell (s={g}, y=0) is empty")
-    tpr_gap = abs(r0.tpr - r1.tpr)
-    fpr_gap = abs(r0.fpr - r1.fpr)
-    return tpr_gap + fpr_gap if mode == "sum" else max(tpr_gap, fpr_gap)
-
-
-def delta_eopp(batch: PredictionBatch) -> float:
-    """|TPR0 - TPR1|: the true-positive-rate half of equalized odds."""
-    r0 = group_rates(batch, 0)
-    r1 = group_rates(batch, 1)
-    for g, r in ((0, r0), (1, r1)):
-        if r.tpr is None:
-            raise UndefinedMetricError(f"cell (s={g}, y=1) is empty")
-    return abs(r0.tpr - r1.tpr)
-
-
 @dataclass
 class FairnessReport:
     """Accuracy plus the three gaps with the per-group rates behind them.
@@ -144,8 +108,15 @@ class FairnessReport:
         return asdict(self)
 
 
+EO_MODES = ("sum", "max")
+
+
 def evaluate(batch: PredictionBatch, eo_mode: str = "sum") -> FairnessReport:
-    """All metrics from one pass; undefined gaps become explicit None fields."""
+    """All metrics from one pass; undefined gaps become explicit None fields.
+    delta_eo is |TPR0-TPR1| + |FPR0-FPR1| in [0, 2] with ``eo_mode="sum"``,
+    the larger of the two with ``"max"``."""
+    if eo_mode not in EO_MODES:
+        raise ValueError(f"eo_mode must be one of {EO_MODES}, got {eo_mode!r}")
     r0 = group_rates(batch, 0)
     r1 = group_rates(batch, 1)
     dp = abs(r0.pos_rate - r1.pos_rate)
@@ -164,3 +135,28 @@ def evaluate(batch: PredictionBatch, eo_mode: str = "sum") -> FairnessReport:
         pos_rate_s0=r0.pos_rate, pos_rate_s1=r1.pos_rate,
         n_s0=r0.n, n_s1=r1.n,
     )
+
+
+def _defined(report: FairnessReport, gap: str, rates: tuple[str, ...]) -> float:
+    """The report's ``gap``, or UndefinedMetricError naming the first empty
+    cell it needs: group 0 first, ``rates`` ("tpr": y=1, "fpr": y=0) in order."""
+    for g in (0, 1):
+        for rate in rates:
+            if getattr(report, f"{rate}_s{g}") is None:
+                raise UndefinedMetricError(f"cell (s={g}, y={int(rate == 'tpr')}) is empty")
+    return getattr(report, gap)
+
+
+def delta_dp(batch: PredictionBatch) -> float:
+    """|P(y_pred=1 | s=0) - P(y_pred=1 | s=1)|: the report's ``delta_dp``."""
+    return evaluate(batch).delta_dp
+
+
+def delta_eo(batch: PredictionBatch, mode: str = "sum") -> float:
+    """Equalized-odds gap, its two halves combined by ``mode``: the report's ``delta_eo``."""
+    return _defined(evaluate(batch, eo_mode=mode), "delta_eo", ("tpr", "fpr"))
+
+
+def delta_eopp(batch: PredictionBatch) -> float:
+    """|TPR0 - TPR1|, the y=1 half of equalized odds: the report's ``delta_eopp``."""
+    return _defined(evaluate(batch), "delta_eopp", ("tpr",))

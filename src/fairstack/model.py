@@ -176,9 +176,6 @@ class Level:
     def latent(self) -> int:
         return self.encoder.out_dim
 
-    def encode_value(self, x: np.ndarray) -> np.ndarray:
-        return self.encoder.forward_value(x)
-
     def main_params(self) -> list[Param]:
         return self.encoder.params() + self.decoder.params() + self.classifier.params()
 
@@ -217,7 +214,7 @@ def encode(stack: Sequence[Level], X: np.ndarray, upto: int | None = None) -> np
         _check_width(X, stack[0].in_dim, "encode")
     z = X
     for level in stack[:upto]:
-        z = level.encode_value(z)
+        z = level.encoder.forward_value(z)
     return z
 
 

@@ -16,8 +16,6 @@ backward pass and Adam update are skipped; it still runs forward, so the
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field, fields
 
@@ -88,32 +86,6 @@ LOG_COLUMNS = tuple(f.name for f in fields(EpochRecord))
 class TrainLog:
     level: int
     records: list[EpochRecord] = field(default_factory=list)
-
-
-def write_log_csv(logs, path_or_file, comment: str | None = None) -> None:
-    """Flatten one or more TrainLogs to CSV (optionally preceded by a single
-    ``#`` comment line)."""
-    if isinstance(logs, TrainLog):
-        logs = [logs]
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "w", newline="") if own else path_or_file
-    try:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(LOG_COLUMNS)
-        for log in logs:
-            for r in log.records:
-                writer.writerow([getattr(r, c) for c in LOG_COLUMNS])
-    finally:
-        if own:
-            fh.close()
-
-
-def log_csv_string(logs, comment: str | None = None) -> str:
-    buf = io.StringIO()
-    write_log_csv(logs, buf, comment)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from fairstack.config import (ConfigError, config_hash, load_config,
                               stack_spec_for)
 from fairstack.data import make_synthetic, standardize, train_val_test_split
 from fairstack.model import TrainedStack
-from fairstack.training import DivergenceError
+from fairstack.training import DivergenceError, train_stack
 
 
 def _base_config(out_dir: str) -> dict:
@@ -420,6 +420,14 @@ def test_fit_alpha_zero_marks_decoder_inactive(tmp_path, capsys):
     assert json.loads((run / "run.json").read_text())["decoder_inactive"] is True
 
 
+def test_fit_with_a_diverging_probe_exit_1(tmp_path, capsys):
+    # probe.lr passes validation, but the probe's weights overflow
+    path = _write_config(tmp_path, probe={"lr": 1e300})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["fit", "--config", str(path)]) == 1
+    assert "error: non-finite value in probe" in capsys.readouterr().err
+
+
 def test_fit_is_reproducible_and_never_overwrites(tmp_path, capsys):
     path = _write_config(tmp_path)
     assert main(["fit", "--config", str(path)]) == 0
@@ -685,6 +693,17 @@ def test_sweep_failed_rows_exit_1(tmp_path, capsys):
     assert "FAILED" in err
 
 
+def test_sweep_with_a_diverging_probe_writes_failed_rows(tmp_path, capsys):
+    path = _write_config(tmp_path, probe={"lr": 1e300}, sweep={"betas": [1.0]})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["sweep", "--config", str(path)]) == 1
+    run = _run_dir_from(capsys.readouterr().out)
+    rows = _read_csv_rows(run / "sweep.csv") + _read_csv_rows(run / "baseline.csv")
+    assert [(r["status"], r["accuracy"]) for r in rows] == [("failed", "")] * 3
+    record = json.loads((run / "run.json").read_text())
+    assert all(f["error"].startswith("DivergenceError") for f in record["failures"])
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_with_a_one_row_val_split_fails_rows_not_the_run(tmp_path, capsys, jobs):
     # n=4 leaves one val row: every job's metrics are undefined, and each
@@ -800,6 +819,30 @@ def test_table1_grid(tmp_path, capsys):
         (kind, variant)
         for kind in ("logreg", "forest")
         for variant in ("unfair", "lafr", "stacked")]
+
+
+@pytest.mark.parametrize("levels, trained", [
+    (None, 1),                              # the smoke config: one level
+    ([{"latent": 4}, {"latent": 2}], 2),
+])
+def test_table1_trains_each_distinct_stack_once(tmp_path, monkeypatch, capsys, levels,
+                                                trained):
+    config = json.loads((Path(__file__).parents[1] / "configs" /
+                         "synthetic-smoke.json").read_text())
+    config["out_dir"] = str(tmp_path / "runs")
+    if levels:
+        config["stack"]["levels"] = levels
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return train_stack(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_stack", counting)
+    assert main(["table1", "--config", str(path)]) == 0
+    assert len(calls) == trained
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

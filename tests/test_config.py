@@ -1,5 +1,6 @@
 """The config key table: pinned hashes of the shipped configs, the parse /
-to_dict round trip, one rejection per key, and the README key list.
+to_dict round trip, one rejection per key, the README key list, and the
+README's library example.
 
 ``ExperimentConfig``'s fields are the one declaration of every config key, so
 these tests walk ``dataclasses.fields`` rather than naming keys by hand.
@@ -161,3 +162,13 @@ def test_readme_key_list_matches_the_table():
     block = section.split("```text\n", 1)[1].split("```", 1)[0]
     assert block.rstrip("\n") == describe_keys(), (
         "README 'Config keys' block is out of date; paste describe_keys() output")
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)  # the block saves model.fstk into its cwd
+    exec(compile(block, "README.md", "exec"), {})
+    assert (tmp_path / "model.fstk").is_file()
+    assert "'delta_dp'" in capsys.readouterr().out

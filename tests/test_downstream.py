@@ -16,12 +16,12 @@ from fairstack.downstream import (
     train_logreg,
     train_probe,
 )
-from fairstack.forest import DecisionTree, ForestSpec, RandomForest, gini, train_forest
+from fairstack.forest import DecisionTree, ForestSpec, RandomForest, train_forest
 from fairstack.metrics import FairnessReport
 from fairstack.model import TrainedStack, build, stacked_spec
 from fairstack.nn import MLP, Adam, bce_step
-from oracles import (brute_force_best_split, gini_of, reference_forest_trees,
-                     reference_tree)
+from fairstack.training import DivergenceError
+from oracles import brute_force_best_split, reference_forest_trees, reference_tree
 
 
 def _separable_toy(n=400, seed=0):
@@ -114,6 +114,16 @@ def test_logreg_convergence_guard():
     with pytest.raises(RuntimeError) as exc:
         train_logreg(X, y, epochs=1)  # loss cannot have decreased yet
     assert "converge" in str(exc.value)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda X, y: train_logreg(X, y, lr=1e308),
+    lambda X, y: train_probe(TrainedStack.identity(2), X, y, ProbeSpec(epochs=2, lr=1e300)),
+], ids=["logreg", "probe"])
+def test_diverging_predictor_raises_divergence_error(fit):
+    X, y = _separable_toy(n=40, seed=8)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+        fit(X, y)
 
 
 def test_logreg_rejects_nonfinite_features():
@@ -213,13 +223,6 @@ def _deadline(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
-
-
-def test_gini_matches_independent_formula():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        y = rng.integers(0, 2, size=rng.integers(1, 30))
-        assert gini(y) == pytest.approx(gini_of(y.tolist()))
 
 
 def test_forest_vote_is_tree_order_invariant():
@@ -416,6 +419,12 @@ def test_cv_unknown_model_kind():
         cross_validate("svm", TrainedStack.identity(ds.d), ds)
     for kind in MODEL_KINDS:
         assert kind in str(exc.value)
+
+
+def test_cv_unknown_eo_mode():
+    ds = make_synthetic(n=50, seed=0)
+    with pytest.raises(ValueError, match="eo_mode"):
+        cross_validate("logreg", TrainedStack.identity(ds.d), ds, k=2, eo_mode="bogus")
 
 
 def test_cv_probe_kind_runs_on_encoded_features():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -91,6 +93,8 @@ def test_eo_invalid_mode():
     b = batch([1, 0], [1, 0], [0, 1])
     with pytest.raises(ValueError):
         delta_eo(b, mode="mean")
+    with pytest.raises(ValueError, match="eo_mode"):
+        evaluate(b, eo_mode="mean")
 
 
 def test_eo_empty_cell_error_names_cell():
@@ -129,6 +133,16 @@ def test_eopp_needs_positives_in_both_groups():
     with pytest.raises(UndefinedMetricError) as exc:
         delta_eopp(b)
     assert "(s=1, y=1)" in str(exc.value)
+
+
+def test_each_gap_names_its_own_first_empty_cell():
+    # group 0 has no y=0 rows and group 1 no y=1 rows: eo stops at (s=0, y=0),
+    # while eopp, which needs no y=0 row, stops at (s=1, y=1)
+    b = batch([1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1])
+    with pytest.raises(UndefinedMetricError, match=re.escape("(s=0, y=0)")):
+        delta_eo(b)
+    with pytest.raises(UndefinedMetricError, match=re.escape("(s=1, y=1)")):
+        delta_eopp(b)
 
 
 # ---------------------------------------------------------------------------

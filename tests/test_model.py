@@ -138,7 +138,7 @@ def test_encode_composes_level_by_level():
     X = np.random.default_rng(1).normal(size=(7, 9))
     z1 = encode(levels, X, upto=1)
     z2_direct = encode(levels, X, upto=2)
-    z2_composed = levels[1].encode_value(z1)
+    z2_composed = levels[1].encoder.forward_value(z1)
     np.testing.assert_array_equal(z2_direct, z2_composed)
 
 

@@ -1,16 +1,21 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fairstack import autodiff as ad
+from fairstack import cli
 from fairstack.autodiff import Var, forward, level_loss
+from fairstack.config import config_hash, load_config
 from fairstack.data import make_synthetic
 from fairstack.model import build, stacked_spec
 from fairstack.nn import Adam
 from fairstack.training import (
+    LOG_COLUMNS,
     DivergenceError,
     TrainConfig,
     _warm_start_adversary,
-    log_csv_string,
     train_stack,
 )
 
@@ -68,7 +73,7 @@ def test_fixed_seed_reproduces_identical_log():
     train, val = _synthetic_split(n=128)
     spec = stacked_spec(train.d, (3,), beta=1.0)
     cfg = TrainConfig(epochs=3, batch_size=32, seed=5)
-    outs = [log_csv_string(train_stack(spec, train, cfg, val=val)[1]) for _ in range(2)]
+    outs = [repr(train_stack(spec, train, cfg, val=val)[1]) for _ in range(2)]
     assert outs[0] == outs[1]
 
 
@@ -115,7 +120,7 @@ def test_train_stack_deterministic_end_to_end():
         for (wa, ba, _), (wb, bb, _) in zip(la, lb):
             assert np.array_equal(wa, wb)
             assert np.array_equal(ba, bb)
-    assert log_csv_string(logs_a) == log_csv_string(logs_b)
+    assert repr(logs_a) == repr(logs_b)
 
 
 def test_train_stack_provenance():
@@ -171,7 +176,7 @@ def test_adversary_step_descends_its_loss_on_average():
     for b in range(50):
         idx = np.arange(b * 32, (b + 1) * 32)
         xb, sb = ds.X[idx], ds.s[idx]
-        z = level.encode_value(xb)
+        z = level.encoder.forward_value(xb)
         target = sb.reshape(-1, 1).astype(float)
 
         def adv_loss():
@@ -251,17 +256,27 @@ def test_warm_start_flag_changes_level2_adversary_path():
 # log serialization
 
 
-def test_log_csv_layout():
-    train, _ = _synthetic_split(n=64)
-    spec = stacked_spec(train.d, (3,))
-    cfg = TrainConfig(epochs=2, batch_size=32, seed=0)
-    _, logs = train_stack(spec, train, cfg)
-    text = log_csv_string(logs, comment="config_hash=abc seed=0")
-    lines = text.strip().splitlines()
-    assert lines[0] == "# config_hash=abc seed=0"
-    assert lines[1] == "level,epoch,loss_rec,loss_adv,loss_class,adv_acc,val_dp,val_eo,val_eopp"
-    assert len(lines) == 2 + cfg.epochs
-    first = lines[2].split(",")
-    assert first[0] == "0" and first[1] == "0"
-    # no validation set -> gap columns are nan
-    assert first[-1] == "nan"
+def test_log_csv_layout(tmp_path, monkeypatch, capsys):
+    # the train-level0.csv of a real fit, then of one whose train_stack gets
+    # no val set: the val columns are numbers, then nan
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "dataset": {"id": "synthetic", "n": 120, "n_noise": 1},
+        "stack": {"levels": [{"latent": 3}], "adv_hidden": 4, "cls_hidden": 4},
+        "train": {"epochs": 2, "batch": 32}, "probe": {"epochs": 2},
+        "out_dir": str(tmp_path / "runs")}))
+    val_columns = ("adv_acc", "val_dp", "val_eo", "val_eopp")
+    for with_val in (True, False):
+        if not with_val:
+            monkeypatch.setattr(cli, "train_stack",
+                                lambda spec, train, cfg, val: train_stack(spec, train, cfg))
+        assert cli.main(["fit", "--config", str(path)]) == 0
+        run = Path(capsys.readouterr().out.rsplit(" in ", 1)[1].strip())
+        lines = (run / "train-level0.csv").read_text().splitlines()
+        assert lines[0] == f"# config_hash={config_hash(load_config(path))} seed=0"
+        assert lines[1] == ("level,epoch,loss_rec,loss_adv,loss_class,adv_acc,val_dp,"
+                            "val_eo,val_eopp") == ",".join(LOG_COLUMNS)
+        rows = [dict(zip(LOG_COLUMNS, line.split(","))) for line in lines[2:]]
+        assert [(r["level"], r["epoch"]) for r in rows] == [("0", "0"), ("0", "1")]
+        values = np.array([float(r[c]) for r in rows for c in val_columns])
+        assert np.isfinite(values).all() if with_val else np.isnan(values).all()
