@@ -18,7 +18,7 @@ from .data import Dataset, batches, make_folds, fold_train_indices
 from .forest import ForestSpec, train_forest
 from .metrics import FairnessReport, PredictionBatch, evaluate, threshold_predictions
 from .model import TrainedStack, head_dims
-from .nn import MLP, Adam, bce_step
+from .nn import MLP, Adam, bce, bce_step
 from .training import DivergenceError
 
 
@@ -67,10 +67,11 @@ def train_probe(stack: TrainedStack, X: np.ndarray, y: np.ndarray,
     mlp = MLP(head_dims(z.shape[1], spec.hidden), np.random.default_rng(spec.seed),
               output_activation="sigmoid")
     opt = Adam(mlp.params(), lr=spec.lr)
+    target = y.reshape(-1, 1).astype(float)
     try:
         for epoch in range(spec.epochs):
             for idx in batches(z.shape[0], spec.batch_size, spec.seed, epoch):
-                bce_step(mlp, opt, z[idx], y[idx].reshape(-1, 1).astype(float))
+                bce_step(mlp, opt, z[idx], target[idx])
     except FloatingPointError as exc:
         raise DivergenceError(f"non-finite value in probe epoch {epoch}: {exc}") from exc
     mlp.clear_cache()
@@ -80,7 +81,8 @@ def train_probe(stack: TrainedStack, X: np.ndarray, y: np.ndarray,
 def train_logreg(features: np.ndarray, y: np.ndarray, seed: int = 0,
                  epochs: int = 500, lr: float = 0.05) -> MLPPredictor:
     """Logistic regression = single dense layer + sigmoid, full-batch Adam on
-    BCE. Raises if the loss fails to decrease (non-convergence guard)."""
+    BCE. Raises :class:`DivergenceError` on a non-finite value or if the loss
+    before the last step is not below the loss before the first."""
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     X = np.asarray(features, dtype=np.float64)
@@ -93,13 +95,16 @@ def train_logreg(features: np.ndarray, y: np.ndarray, seed: int = 0,
     opt = Adam(mlp.params(), lr=lr)
     target = y.reshape(-1, 1).astype(float)
     try:
-        losses = [bce_step(mlp, opt, X, target) for _ in range(epochs)]
+        first = bce(mlp.forward_value(X), target)
+        for _ in range(epochs - 1):
+            bce_step(mlp, opt, X, target)
+        last = bce(mlp.forward_value(X), target)
+        bce_step(mlp, opt, X, target)
     except FloatingPointError as exc:
         raise DivergenceError(f"non-finite value in logistic regression: {exc}") from exc
-    if losses[-1] >= losses[0]:
-        raise RuntimeError(
-            f"logistic regression failed to converge: loss {losses[0]:.6f} -> {losses[-1]:.6f}"
-        )
+    if last >= first:
+        raise DivergenceError(
+            f"logistic regression failed to converge: loss {first:.6f} -> {last:.6f}")
     mlp.clear_cache()
     return MLPPredictor(mlp)
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_ROWS = 2 ** 21   # keeps the packed int64 sort values of _best_splits below 2**63
+
 
 @dataclass
 class ForestSpec:
@@ -40,7 +42,9 @@ class ForestSpec:
 
 def _ranks(X: np.ndarray) -> np.ndarray:
     """Per-column ranks of X as int32; equal values share a rank. One column
-    at a time, so no n x d sort temporary is held."""
+    at a time, so no n x d sort temporary is held. Refuses over MAX_ROWS rows."""
+    if X.shape[0] > MAX_ROWS:
+        raise ValueError(f"a tree grows on at most {MAX_ROWS} rows (2**21), got {X.shape[0]}")
     ranks = np.zeros(X.shape, dtype=np.int32)
     for j, col in enumerate(X.T):
         order = np.argsort(col, kind="stable")
@@ -57,27 +61,28 @@ def _best_splits(X, ranks, rows, w, wy, node, feats, size, pos):
     count and positives are ``size``/``pos``. Sorting each slot by (node,
     rank) makes every node one segment, at the same place in every slot; a
     candidate ends a run of equal values inside its node, and its left count
-    and positives are prefix sums minus the segment's start. Returns (slot,
+    and positives are prefix sums minus the segment's start. Keys and row
+    positions sort together as int64 (node*N + rank)*n_live + i. Returns (slot,
     threshold) per node, slot -1 where no drawn column has two distinct
     values; ties go to the smallest left count, then the first slot.
     """
     k, m = feats.shape
-    key = node * X.shape[0] + ranks[rows, feats[node].T]          # (m, n_live)
-    order = np.argsort(key, axis=1)
-    key = np.take_along_axis(key, order, axis=1)
+    n_live = rows.size
+    packed = node * X.shape[0] + np.take(ranks, ranks.shape[1] * rows + feats[node].T)
+    packed *= n_live
+    packed += np.arange(n_live)
+    packed.sort(axis=1)   # equal keys in any order: sums are exact, only a run's end counts
+    key, order = np.divmod(packed, n_live)
     seg = np.bincount(node, minlength=k)
     start = np.concatenate(([0], np.cumsum(seg)[:-1]))
     owner = np.repeat(np.arange(k), seg)
-    ws, wys = w[order], wy[order]
-    cw, cp = np.cumsum(ws, axis=1), np.cumsum(wys, axis=1)
-    nl = cw - (cw[:, start] - ws[:, start])[:, owner]
-    pl = cp - (cp[:, start] - wys[:, start])[:, owner]
+    ws, wys = np.take(w, order), np.take(wy, order)
+    nl, pl = np.cumsum(ws, axis=1), np.cumsum(wys, axis=1)
+    nl -= np.repeat(nl[:, start] - ws[:, start], seg, axis=1)
+    pl -= np.repeat(pl[:, start] - wys[:, start], seg, axis=1)
     n = size[owner]
-    nr, pr = n - nl, pos[owner] - pl
     with np.errstate(divide="ignore", invalid="ignore"):   # nr == 0 at a node's last row
-        gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
-        gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
-        weighted = (nl * gini_l + nr * gini_r) / n
+        weighted = _weighted_gini(nl, pl, n - nl, pos[owner] - pl, n)
     weighted[:, :-1][key[:, 1:] == key[:, :-1]] = np.inf   # not between distinct values
     weighted[:, start + seg - 1] = np.inf   # a node's last row: nothing on the right
 
@@ -94,6 +99,18 @@ def _best_splits(X, ranks, rows, w, wy, node, feats, size, pos):
     f = feats[hit, j]
     threshold[hit] = _midpoint(X[rows[order[j, p]], f], X[rows[order[j, p + 1]], f])
     return slot, threshold
+
+
+def _weighted_gini(nl, pl, nr, pr, n):
+    """(nl*gini_l + nr*gini_r) / n, gini = 1 - (p/c)**2 - ((c-p)/c)**2, in place."""
+    terms = []
+    for c, p in ((nl, pl), (nr, pr)):
+        a, b = p / c, c - p
+        b /= c
+        np.subtract(1.0, np.square(a, out=a), out=a)
+        a -= np.square(b, out=b)
+        terms.append(np.multiply(a, c, out=a))
+    return np.divide(np.add(*terms, out=terms[0]), n, out=terms[0])
 
 
 def _midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:

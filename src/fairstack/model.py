@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .nn import ACTIVATIONS, MLP, DimensionError, Param, apply_activation, bce, mse
+from .nn import ACTIVATIONS, MLP, DimensionError, Param, bce, bce_grad, dense_forward, mse
 
 CRITERIA = ("dp", "eo", "eopp")
 
@@ -83,12 +83,6 @@ class StackSpec:
             "criterion": self.criterion, "adv_hidden": self.adv_hidden,
             "cls_hidden": self.cls_hidden, "root_mse": self.root_mse,
         }
-
-
-def spec_from_dict(d: dict) -> StackSpec:
-    """The inverse of :meth:`StackSpec.to_dict`; absent keys take the defaults."""
-    rest = {k: v for k, v in d.items() if k != "levels"}
-    return StackSpec(levels=tuple(LevelSpec(**l) for l in d["levels"]), **rest)
 
 
 def spec_hash(spec: StackSpec) -> str:
@@ -176,14 +170,8 @@ class Level:
     def latent(self) -> int:
         return self.encoder.out_dim
 
-    def main_params(self) -> list[Param]:
-        return self.encoder.params() + self.decoder.params() + self.classifier.params()
-
     def adv_params(self) -> list[Param]:
         return self.adversary.params()
-
-    def all_params(self) -> list[Param]:
-        return self.main_params() + self.adv_params()
 
 
 def build(spec: StackSpec, seed: int) -> list[Level]:
@@ -195,27 +183,26 @@ def build(spec: StackSpec, seed: int) -> list[Level]:
             for lv in spec.levels]
 
 
-def _check_width(x: np.ndarray, expected: int, what: str) -> None:
-    if x.ndim != 2 or x.shape[1] != expected:
-        raise DimensionError(
-            f"{what}: expected input width {expected}, got shape {x.shape}"
-        )
-
-
 def encode(stack: Sequence[Level], X: np.ndarray, upto: int | None = None) -> np.ndarray:
     """z_k = E_k(...E_1(X)) through a list of built levels; ``upto=0``
     returns X unchanged."""
+    return _encode([lv.encoder.triples() for lv in stack],
+                   stack[0].in_dim if stack else None, X, upto)
+
+
+def _encode(levels: list, in_dim: int | None, X: np.ndarray, upto: int | None) -> np.ndarray:
+    """The first ``upto`` (default all) levels of (W, b, act) triples applied
+    to X, whose width must be ``in_dim`` unless that is None."""
     X = np.asarray(X, dtype=np.float64)
+    if in_dim is not None and (X.ndim != 2 or X.shape[1] != in_dim):
+        raise DimensionError(f"encode: expected input width {in_dim}, got shape {X.shape}")
     if upto is None:
-        upto = len(stack)
-    if not 0 <= upto <= len(stack):
-        raise ValueError(f"upto must be in [0, {len(stack)}], got {upto}")
-    if stack:
-        _check_width(X, stack[0].in_dim, "encode")
-    z = X
-    for level in stack[:upto]:
-        z = level.encoder.forward_value(z)
-    return z
+        upto = len(levels)
+    if not 0 <= upto <= len(levels):
+        raise ValueError(f"upto must be in [0, {len(levels)}], got {upto}")
+    for layers in levels[:upto]:
+        X = dense_forward(layers, X)
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +263,9 @@ def level_grads(level: Level, x: np.ndarray, y: np.ndarray, s: np.ndarray,
     z = level.encoder.forward_value(z_in, cache=True)
     rec, g_rec = mse(level.decoder.forward_value(z, cache=True), z_in, root_mse,
                      alpha if alpha else None)
-    cls, g_cls = bce(level.classifier.forward_value(z, cache=True),
-                     y.reshape(-1, 1).astype(float), gamma)
+    y_hat = level.classifier.forward_value(z, cache=True)
+    y_col = y.reshape(-1, 1).astype(float)
+    cls, g_cls = bce(y_hat, y_col), bce_grad(y_hat, y_col, gamma)
     # d(objective)/dz sums the heads in the graph's order: rec, cls, adv
     g_z = level.classifier.backward(g_cls)
     if g_rec is not None:
@@ -285,8 +273,9 @@ def level_grads(level: Level, x: np.ndarray, y: np.ndarray, s: np.ndarray,
     rows, idx = adversary_input(level, z, y, eopp_label)
     adv = None
     if rows is not None:
-        adv, g_adv = bce(level.adversary.forward_value(rows, cache=True),
-                         s[idx].reshape(-1, 1).astype(float), -beta)
+        s_hat = level.adversary.forward_value(rows, cache=True)
+        s_col = s[idx].reshape(-1, 1).astype(float)
+        adv, g_adv = bce(s_hat, s_col), bce_grad(s_hat, s_col, -beta)
         g_rows = level.adversary.backward(g_adv, param_grads=False)
         if level.criterion == "eo":
             g_rows = g_rows[:, :level.latent]
@@ -321,11 +310,8 @@ class TrainedStack:
 
     @classmethod
     def from_levels(cls, levels: list[Level], provenance: dict | None = None) -> "TrainedStack":
-        snap = [
-            [(layer.weight.value.copy(), layer.bias.value.copy(), layer.activation)
-             for layer in lv.encoder.layers]
-            for lv in levels
-        ]
+        snap = [[(W.copy(), b.copy(), act) for W, b, act in lv.encoder.triples()]
+                for lv in levels]
         return cls(in_dim=levels[0].in_dim if levels else 0, levels=snap,
                    provenance=dict(provenance or {}))
 
@@ -345,17 +331,7 @@ class TrainedStack:
         return self.levels[-1][-1][0].shape[1]
 
     def encode(self, X: np.ndarray, upto: int | None = None) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        _check_width(X, self.in_dim, "encode")
-        if upto is None:
-            upto = len(self.levels)
-        if not 0 <= upto <= len(self.levels):
-            raise ValueError(f"upto must be in [0, {len(self.levels)}], got {upto}")
-        z = X
-        for layers in self.levels[:upto]:
-            for W, b, act in layers:
-                z = apply_activation(act, z @ W + b)
-        return z
+        return _encode(self.levels, self.in_dim, X, upto)
 
     # -- binary format ------------------------------------------------------
 

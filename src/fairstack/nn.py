@@ -6,14 +6,16 @@ start at zero. Hidden activations default to leaky ReLU (slope 0.01).
 Every training loop runs on one explicit kernel: ``forward_value(x,
 cache=True)`` keeps each layer's input, pre-activation and output,
 ``backward(g)`` walks the layers in reverse and accumulates into each
-:class:`Param`'s ``.grad``, and :func:`bce` / :func:`mse` return a loss value
-with its gradient. The reference reverse-mode graph does the same element-wise
-math in the same order; the tests hold this kernel to it byte for byte, and
-no production module imports it.
+:class:`Param`'s ``.grad``; :func:`mse` returns a loss with its gradient,
+:func:`bce` and :func:`bce_grad` apart, so a step that reads no loss computes
+none (a non-finite gradient then fails :class:`Adam`'s check). The reference
+graph does the same element-wise math in the same order, byte for byte, and
+no production module imports it. Inference runs :func:`dense_forward`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -64,6 +66,13 @@ def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}, expected one of {ACTIVATIONS}")
 
 
+def dense_forward(layers, x: np.ndarray) -> np.ndarray:
+    """act(x @ W + b) through (W, b, activation) triples, caching nothing."""
+    for W, b, act in layers:
+        x = apply_activation(act, x @ W + b)
+    return x
+
+
 def init_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
@@ -84,12 +93,11 @@ class DenseLayer:
         self.bias = Param(np.zeros((1, out_dim)))
         self._cache = None  # (input, pre-activation, output) of the last cached forward
 
-    def forward_value(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
+    def forward_value(self, x: np.ndarray) -> np.ndarray:
+        """act(x @ W + b), caching input, pre-activation and output for :meth:`backward`."""
         pre = x @ self.weight.value + self.bias.value
-        out = apply_activation(self.activation, pre)
-        if cache:
-            self._cache = (x, pre, out)
-        return out
+        self._cache = (x, pre, apply_activation(self.activation, pre))
+        return self._cache[2]
 
     def backward(self, g: np.ndarray, input_grad: bool = True,
                  param_grads: bool = True) -> np.ndarray | None:
@@ -106,7 +114,7 @@ class DenseLayer:
             g = g * out * (1.0 - out)
         if param_grads:
             self.weight.grad += x.T @ g
-            self.bias.grad += g.sum(axis=0, keepdims=True)
+            self.bias.grad += np.add.reduce(g, axis=0, keepdims=True)
         return g @ self.weight.value.T if input_grad else None
 
     def params(self) -> list[Param]:
@@ -134,9 +142,15 @@ class MLP:
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
 
+    def triples(self) -> list[tuple[np.ndarray, np.ndarray, str]]:
+        """(weight, bias, activation) per layer, as :func:`dense_forward` takes them."""
+        return [(l.weight.value, l.bias.value, l.activation) for l in self.layers]
+
     def forward_value(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
+        if not cache:
+            return dense_forward(self.triples(), x)
         for layer in self.layers:
-            x = layer.forward_value(x, cache)
+            x = layer.forward_value(x)
         return x
 
     def backward(self, g: np.ndarray, input_grad: bool = True,
@@ -156,16 +170,20 @@ class MLP:
             layer._cache = None
 
 
-def bce(predicted: np.ndarray, target: np.ndarray,
-        scale: float = 1.0) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy and ``scale`` times its gradient: the value
-    and pullback of the graph's ``bce_loss`` (same clamp, zero gradient where
-    it is active)."""
+def bce(predicted: np.ndarray, target: np.ndarray) -> float:
+    """Mean BCE of ``predicted``, clamped into [BCE_EPS, 1-BCE_EPS], against ``target``."""
     p = np.clip(predicted, BCE_EPS, 1.0 - BCE_EPS)
     value = float(-(target * np.log(p) + (1.0 - target) * np.log1p(-p)).mean())
-    assert_finite(np.array(value), "bce_loss")
+    if not math.isfinite(value):
+        raise FloatingPointError("non-finite values in bce_loss")
+    return value
+
+
+def bce_grad(predicted: np.ndarray, target: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """``scale`` times the gradient of :func:`bce` (zero where its clamp is active)."""
+    p = np.clip(predicted, BCE_EPS, 1.0 - BCE_EPS)
     inside = (predicted > BCE_EPS) & (predicted < 1.0 - BCE_EPS)
-    return value, scale * inside * (p - target) / (p * (1.0 - p)) / p.size
+    return scale * inside * (p - target) / (p * (1.0 - p)) / p.size
 
 
 def mse(reconstruction: np.ndarray, target: np.ndarray, root: bool = False,
@@ -176,7 +194,8 @@ def mse(reconstruction: np.ndarray, target: np.ndarray, root: bool = False,
     diff = reconstruction - target
     n_rows = target.shape[0]
     base = float((diff * diff).sum() / n_rows)
-    assert_finite(np.array(base), "mse_loss")
+    if not math.isfinite(base):
+        raise FloatingPointError("non-finite values in mse_loss")
     value = float(np.sqrt(base)) if root else base
     if scale is None:
         return value, None
@@ -187,14 +206,11 @@ def mse(reconstruction: np.ndarray, target: np.ndarray, root: bool = False,
     return value, scale * diff / (n_rows * value)
 
 
-def bce_step(net: MLP, opt: Adam, x: np.ndarray, target: np.ndarray) -> float:
-    """One Adam step of ``net`` on the BCE of ``net(x)`` against ``target``;
-    returns the loss before the step."""
+def bce_step(net: MLP, opt: Adam, x: np.ndarray, target: np.ndarray) -> None:
+    """One Adam step of ``net`` on the BCE of ``net(x)`` against ``target``."""
     opt.zero_grad()
-    loss, g = bce(net.forward_value(x, cache=True), target)
-    net.backward(g, input_grad=False)
+    net.backward(bce_grad(net.forward_value(x, cache=True), target), input_grad=False)
     opt.step()
-    return loss
 
 
 class Adam:
@@ -219,17 +235,21 @@ class Adam:
         self.grad = _flatten(self.params, "grad")
         self.m = np.zeros_like(self.value)
         self.v = np.zeros_like(self.value)
+        self._a, self._b = np.empty_like(self.value), np.empty_like(self.value)
 
     def step(self) -> None:
+        """The update above, in place through two scratch buffers, in its order."""
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        g = self.grad
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * (g * g)
-        m_hat = self.m / b1t
-        v_hat = self.v / b2t
-        self.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g, m, v, a, b = self.grad, self.m, self.v, self._a, self._b
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=a)
+        v *= self.beta2
+        v += np.multiply(np.multiply(g, g, out=a), 1.0 - self.beta2, out=a)
+        np.add(np.sqrt(np.divide(v, b2t, out=a), out=a), self.eps, out=a)  # sqrt(v_hat) + eps
+        np.multiply(np.divide(m, b1t, out=b), self.lr, out=b)              # lr * m_hat
+        self.value -= np.divide(b, a, out=b)
         assert_finite(self.value, f"parameter after Adam step {self.t}")
 
     def zero_grad(self) -> None:

@@ -9,7 +9,8 @@ mode lets gradients flow into earlier encoders instead.
 
 Both steps run on the explicit kernel of :mod:`nn` (:func:`model.level_grads`
 for the main step, :func:`nn.bce_step` for the adversary), with one flat Adam
-per side. With alpha == 0 the decoder's gradient is exactly zero, so its
+per side; the adversary steps compute no loss (a non-finite one fails Adam's
+check). With alpha == 0 the decoder's gradient is exactly zero, so its
 backward pass and Adam update are skipped; it still runs forward, so the
 ``loss_rec`` column is unchanged.
 """
@@ -29,7 +30,7 @@ from .nn import Adam, bce_step
 
 
 class DivergenceError(RuntimeError):
-    """Training hit a non-finite loss or parameter value."""
+    """Training hit a non-finite loss or parameter value, or did not converge."""
 
 
 @dataclass
@@ -129,6 +130,7 @@ def _run_level(level: Level, level_index: int, prefix: list[Level],
     adam_main = Adam([p for net in nets for p in net.params()], lr=cfg.lr)
     adam_adv = Adam(level.adv_params(), lr=cfg.adversary_lr)
     log = TrainLog(level=level_index)
+    s_col = s.reshape(-1, 1).astype(float)   # the adversary's targets, made once
 
     for epoch in range(cfg.epochs):
         rec_sum = cls_sum = 0.0
@@ -158,7 +160,7 @@ def _run_level(level: Level, level_index: int, prefix: list[Level],
                 z_now = encode([*prefix, level], xb)
                 rows, sub = adversary_input(level, z_now, yb, cfg.eopp_adv_label)
                 if rows is not None:
-                    target = sb[sub].reshape(-1, 1).astype(float)
+                    target = s_col[idx[sub]]
                     for _ in range(cfg.adv_steps):
                         bce_step(level.adversary, adam_adv, rows, target)
             except FloatingPointError as exc:

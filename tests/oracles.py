@@ -96,6 +96,16 @@ class AdamReference:
                 raise FloatingPointError("non-finite parameter after a reference Adam step")
 
 
+def main_params(level) -> list:
+    """A level's main-step parameters: encoder, decoder, classifier."""
+    return level.encoder.params() + level.decoder.params() + level.classifier.params()
+
+
+def all_params(level) -> list:
+    """Every parameter of a level: its main-step ones, then the adversary's."""
+    return main_params(level) + level.adversary.params()
+
+
 # ---------------------------------------------------------------------------
 # Fairness metrics by direct filtering (no numpy, no shared helpers).
 
@@ -197,6 +207,14 @@ def brute_force_best_split(x, y):
 # first), so feature subsets are drawn breadth-first, the order the package's
 # level-wise grower draws them in. A forest tree is grown on the duplicated
 # bootstrap rows X[boot].
+
+
+def reference_weighted_gini(nl, pl, nr, pr, n):
+    """Weighted child Gini of a boundary with ``nl``/``nr`` rows and
+    ``pl``/``pr`` positives on each side, as one out-of-place expression."""
+    gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
+    gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
+    return (nl * gini_l + nr * gini_r) / n
 
 
 def reference_best_split(Xf: np.ndarray, y: np.ndarray):

@@ -27,8 +27,8 @@ from fairstack.metrics import PredictionBatch, UndefinedMetricError, evaluate
 from fairstack.model import LevelSpec, StackSpec, build, encode, level_grads, stacked_spec
 from fairstack.nn import Adam
 from fairstack.training import TrainConfig, train_stack
-from oracles import (adam_reference_trace, enumerate_count_batches,
-                     finite_difference, grad_close, naive_metrics)
+from oracles import (adam_reference_trace, all_params, enumerate_count_batches,
+                     finite_difference, grad_close, main_params, naive_metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +108,9 @@ def test_gradients_match_finite_differences():
             return level_loss(level, X, y, s, alpha=0.7, beta=1.3,
                               gamma=0.9).objective
 
-        zero_grads(level.all_params())
+        zero_grads(all_params(level))
         backward(objective())
-        for p in level.all_params():
+        for p in all_params(level):
             def f(v, p=p):
                 keep = p.value.copy()
                 p.value[...] = v
@@ -136,7 +136,7 @@ def test_gradients_match_finite_differences():
         X = rng.uniform(-1, 1, (6, 5))
         y = np.array([0, 1, 0, 1, 1, 0])
         s = np.array([1, 0, 0, 1, 0, 1])
-        for alpha, before, trained in ((0.7, [], level.main_params()),
+        for alpha, before, trained in ((0.7, [], main_params(level)),
                                        (0.0, [prefix], prefix.encoder.params())):
             z = encode([prefix], X) if not before else X
 
@@ -146,7 +146,7 @@ def test_gradients_match_finite_differences():
                                             prefix=before)
                 return alpha * rec + 0.9 * cls - 1.3 * adv
 
-            zero_grads(prefix.all_params() + level.all_params())
+            zero_grads(all_params(prefix) + all_params(level))
             kernel_objective()
             grads = [p.grad.copy() for p in trained]
             assert all(not p.grad.any() for p in level.adv_params())

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairstack import cli
+from fairstack.autodiff import Var, backward, bce_loss, forward, zero_grads
 from fairstack.data import make_synthetic
 from fairstack.downstream import (
     CVResult,
@@ -16,12 +18,14 @@ from fairstack.downstream import (
     train_logreg,
     train_probe,
 )
-from fairstack.forest import DecisionTree, ForestSpec, RandomForest, train_forest
+from fairstack.forest import (MAX_ROWS, DecisionTree, ForestSpec, RandomForest, _ranks,
+                              _weighted_gini, train_forest)
 from fairstack.metrics import FairnessReport
 from fairstack.model import TrainedStack, build, stacked_spec
 from fairstack.nn import MLP, Adam, bce_step
 from fairstack.training import DivergenceError
-from oracles import brute_force_best_split, reference_forest_trees, reference_tree
+from oracles import (AdamReference, brute_force_best_split, reference_forest_trees,
+                     reference_tree, reference_weighted_gini)
 
 
 def _separable_toy(n=400, seed=0):
@@ -114,6 +118,27 @@ def test_logreg_convergence_guard():
     with pytest.raises(RuntimeError) as exc:
         train_logreg(X, y, epochs=1)  # loss cannot have decreased yet
     assert "converge" in str(exc.value)
+
+
+def test_logreg_non_convergence_is_a_run_error():
+    # the CLI turns RUN_ERRORS into exit code 1 (or a failed sweep row)
+    X, y = _separable_toy(n=40, seed=7)
+    with pytest.raises(cli.RUN_ERRORS, match="converge"):
+        train_logreg(X, y, epochs=1)
+
+
+def test_logreg_matches_the_graph_reference_bytewise():
+    # full-batch steps through the graph's bce_loss and the per-parameter Adam
+    X, y = _separable_toy(n=150, seed=9)
+    got = train_logreg(X, y, seed=4, epochs=300)
+    mlp = MLP([2, 1], np.random.default_rng(4), output_activation="sigmoid")
+    opt = AdamReference(mlp.params(), lr=0.05)
+    for _ in range(300):
+        zero_grads(mlp.params())
+        backward(bce_loss(forward(mlp, Var(X)), y.reshape(-1, 1).astype(float)))
+        opt.step()
+    for a, b in zip(got.mlp.params(), mlp.params()):
+        assert a.value.tobytes() == b.value.tobytes()
 
 
 @pytest.mark.parametrize("fit", [
@@ -359,6 +384,58 @@ def test_single_tree_on_unit_counts_matches_reference():
     spec = ForestSpec(n_trees=1, max_depth=7)
     tree = DecisionTree(spec, np.random.default_rng(5)).fit(X, y)
     _assert_same_trees([tree], [reference_tree(X, y, spec, np.random.default_rng(5))])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_in_place_gini_matches_the_expression_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    shape = (6, 400)
+    n = rng.integers(1, 40, size=shape[1]).astype(float)
+    nl = np.minimum(np.floor(rng.random(shape) * n) + 1, n)      # 1..n: nr == 0 included
+    pos = np.floor(rng.random(shape[1]) * (n + 1))
+    lo, hi = np.maximum(0.0, pos - (n - nl)), np.minimum(nl, pos)
+    pl = lo + np.floor(rng.random(shape) * (hi - lo + 1))
+    counts = (nl, pl, n - nl, pos - pl, n)
+    reals = tuple(rng.random(shape) * 5.0 for _ in range(4)) + (n,)   # not counts at all
+    assert (counts[2] == 0).any() and (counts[2] > 0).any()
+    for args in (counts, reals):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = reference_weighted_gini(*args)
+            got = _weighted_gini(*(np.array(a) for a in args))
+        assert got.tobytes() == want.tobytes()
+
+
+TIED = np.random.default_rng(23)
+
+
+@pytest.mark.parametrize("X,y", [
+    pytest.param([[0.5]], [1], id="one-row"),
+    pytest.param([[0.5], [0.5]], [0, 1], id="two-rows-one-key"),
+    pytest.param([[0.5], [1.5]], [1, 0], id="two-rows-two-keys"),
+    pytest.param([[1.0, 2.0], [1.0, 2.0], [1.0, 3.0], [0.0, 2.0]], [0, 1, 1, 0], id="four-rows"),
+    pytest.param(TIED.integers(0, 2, size=(300, 3)), TIED.integers(0, 2, 300), id="two-values"),
+    pytest.param(TIED.integers(0, 3, size=(500, 9)), TIED.integers(0, 2, 500), id="three-values"),
+])
+def test_packed_sort_matches_reference_on_ties(X, y):
+    # runs of equal (node, rank) keys come out of the packed sort in row
+    # order, the reference sorts stably per node: the trees must agree anyway
+    X, y = np.asarray(X, dtype=float), np.asarray(y)
+    spec = ForestSpec(n_trees=3, seed=4)
+    tree = DecisionTree(spec, np.random.default_rng(5)).fit(X, y)
+    _assert_same_trees([tree], [reference_tree(X, y, spec, np.random.default_rng(5))])
+    _assert_same_trees(train_forest(X, y, spec).trees, reference_forest_trees(X, y, spec))
+
+
+def test_forest_refuses_more_rows_than_the_packed_sort_holds():
+    # the largest packed value at the limit: N/2 nodes, N live rows
+    N = MAX_ROWS
+    assert ((N // 2 - 1) * N + N - 1) * N + N - 1 < 2 ** 63
+    X, y = np.broadcast_to(0.0, (N + 1, 1)), np.broadcast_to(0, (N + 1,))
+    with pytest.raises(ValueError, match=f"at most {MAX_ROWS} rows"):
+        RandomForest(ForestSpec(n_trees=1)).fit(X, y)
+    with pytest.raises(ValueError, match=f"at most {MAX_ROWS} rows"):
+        DecisionTree(ForestSpec(), np.random.default_rng(0)).fit(X, y)
+    assert _ranks(X[:N]).shape == (N, 1)   # the limit itself is allowed
 
 
 def _train_probe(X, y):

@@ -29,7 +29,7 @@ from fairstack.autodiff import Var, forward, level_loss
 from fairstack.data import batches, make_synthetic
 from fairstack.model import CRITERIA, LevelSpec, StackSpec, build, level_grads
 from fairstack.training import EpochRecord, TrainConfig, TrainLog, train_stack
-from oracles import AdamReference
+from oracles import AdamReference, all_params, main_params
 
 
 # ---------------------------------------------------------------------------
@@ -81,14 +81,14 @@ def test_kernel_gradients_match_the_graph(crit, alpha, root_mse, fine_tune, labe
     assert (adv is None) == (parts.adv is None)
     if adv is not None:
         assert adv == parts.adv.item()
-    trained = list(zip(graph[1].main_params(), kernel[1].main_params()))
+    trained = list(zip(main_params(graph[1]), main_params(kernel[1])))
     if fine_tune:
         trained += list(zip(graph[0].encoder.params(), kernel[0].encoder.params()))
     for n, (g, k) in enumerate(trained):
         assert np.array_equal(k.grad, g.grad), f"parameter {n} {g.value.shape}"
     assert not any(p.grad.any() for p in kernel[1].adv_params())  # frozen in the main step
     if not fine_tune:
-        assert not any(p.grad.any() for p in kernel[0].all_params())
+        assert not any(p.grad.any() for p in all_params(kernel[0]))
 
 
 def test_kernel_gradients_with_an_empty_eopp_subset():
@@ -103,7 +103,7 @@ def test_kernel_gradients_with_an_empty_eopp_subset():
     rec, cls, adv = level_grads(kernel[0], X, y, s, 0.0, 1.3, 0.9, eopp_label=1)
     assert parts.adv is None and adv is None
     assert (rec, cls) == (parts.rec.item(), parts.cls.item())
-    for g, k in zip(graph[0].main_params(), kernel[0].main_params()):
+    for g, k in zip(main_params(graph[0]), main_params(kernel[0])):
         assert np.array_equal(k.grad, g.grad)
 
 
@@ -114,8 +114,8 @@ def test_kernel_gradients_with_an_empty_eopp_subset():
 def _reference_run_level(level, level_index, prefix, X0, y, s, alpha, beta, gamma,
                          root_mse, cfg, val):
     """The level loop on the graph path, with a per-parameter Adam."""
-    main_params = level.main_params() + [p for lv in prefix for p in lv.encoder.params()]
-    adam_main = AdamReference(main_params, lr=cfg.lr)
+    main = main_params(level) + [p for lv in prefix for p in lv.encoder.params()]
+    adam_main = AdamReference(main, lr=cfg.lr)
     adam_adv = AdamReference(level.adv_params(), lr=cfg.adversary_lr)
     log = TrainLog(level=level_index)
     for epoch in range(cfg.epochs):
@@ -123,7 +123,7 @@ def _reference_run_level(level, level_index, prefix, X0, y, s, alpha, beta, gamm
         n_batches = n_adv_batches = 0
         for idx in batches(X0.shape[0], cfg.batch_size, (cfg.seed, level_index), epoch):
             xb, yb, sb = X0[idx], y[idx], s[idx]
-            ad.zero_grads(main_params + level.adv_params())
+            ad.zero_grads(main + level.adv_params())
             z_in = Var(xb)
             for lv in prefix:
                 z_in = forward(lv.encoder, z_in)

@@ -16,12 +16,18 @@ from fairstack.model import (
     TrainedStack,
     build,
     encode,
-    spec_from_dict,
     spec_hash,
     stacked_spec,
     vanilla_spec,
 )
 from fairstack.nn import DimensionError
+from oracles import all_params
+
+
+def spec_from_dict(d: dict) -> StackSpec:
+    """The inverse of :meth:`StackSpec.to_dict`; absent keys take the defaults."""
+    rest = {k: v for k, v in d.items() if k != "levels"}
+    return StackSpec(levels=tuple(LevelSpec(**l) for l in d["levels"]), **rest)
 
 
 def _sigmoid(t):
@@ -107,7 +113,7 @@ def test_build_deterministic_per_seed():
     spec = stacked_spec(30, (10, 4))
     a, b = build(spec, seed=7), build(spec, seed=7)
     for la, lb in zip(a, b):
-        for pa, pb in zip(la.all_params(), lb.all_params()):
+        for pa, pb in zip(all_params(la), all_params(lb)):
             assert np.array_equal(pa.value, pb.value)
     c = build(spec, seed=8)
     assert not np.array_equal(a[0].encoder.layers[0].weight.value,

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from fairstack.autodiff import Var, backward, forward, mse_loss, parameter
-from fairstack.nn import ACTIVATIONS, Adam, DenseLayer, MLP, init_weight, sigmoid
-from oracles import adam_reference_trace, masked_sigmoid
+from fairstack.autodiff import (Var, backward, bce_loss, forward, mse_loss, parameter,
+                                zero_grads)
+from fairstack.model import CRITERIA, adversary_input, build, encode, stacked_spec
+from fairstack.nn import (ACTIVATIONS, BCE_EPS, Adam, DenseLayer, MLP, bce_step,
+                          dense_forward, init_weight, sigmoid)
+from oracles import AdamReference, adam_reference_trace, masked_sigmoid
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +65,17 @@ def test_sigmoid_matches_the_masked_form_bytewise():
         assert sigmoid(xs).tobytes() == masked_sigmoid(xs).tobytes()
     # a nan only has to stay nan; its sign bit may differ
     assert np.isnan(sigmoid(np.array([[np.nan, -np.nan]]))).all()
+
+
+def test_uncached_forward_is_dense_forward_over_the_triples():
+    mlp = MLP([5, 4, 3, 1], np.random.default_rng(2), output_activation="sigmoid")
+    x = np.random.default_rng(3).normal(size=(9, 5))
+    want = mlp.forward_value(x, cache=True)
+    assert mlp.forward_value(x).tobytes() == want.tobytes()
+    assert dense_forward(mlp.triples(), x).tobytes() == want.tobytes()
+    mlp.clear_cache()
+    mlp.forward_value(x)  # inference keeps no copy of its input
+    assert all(layer._cache is None for layer in mlp.layers)
 
 
 def test_mlp_param_count():
@@ -124,3 +138,71 @@ def test_adam_rejects_a_parameter_listed_twice():
     w = parameter([[1.0]])
     with pytest.raises(ValueError, match="more than once"):
         Adam([w, w])
+
+
+def test_in_place_adam_matches_the_reference_bytewise():
+    # random gradients over many magnitudes, zeros included, for 300 steps
+    rng = np.random.default_rng(12)
+    shapes = [(4, 3), (1, 3), (3, 1), (1, 1)]
+    live = [parameter(rng.normal(size=sh)) for sh in shapes]
+    ref = [parameter(p.value.copy()) for p in live]
+    opt, ref_opt = Adam(live, lr=0.02), AdamReference(ref, lr=0.02)
+    for step in range(300):
+        for a, b in zip(live, ref):
+            g = rng.normal(size=a.value.shape) * 10.0 ** rng.integers(-12, 6)
+            g[rng.random(g.shape) < 0.2] = 0.0
+            a.grad[...] = g
+            b.grad[...] = g
+        opt.step()
+        ref_opt.step()
+        for a, b in zip(live, ref):
+            assert a.value.tobytes() == b.value.tobytes(), f"step {step}"
+
+
+# ---------------------------------------------------------------------------
+# gradient-only BCE steps: bce_step with the in-place Adam against the graph's
+# bce_loss + backward with the per-parameter reference Adam
+
+
+def _assert_steps_match_the_graph(make_net, x, target, steps=200, lr=0.01):
+    """Run ``steps`` steps of both paths on two copies of one net; the
+    parameters must agree byte for byte after every step. Returns the count
+    of steps whose predictions sat on the BCE clamp."""
+    net, ref = make_net(), make_net()
+    opt, ref_opt = Adam(net.params(), lr=lr), AdamReference(ref.params(), lr=lr)
+    xv = Var(x)
+    clamped = 0
+    for step in range(steps):
+        pred = net.forward_value(x)
+        clamped += bool(((pred <= BCE_EPS) | (pred >= 1.0 - BCE_EPS)).any())
+        bce_step(net, opt, x, target)
+        zero_grads(ref.params())
+        backward(bce_loss(forward(ref, xv), target))
+        ref_opt.step()
+        for a, b in zip(net.params(), ref.params()):
+            assert a.value.tobytes() == b.value.tobytes(), f"step {step}"
+    return clamped
+
+
+@pytest.mark.parametrize("hidden", [0, 4])
+def test_bce_step_matches_the_graph_with_clamped_predictions(hidden):
+    rng = np.random.default_rng(hidden)
+    x = 40.0 * rng.normal(size=(50, 3))   # large logits: the sigmoid saturates
+    target = (x[:, :1] + 20.0 * rng.normal(size=(50, 1)) > 0).astype(float)
+    dims = [3, hidden, 1] if hidden else [3, 1]
+    make = lambda: MLP(dims, np.random.default_rng(7), output_activation="sigmoid")
+    assert _assert_steps_match_the_graph(make, x, target, steps=200, lr=0.05) > 0
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_adversary_steps_match_the_graph(criterion):
+    rng = np.random.default_rng(len(criterion))
+    X = rng.normal(size=(64, 6))
+    y, s = rng.integers(0, 2, 64), rng.integers(0, 2, 64)
+    spec = stacked_spec(6, (3,), criterion=criterion, adv_hidden=5)
+    level = build(spec, seed=1)[0]
+    rows, idx = adversary_input(level, encode([level], X), y, eopp_label=1)
+    assert rows.shape[1] == 3 + (criterion == "eo")
+    assert (idx.size < 64) == (criterion == "eopp")
+    target = s[idx].reshape(-1, 1).astype(float)
+    _assert_steps_match_the_graph(lambda: build(spec, seed=1)[0].adversary, rows, target)

@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from fairstack import autodiff as ad
-from fairstack import cli
+from fairstack import cli, downstream, training
 from fairstack.autodiff import Var, forward, level_loss
 from fairstack.config import config_hash, load_config
 from fairstack.data import make_synthetic
@@ -18,6 +19,7 @@ from fairstack.training import (
     _warm_start_adversary,
     train_stack,
 )
+from oracles import main_params
 
 
 def _synthetic_split(n=256, seed=0, **kw):
@@ -154,13 +156,13 @@ def test_main_step_ascends_adversary_loss_on_average():
     rng = np.random.default_rng(0)
     ds = make_synthetic(n=50 * 32, seed=1)
     level = build(stacked_spec(ds.d, (3,)), seed=0)[0]
-    opt = Adam(level.main_params(), lr=1e-3)
+    opt = Adam(main_params(level), lr=1e-3)
     diffs = []
     for b in range(50):
         idx = np.arange(b * 32, (b + 1) * 32)
         xb, yb, sb = ds.X[idx], ds.y[idx], ds.s[idx]
         before = level_loss(level, xb, yb, sb, alpha=0.0, beta=1.0, gamma=0.0)
-        ad.zero_grads(level.main_params() + level.adv_params())
+        ad.zero_grads(main_params(level) + level.adv_params())
         ad.backward(ad.scale(before.adv, -1.0))
         opt.step()
         after = level_loss(level, xb, yb, sb, alpha=0.0, beta=1.0, gamma=0.0)
@@ -223,6 +225,42 @@ def test_divergence_error_names_location():
             train_stack(spec, train, cfg)
     msg = str(exc.value)
     assert "level 0" in msg and "epoch" in msg and "batch" in msg
+
+
+def _poison_step(monkeypatch, module, at: int) -> None:
+    """Give the ``at``-th call of ``module.bce_step`` a nan in its input, so
+    that step's gradient is nan while every loss read so far is finite."""
+    real, calls = module.bce_step, itertools.count()
+
+    def poisoned(net, opt, x, target):
+        if next(calls) == at:
+            x = x.copy()
+            x[0, 0] = np.nan
+        return real(net, opt, x, target)
+
+    monkeypatch.setattr(module, "bce_step", poisoned)
+
+
+@pytest.mark.parametrize("fit", ["adversary", "probe", "logreg"])
+def test_nan_in_a_middle_gradient_only_step_raises_divergence_error(fit, monkeypatch):
+    # these steps compute no loss: Adam's finiteness check catches the nan
+    train, _ = _synthetic_split(n=128)
+    if fit == "adversary":
+        _poison_step(monkeypatch, training, at=5)      # of 6 batches x 2 epochs
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=0)
+        run = lambda: train_stack(stacked_spec(train.d, (3,)), train, cfg)
+    elif fit == "probe":
+        _poison_step(monkeypatch, downstream, at=5)    # of 2 batches x 4 epochs
+        run = lambda: downstream.train_probe(downstream.TrainedStack.identity(train.d),
+                                             train.X, train.y, downstream.ProbeSpec(epochs=4))
+    else:
+        _poison_step(monkeypatch, downstream, at=20)
+        run = lambda: downstream.train_logreg(train.X, train.y, epochs=50)
+    with pytest.raises(DivergenceError, match="non-finite") as exc:
+        run()
+    assert "Adam step" in str(exc.value)
+    if fit == "adversary":
+        assert "level 0, epoch 0, batch 5" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
