@@ -10,7 +10,7 @@ from fairstack import cli, downstream, training
 from fairstack.autodiff import Var, forward, level_loss
 from fairstack.config import config_hash, load_config
 from fairstack.data import make_synthetic
-from fairstack.model import build, stacked_spec
+from fairstack.model import TrainedStack, build, stacked_spec
 from fairstack.nn import Adam
 from fairstack.training import (
     LOG_COLUMNS,
@@ -228,8 +228,9 @@ def test_divergence_error_names_location():
 
 
 def _poison_step(monkeypatch, module, at: int) -> None:
-    """Give the ``at``-th call of ``module.bce_step`` a nan in its input, so
-    that step's gradient is nan while every loss read so far is finite."""
+    """Give call number ``at`` (from 0) of ``module.bce_step`` a nan in its
+    input, so that step's gradient is nan while every loss read so far is
+    finite."""
     real, calls = module.bce_step, itertools.count()
 
     def poisoned(net, opt, x, target):
@@ -251,8 +252,8 @@ def test_nan_in_a_middle_gradient_only_step_raises_divergence_error(fit, monkeyp
         run = lambda: train_stack(stacked_spec(train.d, (3,)), train, cfg)
     elif fit == "probe":
         _poison_step(monkeypatch, downstream, at=5)    # of 2 batches x 4 epochs
-        run = lambda: downstream.train_probe(downstream.TrainedStack.identity(train.d),
-                                             train.X, train.y, downstream.ProbeSpec(epochs=4))
+        run = lambda: downstream.train_probe(TrainedStack.identity(train.d), train.X, train.y,
+                                             downstream.ProbeSpec(epochs=4))
     else:
         _poison_step(monkeypatch, downstream, at=20)
         run = lambda: downstream.train_logreg(train.X, train.y, epochs=50)
