@@ -10,8 +10,8 @@ Gini. Node ids are breadth-first. Zero-gain splits are allowed; greedy
 Gini needs them to express XOR-like concepts. Each tree's bootstrap sample,
 drawn from a per-tree seeded stream, is kept as counts on the original rows:
 CART on counts splits exactly as CART on the duplicated rows, and X is ranked
-once per forest instead of copied per tree. The forest predicts by
-strict-majority vote (ties go to class 0).
+once per forest instead of copied per tree (at most MAX_ROWS = 2**21 rows).
+The forest predicts by strict-majority vote (ties go to class 0).
 """
 
 from __future__ import annotations
