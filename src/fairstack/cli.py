@@ -9,7 +9,10 @@ hash and seed so a run can be traced back to its exact inputs.
 by the probe, and per seed the raw-feature baseline, which is the ``unfair``
 variant of the same job (identity stack, no training). ``--jobs N`` runs all
 sweep rows plus the baseline, or table1's six CV cells, in one pool of N
-worker processes.
+worker processes. Those workers are the only parallelism: importing this
+module sets each of ``BLAS_THREAD_VARS`` to 1 unless it is already set, so
+the CLI and its workers run BLAS on one thread; code that does not import
+this module keeps numpy's default.
 
 ``transform`` reads a CSV of numeric feature rows: an optional non-numeric
 header row, ``,`` delimiters, ``"`` quotes, blank lines skipped. The body is
@@ -27,13 +30,22 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import resource
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread per process, set before numpy loads (``import fairstack``
+# loads none): at these matrix sizes a second thread never pays, and the
+# --jobs worker processes are the parallelism. A value already exported wins.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402  (after the BLAS thread variables)
 
 from .config import (ConfigError, ExperimentConfig, config_hash, forest_spec_for,
                      load_config, load_dataset, probe_spec_for, stack_spec_for,

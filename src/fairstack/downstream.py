@@ -63,6 +63,8 @@ def train_probe(stack: TrainedStack, X: np.ndarray, y: np.ndarray,
     y = np.asarray(y).reshape(-1)
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0/1")
+    if X.shape[0] == 0:
+        raise ValueError("cannot fit a probe on zero rows")
     z = stack.encode(X)
     mlp = MLP(head_dims(z.shape[1], spec.hidden), np.random.default_rng(spec.seed),
               output_activation="sigmoid")
@@ -91,6 +93,8 @@ def train_logreg(features: np.ndarray, y: np.ndarray, seed: int = 0,
         raise ValueError("features must be finite")
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0/1")
+    if X.shape[0] == 0:
+        raise ValueError("cannot fit logistic regression on zero rows")
     mlp = MLP([X.shape[1], 1], np.random.default_rng(seed), output_activation="sigmoid")
     opt = Adam(mlp.params(), lr=lr)
     target = y.reshape(-1, 1).astype(float)

@@ -2,8 +2,9 @@
 
 Trees grow greedily, level by level. At each depth every node that is impure,
 large enough and above ``max_depth`` draws a fresh random subset of
-ceil(sqrt(d)) features from the tree's stream, one draw per node in
-breadth-first order, and all of them are searched in one vectorized pass for
+ceil(sqrt(d)) features from the tree's stream, node by node in breadth-first
+order (the ``Generator.choice`` stream, read by one call per depth), and all
+of them are searched in one vectorized pass for
 the boundary (midpoint between consecutive distinct values, or the lower
 value where the midpoint rounds up to the upper) of least weighted child
 Gini. Node ids are breadth-first. Zero-gain splits are allowed; greedy
@@ -47,10 +48,33 @@ def _ranks(X: np.ndarray) -> np.ndarray:
         raise ValueError(f"a tree grows on at most {MAX_ROWS} rows (2**21), got {X.shape[0]}")
     ranks = np.zeros(X.shape, dtype=np.int32)
     for j, col in enumerate(X.T):
-        order = np.argsort(col, kind="stable")
+        order = np.argsort(col)   # any order of equal values gives them one rank
         xs = col[order]
         ranks[order[1:], j] = np.cumsum(xs[1:] != xs[:-1])
     return ranks
+
+
+def _draw_features(rng: np.random.Generator, d: int, m: int, k: int) -> np.ndarray:
+    """k rows of ``rng.choice(d, size=m, replace=False)`` from one draw.
+
+    ``choice`` runs Floyd's selection (one integer below each of d-m+1..d),
+    then a Fisher-Yates shuffle (below each of m..2), so one ``integers``
+    call over those bounds, node after node, reads the same stream and
+    leaves the generator in the same state."""
+    bounds = np.concatenate((np.arange(d - m + 1, d + 1), np.arange(m, 1, -1)))
+    draws = rng.integers(0, np.tile(bounds, k)).tolist()
+    step = bounds.size
+    feats = []
+    for start in range(0, k * step, step):
+        pick, chosen = [], set()
+        for j, val in zip(range(d - m, d), draws[start:start + m]):
+            val = j if val in chosen else val
+            chosen.add(val)
+            pick.append(val)
+        for i, swap in zip(range(m - 1, 0, -1), draws[start + m:start + step]):
+            pick[i], pick[swap] = pick[swap], pick[i]
+        feats.append(pick)
+    return np.array(feats, dtype=np.int64)
 
 
 def _best_splits(X, ranks, rows, w, wy, node, feats, size, pos):
@@ -159,7 +183,7 @@ class DecisionTree:
             cand = np.flatnonzero(can)
             if not cand.size:
                 break
-            feats = np.array([self._rng.choice(d, size=m, replace=False) for _ in cand])
+            feats = _draw_features(self._rng, d, m, cand.size)
             live = can[node]
             rows, w, wy = rows[live], w[live], wy[live]
             node = (np.cumsum(can) - 1)[node[live]]
@@ -228,6 +252,8 @@ class RandomForest:
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        if not self.trees:
+            raise ValueError("the forest is not fitted: call fit before predict")
         return np.mean([tree.predict(X) for tree in self.trees], axis=0)
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .nn import ACTIVATIONS, MLP, DimensionError, Param, bce, bce_grad, dense_forward, mse
+from .nn import ACTIVATIONS, MLP, DimensionError, Param, _bce_with_grad, dense_forward, mse
 
 CRITERIA = ("dp", "eo", "eopp")
 
@@ -265,7 +265,7 @@ def level_grads(level: Level, x: np.ndarray, y: np.ndarray, s: np.ndarray,
                      alpha if alpha else None)
     y_hat = level.classifier.forward_value(z, cache=True)
     y_col = y.reshape(-1, 1).astype(float)
-    cls, g_cls = bce(y_hat, y_col), bce_grad(y_hat, y_col, gamma)
+    cls, g_cls = _bce_with_grad(y_hat, y_col, gamma)
     # d(objective)/dz sums the heads in the graph's order: rec, cls, adv
     g_z = level.classifier.backward(g_cls)
     if g_rec is not None:
@@ -275,7 +275,7 @@ def level_grads(level: Level, x: np.ndarray, y: np.ndarray, s: np.ndarray,
     if rows is not None:
         s_hat = level.adversary.forward_value(rows, cache=True)
         s_col = s[idx].reshape(-1, 1).astype(float)
-        adv, g_adv = bce(s_hat, s_col), bce_grad(s_hat, s_col, -beta)
+        adv, g_adv = _bce_with_grad(s_hat, s_col, -beta)
         g_rows = level.adversary.backward(g_adv, param_grads=False)
         if level.criterion == "eo":
             g_rows = g_rows[:, :level.latent]

@@ -172,16 +172,30 @@ class MLP:
 
 def bce(predicted: np.ndarray, target: np.ndarray) -> float:
     """Mean BCE of ``predicted``, clamped into [BCE_EPS, 1-BCE_EPS], against ``target``."""
+    return _bce_value(np.clip(predicted, BCE_EPS, 1.0 - BCE_EPS), target)
+
+
+def bce_grad(predicted: np.ndarray, target: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """``scale`` times the gradient of :func:`bce` (zero where its clamp is active)."""
+    return _bce_grad(predicted, np.clip(predicted, BCE_EPS, 1.0 - BCE_EPS), target, scale)
+
+
+def _bce_with_grad(predicted: np.ndarray, target: np.ndarray,
+                   scale: float) -> tuple[float, np.ndarray]:
+    """:func:`bce` and :func:`bce_grad` of one head, clamping it once."""
     p = np.clip(predicted, BCE_EPS, 1.0 - BCE_EPS)
+    return _bce_value(p, target), _bce_grad(predicted, p, target, scale)
+
+
+def _bce_value(p: np.ndarray, target: np.ndarray) -> float:
     value = float(-(target * np.log(p) + (1.0 - target) * np.log1p(-p)).mean())
     if not math.isfinite(value):
         raise FloatingPointError("non-finite values in bce_loss")
     return value
 
 
-def bce_grad(predicted: np.ndarray, target: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """``scale`` times the gradient of :func:`bce` (zero where its clamp is active)."""
-    p = np.clip(predicted, BCE_EPS, 1.0 - BCE_EPS)
+def _bce_grad(predicted: np.ndarray, p: np.ndarray, target: np.ndarray,
+              scale: float) -> np.ndarray:
     inside = (predicted > BCE_EPS) & (predicted < 1.0 - BCE_EPS)
     return scale * inside * (p - target) / (p * (1.0 - p)) / p.size
 

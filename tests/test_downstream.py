@@ -1,4 +1,5 @@
 import contextlib
+import math
 import signal
 
 import numpy as np
@@ -18,8 +19,8 @@ from fairstack.downstream import (
     train_logreg,
     train_probe,
 )
-from fairstack.forest import (MAX_ROWS, DecisionTree, ForestSpec, RandomForest, _ranks,
-                              _weighted_gini, train_forest)
+from fairstack.forest import (MAX_ROWS, DecisionTree, ForestSpec, RandomForest,
+                              _draw_features, _ranks, _weighted_gini, train_forest)
 from fairstack.metrics import FairnessReport
 from fairstack.model import TrainedStack, build, stacked_spec
 from fairstack.nn import MLP, Adam, bce_step
@@ -453,6 +454,64 @@ def test_predictors_reject_non_binary_labels(train):
 def test_forest_rejects_zero_rows():
     with pytest.raises(ValueError, match="zero rows"):
         train_forest(np.zeros((0, 3)), np.zeros(0, dtype=int), ForestSpec(n_trees=2))
+
+
+@pytest.mark.parametrize("train", [
+    train_logreg, _train_probe, lambda X, y: train_probe(TrainedStack.identity(3), X, y),
+], ids=["logreg", "probe", "probe-default-spec"])
+def test_probe_and_logreg_reject_zero_rows(train):
+    with pytest.raises(ValueError, match="zero rows"):
+        train(np.zeros((0, 3)), np.zeros(0))
+
+
+def test_forest_predict_before_fit_raises():
+    with pytest.raises(ValueError, match="not fitted"):
+        RandomForest(ForestSpec(n_trees=2)).predict(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="not fitted"):
+        RandomForest(ForestSpec(n_trees=2)).predict_proba(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("d", [*range(1, 40), 64, 100, 101, 1000, 2500, 5000,
+                               9999, 10000, 10001, 40000])
+def test_feature_draws_match_generator_choice(d):
+    # one integers() call per depth reads the stream of k choice() calls,
+    # including where choice switches method above 10,000
+    m = math.ceil(math.sqrt(d))
+    for k, seed in ((1, 0), (3, 1), (17, 2)):
+        want_rng, got_rng = np.random.default_rng([seed, d]), np.random.default_rng([seed, d])
+        want_rng.integers(0, 7, size=seed), got_rng.integers(0, 7, size=seed)
+        want = np.array([want_rng.choice(d, size=m, replace=False) for _ in range(k)])
+        got = _draw_features(got_rng, d, m, k)
+        assert got.dtype == want.dtype and got.shape == want.shape == (k, m)
+        assert (got == want).all()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def _stable_ranks(X):
+    ranks = np.zeros(X.shape, dtype=np.int32)
+    for j, col in enumerate(X.T):
+        order = np.argsort(col, kind="stable")
+        xs = col[order]
+        ranks[order[1:], j] = np.cumsum(xs[1:] != xs[:-1])
+    return ranks
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ranks_match_the_stable_sort_on_ties(seed):
+    rng = np.random.default_rng(seed)
+    n = 3000
+    X = np.column_stack([
+        rng.integers(0, 3, n) / 2.0,                        # three values
+        rng.choice([-0.0, 0.0, 1.0], n),                    # signed zeros are one value
+        np.where(rng.random(n) < 0.5, -0.0, 0.0),           # nothing but zeros
+        np.full(n, 7.0),                                    # constant
+        np.round(rng.normal(size=n), 1),                    # ties among many values
+        rng.normal(size=n),                                 # no ties
+    ])
+    got = _ranks(X)
+    assert got.dtype == np.int32
+    assert got.tobytes() == _stable_ranks(X).tobytes()
+    assert (got[:, 2] == 0).all() and got[:, 1].max() == 1
 
 
 @pytest.mark.parametrize("width", [1, 3])

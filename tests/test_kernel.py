@@ -28,6 +28,7 @@ from fairstack import training
 from fairstack.autodiff import Var, forward, level_loss
 from fairstack.data import batches, make_synthetic
 from fairstack.model import CRITERIA, LevelSpec, StackSpec, build, level_grads
+from fairstack.nn import BCE_EPS
 from fairstack.training import EpochRecord, TrainConfig, TrainLog, train_stack
 from oracles import AdamReference, all_params, main_params
 
@@ -89,6 +90,30 @@ def test_kernel_gradients_match_the_graph(crit, alpha, root_mse, fine_tune, labe
     assert not any(p.grad.any() for p in kernel[1].adv_params())  # frozen in the main step
     if not fine_tune:
         assert not any(p.grad.any() for p in all_params(kernel[0]))
+
+
+@pytest.mark.parametrize("crit", CRITERIA)
+def test_kernel_losses_match_the_graph_with_clamped_heads(crit):
+    # both heads scaled up until predictions sit on the BCE clamp, where the
+    # value and the gradient each read the clamped predictions
+    rng = np.random.default_rng(9)
+    spec = _spec(crit, 0.0)
+    X = rng.normal(size=(32, 7))
+    y, s = rng.integers(0, 2, 32), rng.integers(0, 2, 32)
+    graph, kernel = build(spec, seed=2), build(spec, seed=2)
+    for levels in (graph, kernel):
+        for head in (levels[0].classifier, levels[0].adversary):
+            for p in head.params():
+                p.value *= 200.0
+    parts = level_loss(graph[0], X, y, s, 0.0, 1.3, 0.9)
+    ad.backward(parts.objective)
+    rec, cls, adv = level_grads(kernel[0], X, y, s, 0.0, 1.3, 0.9)
+    z = kernel[0].encoder.forward_value(X)
+    y_hat = kernel[0].classifier.forward_value(z)
+    assert ((y_hat < BCE_EPS) | (y_hat > 1.0 - BCE_EPS)).any()
+    assert (rec, cls, adv) == (parts.rec.item(), parts.cls.item(), parts.adv.item())
+    for g, k in zip(main_params(graph[0]), main_params(kernel[0])):
+        assert np.array_equal(k.grad, g.grad)
 
 
 def test_kernel_gradients_with_an_empty_eopp_subset():
