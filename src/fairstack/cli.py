@@ -81,8 +81,13 @@ def _run_dir(out_dir: str, command: str) -> Path:
             path = Path(f"{base}-{n}")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_record(path: Path, command: str, cfg: ExperimentConfig, chash: str, wall: float,
+                  **fields) -> None:
+    """A run's JSON record: the keys every command records (its name, the
+    config and its hash, wall time, peak RSS) plus the command's ``fields``."""
+    record = {"command": command, "config_hash": chash, "config": cfg.to_dict(),
+              "wall_time_s": wall, "peak_rss_mb": _peak_rss_mb(), **fields}
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def _peak_rss_mb() -> float:
@@ -134,24 +139,11 @@ def cmd_fit(cfg: ExperimentConfig) -> int:
         _write_rows(p, LOG_COLUMNS, map(vars, log.records), f"config_hash={chash} seed={seed}")
         log_paths.append(str(p))
 
-    record = {
-        "command": "fit",
-        "config_hash": chash,
-        "config": cfg.to_dict(),
-        "seed": seed,
-        "beta": spec.beta,
-        "criterion": cfg.criterion,
-        "wall_time_s": wall,
-        "peak_rss_mb": _peak_rss_mb(),
-        "decoder_inactive": spec.alpha == 0.0,
-        "model_path": str(model_path),
-        "log_paths": log_paths,
-        "probe_report": report.to_json(),
-        "dataset": summary,
-        "n_train": train_ds.n,
-        "n_val": val_ds.n,
-    }
-    _write_json(run / "run.json", record)
+    _write_record(run / "run.json", "fit", cfg, chash, wall,
+                  seed=seed, beta=spec.beta, criterion=cfg.criterion,
+                  decoder_inactive=spec.alpha == 0.0, model_path=str(model_path),
+                  log_paths=log_paths, probe_report=report.to_json(), dataset=summary,
+                  n_train=train_ds.n, n_val=val_ds.n)
     print(f"fit: wrote {model_path} ({stack.n_levels} levels, out_dim={stack.out_dim})")
     print(f"fit: probe accuracy={report.accuracy:.4f} "
           f"delta_dp={_fmt(report.delta_dp)} (val n={val_ds.n})")
@@ -335,13 +327,10 @@ def cmd_sweep(cfg: ExperimentConfig, jobs: int = 1) -> int:
                 _mean_rows(baseline, ()), comment)
 
     failures = [r for r in rows + baseline if r["status"] != "ok"]
-    _write_json(run / "run.json", {
-        "command": "sweep", "config_hash": chash, "config": cfg.to_dict(),
-        "wall_time_s": wall, "peak_rss_mb": _peak_rss_mb(),
-        "n_rows": len(rows), "n_failed": len(failures),
-        "failures": [{k: r.get(k) for k in ("beta", "seed", "variant", "error")}
-                     for r in failures],
-    })
+    _write_record(run / "run.json", "sweep", cfg, chash, wall,
+                  n_rows=len(rows), n_failed=len(failures),
+                  failures=[{k: r.get(k) for k in ("beta", "seed", "variant", "error")}
+                            for r in failures])
     print(f"sweep: {len(rows)} runs ({len(failures)} failed) in {wall:.1f}s -> {run}")
     for r in failures:
         print(f"sweep: FAILED beta={r.get('beta')} seed={r.get('seed')} "
@@ -399,13 +388,9 @@ def cmd_table1(cfg: ExperimentConfig, jobs: int = 1) -> int:
 
     chash = config_hash(cfg)
     run = _run_dir(cfg.out_dir, "table1")
-    _write_json(run / "table1.json", {
-        "command": "table1", "config_hash": chash, "config": cfg.to_dict(),
-        "dataset": summary, "loss_weights": forced, "k": cfg.cv_folds,
-        "seed": seed, "std_kind": "sample (ddof=1)", "wall_time_s": wall,
-        "peak_rss_mb": _peak_rss_mb(),
-        "cells": cells,
-    })
+    _write_record(run / "table1.json", "table1", cfg, chash, wall,
+                  dataset=summary, loss_weights=forced, k=cfg.cv_folds, seed=seed,
+                  std_kind="sample (ddof=1)", cells=cells)
     csv_rows = [{"model": kind, "variant": variant,
                  **{k: ("" if v is None else v) for k, v in cells[kind][variant].items()}}
                 for kind, variant in labels]

@@ -85,10 +85,8 @@ def _parse_levels(raw, key: str) -> tuple:
         if "latent" not in item:
             raise ConfigError(f"{path}.latent: required")
         latent = _check(item["latent"], f"{path}.latent", int, min=1)
-        hidden = item.get("hidden", [])
-        if not isinstance(hidden, list) or not all(_is_int(h) and h >= 1 for h in hidden):
-            raise ConfigError(f"{path}.hidden: expected a list of ints >= 1")
-        levels.append((tuple(hidden), latent))
+        hidden = _check_list(item.get("hidden", []), f"{path}.hidden", int, min=1)
+        levels.append((hidden, latent))
     for i in range(len(levels) - 1):
         if levels[i + 1][1] >= levels[i][1]:
             raise ConfigError(f"{key}[{i + 1}].latent: widths must strictly decrease "
@@ -100,24 +98,22 @@ def _dump_levels(levels: tuple) -> list:
     return [{"hidden": list(h), "latent": l} for h, l in levels]
 
 
+def _check_list(raw, key: str, kind, min=None) -> tuple:
+    """A list of scalars, each checked by :func:`_check` under the name ``key[i]``."""
+    if not isinstance(raw, list):
+        raise ConfigError(f"{key}: expected a list, got {type(raw).__name__}")
+    return tuple(_check(x, f"{key}[{i}]", kind, min=min) for i, x in enumerate(raw))
+
+
 def _parse_seeds(raw, key: str) -> tuple:
-    if not isinstance(raw, list) or not all(_is_int(x) for x in raw):
-        raise ConfigError(f"{key}: expected a list of ints")
-    if any(x < 0 for x in raw):
-        raise ConfigError(f"{key}: entries must be >= 0")
-    if not raw:
+    seeds = _check_list(raw, key, int, min=0)
+    if not seeds:
         raise ConfigError(f"{key}: must be non-empty")
-    return tuple(raw)
+    return seeds
 
 
 def _parse_betas(raw, key: str) -> tuple:
-    if not isinstance(raw, list) or not all(_is_int(x) or isinstance(x, float) for x in raw):
-        raise ConfigError(f"{key}: expected a list of numbers")
-    if not all(math.isfinite(x) for x in raw):
-        raise ConfigError(f"{key}: entries must be finite numbers")
-    if any(x < 0 for x in raw):
-        raise ConfigError(f"{key}: entries must be >= 0")
-    return tuple(float(x) for x in raw)
+    return _check_list(raw, key, float, min=0)
 
 
 def _key(key: str, default=MISSING, doc: str = "", *, min=None, choices=None, parse=None,

@@ -127,15 +127,6 @@ class CVResult:
     std: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "model_kind": self.model_kind,
-            "folds": [r.to_json() for r in self.reports],
-            "mean": self.mean,
-            "std": self.std,
-            "meta": self.meta,
-        }
-
 
 def aggregate_reports(reports: list[FairnessReport]) -> tuple[dict, dict]:
     """Per-metric mean and sample std (ddof=1); a metric undefined on any
@@ -157,17 +148,13 @@ def aggregate_reports(reports: list[FairnessReport]) -> tuple[dict, dict]:
 
 def _fit_kind(kind: str, z_train: np.ndarray, y_train: np.ndarray, seed: int,
               probe_spec: ProbeSpec | None, forest_spec: ForestSpec | None):
+    """Fit one model of ``kind``, which :func:`cross_validate` has checked."""
     if kind == "logreg":
         return train_logreg(z_train, y_train, seed=seed)
     if kind == "forest":
-        spec = forest_spec or ForestSpec()
-        if spec.seed != seed:
-            spec = replace(spec, seed=seed)
-        return train_forest(z_train, y_train, spec)
-    if kind == "probe":
-        return train_probe(TrainedStack.identity(z_train.shape[1]), z_train, y_train,
-                           replace(probe_spec or ProbeSpec(), seed=seed))
-    raise ValueError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
+        return train_forest(z_train, y_train, replace(forest_spec or ForestSpec(), seed=seed))
+    return train_probe(TrainedStack.identity(z_train.shape[1]), z_train, y_train,
+                       replace(probe_spec or ProbeSpec(), seed=seed))
 
 
 def cross_validate(model_kind: str, stack: TrainedStack, dataset: Dataset,

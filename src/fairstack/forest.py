@@ -41,6 +41,24 @@ class ForestSpec:
             raise ValueError(f"min_samples_split must be >= 2, got {self.min_samples_split}")
 
 
+def _fit_input(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """X as a float matrix and y as int64 labels, refused unless they align,
+    X has a row and a column and is finite, and y holds only 0 and 1."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y).reshape(-1)
+    if X.ndim != 2 or X.shape[0] != y.shape[0]:
+        raise ValueError(f"X {X.shape} and y {y.shape} do not align")
+    if X.shape[0] == 0:
+        raise ValueError("cannot fit on zero rows")
+    if X.shape[1] == 0:
+        raise ValueError("cannot fit on zero features")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be 0/1")
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite")
+    return X, y.astype(np.int64)
+
+
 def _ranks(X: np.ndarray) -> np.ndarray:
     """Per-column ranks of X as int32; equal values share a rank. One column
     at a time, so no n x d sort temporary is held. Refuses over MAX_ROWS rows."""
@@ -156,8 +174,8 @@ class DecisionTree:
         self.feature = self.threshold = self.left = self.right = self.value = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
-        X = np.asarray(X)
-        return self._grow(X, _ranks(X), np.asarray(y).reshape(-1), np.ones(X.shape[0]))
+        X, y = _fit_input(X, y)
+        return self._grow(X, _ranks(X), y, np.ones(X.shape[0]))
 
     def _grow(self, X: np.ndarray, ranks: np.ndarray, y: np.ndarray,
               counts: np.ndarray) -> "DecisionTree":
@@ -208,6 +226,8 @@ class DecisionTree:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        if self.n_features is None:
+            raise ValueError("the tree is not fitted: call fit before predict")
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"X has shape {X.shape}; the tree was fitted on "
@@ -231,17 +251,7 @@ class RandomForest:
         self.n_features: int | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y).reshape(-1)
-        if X.ndim != 2 or X.shape[0] != y.shape[0]:
-            raise ValueError(f"X {X.shape} and y {y.shape} do not align")
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit a forest on zero rows")
-        if not np.isin(y, (0, 1)).all():
-            raise ValueError("labels must be 0/1")
-        if not np.isfinite(X).all():
-            raise ValueError("features must be finite")
-        y = y.astype(np.int64)
+        X, y = _fit_input(X, y)
         n, self.n_features = X.shape
         ranks = _ranks(X)
         self.trees = []

@@ -50,34 +50,9 @@ class PredictionBatch:
         return len(self.y_pred)
 
 
-@dataclass
-class GroupRates:
-    n: int
-    pos_rate: float          # P(y_pred=1) within the group
-    n_y1: int
-    n_y0: int
-    tpr: float | None        # None when the group has no y=1 samples
-    fpr: float | None        # None when the group has no y=0 samples
-
-
 def threshold_predictions(probs, thr: float = 0.5) -> np.ndarray:
     """Turn probabilistic outputs into hard 0/1 labels (>= thr -> 1)."""
     return (np.asarray(probs).reshape(-1) >= thr).astype(np.int64)
-
-
-def group_rates(batch: PredictionBatch, group: int) -> GroupRates:
-    mask = batch.s == group
-    n = int(mask.sum())
-    if n == 0:
-        raise UndefinedMetricError(f"group s={group} is empty")
-    yp = batch.y_pred[mask]
-    yt = batch.y_true[mask]
-    n_y1 = int((yt == 1).sum())
-    n_y0 = n - n_y1
-    tpr = float((yp[yt == 1] == 1).mean()) if n_y1 else None
-    fpr = float((yp[yt == 0] == 1).mean()) if n_y0 else None
-    return GroupRates(n=n, pos_rate=float((yp == 1).mean()), n_y1=n_y1, n_y0=n_y0,
-                      tpr=tpr, fpr=fpr)
 
 
 def accuracy(batch: PredictionBatch) -> float:
@@ -117,23 +92,32 @@ def evaluate(batch: PredictionBatch, eo_mode: str = "sum") -> FairnessReport:
     the larger of the two with ``"max"``."""
     if eo_mode not in EO_MODES:
         raise ValueError(f"eo_mode must be one of {EO_MODES}, got {eo_mode!r}")
-    r0 = group_rates(batch, 0)
-    r1 = group_rates(batch, 1)
-    dp = abs(r0.pos_rate - r1.pos_rate)
-    eopp = abs(r0.tpr - r1.tpr) if (r0.tpr is not None and r1.tpr is not None) else None
+    n, pos_rate, tpr, fpr = [], [], [], []
+    for g in (0, 1):
+        mask = batch.s == g
+        n.append(int(mask.sum()))
+        if n[g] == 0:
+            raise UndefinedMetricError(f"group s={g} is empty")
+        yp, yt = batch.y_pred[mask], batch.y_true[mask]
+        n_y1 = int((yt == 1).sum())
+        pos_rate.append(float((yp == 1).mean()))
+        tpr.append(float((yp[yt == 1] == 1).mean()) if n_y1 else None)    # None: no y=1 rows
+        fpr.append(float((yp[yt == 0] == 1).mean()) if n[g] - n_y1 else None)  # no y=0 rows
+    dp = abs(pos_rate[0] - pos_rate[1])
+    eopp = abs(tpr[0] - tpr[1]) if None not in tpr else None
     eo = None
-    if eopp is not None and r0.fpr is not None and r1.fpr is not None:
-        fpr_gap = abs(r0.fpr - r1.fpr)
+    if eopp is not None and None not in fpr:
+        fpr_gap = abs(fpr[0] - fpr[1])
         eo = eopp + fpr_gap if eo_mode == "sum" else max(eopp, fpr_gap)
     return FairnessReport(
         accuracy=accuracy(batch),
         delta_dp=dp,
         delta_eo=eo,
         delta_eopp=eopp,
-        tpr_s0=r0.tpr, tpr_s1=r1.tpr,
-        fpr_s0=r0.fpr, fpr_s1=r1.fpr,
-        pos_rate_s0=r0.pos_rate, pos_rate_s1=r1.pos_rate,
-        n_s0=r0.n, n_s1=r1.n,
+        tpr_s0=tpr[0], tpr_s1=tpr[1],
+        fpr_s0=fpr[0], fpr_s1=fpr[1],
+        pos_rate_s0=pos_rate[0], pos_rate_s1=pos_rate[1],
+        n_s0=n[0], n_s1=n[1],
     )
 
 

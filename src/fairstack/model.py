@@ -17,12 +17,12 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .nn import ACTIVATIONS, MLP, DimensionError, Param, _bce_with_grad, dense_forward, mse
+from .nn import ACTIVATIONS, MLP, DimensionError, _bce_with_grad, dense_forward, mse
 
 CRITERIA = ("dp", "eo", "eopp")
 
@@ -65,24 +65,8 @@ class StackSpec:
         object.__setattr__(self, "levels", tuple(self.levels))
         validate_spec(self)
 
-    @property
-    def in_dim(self) -> int:
-        return self.levels[0].in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.levels[-1].latent
-
     def to_dict(self) -> dict:
-        return {
-            "levels": [
-                {"in_dim": l.in_dim, "latent": l.latent, "hidden": list(l.hidden)}
-                for l in self.levels
-            ],
-            "alpha": self.alpha, "beta": self.beta, "gamma": self.gamma,
-            "criterion": self.criterion, "adv_hidden": self.adv_hidden,
-            "cls_hidden": self.cls_hidden, "root_mse": self.root_mse,
-        }
+        return asdict(self)
 
 
 def spec_hash(spec: StackSpec) -> str:
@@ -170,14 +154,10 @@ class Level:
     def latent(self) -> int:
         return self.encoder.out_dim
 
-    def adv_params(self) -> list[Param]:
-        return self.adversary.params()
-
 
 def build(spec: StackSpec, seed: int) -> list[Level]:
     """Freshly initialized levels; deterministic per seed (one rng stream,
     networks created in a fixed order)."""
-    validate_spec(spec)
     rng = np.random.default_rng(seed)
     return [Level(lv, spec.criterion, spec.adv_hidden, spec.cls_hidden, rng)
             for lv in spec.levels]

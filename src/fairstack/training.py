@@ -18,7 +18,7 @@ backward pass and Adam update are skipped; it still runs forward, so the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class TrainConfig:
         return self.lr if self.lr_adv is None else self.lr_adv
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
 
 @dataclass
@@ -128,7 +128,7 @@ def _run_level(level: Level, level_index: int, prefix: list[Level],
     nets = [level.encoder, level.classifier, *([level.decoder] if alpha else []),
             *(lv.encoder for lv in prefix)]
     adam_main = Adam([p for net in nets for p in net.params()], lr=cfg.lr)
-    adam_adv = Adam(level.adv_params(), lr=cfg.adversary_lr)
+    adam_adv = Adam(level.adversary.params(), lr=cfg.adversary_lr)
     log = TrainLog(level=level_index)
     s_col = s.reshape(-1, 1).astype(float)   # the adversary's targets, made once
 

@@ -149,7 +149,7 @@ def test_gradients_match_finite_differences():
             zero_grads(all_params(prefix) + all_params(level))
             kernel_objective()
             grads = [p.grad.copy() for p in trained]
-            assert all(not p.grad.any() for p in level.adv_params())
+            assert all(not p.grad.any() for p in level.adversary.params())
             for p, grad in zip(trained, grads):
                 def f(v, p=p):
                     keep = p.value.copy()

@@ -152,6 +152,18 @@ def test_every_key_rejects_a_bad_value_by_name(f):
             parse_config(d)
 
 
+
+@pytest.mark.parametrize("key, value, error", [
+    ("seeds", [0, "a"], "seeds[1]: expected int, got str ('a')"),
+    ("sweep.betas", [1.0, float("nan")], "sweep.betas[1]: must be a finite number"),
+    ("stack.levels", [{"latent": 2, "hidden": [4, 0]}],
+     "stack.levels[0].hidden[1]: must be >= 1"),
+], ids=["seeds", "sweep.betas", "stack.levels.hidden"])
+def test_list_entries_are_named_by_index(key, value, error):
+    with pytest.raises(ConfigError, match=re.escape(error)):
+        parse_config(_with(_valid_file(), key, value))
+
+
 # ---------------------------------------------------------------------------
 # docs
 

@@ -471,6 +471,29 @@ def test_forest_predict_before_fit_raises():
         RandomForest(ForestSpec(n_trees=2)).predict_proba(np.zeros((2, 3)))
 
 
+
+def _fit_tree(X, y):
+    return DecisionTree(ForestSpec(n_trees=1), np.random.default_rng(0)).fit(X, y)
+
+
+@pytest.mark.parametrize("fit", [train_forest, _fit_tree], ids=["forest", "tree"])
+@pytest.mark.parametrize("X, y, error", [
+    (np.zeros((4, 0)), [0, 1, 0, 1], "zero features"),
+    (np.zeros((0, 3)), [], "zero rows"),
+    ([[0.0], [1.0]], [0, 1, 1], "do not align"),
+    ([[0.0], [1.0]], [0, 2], "0/1"),
+    ([[0.0], [np.nan], [1.0]], [0, 1, 1], "finite"),
+], ids=["no-features", "no-rows", "misaligned", "label-2", "nan"])
+def test_forest_and_tree_fits_check_their_input(fit, X, y, error):
+    with pytest.raises(ValueError, match=error):
+        fit(X, y)
+
+
+def test_tree_predict_before_fit_raises():
+    with pytest.raises(ValueError, match="not fitted"):
+        DecisionTree(ForestSpec(), np.random.default_rng(0)).predict(np.zeros((2, 3)))
+
+
 @pytest.mark.parametrize("d", [*range(1, 40), 64, 100, 101, 1000, 2500, 5000,
                                9999, 10000, 10001, 40000])
 def test_feature_draws_match_generator_choice(d):
@@ -544,9 +567,8 @@ def test_cv_produces_k_reports():
     assert result.meta["k"] == 5
     assert result.meta["std_kind"] == "sample (ddof=1)"
     assert result.meta["encoder_levels"] == 0
-    payload = result.to_json()
-    assert len(payload["folds"]) == 5
-    assert set(payload["mean"]) == set(payload["std"])
+    assert result.model_kind == "logreg"
+    assert set(result.mean) == set(result.std) == set(result.reports[0].to_json())
 
 
 def test_cv_unknown_model_kind():

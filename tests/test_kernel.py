@@ -87,7 +87,7 @@ def test_kernel_gradients_match_the_graph(crit, alpha, root_mse, fine_tune, labe
         trained += list(zip(graph[0].encoder.params(), kernel[0].encoder.params()))
     for n, (g, k) in enumerate(trained):
         assert np.array_equal(k.grad, g.grad), f"parameter {n} {g.value.shape}"
-    assert not any(p.grad.any() for p in kernel[1].adv_params())  # frozen in the main step
+    assert not any(p.grad.any() for p in kernel[1].adversary.params())  # frozen in the main step
     if not fine_tune:
         assert not any(p.grad.any() for p in all_params(kernel[0]))
 
@@ -141,14 +141,14 @@ def _reference_run_level(level, level_index, prefix, X0, y, s, alpha, beta, gamm
     """The level loop on the graph path, with a per-parameter Adam."""
     main = main_params(level) + [p for lv in prefix for p in lv.encoder.params()]
     adam_main = AdamReference(main, lr=cfg.lr)
-    adam_adv = AdamReference(level.adv_params(), lr=cfg.adversary_lr)
+    adam_adv = AdamReference(level.adversary.params(), lr=cfg.adversary_lr)
     log = TrainLog(level=level_index)
     for epoch in range(cfg.epochs):
         rec_sum = cls_sum = adv_sum = 0.0
         n_batches = n_adv_batches = 0
         for idx in batches(X0.shape[0], cfg.batch_size, (cfg.seed, level_index), epoch):
             xb, yb, sb = X0[idx], y[idx], s[idx]
-            ad.zero_grads(main + level.adv_params())
+            ad.zero_grads(main + level.adversary.params())
             z_in = Var(xb)
             for lv in prefix:
                 z_in = forward(lv.encoder, z_in)
@@ -177,7 +177,7 @@ def _reference_run_level(level, level_index, prefix, X0, y, s, alpha, beta, gamm
                 rows = ad.concat_cols(rows, Var(yb[sub].reshape(-1, 1).astype(float)))
             target = sb[sub].reshape(-1, 1).astype(float)
             for _ in range(cfg.adv_steps):
-                ad.zero_grads(level.adv_params())
+                ad.zero_grads(level.adversary.params())
                 ad.backward(ad.bce_loss(forward(level.adversary, rows), target))
                 adam_adv.step()
         adv_acc = dp = eo = eopp = math.nan

@@ -14,7 +14,6 @@ from fairstack.metrics import (
     delta_eo,
     delta_eopp,
     evaluate,
-    group_rates,
     threshold_predictions,
 )
 from oracles import naive_metrics
@@ -259,9 +258,9 @@ def test_batch_rejects_empty():
 
 def test_group_rates_counts():
     b = batch([1, 1, 0, 0, 1], [1, 0, 1, 0, 1], [0, 0, 0, 1, 1])
-    r0 = group_rates(b, 0)
-    assert (r0.n, r0.n_y1, r0.n_y0) == (3, 2, 1)
-    assert r0.pos_rate == pytest.approx(2.0 / 3.0)
+    report = evaluate(b)
+    assert (report.n_s0, report.n_s1) == (3, 2)
+    assert report.pos_rate_s0 == pytest.approx(2.0 / 3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ def test_stacked_spec_widths():
     assert len(spec.levels) == 2
     assert spec.levels[0].in_dim == 104 and spec.levels[0].latent == 20
     assert spec.levels[1].in_dim == 20 and spec.levels[1].latent == 8
-    assert spec.in_dim == 104 and spec.out_dim == 8
+    assert spec.levels[0].in_dim == 104 and spec.levels[-1].latent == 8
 
 
 def test_vanilla_spec_single_level_with_hidden():

@@ -162,7 +162,7 @@ def test_main_step_ascends_adversary_loss_on_average():
         idx = np.arange(b * 32, (b + 1) * 32)
         xb, yb, sb = ds.X[idx], ds.y[idx], ds.s[idx]
         before = level_loss(level, xb, yb, sb, alpha=0.0, beta=1.0, gamma=0.0)
-        ad.zero_grads(main_params(level) + level.adv_params())
+        ad.zero_grads(main_params(level) + level.adversary.params())
         ad.backward(ad.scale(before.adv, -1.0))
         opt.step()
         after = level_loss(level, xb, yb, sb, alpha=0.0, beta=1.0, gamma=0.0)
@@ -173,7 +173,7 @@ def test_main_step_ascends_adversary_loss_on_average():
 def test_adversary_step_descends_its_loss_on_average():
     ds = make_synthetic(n=50 * 32, seed=2)
     level = build(stacked_spec(ds.d, (3,)), seed=0)[0]
-    opt = Adam(level.adv_params(), lr=1e-3)
+    opt = Adam(level.adversary.params(), lr=1e-3)
     diffs = []
     for b in range(50):
         idx = np.arange(b * 32, (b + 1) * 32)
@@ -185,7 +185,7 @@ def test_adversary_step_descends_its_loss_on_average():
             return ad.bce_loss(forward(level.adversary, Var(z)), target)
 
         before = adv_loss()
-        ad.zero_grads(level.adv_params())
+        ad.zero_grads(level.adversary.params())
         ad.backward(before)
         opt.step()
         diffs.append(adv_loss().item() - before.item())
