@@ -104,6 +104,9 @@ def _load_split(cfg: ExperimentConfig, seed: int):
     raw matrix is freed on return. Returns (dataset summary, train, val)."""
     ds = load_dataset(cfg)
     plan = train_val_test_split(ds.n, seed=seed, val_frac=cfg.val_frac)
+    if plan.val.size == 0:
+        raise ConfigError(f"val_frac: {cfg.val_frac} of the dataset's {ds.n} rows "
+                          "leaves no validation rows")
     return (ds.summary(), *standardize(ds, plan.train, plan.train, plan.val))
 
 
@@ -308,7 +311,6 @@ def cmd_sweep(cfg: ExperimentConfig, jobs: int = 1) -> int:
     if not cfg.betas:
         raise ConfigError("sweep.betas: must be non-empty for the sweep command")
     chash = config_hash(cfg)
-    run = _run_dir(cfg.out_dir, "sweep")
     tasks = [(cfg, beta, seed, variant)
              for beta in cfg.betas for seed in cfg.seeds for variant in VARIANTS]
     baseline_tasks = [(cfg, None, seed, "unfair") for seed in cfg.seeds]
@@ -317,6 +319,8 @@ def cmd_sweep(cfg: ExperimentConfig, jobs: int = 1) -> int:
     results = _map(_sweep_job, tasks + baseline_tasks, jobs)
     rows, baseline = results[:len(tasks)], results[len(tasks):]
     wall = time.perf_counter() - t0
+
+    run = _run_dir(cfg.out_dir, "sweep")  # made last: a config error leaves no directory
 
     comment = f"config_hash={chash}"
     _write_rows(run / "sweep.csv", SWEEP_COLUMNS, rows, comment)

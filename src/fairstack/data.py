@@ -181,8 +181,8 @@ def _encode_columns(rows: list[list[str]], columns, keep: list[int], extra: int 
     ``columns[j]``, into a float matrix, leaving ``extra`` zero columns at its
     right end for the caller to fill.
 
-    Continuous columns parse as floats. Categorical columns with two values
-    become one 0/1 indicator; with k > 2 values, k one-hot indicators
+    Continuous columns parse as finite floats. Categorical columns with two
+    values become one 0/1 indicator; with k > 2 values, k one-hot indicators
     (categories in sorted order); single-valued columns are dropped. The
     width is known after one pass over the categories, so the matrix is
     filled in place.
@@ -204,6 +204,11 @@ def _encode_columns(rows: list[list[str]], columns, keep: list[int], extra: int 
                 X[:, at] = [float(r[j]) for r in rows]
             except ValueError as exc:
                 raise DatasetError(f"column {col.name!r}: non-numeric value ({exc})") from exc
+            bad = np.flatnonzero(~np.isfinite(X[:, at]))
+            if bad.size:
+                i = int(bad[0])
+                raise DatasetError(f"column {col.name!r}: non-finite value {rows[i][j]!r} "
+                                   f"in row {i}")
             names.append(col.name)
             continuous.append(col.name)
             encoding[col.name] = "continuous"

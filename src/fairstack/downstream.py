@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, batches, make_folds, fold_train_indices
-from .forest import ForestSpec, train_forest
+from .forest import ForestSpec, _fit_input, train_forest
 from .metrics import FairnessReport, PredictionBatch, evaluate, threshold_predictions
 from .model import TrainedStack, head_dims
 from .nn import MLP, Adam, bce, bce_step
@@ -59,12 +59,7 @@ def train_probe(stack: TrainedStack, X: np.ndarray, y: np.ndarray,
     """Label probe on frozen encodings: encode X, fit hidden->sigmoid MLP
     with plain BCE, minibatch Adam. The stack is only ever read."""
     spec = spec or ProbeSpec()
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y).reshape(-1)
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be 0/1")
-    if X.shape[0] == 0:
-        raise ValueError("cannot fit a probe on zero rows")
+    X, y = _fit_input(X, y)
     z = stack.encode(X)
     mlp = MLP(head_dims(z.shape[1], spec.hidden), np.random.default_rng(spec.seed),
               output_activation="sigmoid")
@@ -76,7 +71,6 @@ def train_probe(stack: TrainedStack, X: np.ndarray, y: np.ndarray,
                 bce_step(mlp, opt, z[idx], target[idx])
     except FloatingPointError as exc:
         raise DivergenceError(f"non-finite value in probe epoch {epoch}: {exc}") from exc
-    mlp.clear_cache()
     return MLPPredictor(mlp, stack=stack)
 
 
@@ -87,14 +81,7 @@ def train_logreg(features: np.ndarray, y: np.ndarray, seed: int = 0,
     before the last step is not below the loss before the first."""
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(y).reshape(-1)
-    if not np.isfinite(X).all():
-        raise ValueError("features must be finite")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be 0/1")
-    if X.shape[0] == 0:
-        raise ValueError("cannot fit logistic regression on zero rows")
+    X, y = _fit_input(features, y)
     mlp = MLP([X.shape[1], 1], np.random.default_rng(seed), output_activation="sigmoid")
     opt = Adam(mlp.params(), lr=lr)
     target = y.reshape(-1, 1).astype(float)
@@ -109,7 +96,6 @@ def train_logreg(features: np.ndarray, y: np.ndarray, seed: int = 0,
     if last >= first:
         raise DivergenceError(
             f"logistic regression failed to converge: loss {first:.6f} -> {last:.6f}")
-    mlp.clear_cache()
     return MLPPredictor(mlp)
 
 

@@ -43,7 +43,8 @@ class ForestSpec:
 
 def _fit_input(X, y) -> tuple[np.ndarray, np.ndarray]:
     """X as a float matrix and y as int64 labels, refused unless they align,
-    X has a row and a column and is finite, and y holds only 0 and 1."""
+    X has a row and a column and is finite, and y holds only 0 and 1. Every
+    downstream predictor (forest, logreg, probe) checks its input here."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y).reshape(-1)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:

@@ -6,7 +6,8 @@ h_i predicting the label from z_i, and an adversary head f_i predicting the
 sensitive attribute from z_i (plus the label column under the eo criterion).
 Levels compose: z_0 is the raw input, z_i = E_i(z_{i-1}), with strictly
 decreasing code widths. :func:`level_grads` computes a level's signed
-objective and its gradients on the explicit :mod:`nn` kernel; the graph form
+objective and its gradients on the explicit :mod:`nn` kernel, holding the
+forward tape of each net it back-propagates through; the graph form
 of the same objective, which the tests check it against, lives with the
 reference graph engine. After training, only the encoders survive as a
 :class:`TrainedStack`, which serializes to a small binary format.
@@ -229,34 +230,39 @@ def level_grads(level: Level, x: np.ndarray, y: np.ndarray, s: np.ndarray,
     prefix encoders. The adversary is only read; the trainer updates it
     separately to minimize adv, so the two sides play against each other.
 
-    With ``alpha == 0`` the decoder's gradient is exactly zero: its forward
-    pass still gives the rec value, but its backward pass is skipped and its
-    ``.grad`` is left alone. Returns the rec, cls and adv loss values; adv is
-    None when the criterion subset of the batch is empty.
+    Each net that back-propagates gets its own tape, held here for the
+    length of the call. With ``alpha == 0`` the decoder's gradient is exactly
+    zero: its forward pass still gives the rec value, but it keeps no tape,
+    its backward pass is skipped and its ``.grad`` is left alone. Returns the
+    rec, cls and adv loss values; adv is None when the criterion subset of
+    the batch is empty.
     """
     y = np.asarray(y).reshape(-1)
     s = np.asarray(s).reshape(-1)
     _check_rows(x.shape[0], y, s, "level_grads")
+    prefix_tapes: list[list] = [[] for _ in prefix]
+    enc_tape, cls_tape, dec_tape = [], [], ([] if alpha else None)
     z_in = x
-    for lv in prefix:
-        z_in = lv.encoder.forward_value(z_in, cache=True)
-    z = level.encoder.forward_value(z_in, cache=True)
-    rec, g_rec = mse(level.decoder.forward_value(z, cache=True), z_in, root_mse,
+    for lv, tape in zip(prefix, prefix_tapes):
+        z_in = lv.encoder.forward_value(z_in, tape)
+    z = level.encoder.forward_value(z_in, enc_tape)
+    rec, g_rec = mse(level.decoder.forward_value(z, dec_tape), z_in, root_mse,
                      alpha if alpha else None)
-    y_hat = level.classifier.forward_value(z, cache=True)
+    y_hat = level.classifier.forward_value(z, cls_tape)
     y_col = y.reshape(-1, 1).astype(float)
     cls, g_cls = _bce_with_grad(y_hat, y_col, gamma)
     # d(objective)/dz sums the heads in the graph's order: rec, cls, adv
-    g_z = level.classifier.backward(g_cls)
+    g_z = level.classifier.backward(cls_tape, g_cls)
     if g_rec is not None:
-        g_z = level.decoder.backward(g_rec) + g_z
+        g_z = level.decoder.backward(dec_tape, g_rec) + g_z
     rows, idx = adversary_input(level, z, y, eopp_label)
     adv = None
     if rows is not None:
-        s_hat = level.adversary.forward_value(rows, cache=True)
+        adv_tape: list = []
+        s_hat = level.adversary.forward_value(rows, adv_tape)
         s_col = s[idx].reshape(-1, 1).astype(float)
         adv, g_adv = _bce_with_grad(s_hat, s_col, -beta)
-        g_rows = level.adversary.backward(g_adv, param_grads=False)
+        g_rows = level.adversary.backward(adv_tape, g_adv, param_grads=False)
         if level.criterion == "eo":
             g_rows = g_rows[:, :level.latent]
         if idx.size < y.shape[0]:
@@ -264,9 +270,9 @@ def level_grads(level: Level, x: np.ndarray, y: np.ndarray, s: np.ndarray,
             scattered[idx] += g_rows
             g_rows = scattered
         g_z = g_z + g_rows
-    g = level.encoder.backward(g_z, input_grad=bool(prefix))
+    g = level.encoder.backward(enc_tape, g_z, input_grad=bool(prefix))
     for i in range(len(prefix) - 1, -1, -1):
-        g = prefix[i].encoder.backward(g, input_grad=i > 0)
+        g = prefix[i].encoder.backward(prefix_tapes[i], g, input_grad=i > 0)
     return rec, cls, adv
 
 

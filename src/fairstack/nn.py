@@ -3,14 +3,15 @@
 Weight initialization is uniform in +-sqrt(6 / (fan_in + fan_out)); biases
 start at zero. Hidden activations default to leaky ReLU (slope 0.01).
 
-Every training loop runs on one explicit kernel: ``forward_value(x,
-cache=True)`` keeps each layer's input, pre-activation and output,
-``backward(g)`` walks the layers in reverse and accumulates into each
-:class:`Param`'s ``.grad``; :func:`mse` returns a loss with its gradient,
-:func:`bce` and :func:`bce_grad` apart, so a step that reads no loss computes
-none (a non-finite gradient then fails :class:`Adam`'s check). The reference
-graph does the same element-wise math in the same order, byte for byte, and
-no production module imports it. Inference runs :func:`dense_forward`.
+Every forward pass, training or inference, is one :func:`dense_forward`.
+A training step hands it a tape, a list that receives each layer's input,
+pre-activation and output; ``MLP.backward(tape, g)`` walks that tape in
+reverse and accumulates into each :class:`Param`'s ``.grad``. The caller owns
+the tape, so a network keeps no copy of what it last saw. :func:`mse` returns
+a loss with its gradient, :func:`bce` and :func:`bce_grad` apart, so a step
+that reads no loss computes none (a non-finite gradient then fails
+:class:`Adam`'s check). The reference graph does the same element-wise math
+in the same order, byte for byte, and no production module imports it.
 """
 
 from __future__ import annotations
@@ -66,10 +67,15 @@ def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}, expected one of {ACTIVATIONS}")
 
 
-def dense_forward(layers, x: np.ndarray) -> np.ndarray:
-    """act(x @ W + b) through (W, b, activation) triples, caching nothing."""
+def dense_forward(layers, x: np.ndarray, tape: list | None = None) -> np.ndarray:
+    """act(x @ W + b) through (W, b, activation) triples; given a ``tape``
+    list, append each layer's (input, pre-activation, output) to it."""
     for W, b, act in layers:
-        x = apply_activation(act, x @ W + b)
+        pre = x @ W + b
+        out = apply_activation(act, pre)
+        if tape is not None:
+            tape.append((x, pre, out))
+        x = out
     return x
 
 
@@ -91,21 +97,14 @@ class DenseLayer:
         self.activation = activation
         self.weight = Param(init_weight(rng, in_dim, out_dim))
         self.bias = Param(np.zeros((1, out_dim)))
-        self._cache = None  # (input, pre-activation, output) of the last cached forward
 
-    def forward_value(self, x: np.ndarray) -> np.ndarray:
-        """act(x @ W + b), caching input, pre-activation and output for :meth:`backward`."""
-        pre = x @ self.weight.value + self.bias.value
-        self._cache = (x, pre, apply_activation(self.activation, pre))
-        return self._cache[2]
-
-    def backward(self, g: np.ndarray, input_grad: bool = True,
+    def backward(self, record: tuple, g: np.ndarray, input_grad: bool = True,
                  param_grads: bool = True) -> np.ndarray | None:
-        """Pull d(loss)/d(output) ``g`` back through the last cached forward:
-        accumulate into the weight's and bias's ``.grad`` (unless
-        ``param_grads`` is off) and return d(loss)/d(input) (None unless
-        ``input_grad``)."""
-        x, pre, out = self._cache
+        """Pull d(loss)/d(output) ``g`` back through the forward that left
+        ``record`` = (input, pre-activation, output): accumulate into the
+        weight's and bias's ``.grad`` (unless ``param_grads`` is off) and
+        return d(loss)/d(input) (None unless ``input_grad``)."""
+        x, pre, out = record
         if self.activation == "relu":
             g = g * (pre > 0)
         elif self.activation == "leaky_relu":
@@ -146,28 +145,20 @@ class MLP:
         """(weight, bias, activation) per layer, as :func:`dense_forward` takes them."""
         return [(l.weight.value, l.bias.value, l.activation) for l in self.layers]
 
-    def forward_value(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
-        if not cache:
-            return dense_forward(self.triples(), x)
-        for layer in self.layers:
-            x = layer.forward_value(x)
-        return x
+    def forward_value(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
+        """:func:`dense_forward` through this net's layers."""
+        return dense_forward(self.triples(), x, tape)
 
-    def backward(self, g: np.ndarray, input_grad: bool = True,
+    def backward(self, tape: list, g: np.ndarray, input_grad: bool = True,
                  param_grads: bool = True) -> np.ndarray | None:
-        """:meth:`DenseLayer.backward` through every layer, last to first."""
+        """:meth:`DenseLayer.backward` through every layer, last to first,
+        each reading its record of ``tape``, as :meth:`forward_value` filled it."""
         for i in range(len(self.layers) - 1, -1, -1):
-            g = self.layers[i].backward(g, input_grad or i > 0, param_grads)
+            g = self.layers[i].backward(tape[i], g, input_grad or i > 0, param_grads)
         return g
 
     def params(self) -> list[Param]:
         return [p for layer in self.layers for p in layer.params()]
-
-    def clear_cache(self) -> None:
-        """Drop every layer's cached forward, so a trained net keeps no copy
-        of its training input."""
-        for layer in self.layers:
-            layer._cache = None
 
 
 def bce(predicted: np.ndarray, target: np.ndarray) -> float:
@@ -223,7 +214,8 @@ def mse(reconstruction: np.ndarray, target: np.ndarray, root: bool = False,
 def bce_step(net: MLP, opt: Adam, x: np.ndarray, target: np.ndarray) -> None:
     """One Adam step of ``net`` on the BCE of ``net(x)`` against ``target``."""
     opt.zero_grad()
-    net.backward(bce_grad(net.forward_value(x, cache=True), target), input_grad=False)
+    tape: list = []
+    net.backward(tape, bce_grad(net.forward_value(x, tape), target), input_grad=False)
     opt.step()
 
 

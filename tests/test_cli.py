@@ -373,6 +373,17 @@ def test_fit_with_a_one_row_val_split_exit_1(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("command", [["fit"], ["sweep"], ["sweep", "--jobs", "2"]])
+def test_an_empty_val_split_exit_2(tmp_path, capsys, command):
+    # 5% of 8 rows rounds to zero validation rows
+    path = _write_config(tmp_path, dataset={"id": "synthetic", "n": 8, "n_noise": 1},
+                         val_frac=0.05, sweep={"betas": [1.0]})
+    assert main([*command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: val_frac: 0.05 of the dataset's 8 rows leaves no validation rows" in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_load_split_equals_subsets_of_the_whole_standardization(tmp_path):
     cfg = load_config(_write_config(tmp_path, dataset={"id": "synthetic", "n": 90,
                                                        "n_noise": 2}, val_frac=0.3))

@@ -98,6 +98,19 @@ def test_adult_unknown_label_names_it(tmp_path):
         load_adult(_adult_file(tmp_path, rows))
 
 
+@pytest.mark.parametrize("age", ["nan", "inf", "-Infinity", "1e999"])
+def test_adult_non_finite_continuous_value_names_column_and_row(tmp_path, age):
+    # float() parses all four, so the loader must refuse them itself
+    rows = [
+        ROW_TEMPLATE.format(age=30, workclass="Private", education="Bachelors",
+                            sex="Male", label=">50K"),
+        ROW_TEMPLATE.format(age=age, workclass="Private", education="HS-grad",
+                            sex="Female", label="<=50K"),
+    ]
+    with pytest.raises(DatasetError, match=rf"column 'age': non-finite value '{age}' in row 1"):
+        load_adult(_adult_file(tmp_path, rows))
+
+
 def test_adult_wrong_field_count_names_line(tmp_path):
     path = _adult_file(tmp_path, ["1, 2, 3"])
     with pytest.raises(DatasetError) as exc:

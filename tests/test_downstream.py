@@ -152,19 +152,38 @@ def test_diverging_predictor_raises_divergence_error(fit):
         fit(X, y)
 
 
-def test_logreg_rejects_nonfinite_features():
-    with pytest.raises(ValueError):
-        train_logreg(np.array([[np.nan], [1.0]]), np.array([0, 1]))
+def _reachable_arrays(obj) -> list[np.ndarray]:
+    """Every ndarray reachable from ``obj`` through attributes, slots and containers."""
+    seen, todo, found = set(), [obj], []
+    while todo:
+        o = todo.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            found.append(o)
+        elif isinstance(o, dict):
+            todo.extend(o.values())
+        elif isinstance(o, (list, tuple)):
+            todo.extend(o)
+        else:
+            todo.extend(getattr(o, "__dict__", {}).values())
+            todo.extend(getattr(o, a) for a in getattr(type(o), "__slots__", ()) if hasattr(o, a))
+    return found
 
 
 def test_trained_predictors_hold_no_training_cache():
-    # a cached forward would keep the training matrix alive as long as the
-    # predictor, e.g. through the next cross-validation fold's fit
+    # a forward record kept on the net would keep the training matrix (or a
+    # batch of it) alive as long as the predictor, e.g. through the next
+    # cross-validation fold's fit
     X, y = _separable_toy(n=90, seed=8)
     logreg = train_logreg(X, y, seed=2, epochs=40)
     probe = train_probe(TrainedStack.identity(2), X, y, ProbeSpec(hidden=4, epochs=3, seed=2))
     for predictor in (logreg, probe):
-        assert all(layer._cache is None for layer in predictor.mlp.layers)
+        arrays = _reachable_arrays(predictor)
+        assert not any(np.shares_memory(a, X) for a in arrays)
+        params = {id(a) for p in predictor.mlp.params() for a in (p.value, p.grad)}
+        assert {id(a) for a in arrays} == params
     # the same full-batch steps without train_logreg predict the same bytes
     mlp = MLP([2, 1], np.random.default_rng(2), output_activation="sigmoid")
     opt = Adam(mlp.params(), lr=0.05)
@@ -441,6 +460,15 @@ def test_forest_refuses_more_rows_than_the_packed_sort_holds():
 
 def _train_probe(X, y):
     return train_probe(TrainedStack.identity(X.shape[1]), X, y, ProbeSpec(epochs=1, hidden=2))
+
+
+@pytest.mark.parametrize("train", [train_forest, train_logreg, _train_probe])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predictors_reject_nonfinite_features(train, bad):
+    X, y = _separable_toy(n=40, seed=1)
+    X[5, 1] = bad
+    with pytest.raises(ValueError, match="features must be finite"):
+        train(X, y)
 
 
 @pytest.mark.parametrize("train", [train_forest, train_logreg, _train_probe])

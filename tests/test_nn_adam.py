@@ -67,15 +67,18 @@ def test_sigmoid_matches_the_masked_form_bytewise():
     assert np.isnan(sigmoid(np.array([[np.nan, -np.nan]]))).all()
 
 
-def test_uncached_forward_is_dense_forward_over_the_triples():
+def test_a_tape_records_each_layer_and_leaves_the_forward_unchanged():
     mlp = MLP([5, 4, 3, 1], np.random.default_rng(2), output_activation="sigmoid")
     x = np.random.default_rng(3).normal(size=(9, 5))
-    want = mlp.forward_value(x, cache=True)
-    assert mlp.forward_value(x).tobytes() == want.tobytes()
-    assert dense_forward(mlp.triples(), x).tobytes() == want.tobytes()
-    mlp.clear_cache()
-    mlp.forward_value(x)  # inference keeps no copy of its input
-    assert all(layer._cache is None for layer in mlp.layers)
+    tape: list = []
+    out = mlp.forward_value(x, tape)
+    assert out.tobytes() == mlp.forward_value(x).tobytes()
+    assert len(tape) == len(mlp.layers)
+    assert tape[0][0] is x and tape[-1][2] is out
+    assert all(a[2] is b[0] for a, b in zip(tape, tape[1:]))
+    for (W, b, act), (inp, pre, post) in zip(mlp.triples(), tape):
+        assert pre.tobytes() == (inp @ W + b).tobytes()
+        assert post.tobytes() == dense_forward([(W, b, act)], inp).tobytes()
 
 
 def test_mlp_param_count():
