@@ -14,8 +14,9 @@ module sets each of ``BLAS_THREAD_VARS`` to 1 unless it is already set, so
 the CLI and its workers run BLAS on one thread; code that does not import
 this module keeps numpy's default.
 
-``transform`` reads a CSV of numeric feature rows: an optional non-numeric
-header row, ``,`` delimiters, ``"`` quotes, blank lines skipped. The body is
+``transform`` reads a UTF-8 CSV of numeric feature rows (a leading byte-order
+mark is skipped): an optional non-numeric header row, ``,`` delimiters, ``"``
+quotes, blank lines skipped. The body is
 parsed by one ``np.loadtxt`` call into the float matrix, so its memory is
 about that matrix, not a Python object per value; a value ``float`` accepts
 but ``loadtxt`` does not (``1_0``, non-ASCII digits) is non-numeric. The codes
@@ -50,7 +51,7 @@ import numpy as np  # noqa: E402  (after the BLAS thread variables)
 from .config import (ConfigError, ExperimentConfig, config_hash, forest_spec_for,
                      load_config, load_dataset, probe_spec_for, stack_spec_for,
                      train_config_for)
-from .data import Dataset, DatasetError, standardize, train_val_test_split
+from .data import TEXT_ENCODING, Dataset, DatasetError, standardize, train_val_test_split
 from .downstream import cross_validate, train_probe
 from .metrics import PredictionBatch, UndefinedMetricError, evaluate
 from .model import ModelFormatError, SpecError, TrainedStack
@@ -137,9 +138,9 @@ def cmd_fit(cfg: ExperimentConfig) -> int:
     model_path = run / "model.fstk"
     stack.save(model_path)
     log_paths = []
-    for log in logs:
-        p = run / f"train-level{log.level}.csv"
-        _write_rows(p, LOG_COLUMNS, map(vars, log.records), f"config_hash={chash} seed={seed}")
+    for i, records in enumerate(logs):
+        p = run / f"train-level{i}.csv"
+        _write_rows(p, LOG_COLUMNS, map(vars, records), f"config_hash={chash} seed={seed}")
         log_paths.append(str(p))
 
     _write_record(run / "run.json", "fit", cfg, chash, wall,
@@ -181,19 +182,22 @@ def _read_numeric_csv(path: Path) -> np.ndarray:
     The first non-blank record is the header if any of its fields is not a
     float. The body is parsed in one ``np.loadtxt`` call; only a file that
     call refuses is read again, record by record, to say what is wrong."""
-    with open(path, newline="") as fh:
-        records = csv.reader(fh)
-        first = next((r for r in records if r), None)
-        skip = 0 if first is None or _is_numeric(first) else records.line_num
-        if skip and next((r for r in records if r), None) is None:
-            first = None  # a header and no body
-    if first is None:
-        return np.zeros((0, 0))
     try:
-        X = np.loadtxt(path, delimiter=",", dtype=np.float64, skiprows=skip, ndmin=2,
-                       comments=None, quotechar='"')
-    except ValueError as exc:
-        raise _body_error(path, skip, exc) from None
+        with open(path, newline="", encoding=TEXT_ENCODING) as fh:
+            records = csv.reader(fh)
+            first = next((r for r in records if r), None)
+            skip = 0 if first is None or _is_numeric(first) else records.line_num
+            if skip and next((r for r in records if r), None) is None:
+                first = None  # a header and no body
+        if first is None:
+            return np.zeros((0, 0))
+        try:
+            X = np.loadtxt(path, delimiter=",", dtype=np.float64, skiprows=skip, ndmin=2,
+                           comments=None, quotechar='"', encoding=TEXT_ENCODING)
+        except ValueError as exc:  # a decode error too: _body_error's full read meets it again
+            raise _body_error(path, skip, exc) from None
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path} is not UTF-8 text: {exc.reason}") from None
     bad_rows = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad_rows.size:
         i = bad_rows[0]
@@ -207,7 +211,7 @@ def _body_error(path: Path, skip: int, exc: ValueError) -> DatasetError:
     ragged rows first, then the first row with a field ``float`` refuses,
     else a value ``float`` takes but ``loadtxt`` does not (``1_0``)."""
     widths, bad = set(), None
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding=TEXT_ENCODING) as fh:
         records = csv.reader(fh)
         for r in records:
             if r and records.line_num > skip:
@@ -446,6 +450,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Before any compute, and creating nothing: the nearest existing ancestor
+    of ``out_dir`` must be a directory with write and search access."""
+    path = Path(out_dir).absolute()
+    near = next(p for p in (path, *path.parents) if os.path.lexists(p))  # "/" exists
+    if not (near.is_dir() and os.access(near, os.W_OK | os.X_OK)):
+        raise ConfigError(f"out_dir: {out_dir!r}: {near} is not a writable directory")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -459,6 +472,7 @@ def main(argv=None) -> int:
                           criterion=args.criterion)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        _check_out_dir(cfg.out_dir)
         if args.command == "fit":
             return cmd_fit(cfg)
         if args.command == "sweep":

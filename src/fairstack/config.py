@@ -272,7 +272,9 @@ def load_config(path, seed: int | None = None, beta: float | None = None,
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {p} is not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

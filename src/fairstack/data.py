@@ -8,8 +8,9 @@ raw at load time; :func:`standardize` z-scores them with statistics from a
 training index set only, so splits control their own normalization.
 
 Both UCI loaders are one reader, :func:`_load_table`, driven by one
-:class:`_Table` per dataset. Blank lines and lines starting with ``|`` are
-skipped; rows with a ``?`` field are dropped and counted in ``meta``.
+:class:`_Table` per dataset. Files are UTF-8 text (a leading byte-order mark
+is skipped). Blank lines and lines starting with ``|`` are skipped; rows with
+a ``?`` field are dropped and counted in ``meta``.
 
 Memory: each matrix is built once, in place. The UCI reader streams lines
 into one list of rows in which each distinct field value is one shared
@@ -26,6 +27,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+
+TEXT_ENCODING = "utf-8-sig"  # user files are UTF-8; a leading byte-order mark is skipped
 
 
 class DatasetError(ValueError):
@@ -238,20 +242,24 @@ def _load_table(table: _Table, path, include_sensitive: bool) -> Dataset:
     seen: dict[str, str] = {}  # one shared str per distinct field value
     n_raw = n_dropped = 0
     for f in _table_files(table, path):
-        with open(f) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("|"):
-                    continue
-                fields = line.split(table.sep)
-                if len(fields) != width:
-                    raise DatasetError(f"{f}:{lineno}: expected {width} fields, got {len(fields)}")
-                n_raw += 1
-                fields = [seen.setdefault(v, v) for v in map(str.strip, fields)]
-                if "?" in fields:
-                    n_dropped += 1
-                    continue
-                rows.append(fields)
+        try:
+            with open(f, encoding=TEXT_ENCODING) as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    line = line.strip()
+                    if not line or line.startswith("|"):
+                        continue
+                    fields = line.split(table.sep)
+                    if len(fields) != width:
+                        raise DatasetError(f"{f}:{lineno}: expected {width} fields, "
+                                           f"got {len(fields)}")
+                    n_raw += 1
+                    fields = [seen.setdefault(v, v) for v in map(str.strip, fields)]
+                    if "?" in fields:
+                        n_dropped += 1
+                        continue
+                    rows.append(fields)
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{f} is not UTF-8 text: {exc.reason}") from None
     if not rows:
         raise DatasetError(f"no usable rows in {path}")
 
@@ -373,66 +381,41 @@ def standardize(ds: Dataset, train_idx, *row_sets) -> Dataset | tuple[Dataset, .
 
 @dataclass
 class SplitPlan:
-    """Either a train/val/test partition or a k-fold partition of [0, n)."""
+    """A seeded train/val partition of [0, n)."""
 
     seed: int
-    train: np.ndarray | None = None
-    val: np.ndarray | None = None
-    test: np.ndarray | None = None
-    folds: list[np.ndarray] | None = None
+    train: np.ndarray
+    val: np.ndarray
 
 
-def _require_n(dataset_or_n) -> int:
-    if isinstance(dataset_or_n, Dataset):
-        return dataset_or_n.n
-    return int(dataset_or_n)
-
-
-def train_val_test_split(dataset_or_n, seed: int, val_frac: float = 0.2,
-                         test_frac: float = 0.0) -> SplitPlan:
-    n = _require_n(dataset_or_n)
-    if not 0 <= val_frac + test_frac < 1:
-        raise ValueError(f"val_frac={val_frac} + test_frac={test_frac} must be in [0, 1)")
+def train_val_test_split(n: int, seed: int, val_frac: float = 0.2) -> SplitPlan:
+    if not 0 <= val_frac < 1:
+        raise ValueError(f"val_frac={val_frac} must be in [0, 1)")
     perm = np.random.default_rng(seed).permutation(n)
-    n_test = int(round(n * test_frac))
     n_val = int(round(n * val_frac))
-    return SplitPlan(
-        seed=seed,
-        test=np.sort(perm[:n_test]),
-        val=np.sort(perm[n_test:n_test + n_val]),
-        train=np.sort(perm[n_test + n_val:]),
-    )
+    return SplitPlan(seed=seed, val=np.sort(perm[:n_val]), train=np.sort(perm[n_val:]))
 
 
-def make_folds(dataset_or_n, k: int, seed: int) -> SplitPlan:
+def make_folds(n: int, k: int, seed: int) -> list[np.ndarray]:
     """Seeded shuffle partitioned into k near-equal folds covering [0, n)."""
-    n = _require_n(dataset_or_n)
     if k < 2 or k > n:
         raise ValueError(f"k must satisfy 2 <= k <= n, got k={k}, n={n}")
     perm = np.random.default_rng(seed).permutation(n)
-    base, extra = divmod(n, k)
-    folds = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append(np.sort(perm[start:start + size]))
-        start += size
-    return SplitPlan(seed=seed, folds=folds)
+    return [np.sort(part) for part in np.array_split(perm, k)]  # the first n % k get one more
 
 
-def fold_train_indices(plan: SplitPlan, fold: int) -> np.ndarray:
-    rest = [f for i, f in enumerate(plan.folds) if i != fold]
+def fold_train_indices(folds: list[np.ndarray], fold: int) -> np.ndarray:
+    rest = [f for i, f in enumerate(folds) if i != fold]
     return np.sort(np.concatenate(rest))
 
 
-def batches(n, batch_size: int, seed, epoch: int) -> list[np.ndarray]:
+def batches(n: int, batch_size: int, seed, epoch: int) -> list[np.ndarray]:
     """Seeded per-epoch shuffle of [0, n) chopped into batches; the final
     partial batch is included.
 
     ``seed`` may be an int or a sequence of ints (e.g. (run_seed, level));
     the epoch is mixed into the stream so every epoch reshuffles.
     """
-    n = _require_n(n)
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     entropy = [int(x) for x in (seed if isinstance(seed, (list, tuple)) else [seed])]

@@ -157,11 +157,10 @@ def cross_validate(model_kind: str, stack: TrainedStack, dataset: Dataset,
     if model_kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {model_kind!r}, expected one of {MODEL_KINDS}")
     z = stack.encode(dataset.X)
-    plan = make_folds(dataset.n, k, seed)
+    folds = make_folds(dataset.n, k, seed)
     reports: list[FairnessReport] = []
-    for fold in range(k):
-        test_idx = plan.folds[fold]
-        train_idx = fold_train_indices(plan, fold)
+    for fold, test_idx in enumerate(folds):
+        train_idx = fold_train_indices(folds, fold)
         predictor = _fit_kind(model_kind, z[train_idx], dataset.y[train_idx],
                               seed, probe_spec, forest_spec)
         pred = predictor.predict(z[test_idx])

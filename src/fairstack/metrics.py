@@ -2,10 +2,10 @@
 equalized odds (delta_eo), equal opportunity (delta_eopp), plus accuracy.
 
 All metrics are computed once, by :func:`evaluate`, from empirical
-frequencies of a :class:`PredictionBatch`; ``delta_dp`` and the others return
-one field of its report. A gap is *undefined* (None in the report; the
-single-gap functions raise :class:`UndefinedMetricError`) when one of its
-conditioning cells is empty; silently returning 0 would fake fairness.
+frequencies of a :class:`PredictionBatch`. A gap is *undefined*, None in the
+report, when one of its conditioning cells is empty (the report's rate for
+that cell is None too); silently returning 0 would fake fairness. An empty
+group leaves no gap defined and raises :class:`UndefinedMetricError`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 
 class UndefinedMetricError(ValueError):
-    """A fairness gap was requested on a batch missing a conditioning cell."""
+    """A batch has an empty sensitive group, so no gap is defined on it."""
 
 
 def _binary_vector(values, name: str) -> np.ndarray:
@@ -53,10 +53,6 @@ class PredictionBatch:
 def threshold_predictions(probs, thr: float = 0.5) -> np.ndarray:
     """Turn probabilistic outputs into hard 0/1 labels (>= thr -> 1)."""
     return (np.asarray(probs).reshape(-1) >= thr).astype(np.int64)
-
-
-def accuracy(batch: PredictionBatch) -> float:
-    return float((batch.y_pred == batch.y_true).mean())
 
 
 @dataclass
@@ -110,7 +106,7 @@ def evaluate(batch: PredictionBatch, eo_mode: str = "sum") -> FairnessReport:
         fpr_gap = abs(fpr[0] - fpr[1])
         eo = eopp + fpr_gap if eo_mode == "sum" else max(eopp, fpr_gap)
     return FairnessReport(
-        accuracy=accuracy(batch),
+        accuracy=float((batch.y_pred == batch.y_true).mean()),
         delta_dp=dp,
         delta_eo=eo,
         delta_eopp=eopp,
@@ -119,28 +115,3 @@ def evaluate(batch: PredictionBatch, eo_mode: str = "sum") -> FairnessReport:
         pos_rate_s0=pos_rate[0], pos_rate_s1=pos_rate[1],
         n_s0=n[0], n_s1=n[1],
     )
-
-
-def _defined(report: FairnessReport, gap: str, rates: tuple[str, ...]) -> float:
-    """The report's ``gap``, or UndefinedMetricError naming the first empty
-    cell it needs: group 0 first, ``rates`` ("tpr": y=1, "fpr": y=0) in order."""
-    for g in (0, 1):
-        for rate in rates:
-            if getattr(report, f"{rate}_s{g}") is None:
-                raise UndefinedMetricError(f"cell (s={g}, y={int(rate == 'tpr')}) is empty")
-    return getattr(report, gap)
-
-
-def delta_dp(batch: PredictionBatch) -> float:
-    """|P(y_pred=1 | s=0) - P(y_pred=1 | s=1)|: the report's ``delta_dp``."""
-    return evaluate(batch).delta_dp
-
-
-def delta_eo(batch: PredictionBatch, mode: str = "sum") -> float:
-    """Equalized-odds gap, its two halves combined by ``mode``: the report's ``delta_eo``."""
-    return _defined(evaluate(batch, eo_mode=mode), "delta_eo", ("tpr", "fpr"))
-
-
-def delta_eopp(batch: PredictionBatch) -> float:
-    """|TPR0 - TPR1|, the y=1 half of equalized odds: the report's ``delta_eopp``."""
-    return _defined(evaluate(batch), "delta_eopp", ("tpr",))

@@ -137,7 +137,6 @@ class Level:
                  cls_hidden: int, rng: np.random.Generator):
         enc_dims = [spec.in_dim, *spec.hidden, spec.latent]
         dec_dims = [spec.latent, *reversed(spec.hidden), spec.in_dim]
-        self.spec = spec
         self.criterion = criterion
         self.encoder = MLP(enc_dims, rng)
         self.decoder = MLP(dec_dims, rng)

@@ -18,7 +18,7 @@ backward pass and Adam update are skipped; it still runs forward, so the
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -83,12 +83,6 @@ class EpochRecord:
 LOG_COLUMNS = tuple(f.name for f in fields(EpochRecord))
 
 
-@dataclass
-class TrainLog:
-    level: int
-    records: list[EpochRecord] = field(default_factory=list)
-
-
 # ---------------------------------------------------------------------------
 # Level training
 
@@ -116,8 +110,8 @@ def _classifier_gaps(level: Level, z_val: np.ndarray, y_val: np.ndarray,
 def _run_level(level: Level, level_index: int, prefix: list[Level],
                X0: np.ndarray, y: np.ndarray, s: np.ndarray,
                alpha: float, beta: float, gamma: float, root_mse: bool,
-               cfg: TrainConfig, val: tuple | None) -> TrainLog:
-    """The alternating-update loop for one level.
+               cfg: TrainConfig, val: tuple | None) -> list[EpochRecord]:
+    """The alternating-update loop for one level; returns one record per epoch.
 
     ``X0`` is the raw stack input when ``prefix`` is non-empty (fine-tuning:
     batches are forwarded through the earlier encoders, which train too);
@@ -129,7 +123,7 @@ def _run_level(level: Level, level_index: int, prefix: list[Level],
             *(lv.encoder for lv in prefix)]
     adam_main = Adam([p for net in nets for p in net.params()], lr=cfg.lr)
     adam_adv = Adam(level.adversary.params(), lr=cfg.adversary_lr)
-    log = TrainLog(level=level_index)
+    records: list[EpochRecord] = []
     s_col = s.reshape(-1, 1).astype(float)   # the adversary's targets, made once
 
     for epoch in range(cfg.epochs):
@@ -173,14 +167,14 @@ def _run_level(level: Level, level_index: int, prefix: list[Level],
             dp, eo, eopp = _classifier_gaps(level, zv, yv, sv)
         else:
             adv_acc = dp = eo = eopp = math.nan
-        log.records.append(EpochRecord(
+        records.append(EpochRecord(
             level=level_index, epoch=epoch,
             loss_rec=rec_sum / max(n_batches, 1),
             loss_adv=adv_sum / n_adv_batches if n_adv_batches else math.nan,
             loss_class=cls_sum / max(n_batches, 1),
             adv_acc=adv_acc, val_dp=dp, val_eo=eo, val_eopp=eopp,
         ))
-    return log
+    return records
 
 
 def _warm_start_adversary(target: Level, source: Level) -> int:
@@ -196,16 +190,16 @@ def _warm_start_adversary(target: Level, source: Level) -> int:
 
 
 def train_stack(spec: StackSpec, train: Dataset, cfg: TrainConfig,
-                val: Dataset | None = None) -> tuple[TrainedStack, list[TrainLog]]:
+                val: Dataset | None = None) -> tuple[TrainedStack, list[list[EpochRecord]]]:
     """Sequential level-by-level training; returns the encoder-only stack and
-    one log per level.
+    the epoch records of each level, level 0 first.
 
     With ``cfg.freeze_previous`` (default) each level trains on codes
     precomputed from the already-trained, frozen earlier levels. With it off,
     earlier encoders keep updating inside later levels' main steps.
     """
     levels = build(spec, cfg.seed)
-    logs: list[TrainLog] = []
+    logs: list[list[EpochRecord]] = []
     val_tuple = None
     for i, level in enumerate(levels):
         if cfg.adversary_warm_start and i > 0:

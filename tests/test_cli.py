@@ -199,6 +199,17 @@ def test_fit_finds_relative_dataset_path_from_another_cwd(tmp_path, monkeypatch,
     assert record["config"]["dataset"]["path"] == str((cfg_dir / "tiny.data").resolve())
 
 
+def test_fit_on_a_data_file_that_is_not_utf8_exit_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("FAIRSTACK_DATA_DIR", raising=False)
+    data = tmp_path / "tiny.data"
+    _write_tiny_adult(data)
+    data.write_bytes(data.read_bytes().replace(b"Private", b"Priv\xe9", 1))
+    path = _write_config(tmp_path, dataset={"id": "adult", "path": "tiny.data"})
+    assert main(["fit", "--config", str(path)]) == 1
+    assert f"error: {data.resolve()} is not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 # ---------------------------------------------------------------------------
 # load_config overrides
 
@@ -324,6 +335,35 @@ def test_jobs_must_be_positive(tmp_path, capsys):
     path = _write_config(tmp_path)
     assert main(["sweep", "--config", str(path), "--jobs", "0"]) == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_exit_2(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    path.write_bytes(path.read_text().replace('/runs"', '/r\xe9sultats"').encode("latin-1"))
+    assert main(["fit", "--config", str(path)]) == 2
+    assert f"config error: config {path} is not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "sweep", "table1"])
+@pytest.mark.parametrize("under", ["file", "file/runs", "link", "link/runs"])
+def test_out_dir_at_or_under_a_file_exit_2_before_any_training(tmp_path, monkeypatch, capsys,
+                                                                command, under):
+    (tmp_path / "file").write_text("")
+    # a dangling link: making run directories through it failed with
+    # FileExistsError on every name, so picking a fresh name never ended
+    (tmp_path / "link").symlink_to(tmp_path / "nowhere")
+    path = _write_config(tmp_path, out_dir=str(tmp_path / under))
+    before = sorted(tmp_path.rglob("*"))
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started before the out_dir check")
+
+    monkeypatch.setattr(cli, "train_stack", no_training)
+    assert main([command, "--config", str(path)]) == 2
+    top = tmp_path / under.split("/")[0]
+    assert f"config error: out_dir: {str(tmp_path / under)!r}: {top} is not a writable " \
+        "directory" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before   # nothing created
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +615,11 @@ def _lines(fmt, rows=DIALECT_ROWS) -> list[str]:
     "\n".join(_lines(lambda v: f" {v!r}\t")) + "\n",             # spaces around fields
     "a,b,c,d\n" + "\n".join(_lines(repr)),                       # header, no last newline
     '"#x","y",z,w\r\n' + "\r\n".join(_lines(repr)) + "\r\n",     # quoted '#' header
-], ids=["crlf", "quoted", "blank-lines", "spaces", "header-no-eol", "hash-header"])
+    "\ufeff" + "\n".join(_lines(repr)) + "\n",                   # byte-order mark, no header
+    "\ufeffa,b,c,d\r\n" + "\r\n".join(_lines(repr)) + "\r\n",   # byte-order mark and header
+    "a,b,c,d\r" + "\r".join(_lines(repr)) + "\r",               # CR-only line ends
+], ids=["crlf", "quoted", "blank-lines", "spaces", "header-no-eol", "hash-header",
+        "bom", "bom-header", "cr-only"])
 def test_transform_dialect_reads_the_same_rows(fitted, tmp_path, capsys, text):
     model = fitted[1] / "model.fstk"
     _, want, _ = _transform(model, tmp_path, "\n".join(_lines(repr)) + "\n", capsys)
@@ -617,6 +661,20 @@ def test_transform_ragged_rows_exit_1(fitted, tmp_path, capsys, text, widths):
     rc, out, err = _transform(fitted[1] / "model.fstk", tmp_path, text, capsys)
     assert (rc, out) == (1, None)
     assert f"ragged CSV: row widths {widths}" in err
+
+
+@pytest.mark.parametrize("body", [
+    b"1,2,3,\xff4\n5,6,7,8\n",         # in the first record: the header sniff meets it
+    b"1,2,3,4\n5,6,7,\xff8\n",         # in the body: the bulk parse meets it
+    b"1,2,3,4\nx,y,z,w\n5,6,\xff,8\n",  # after a non-numeric row: the error re-read meets it
+], ids=["first-record", "body", "after-a-bad-row"])
+def test_transform_input_that_is_not_utf8_exit_1(fitted, tmp_path, capsys, body):
+    src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_bytes(body)
+    rc = main(["transform", "--model", str(fitted[1] / "model.fstk"), "--input", str(src),
+               "--output", str(dst)])
+    assert (rc, dst.exists()) == (1, False)
+    assert f"error: {src} is not UTF-8 text: invalid start byte" in capsys.readouterr().err
 
 
 def test_transform_missing_model_exit_1(tmp_path, capsys):

@@ -437,14 +437,23 @@ def test_standardize_row_sets_equal_subsets_of_the_whole():
     assert ds.X.tobytes() == raw.tobytes() and ds.norm_stats is None
 
 
+def test_adult_file_with_a_byte_order_mark_reads_the_same(tmp_path):
+    plain, bom = tmp_path / "plain.data", tmp_path / "bom.data"
+    plain.write_text(ADULT_TWO_ROWS)
+    bom.write_bytes(b"\xef\xbb\xbf" + ADULT_TWO_ROWS.encode())
+    a, b = load_adult(plain), load_adult(bom)
+    assert a.X.tobytes() == b.X.tobytes() and a.feature_names == b.feature_names
+    assert (a.y.tolist(), a.s.tolist()) == (b.y.tolist(), b.s.tolist())
+
+
 # ---------------------------------------------------------------------------
 # Splits, folds, batches
 
 
 def test_split_sizes_and_disjointness():
-    plan = train_val_test_split(10, seed=0, val_frac=0.2, test_frac=0.1)
-    assert len(plan.test) == 1 and len(plan.val) == 2 and len(plan.train) == 7
-    merged = np.concatenate([plan.train, plan.val, plan.test])
+    plan = train_val_test_split(10, seed=0, val_frac=0.2)
+    assert len(plan.val) == 2 and len(plan.train) == 8
+    merged = np.concatenate([plan.train, plan.val])
     assert sorted(merged.tolist()) == list(range(10))
 
 
@@ -456,34 +465,27 @@ def test_split_deterministic():
     assert not np.array_equal(a.train, c.train)
 
 
-def test_split_accepts_dataset_argument():
-    ds = make_synthetic(n=50, seed=0)
-    plan = train_val_test_split(ds, seed=1, val_frac=0.2)
-    assert len(plan.train) + len(plan.val) == 50
-
-
 def test_folds_even_sizes():
-    plan = make_folds(10, k=5, seed=0)
-    assert [len(f) for f in plan.folds] == [2, 2, 2, 2, 2]
+    folds = make_folds(10, k=5, seed=0)
+    assert [len(f) for f in folds] == [2, 2, 2, 2, 2]
 
 
 def test_folds_remainder_distributed():
-    plan = make_folds(11, k=5, seed=0)
-    assert sorted(len(f) for f in plan.folds) == [2, 2, 2, 2, 3]
-    assert len(plan.folds[0]) == 3
+    folds = make_folds(11, k=5, seed=0)
+    assert sorted(len(f) for f in folds) == [2, 2, 2, 2, 3]
+    assert len(folds[0]) == 3
 
 
 def test_folds_cover_everything_disjointly():
-    plan = make_folds(23, k=4, seed=7)
-    merged = np.concatenate(plan.folds)
+    merged = np.concatenate(make_folds(23, k=4, seed=7))
     assert sorted(merged.tolist()) == list(range(23))
 
 
 def test_fold_train_indices_complement():
-    plan = make_folds(10, k=5, seed=3)
-    train = fold_train_indices(plan, 2)
+    folds = make_folds(10, k=5, seed=3)
+    train = fold_train_indices(folds, 2)
     assert len(train) == 8
-    assert not set(train.tolist()) & set(plan.folds[2].tolist())
+    assert not set(train.tolist()) & set(folds[2].tolist())
 
 
 def test_folds_bounds_check():

@@ -29,7 +29,7 @@ from fairstack.autodiff import Var, forward, level_loss
 from fairstack.data import batches, make_synthetic
 from fairstack.model import CRITERIA, LevelSpec, StackSpec, build, level_grads
 from fairstack.nn import BCE_EPS
-from fairstack.training import EpochRecord, TrainConfig, TrainLog, train_stack
+from fairstack.training import EpochRecord, TrainConfig, train_stack
 from oracles import AdamReference, all_params, main_params
 
 
@@ -142,7 +142,7 @@ def _reference_run_level(level, level_index, prefix, X0, y, s, alpha, beta, gamm
     main = main_params(level) + [p for lv in prefix for p in lv.encoder.params()]
     adam_main = AdamReference(main, lr=cfg.lr)
     adam_adv = AdamReference(level.adversary.params(), lr=cfg.adversary_lr)
-    log = TrainLog(level=level_index)
+    records = []
     for epoch in range(cfg.epochs):
         rec_sum = cls_sum = adv_sum = 0.0
         n_batches = n_adv_batches = 0
@@ -187,12 +187,12 @@ def _reference_run_level(level, level_index, prefix, X0, y, s, alpha, beta, gamm
                 zv = lv.encoder.forward_value(zv)
             adv_acc = training._adversary_accuracy(level, zv, yv, sv, cfg.eopp_adv_label)
             dp, eo, eopp = training._classifier_gaps(level, zv, yv, sv)
-        log.records.append(EpochRecord(
+        records.append(EpochRecord(
             level=level_index, epoch=epoch, loss_rec=rec_sum / n_batches,
             loss_adv=adv_sum / n_adv_batches if n_adv_batches else math.nan,
             loss_class=cls_sum / n_batches, adv_acc=adv_acc,
             val_dp=dp, val_eo=eo, val_eopp=eopp))
-    return log
+    return records
 
 
 def _data(rare_positives: bool = False):
@@ -241,7 +241,7 @@ def test_train_stack_matches_the_graph_trainer(name, monkeypatch):
 
     assert repr(logs) == repr(ref_logs)  # exact floats, and nan equals nan
     if "empty" in name:
-        assert all(math.isfinite(r.loss_adv) for log in logs for r in log.records)
+        assert all(math.isfinite(r.loss_adv) for records in logs for r in records)
     for level, ref_level in zip(stack.levels, ref_stack.levels):
         for (w, b, _), (rw, rb, _) in zip(level, ref_level):
             assert np.array_equal(w, rw) and np.array_equal(b, rb)

@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,10 +7,6 @@ from fairstack.metrics import (
     FairnessReport,
     PredictionBatch,
     UndefinedMetricError,
-    accuracy,
-    delta_dp,
-    delta_eo,
-    delta_eopp,
     evaluate,
     threshold_predictions,
 )
@@ -30,23 +24,23 @@ def batch(y_pred, y_true, s) -> PredictionBatch:
 
 def test_dp_opposite_groups():
     b = batch([1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 1, 1])
-    assert delta_dp(b) == 1.0
+    assert evaluate(b).delta_dp == 1.0
 
 
 def test_dp_constant_predictor():
     b = batch([1, 1, 1, 1], [1, 0, 1, 0], [0, 0, 1, 1])
-    assert delta_dp(b) == 0.0
+    assert evaluate(b).delta_dp == 0.0
 
 
 def test_dp_two_thirds_vs_one_third():
     b = batch([1, 0, 1, 1, 0, 0], [1, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1])
-    assert delta_dp(b) == pytest.approx(1.0 / 3.0)
+    assert evaluate(b).delta_dp == pytest.approx(1.0 / 3.0)
 
 
 def test_dp_missing_group_raises():
     b = batch([1, 0], [1, 0], [0, 0])
     with pytest.raises(UndefinedMetricError) as exc:
-        delta_dp(b)
+        evaluate(b)
     assert "s=1" in str(exc.value)
 
 
@@ -57,13 +51,13 @@ def test_dp_missing_group_raises():
 def test_eo_perfect_predictor():
     y = [1, 0, 1, 0, 1, 0]
     b = batch(y, y, [0, 0, 0, 1, 1, 1])
-    assert delta_eo(b) == 0.0
+    assert evaluate(b).delta_eo == 0.0
 
 
 def test_eo_maximally_unfair_is_two():
     # group 0 predicted perfectly, group 1 predicted inverted
     b = batch([1, 0, 0, 1], [1, 0, 1, 0], [0, 0, 1, 1])
-    assert delta_eo(b) == 2.0
+    assert evaluate(b).delta_eo == 2.0
 
 
 def test_eo_sum_of_tpr_and_fpr_gaps():
@@ -73,8 +67,8 @@ def test_eo_sum_of_tpr_and_fpr_gaps():
         [1, 1, 0, 0, 1, 1, 0, 0],
         [0, 0, 0, 0, 1, 1, 1, 1],
     )
-    assert delta_eo(b) == pytest.approx(0.5)
-    assert delta_eo(b, mode="max") == pytest.approx(0.5)
+    assert evaluate(b).delta_eo == pytest.approx(0.5)
+    assert evaluate(b, eo_mode="max").delta_eo == pytest.approx(0.5)
 
 
 def test_eo_max_mode_differs_from_sum():
@@ -84,24 +78,22 @@ def test_eo_max_mode_differs_from_sum():
         [1, 1, 0, 0, 1, 1, 0, 0],
         [0, 0, 0, 0, 1, 1, 1, 1],
     )
-    assert delta_eo(b, mode="sum") == pytest.approx(1.5)
-    assert delta_eo(b, mode="max") == pytest.approx(1.0)
+    assert evaluate(b, eo_mode="sum").delta_eo == pytest.approx(1.5)
+    assert evaluate(b, eo_mode="max").delta_eo == pytest.approx(1.0)
 
 
 def test_eo_invalid_mode():
     b = batch([1, 0], [1, 0], [0, 1])
-    with pytest.raises(ValueError):
-        delta_eo(b, mode="mean")
     with pytest.raises(ValueError, match="eo_mode"):
         evaluate(b, eo_mode="mean")
 
 
 def test_eo_empty_cell_error_names_cell():
-    # group 1 has no y=0 samples
-    b = batch([1, 0, 1, 1], [1, 0, 1, 1], [0, 0, 1, 1])
-    with pytest.raises(UndefinedMetricError) as exc:
-        delta_eo(b)
-    assert "(s=1, y=0)" in str(exc.value)
+    # group 1 has no y=0 samples: its FPR, and so eo, is undefined
+    rep = evaluate(batch([1, 0, 1, 1], [1, 0, 1, 1], [0, 0, 1, 1]))
+    assert rep.delta_eo is None
+    assert rep.fpr_s1 is None
+    assert None not in (rep.fpr_s0, rep.tpr_s0, rep.tpr_s1)
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +102,12 @@ def test_eo_empty_cell_error_names_cell():
 
 def test_eopp_perfect_predictor():
     y = [1, 0, 1, 0]
-    assert delta_eopp(batch(y, y, [0, 0, 1, 1])) == 0.0
+    assert evaluate(batch(y, y, [0, 0, 1, 1])).delta_eopp == 0.0
 
 
 def test_eopp_opposite_tprs():
     b = batch([1, 1, 0, 0], [1, 1, 1, 1], [0, 0, 1, 1])
-    assert delta_eopp(b) == 1.0
+    assert evaluate(b).delta_eopp == 1.0
 
 
 def test_eopp_three_quarters_vs_half():
@@ -124,24 +116,23 @@ def test_eopp_three_quarters_vs_half():
         [1, 1, 1, 1, 1, 1, 0, 0],
         [0, 0, 0, 0, 1, 1, 1, 1],
     )
-    assert delta_eopp(b) == pytest.approx(0.25)
+    assert evaluate(b).delta_eopp == pytest.approx(0.25)
 
 
 def test_eopp_needs_positives_in_both_groups():
-    b = batch([1, 0, 1, 0], [1, 0, 0, 0], [0, 0, 1, 1])
-    with pytest.raises(UndefinedMetricError) as exc:
-        delta_eopp(b)
-    assert "(s=1, y=1)" in str(exc.value)
+    rep = evaluate(batch([1, 0, 1, 0], [1, 0, 0, 0], [0, 0, 1, 1]))
+    assert rep.delta_eopp is None
+    assert rep.tpr_s1 is None and rep.tpr_s0 is not None
 
 
 def test_each_gap_names_its_own_first_empty_cell():
-    # group 0 has no y=0 rows and group 1 no y=1 rows: eo stops at (s=0, y=0),
-    # while eopp, which needs no y=0 row, stops at (s=1, y=1)
-    b = batch([1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1])
-    with pytest.raises(UndefinedMetricError, match=re.escape("(s=0, y=0)")):
-        delta_eo(b)
-    with pytest.raises(UndefinedMetricError, match=re.escape("(s=1, y=1)")):
-        delta_eopp(b)
+    # group 0 has no y=0 rows and group 1 no y=1 rows: both cells read None,
+    # and with them eo and eopp, while dp needs neither
+    rep = evaluate(batch([1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]))
+    assert (rep.fpr_s0, rep.tpr_s1) == (None, None)
+    assert rep.tpr_s0 is not None and rep.fpr_s1 is not None
+    assert rep.delta_eo is None and rep.delta_eopp is None
+    assert rep.delta_dp == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +193,9 @@ def test_fifty_sample_batch_matches_naive_recount():
     yt = rng.integers(0, 2, 50)
     s = rng.integers(0, 2, 50)
     expected = naive_metrics(yp.tolist(), yt.tolist(), s.tolist())
-    b = batch(yp, yt, s)
-    assert accuracy(b) == pytest.approx(expected["accuracy"])
-    assert delta_dp(b) == pytest.approx(expected["delta_dp"])
-    assert delta_eo(b) == pytest.approx(expected["delta_eo"])
-    assert delta_eopp(b) == pytest.approx(expected["delta_eopp"])
+    rep = evaluate(batch(yp, yt, s))
+    for key in ("accuracy", "delta_dp", "delta_eo", "delta_eopp"):
+        assert getattr(rep, key) == pytest.approx(expected[key])
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +272,13 @@ def test_property_matches_naive_oracle(samples):
     yp, yt, s = _arrays(samples)
     assume(len(np.unique(s)) == 2)
     expected = naive_metrics(yp.tolist(), yt.tolist(), s.tolist())
-    b = batch(yp, yt, s)
-    assert delta_dp(b) == pytest.approx(expected["delta_dp"])
-    if expected["delta_eopp"] is not None:
-        assert delta_eopp(b) == pytest.approx(expected["delta_eopp"])
-    if expected["delta_eo"] is not None:
-        assert delta_eo(b) == pytest.approx(expected["delta_eo"])
+    rep = evaluate(batch(yp, yt, s))
+    assert rep.delta_dp == pytest.approx(expected["delta_dp"])
+    for key in ("delta_eo", "delta_eopp"):   # None exactly where the oracle's is
+        if expected[key] is None:
+            assert getattr(rep, key) is None
+        else:
+            assert getattr(rep, key) == pytest.approx(expected[key])
 
 
 @settings(max_examples=150, deadline=None)
@@ -296,14 +286,14 @@ def test_property_matches_naive_oracle(samples):
 def test_property_group_relabel_symmetry(samples):
     yp, yt, s = _arrays(samples)
     assume(len(np.unique(s)) == 2)
-    a = batch(yp, yt, s)
-    b = batch(yp, yt, 1 - s)
-    assert delta_dp(a) == pytest.approx(delta_dp(b))
-    try:
-        assert delta_eo(a) == pytest.approx(delta_eo(b))
-        assert delta_eopp(a) == pytest.approx(delta_eopp(b))
-    except UndefinedMetricError:
-        pass
+    a = evaluate(batch(yp, yt, s))
+    b = evaluate(batch(yp, yt, 1 - s))
+    assert a.delta_dp == pytest.approx(b.delta_dp)
+    for key in ("delta_eo", "delta_eopp"):
+        if getattr(a, key) is None:
+            assert getattr(b, key) is None
+        else:
+            assert getattr(a, key) == pytest.approx(getattr(b, key))
 
 
 @settings(max_examples=150, deadline=None)
@@ -313,10 +303,10 @@ def test_property_permutation_invariance(samples, rand):
     assume(len(np.unique(s)) == 2)
     perm = list(range(len(yp)))
     rand.shuffle(perm)
-    a = batch(yp, yt, s)
-    b = batch(yp[perm], yt[perm], s[perm])
-    assert delta_dp(a) == pytest.approx(delta_dp(b))
-    assert accuracy(a) == pytest.approx(accuracy(b))
+    a = evaluate(batch(yp, yt, s))
+    b = evaluate(batch(yp[perm], yt[perm], s[perm]))
+    assert a.delta_dp == pytest.approx(b.delta_dp)
+    assert a.accuracy == pytest.approx(b.accuracy)
 
 
 @settings(max_examples=150, deadline=None)
@@ -324,13 +314,11 @@ def test_property_permutation_invariance(samples, rand):
 def test_property_gap_ranges_and_dominance(samples):
     yp, yt, s = _arrays(samples)
     assume(len(np.unique(s)) == 2)
-    b = batch(yp, yt, s)
-    assert 0.0 <= delta_dp(b) <= 1.0
-    try:
-        eo = delta_eo(b)
-    except UndefinedMetricError:
+    rep = evaluate(batch(yp, yt, s))
+    assert 0.0 <= rep.delta_dp <= 1.0
+    eo, eopp = rep.delta_eo, rep.delta_eopp
+    if eo is None:
         return
-    eopp = delta_eopp(b)
     assert 0.0 <= eopp <= 1.0
     assert 0.0 <= eo <= 2.0
     assert eopp <= eo + 1e-12

@@ -33,37 +33,24 @@ def _python(args: list, env: dict, cwd=None) -> str:
     return proc.stdout
 
 
-LAZY_SCRIPT = """
+ROOT_SCRIPT = """
 import json, sys
 import fairstack
-numpy_loaded = "numpy" in sys.modules
-submodule = fairstack.forest.__name__   # before any name has loaded it
-bound = {name: getattr(fairstack, name) is getattr(
-    sys.modules["fairstack." + fairstack._ORIGIN[name]], name) for name in fairstack.__all__}
-print(json.dumps({"numpy": numpy_loaded, "bound": bound,
-                  "forest": submodule, "dir": sorted(set(fairstack.__all__) - set(dir(fairstack)))}))
+print(json.dumps({"numpy": "numpy" in sys.modules,
+                  "public": sorted(n for n in vars(fairstack) if not n.startswith("_"))}))
 """
 
 
-def test_import_fairstack_loads_no_numpy_and_resolves_every_name():
-    out = json.loads(_python(["-c", LAZY_SCRIPT], _env()))
-    assert out["numpy"] is False
-    assert len(out["bound"]) == len(fairstack.__all__) > 50
-    assert all(out["bound"].values())
-    assert out["forest"] == "fairstack.forest"   # submodules resolve as attributes too
-    assert out["dir"] == []
+def test_import_fairstack_loads_no_numpy_and_binds_only_its_version():
+    out = json.loads(_python(["-c", ROOT_SCRIPT], _env()))
+    assert out == {"numpy": False, "public": []}
+    assert fairstack.__version__ == "0.1.0"
 
 
 def test_unknown_attribute_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'bogus'"):
         fairstack.bogus
     assert not hasattr(fairstack, "bogus")
-
-
-def test_star_import_binds_every_exported_name():
-    namespace: dict = {}
-    exec("from fairstack import *", namespace)
-    assert set(fairstack.__all__) <= set(namespace)
 
 
 ENV_SCRIPT = """

@@ -60,9 +60,9 @@ def test_beta_zero_classifier_learns_adversary_unopposed():
     train, val = _synthetic_split()
     spec = stacked_spec(train.d, (4,), alpha=1.0, beta=0.0, gamma=1.0)
     cfg = TrainConfig(epochs=20, batch_size=32, seed=0)
-    _, (log,) = train_stack(spec, train, cfg, val=val)
-    assert len(log.records) == 20
-    first, last = log.records[0], log.records[-1]
+    _, (records,) = train_stack(spec, train, cfg, val=val)
+    assert len(records) == 20
+    first, last = records[0], records[-1]
     assert last.loss_class < first.loss_class
     # nothing opposes the adversary at beta=0: group structure survives in z
     # (feature 0 carries s by construction), so it ends clearly above chance
@@ -89,7 +89,7 @@ def test_frozen_levels_stay_bit_identical():
     cfg = TrainConfig(epochs=2, batch_size=32, seed=3, freeze_previous=True)
 
     stack, logs = train_stack(spec, train, cfg)
-    assert [log.level for log in logs] == [0, 1]
+    assert [{r.level for r in records} for records in logs] == [{0}, {1}]
 
     # train only level 0, identically seeded: its weights must match the
     # full run's level-0 weights exactly (level-1 training never touched them)
@@ -288,7 +288,7 @@ def test_warm_start_flag_changes_level2_adversary_path():
         epochs=2, batch_size=32, seed=1, adversary_warm_start=True))
     # level 0 is identical; the level-1 game differs through the adversary
     assert np.array_equal(cold.levels[0][0][0], warm.levels[0][0][0])
-    assert logs_cold[1].records[-1].loss_adv != logs_warm[1].records[-1].loss_adv
+    assert logs_cold[1][-1].loss_adv != logs_warm[1][-1].loss_adv
 
 
 # ---------------------------------------------------------------------------
