@@ -261,11 +261,8 @@ def bce_loss(predicted: Var, target) -> Var:
     return _make(np.array([[value]]), (predicted,), vjp)
 
 
-def mse_loss(reconstruction: Var, target, root: bool = False) -> Var:
-    """Sum of squared errors divided by the number of rows (batch size).
-
-    With ``root=True`` the square root of that value is returned instead.
-    """
+def mse_loss(reconstruction: Var, target) -> Var:
+    """Sum of squared errors divided by the number of rows (batch size)."""
     reconstruction = as_var(reconstruction)
     t = _as_matrix(target)
     if reconstruction.value.shape != t.shape:
@@ -275,23 +272,13 @@ def mse_loss(reconstruction: Var, target, root: bool = False) -> Var:
         )
     diff = reconstruction.value - t
     n_rows = t.shape[0]
-    base = float((diff * diff).sum() / n_rows)
-    assert_finite(np.array(base), "mse_loss")
-    if not root:
+    value = float((diff * diff).sum() / n_rows)
+    assert_finite(np.array(value), "mse_loss")
 
-        def vjp(g):
-            return (g[0, 0] * 2.0 * diff / n_rows,)
+    def vjp(g):
+        return (g[0, 0] * 2.0 * diff / n_rows,)
 
-        return _make(np.array([[base]]), (reconstruction,), vjp)
-
-    value = float(np.sqrt(base))
-
-    def vjp_root(g):
-        if value == 0.0:  # derivative undefined at the minimum; use 0
-            return (np.zeros_like(diff),)
-        return (g[0, 0] * diff / (n_rows * value),)
-
-    return _make(np.array([[value]]), (reconstruction,), vjp_root)
+    return _make(np.array([[value]]), (reconstruction,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +369,7 @@ class LevelLoss:
 
 def level_loss(level: Level, z_prev, y: np.ndarray, s: np.ndarray,
                alpha: float, beta: float, gamma: float,
-               eopp_label: int = 0, root_mse: bool = False) -> LevelLoss:
+               eopp_label: int = 0) -> LevelLoss:
     """Reconstruction + adversary + classifier losses at one level, as a graph.
 
     ``z_prev`` is the level's input (matrix or graph node); the reconstruction
@@ -396,7 +383,7 @@ def level_loss(level: Level, z_prev, y: np.ndarray, s: np.ndarray,
     _check_rows(z_in.value.shape[0], y, s, "level_loss")
     target = z_in.value.copy()
     z = forward(level.encoder, z_in)
-    rec = mse_loss(forward(level.decoder, z), target, root=root_mse)
+    rec = mse_loss(forward(level.decoder, z), target)
     cls = bce_loss(forward(level.classifier, z), y.reshape(-1, 1).astype(float))
     objective = add(scale(rec, alpha), scale(cls, gamma))
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, load_adult, load_german, make_synthetic
+from .data import Dataset, load_adult, load_german, make_planted, make_synthetic
 from .downstream import ProbeSpec
 from .forest import ForestSpec
 from .metrics import EO_MODES
@@ -27,7 +27,7 @@ from .model import CRITERIA, LevelSpec, StackSpec, vanilla_spec
 from .training import TrainConfig
 
 DATA_DIR_ENV = "FAIRSTACK_DATA_DIR"
-DATASET_IDS = ("adult", "german", "synthetic")
+DATASET_IDS = ("adult", "german", "synthetic", "planted")
 
 
 class ConfigError(ValueError):
@@ -134,7 +134,7 @@ class ExperimentConfig:
     dataset_path: str | None = _key("dataset.path", None,
                                     "data file or directory; null: $FAIRSTACK_DATA_DIR")
     include_sensitive: bool = _key("dataset.include_sensitive", False, "keep the sensitive column")
-    synthetic_n: int = _key("dataset.n", 2000, "synthetic rows", min=4)
+    synthetic_n: int = _key("dataset.n", 2000, "synthetic or planted rows", min=4)
     synthetic_noise: int = _key("dataset.n_noise", 3, "synthetic noise columns", min=0)
     synthetic_flip_y: float = _key("dataset.flip_y", 0.0, "synthetic label flip rate, in [0, 1]")
     subsample: int | None = _key("dataset.subsample", None, "seeded row cap; null: all", min=10)
@@ -148,15 +148,11 @@ class ExperimentConfig:
     lr: float = _key("train.lr", 0.01, "learning rate", min=1e-12)
     lr_adv: float | None = _key("train.lr_adv", None, "adversary lr; null: train.lr", min=1e-12)
     adv_steps: int = _key("train.adv_steps", 1, "adversary updates per main update", min=1)
-    freeze_previous: bool = _key("train.freeze_previous", True, "freeze the earlier levels")
-    adversary_warm_start: bool = _key("train.adversary_warm_start", False,
-                                      "copy matching layers of the previous adversary")
     eopp_adv_label: int = _key("train.eopp_adv_label", 0, "eopp adversary's rows have this y",
                                choices=(0, 1))
     alpha: float = _key("loss.alpha", 1.0, "reconstruction weight", min=0)
     beta: float = _key("loss.beta", 1.0, "adversary weight", min=0)
     gamma: float = _key("loss.gamma", 1.0, "classifier weight", min=0)
-    root_mse: bool = _key("loss.root_mse", False, "root mean squared reconstruction error")
     criterion: str = _key("criterion", "dp", "fairness criterion", choices=CRITERIA)
     eo_mode: str = _key("eo_mode", "sum", "how the two eo gaps combine", choices=EO_MODES)
     betas: tuple = _key("sweep.betas", (1.0, 2.0, 3.0, 5.0, 15.0), "beta values of sweep",
@@ -214,7 +210,10 @@ def describe_keys() -> str:
 
 
 def config_hash(cfg: ExperimentConfig | dict) -> str:
+    """SHA-256 of the config in its file shape, ``out_dir`` left out: where a
+    run writes its artifacts is not part of the experiment."""
     d = cfg.to_dict() if isinstance(cfg, ExperimentConfig) else cfg
+    d = {k: v for k, v in d.items() if k != "out_dir"}
     blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -301,7 +300,7 @@ def _with_dataset_path(cfg: ExperimentConfig, base_dir: Path | None) -> Experime
     absolute path it names. A null path stays null: $FAIRSTACK_DATA_DIR is
     read again when the data is loaded, so the config hash does not depend
     on the environment."""
-    if cfg.dataset_id == "synthetic":
+    if cfg.dataset_id in ("synthetic", "planted"):  # generated: no file
         return cfg
     if cfg.dataset_path:
         p = Path(cfg.dataset_path)
@@ -331,6 +330,8 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
     if cfg.dataset_id == "synthetic":
         ds = make_synthetic(n=cfg.synthetic_n, seed=cfg.subsample_seed,
                             n_noise=cfg.synthetic_noise, flip_y=cfg.synthetic_flip_y)
+    elif cfg.dataset_id == "planted":
+        ds = make_planted(n=cfg.synthetic_n, seed=cfg.subsample_seed)
     else:
         path = resolve_data_path(cfg)
         if path is None:
@@ -360,8 +361,7 @@ def stack_spec_for(cfg: ExperimentConfig, in_dim: int, variant: str = "stacked",
     """
     beta = cfg.beta if beta is None else float(beta)
     common = dict(alpha=cfg.alpha, beta=beta, gamma=cfg.gamma, criterion=cfg.criterion,
-                  adv_hidden=cfg.adv_hidden, cls_hidden=cfg.cls_hidden,
-                  root_mse=cfg.root_mse)
+                  adv_hidden=cfg.adv_hidden, cls_hidden=cfg.cls_hidden)
     if variant == "stacked":
         specs = []
         prev = in_dim
@@ -382,9 +382,7 @@ def stack_spec_for(cfg: ExperimentConfig, in_dim: int, variant: str = "stacked",
 def train_config_for(cfg: ExperimentConfig, seed: int) -> TrainConfig:
     return TrainConfig(
         epochs=cfg.epochs, batch_size=cfg.batch, lr=cfg.lr, lr_adv=cfg.lr_adv,
-        adv_steps=cfg.adv_steps, seed=seed, freeze_previous=cfg.freeze_previous,
-        adversary_warm_start=cfg.adversary_warm_start,
-        eopp_adv_label=cfg.eopp_adv_label,
+        adv_steps=cfg.adv_steps, seed=seed, eopp_adv_label=cfg.eopp_adv_label,
     )
 
 

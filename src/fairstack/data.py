@@ -1,5 +1,6 @@
-"""Tabular dataset ingestion: UCI Adult Income and German Credit, plus a
-synthetic generator with a planted sensitive attribute.
+"""Tabular dataset ingestion: UCI Adult Income and German Credit, plus two
+generators: ``synthetic``, whose sensitive attribute is a function of one
+feature, and ``planted``, whose label base rate differs between the groups.
 
 Loaders produce a :class:`Dataset` holding the feature matrix X (categoricals
 one-hot encoded, binary categoricals as a single 0/1 column), binary labels y,
@@ -275,8 +276,7 @@ def _load_table(table: _Table, path, include_sensitive: bool) -> Dataset:
         s[i] = table.groups[group]
     for values, what in ((y, "label"), (s, "sensitive")):
         if len(np.unique(values)) < 2:
-            raise DatasetError(f"{what} (sensitive/label column degenerate) column "
-                               "degenerate: only one class present")
+            raise DatasetError(f"{what} column degenerate: only one class present")
 
     keep = [j for j in range(len(table.columns)) if j != table.sensitive]
     X, names, continuous, encoding = _encode_columns(rows, table.columns, keep,
@@ -309,7 +309,7 @@ def load_german(path, include_sensitive: bool = False) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Synthetic data with a planted sensitive attribute
+# Generated data
 
 def make_synthetic(n: int = 2000, seed: int = 0, n_noise: int = 3,
                    flip_y: float = 0.0) -> Dataset:
@@ -340,6 +340,34 @@ def make_synthetic(n: int = 2000, seed: int = 0, n_noise: int = 3,
     return Dataset(
         X=X, y=y, s=s, feature_names=names, continuous=list(names),
         meta={"source": "synthetic", "seed": seed, "n_raw": n, "n_dropped": 0},
+    )
+
+
+def make_planted(n: int, seed: int) -> Dataset:
+    """The offline stand-in for a census table: s ~ Bernoulli(0.33) and
+    P(y=1 | s) = 0.31 for s=1, 0.11 for s=0, so the label base rate differs
+    by 0.20 between the groups. The 30 columns are 4 label columns
+    (2y-1) + N(0, 1), 4 proxy columns (2s-1) + N(0, 1), 2 mixed columns
+    0.5(2y-1) + 0.5(2s-1) + N(0, 1) and 20 noise columns N(0, 1), in that
+    order, each drawing its N(0, 1) from the one stream after s and y.
+    """
+    if n < 4:
+        raise DatasetError("planted dataset needs n >= 4")
+    rng = np.random.default_rng(seed)
+    s = rng.random(n) < 0.33
+    y = rng.random(n) < np.where(s, 0.31, 0.11)
+    label, proxy = 2.0 * y - 1.0, 2.0 * s - 1.0
+    kinds = [("label", label, 4), ("proxy", proxy, 4),
+             ("mixed", 0.5 * label + 0.5 * proxy, 2), ("noise", 0.0, 20)]
+    columns = [(f"{kind}{i}", signal) for kind, signal, count in kinds for i in range(count)]
+    X = np.empty((n, len(columns)))
+    for j, (_, signal) in enumerate(columns):
+        X[:, j] = signal + rng.normal(size=n)
+    names = [name for name, _ in columns]
+    return Dataset(
+        X=X, y=y.astype(np.int64), s=s.astype(np.int64), feature_names=names,
+        continuous=list(names),
+        meta={"source": "planted", "seed": seed, "n_raw": n, "n_dropped": 0},
     )
 
 

@@ -5,12 +5,13 @@ to a narrower code z_i, a decoder D_i mirroring the encoder, a classifier head
 h_i predicting the label from z_i, and an adversary head f_i predicting the
 sensitive attribute from z_i (plus the label column under the eo criterion).
 Levels compose: z_0 is the raw input, z_i = E_i(z_{i-1}), with strictly
-decreasing code widths. :func:`level_grads` computes a level's signed
-objective and its gradients on the explicit :mod:`nn` kernel, holding the
-forward tape of each net it back-propagates through; the graph form
-of the same objective, which the tests check it against, lives with the
-reference graph engine. After training, only the encoders survive as a
-:class:`TrainedStack`, which serializes to a small binary format.
+decreasing code widths, and level i trains on the frozen codes z_{i-1}.
+:func:`level_grads` computes a level's signed objective and its gradients on
+the explicit :mod:`nn` kernel, holding the forward tape of each net it
+back-propagates through; the graph form of the same objective, which the
+tests check it against, lives with the reference graph engine. After
+training, only the encoders survive as a :class:`TrainedStack`, which
+serializes to a small binary format.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import hashlib
 import json
 import struct
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class StackSpec:
     criterion: str = "dp"
     adv_hidden: int = 20
     cls_hidden: int = 20
-    root_mse: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
@@ -163,28 +162,6 @@ def build(spec: StackSpec, seed: int) -> list[Level]:
             for lv in spec.levels]
 
 
-def encode(stack: Sequence[Level], X: np.ndarray, upto: int | None = None) -> np.ndarray:
-    """z_k = E_k(...E_1(X)) through a list of built levels; ``upto=0``
-    returns X unchanged."""
-    return _encode([lv.encoder.triples() for lv in stack],
-                   stack[0].in_dim if stack else None, X, upto)
-
-
-def _encode(levels: list, in_dim: int | None, X: np.ndarray, upto: int | None) -> np.ndarray:
-    """The first ``upto`` (default all) levels of (W, b, act) triples applied
-    to X, whose width must be ``in_dim`` unless that is None."""
-    X = np.asarray(X, dtype=np.float64)
-    if in_dim is not None and (X.ndim != 2 or X.shape[1] != in_dim):
-        raise DimensionError(f"encode: expected input width {in_dim}, got shape {X.shape}")
-    if upto is None:
-        upto = len(levels)
-    if not 0 <= upto <= len(levels):
-        raise ValueError(f"upto must be in [0, {len(levels)}], got {upto}")
-    for layers in levels[:upto]:
-        X = dense_forward(layers, X)
-    return X
-
-
 # ---------------------------------------------------------------------------
 # Per-level loss
 
@@ -219,15 +196,13 @@ def _check_rows(n: int, y: np.ndarray, s: np.ndarray, what: str) -> None:
 
 
 def level_grads(level: Level, x: np.ndarray, y: np.ndarray, s: np.ndarray,
-                alpha: float, beta: float, gamma: float, eopp_label: int = 0,
-                root_mse: bool = False,
-                prefix: Sequence[Level] = ()) -> tuple[float, float, float | None]:
+                alpha: float, beta: float, gamma: float,
+                eopp_label: int = 0) -> tuple[float, float, float | None]:
     """The objective of a level's main step, alpha*rec + gamma*cls - beta*adv,
-    on the explicit kernel: forward ``x`` through the ``prefix`` levels'
-    encoders and this level, and accumulate d(objective)/d(parameter) into
-    ``.grad`` of this level's encoder, classifier and decoder and of the
-    prefix encoders. The adversary is only read; the trainer updates it
-    separately to minimize adv, so the two sides play against each other.
+    on the explicit kernel: forward the level's input ``x`` through the level
+    and accumulate d(objective)/d(parameter) into ``.grad`` of its encoder,
+    classifier and decoder. The adversary is only read; the trainer updates
+    it separately to minimize adv, so the two sides play against each other.
 
     Each net that back-propagates gets its own tape, held here for the
     length of the call. With ``alpha == 0`` the decoder's gradient is exactly
@@ -239,14 +214,9 @@ def level_grads(level: Level, x: np.ndarray, y: np.ndarray, s: np.ndarray,
     y = np.asarray(y).reshape(-1)
     s = np.asarray(s).reshape(-1)
     _check_rows(x.shape[0], y, s, "level_grads")
-    prefix_tapes: list[list] = [[] for _ in prefix]
     enc_tape, cls_tape, dec_tape = [], [], ([] if alpha else None)
-    z_in = x
-    for lv, tape in zip(prefix, prefix_tapes):
-        z_in = lv.encoder.forward_value(z_in, tape)
-    z = level.encoder.forward_value(z_in, enc_tape)
-    rec, g_rec = mse(level.decoder.forward_value(z, dec_tape), z_in, root_mse,
-                     alpha if alpha else None)
+    z = level.encoder.forward_value(x, enc_tape)
+    rec, g_rec = mse(level.decoder.forward_value(z, dec_tape), x, alpha if alpha else None)
     y_hat = level.classifier.forward_value(z, cls_tape)
     y_col = y.reshape(-1, 1).astype(float)
     cls, g_cls = _bce_with_grad(y_hat, y_col, gamma)
@@ -269,9 +239,7 @@ def level_grads(level: Level, x: np.ndarray, y: np.ndarray, s: np.ndarray,
             scattered[idx] += g_rows
             g_rows = scattered
         g_z = g_z + g_rows
-    g = level.encoder.backward(enc_tape, g_z, input_grad=bool(prefix))
-    for i in range(len(prefix) - 1, -1, -1):
-        g = prefix[i].encoder.backward(prefix_tapes[i], g, input_grad=i > 0)
+    level.encoder.backward(enc_tape, g_z, input_grad=False)
     return rec, cls, adv
 
 
@@ -315,8 +283,16 @@ class TrainedStack:
             return self.in_dim
         return self.levels[-1][-1][0].shape[1]
 
-    def encode(self, X: np.ndarray, upto: int | None = None) -> np.ndarray:
-        return _encode(self.levels, self.in_dim, X, upto)
+    def encode(self, X: np.ndarray) -> np.ndarray:
+        """z = E_k(...E_1(X)): every level's (W, b, act) triples applied to X,
+        whose width must be ``in_dim``."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.in_dim:
+            raise DimensionError(f"encode: expected input width {self.in_dim}, "
+                                 f"got shape {X.shape}")
+        for layers in self.levels:
+            X = dense_forward(layers, X)
+        return X
 
     # -- binary format ------------------------------------------------------
 

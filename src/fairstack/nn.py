@@ -191,24 +191,18 @@ def _bce_grad(predicted: np.ndarray, p: np.ndarray, target: np.ndarray,
     return scale * inside * (p - target) / (p * (1.0 - p)) / p.size
 
 
-def mse(reconstruction: np.ndarray, target: np.ndarray, root: bool = False,
+def mse(reconstruction: np.ndarray, target: np.ndarray,
         scale: float | None = None) -> tuple[float, np.ndarray | None]:
-    """Squared error per row (its root with ``root``) and ``scale`` times its
-    gradient, None without a ``scale``: the value and pullback of
-    the graph's ``mse_loss``."""
+    """Squared error per row and ``scale`` times its gradient, None without
+    a ``scale``: the value and pullback of the graph's ``mse_loss``."""
     diff = reconstruction - target
     n_rows = target.shape[0]
-    base = float((diff * diff).sum() / n_rows)
-    if not math.isfinite(base):
+    value = float((diff * diff).sum() / n_rows)
+    if not math.isfinite(value):
         raise FloatingPointError("non-finite values in mse_loss")
-    value = float(np.sqrt(base)) if root else base
     if scale is None:
         return value, None
-    if not root:
-        return value, scale * 2.0 * diff / n_rows
-    if value == 0.0:  # derivative undefined at the minimum; use 0
-        return value, np.zeros_like(diff)
-    return value, scale * diff / (n_rows * value)
+    return value, scale * 2.0 * diff / n_rows
 
 
 def bce_step(net: MLP, opt: Adam, x: np.ndarray, target: np.ndarray) -> None:

@@ -3,9 +3,9 @@
 Per batch the main step updates encoder, decoder and classifier to minimize
 alpha*L_rec + gamma*L_class - beta*L_adv with the adversary frozen; then the
 adversary alone takes ``adv_steps`` minimization steps on BCE(f(z), s) against
-the freshly updated (and detached) codes. Levels train sequentially: by
-default earlier levels are frozen and their codes precomputed; a fine-tune
-mode lets gradients flow into earlier encoders instead.
+the freshly updated (and detached) codes. Levels train sequentially, each
+on the codes of the frozen level before it, computed once by that level's
+encoder.
 
 Both steps run on the explicit kernel of :mod:`nn` (:func:`model.level_grads`
 for the main step, :func:`nn.bce_step` for the adversary), with one flat Adam
@@ -24,9 +24,8 @@ import numpy as np
 
 from .data import Dataset, batches
 from .metrics import PredictionBatch, evaluate, threshold_predictions
-from .model import (Level, StackSpec, TrainedStack, adversary_input, build, encode,
-                    level_grads, spec_hash)
-from .nn import Adam, bce_step
+from .model import Level, StackSpec, TrainedStack, adversary_input, build, level_grads, spec_hash
+from .nn import Adam, DimensionError, bce_step
 
 
 class DivergenceError(RuntimeError):
@@ -41,8 +40,6 @@ class TrainConfig:
     lr_adv: float | None = None       # None -> same as lr
     adv_steps: int = 1                # adversary updates per main update
     seed: int = 0
-    freeze_previous: bool = True
-    adversary_warm_start: bool = False
     eopp_adv_label: int = 0           # adversary subset under eopp: rows with y == this
 
     def __post_init__(self):
@@ -107,20 +104,14 @@ def _classifier_gaps(level: Level, z_val: np.ndarray, y_val: np.ndarray,
     return tuple(math.nan if g is None else g for g in gaps)
 
 
-def _run_level(level: Level, level_index: int, prefix: list[Level],
-               X0: np.ndarray, y: np.ndarray, s: np.ndarray,
-               alpha: float, beta: float, gamma: float, root_mse: bool,
+def _run_level(level: Level, level_index: int, X: np.ndarray, y: np.ndarray,
+               s: np.ndarray, alpha: float, beta: float, gamma: float,
                cfg: TrainConfig, val: tuple | None) -> list[EpochRecord]:
-    """The alternating-update loop for one level; returns one record per epoch.
-
-    ``X0`` is the raw stack input when ``prefix`` is non-empty (fine-tuning:
-    batches are forwarded through the earlier encoders, which train too);
-    with an empty prefix it is this level's input matrix directly.
-    """
-    n = X0.shape[0]
+    """The alternating-update loop for one level on its input matrix ``X``;
+    returns one record per epoch."""
+    n = X.shape[0]
     # with alpha == 0 the decoder's Adam update is exactly zero: leave it out
-    nets = [level.encoder, level.classifier, *([level.decoder] if alpha else []),
-            *(lv.encoder for lv in prefix)]
+    nets = [level.encoder, level.classifier, *([level.decoder] if alpha else [])]
     adam_main = Adam([p for net in nets for p in net.params()], lr=cfg.lr)
     adam_adv = Adam(level.adversary.params(), lr=cfg.adversary_lr)
     records: list[EpochRecord] = []
@@ -134,13 +125,13 @@ def _run_level(level: Level, level_index: int, prefix: list[Level],
         for b_num, idx in enumerate(batches(n, cfg.batch_size, (cfg.seed, level_index), epoch)):
             where = f"level {level_index}, epoch {epoch}, batch {b_num}"
             try:
-                xb = X0[idx]
+                xb = X[idx]
                 yb, sb = y[idx], s[idx]
-                # Main step: encoder/decoder/classifier (and unfrozen prefix
-                # encoders) descend the signed level objective.
+                # Main step: encoder/decoder/classifier descend the signed
+                # level objective.
                 adam_main.zero_grad()
                 rec, cls, adv = level_grads(level, xb, yb, sb, alpha, beta, gamma,
-                                            cfg.eopp_adv_label, root_mse, prefix)
+                                            cfg.eopp_adv_label)
                 adam_main.step()
 
                 rec_sum += rec
@@ -151,7 +142,7 @@ def _run_level(level: Level, level_index: int, prefix: list[Level],
                     n_adv_batches += 1
 
                 # Adversary steps on the updated, detached codes.
-                z_now = encode([*prefix, level], xb)
+                z_now = level.encoder.forward_value(xb)
                 rows, sub = adversary_input(level, z_now, yb, cfg.eopp_adv_label)
                 if rows is not None:
                     target = s_col[idx[sub]]
@@ -162,7 +153,7 @@ def _run_level(level: Level, level_index: int, prefix: list[Level],
 
         if val is not None:
             Xv, yv, sv = val
-            zv = encode([*prefix, level], Xv)
+            zv = level.encoder.forward_value(Xv)
             adv_acc = _adversary_accuracy(level, zv, yv, sv, cfg.eopp_adv_label)
             dp, eo, eopp = _classifier_gaps(level, zv, yv, sv)
         else:
@@ -177,40 +168,26 @@ def _run_level(level: Level, level_index: int, prefix: list[Level],
     return records
 
 
-def _warm_start_adversary(target: Level, source: Level) -> int:
-    """Copy adversary weights layer-wise where shapes match; returns the
-    number of layers copied."""
-    copied = 0
-    for dst, src in zip(target.adversary.layers, source.adversary.layers):
-        if dst.weight.value.shape == src.weight.value.shape:
-            dst.weight.value[...] = src.weight.value
-            dst.bias.value[...] = src.bias.value
-            copied += 1
-    return copied
-
-
 def train_stack(spec: StackSpec, train: Dataset, cfg: TrainConfig,
                 val: Dataset | None = None) -> tuple[TrainedStack, list[list[EpochRecord]]]:
     """Sequential level-by-level training; returns the encoder-only stack and
     the epoch records of each level, level 0 first.
 
-    With ``cfg.freeze_previous`` (default) each level trains on codes
-    precomputed from the already-trained, frozen earlier levels. With it off,
-    earlier encoders keep updating inside later levels' main steps.
+    Each level trains on the codes of the trained, frozen level before it.
     """
+    for ds in (train,) if val is None else (train, val):
+        if ds.d != spec.levels[0].in_dim:
+            raise DimensionError(f"train_stack: expected input width "
+                                 f"{spec.levels[0].in_dim}, got {ds.d}")
     levels = build(spec, cfg.seed)
     logs: list[list[EpochRecord]] = []
-    val_tuple = None
+    X, Xv = train.X, None if val is None else val.X
     for i, level in enumerate(levels):
-        if cfg.adversary_warm_start and i > 0:
-            _warm_start_adversary(level, levels[i - 1])
-        # frozen: train on precomputed codes; fine-tune: forward through the prefix
-        upto, prefix = (i, []) if cfg.freeze_previous else (0, levels[:i])
-        if val is not None:
-            val_tuple = (encode(levels, val.X, upto=upto), val.y, val.s)
-        logs.append(_run_level(level, i, prefix, encode(levels, train.X, upto=upto),
-                               train.y, train.s, spec.alpha, spec.beta, spec.gamma,
-                               spec.root_mse, cfg, val_tuple))
+        if i:  # the previous level is trained: its codes are this level's input
+            X = levels[i - 1].encoder.forward_value(X)
+            Xv = None if Xv is None else levels[i - 1].encoder.forward_value(Xv)
+        logs.append(_run_level(level, i, X, train.y, train.s, spec.alpha, spec.beta,
+                               spec.gamma, cfg, None if val is None else (Xv, val.y, val.s)))
     provenance = {
         "spec": spec.to_dict(),
         "spec_hash": spec_hash(spec),

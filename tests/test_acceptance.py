@@ -24,7 +24,7 @@ from fairstack.cli import main
 from fairstack.data import make_synthetic, standardize, train_val_test_split
 from fairstack.downstream import ProbeSpec, train_probe
 from fairstack.metrics import PredictionBatch, UndefinedMetricError, evaluate
-from fairstack.model import LevelSpec, StackSpec, build, encode, level_grads, stacked_spec
+from fairstack.model import LevelSpec, StackSpec, build, level_grads, stacked_spec
 from fairstack.nn import Adam
 from fairstack.training import TrainConfig, train_stack
 from oracles import (adam_reference_trace, all_params, enumerate_count_batches,
@@ -81,7 +81,6 @@ def test_gradients_match_finite_differences():
         p = rng.uniform(-1, 1, (3, 5))
         q = rng.uniform(-1, 1, (3, 5))
         cases += _fd_case(lambda u: mse_loss(u, q), [p])
-        cases += _fd_case(lambda u: scale(mse_loss(u, q, root=True), 1.7), [p])
 
         c1 = rng.uniform(-1, 1, (4, 2))
         c2 = rng.uniform(-1, 1, (4, 3))
@@ -124,33 +123,29 @@ def test_gradients_match_finite_differences():
             cases += 1
 
     # the explicit kernel the trainer runs (model.level_grads) against central
-    # differences of the objective it reports; the adversary is frozen in the
-    # main step. The reconstruction target is the level's input held fixed,
-    # so the fine-tuning case (gradients into a prefix encoder) runs with
-    # alpha = 0.
+    # differences of the objective it reports, on the codes of a first level;
+    # the adversary is frozen in the main step, and with alpha = 0 the
+    # decoder's gradient is zero
     for seed, crit in enumerate(("dp", "eo", "eopp")):
         spec = StackSpec(levels=(LevelSpec(in_dim=5, latent=4, hidden=(3,)),
                                  LevelSpec(in_dim=4, latent=2, hidden=(3,))),
                          criterion=crit, adv_hidden=3, cls_hidden=3)
-        prefix, level = build(spec, seed=seed)
-        X = rng.uniform(-1, 1, (6, 5))
+        first, level = build(spec, seed=seed)
+        z = first.encoder.forward_value(rng.uniform(-1, 1, (6, 5)))
         y = np.array([0, 1, 0, 1, 1, 0])
         s = np.array([1, 0, 0, 1, 0, 1])
-        for alpha, before, trained in ((0.7, [], main_params(level)),
-                                       (0.0, [prefix], prefix.encoder.params())):
-            z = encode([prefix], X) if not before else X
+        for alpha in (0.7, 0.0):
 
-            def kernel_objective(alpha=alpha, before=before, z=z):
+            def kernel_objective(alpha=alpha):
                 rec, cls, adv = level_grads(level, z, y, s, alpha=alpha, beta=1.3,
-                                            gamma=0.9, root_mse=crit == "eo",
-                                            prefix=before)
+                                            gamma=0.9)
                 return alpha * rec + 0.9 * cls - 1.3 * adv
 
-            zero_grads(all_params(prefix) + all_params(level))
+            zero_grads(all_params(first) + all_params(level))
             kernel_objective()
-            grads = [p.grad.copy() for p in trained]
+            grads = [p.grad.copy() for p in main_params(level)]
             assert all(not p.grad.any() for p in level.adversary.params())
-            for p, grad in zip(trained, grads):
+            for p, grad in zip(main_params(level), grads):
                 def f(v, p=p):
                     keep = p.value.copy()
                     p.value[...] = v
@@ -242,8 +237,9 @@ def test_adam_matches_independent_reference_trace():
 
 
 # ---------------------------------------------------------------------------
-# 4. adversarial training strips a planted sensitive signal while the label
-#    signal survives (label independent of the planted feature by design)
+# 4. adversarial training strips the sensitive signal of the synthetic table
+#    (feature 0) while the label signal survives (label independent of
+#    feature 0 by design)
 
 
 def test_adversarial_training_removes_sensitive_signal():
@@ -294,8 +290,9 @@ def _sweep_ordering_config(tmp_path: Path, dataset: dict, levels, epochs: int,
     return path
 
 
-def _check_sweep_ordering(tmp_path: Path, capsys) -> None:
-    assert main(["sweep", "--config", str(tmp_path / "sweep.json")]) == 0
+def _check_sweep_ordering(tmp_path: Path, capsys, jobs: int = 1) -> None:
+    assert main(["sweep", "--config", str(tmp_path / "sweep.json"),
+                 "--jobs", str(jobs)]) == 0
     out = capsys.readouterr().out
     run = Path(out.strip().splitlines()[-1].rsplit("-> ", 1)[1])
 
@@ -338,6 +335,26 @@ def test_beta_sweep_preserves_fairness_ordering_german(german_file, tmp_path,
         levels=[{"latent": 15}, {"latent": 8}],
         epochs=150)
     _check_sweep_ordering(tmp_path, capsys)
+
+
+# The same protocol offline, on the planted table (n = 3000, two levels 20->8,
+# 40 epochs, run in a pool of two workers). The reason holds the measured
+# means over seeds 0-2, as delta_dp (accuracy).
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "stacked <= vanilla fails at betas 1-5. Stacked vs vanilla: beta 1 0.2461 (0.982) "
+    "vs 0.2390 (0.980); beta 2 0.2337 (0.977) vs 0.2267 (0.976); beta 3 0.2265 (0.976) "
+    "vs 0.2224 (0.976); beta 5 0.2165 (0.967) vs 0.2078 (0.967); beta 15 0.1497 (0.929) "
+    "vs 0.1891 (0.966); raw features 0.2586 (0.984). P(y=1 | s) differs by 0.20 "
+    "between the groups and the label columns make y easy to predict, so any probe "
+    "that predicts y well reads a delta_dp near 0.20 whatever code it reads: the "
+    "per-beta comparison mostly compares accuracy, and the per-seed spread (about "
+    "0.03) exceeds the gaps."))
+def test_beta_sweep_preserves_fairness_ordering_planted(tmp_path, capsys):
+    _sweep_ordering_config(tmp_path, {"id": "planted", "n": 3000},
+                           levels=[{"latent": 20}, {"latent": 8}], epochs=40)
+    _check_sweep_ordering(tmp_path, capsys, jobs=2)
 
 
 # ---------------------------------------------------------------------------

@@ -122,10 +122,6 @@ def test_mse_is_mean_of_row_squared_norms():
     assert mse_loss(recon, np.zeros((2, 3))).item() == 2.0
 
 
-def test_mse_root_variant():
-    assert mse_loss(Var([[3.0, 4.0]]), [[0.0, 0.0]], root=True).item() == 5.0
-
-
 def test_mse_shape_mismatch():
     with pytest.raises(DimensionError):
         mse_loss(Var([[1.0]]), [[1.0, 2.0]])
@@ -135,16 +131,10 @@ def test_mse_grad_matches_finite_differences():
     rng = np.random.default_rng(7)
     x0 = rng.normal(size=(3, 2))
     t = rng.normal(size=(3, 2))
-    for root in (False, True):
-        x = parameter(x0)
-        backward(mse_loss(x, t, root=root))
-        numeric = finite_difference(
-            lambda m: float(
-                np.sqrt(((m - t) ** 2).sum() / 3) if root else ((m - t) ** 2).sum() / 3
-            ),
-            x0,
-        )
-        assert grad_close(x.grad, numeric)
+    x = parameter(x0)
+    backward(mse_loss(x, t))
+    numeric = finite_difference(lambda m: float(((m - t) ** 2).sum() / 3), x0)
+    assert grad_close(x.grad, numeric)
 
 
 # ---------------------------------------------------------------------------

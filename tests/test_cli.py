@@ -154,6 +154,8 @@ def test_config_hash_canonical():
     b = {k: a[k] for k in reversed(list(a))}  # same content, different order
     b["criterion"] = "dp"  # matches the default, so still the same config
     assert config_hash(parse_config(a)) == config_hash(parse_config(b))
+    elsewhere = _base_config("elsewhere/runs")  # where a run writes is not hashed
+    assert config_hash(parse_config(elsewhere)) == config_hash(parse_config(a))
     c = _base_config("runs")
     c["val_frac"] = 0.3
     assert config_hash(parse_config(c)) != config_hash(parse_config(a))
@@ -308,6 +310,15 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
     path = _write_config(tmp_path, mystery=1)
     assert main(["fit", "--config", str(path)]) == 2
     assert "mystery" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["train.freeze_previous", "train.adversary_warm_start",
+                                 "loss.root_mse"])
+def test_removed_training_key_exit_2(tmp_path, capsys, key):
+    section, leaf = key.split(".")
+    path = _write_config(tmp_path, **{section: {leaf: False}})
+    assert main(["fit", "--config", str(path)]) == 2
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
 
 
 def test_bad_criterion_flag_exit_2(tmp_path, capsys):
@@ -490,6 +501,17 @@ def test_fit_is_reproducible_and_never_overwrites(tmp_path, capsys):
     assert (run_a / "model.fstk").read_bytes() == (run_b / "model.fstk").read_bytes()
     assert (run_a / "train-level0.csv").read_text() == \
            (run_b / "train-level0.csv").read_text()
+
+
+def test_fit_logs_are_the_same_under_another_out_dir(tmp_path, capsys):
+    runs = []
+    for root in (tmp_path / "a", tmp_path / "b"):
+        root.mkdir()
+        assert main(["fit", "--config", str(_write_config(root))]) == 0
+        runs.append(_run_dir_from(capsys.readouterr().out))
+    assert runs[0].parent != runs[1].parent
+    assert (runs[0] / "train-level0.csv").read_bytes() == \
+           (runs[1] / "train-level0.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

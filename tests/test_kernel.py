@@ -37,59 +37,52 @@ from oracles import AdamReference, all_params, main_params
 # per-parameter gradients of one main step
 
 
-def _spec(criterion: str, alpha: float, root_mse: bool = False, hidden=(3,),
-          adv_hidden: int = 4) -> StackSpec:
+def _spec(criterion: str, alpha: float, hidden=(3,), adv_hidden: int = 4) -> StackSpec:
     return StackSpec(levels=(LevelSpec(in_dim=7, latent=5, hidden=hidden),
                              LevelSpec(in_dim=5, latent=3, hidden=hidden)),
                      alpha=alpha, beta=1.3, gamma=0.9, criterion=criterion,
-                     adv_hidden=adv_hidden, cls_hidden=4, root_mse=root_mse)
+                     adv_hidden=adv_hidden, cls_hidden=4)
 
 
 def _grad_cases():
     for crit in CRITERIA:
         for alpha in (0.0, 0.7):
-            for root_mse in (False, True):
-                for fine_tune in (False, True):
+            for linear_adv in (False, True):
+                for hidden_layer in (False, True):
                     labels = (0, 1) if crit == "eopp" else (0,)
                     for label in labels:
-                        yield crit, alpha, root_mse, fine_tune, label
+                        yield crit, alpha, linear_adv, hidden_layer, label
 
 
-@pytest.mark.parametrize("crit,alpha,root_mse,fine_tune,label", list(_grad_cases()))
-def test_kernel_gradients_match_the_graph(crit, alpha, root_mse, fine_tune, label):
-    rng = np.random.default_rng([len(crit), int(10 * alpha), root_mse, fine_tune, label])
-    spec = _spec(crit, alpha, root_mse, hidden=(4,) if fine_tune else (),
-                 adv_hidden=0 if root_mse else 4)
+@pytest.mark.parametrize("crit,alpha,linear_adv,hidden_layer,label", list(_grad_cases()))
+def test_kernel_gradients_match_the_graph(crit, alpha, linear_adv, hidden_layer, label):
+    # level 1's main step on level 0's codes; linear_adv: the adversary has
+    # no hidden layer, hidden_layer: each encoder has one of width 4
+    rng = np.random.default_rng([len(crit), int(10 * alpha), linear_adv, hidden_layer, label])
+    spec = _spec(crit, alpha, hidden=(4,) if hidden_layer else (),
+                 adv_hidden=0 if linear_adv else 4)
     X = rng.normal(size=(16, 7))
     y = rng.integers(0, 2, 16)
     s = rng.integers(0, 2, 16)
     graph, kernel = build(spec, seed=3), build(spec, seed=3)
-    for levels in (graph, kernel):  # move off the init so both prefixes matter
+    for levels in (graph, kernel):  # move level 0 off the init, as training does
         for p in levels[0].encoder.params():
             p.value += 0.1 * np.random.default_rng(4).normal(size=p.value.shape)
 
-    z_graph: Var = Var(X if fine_tune else graph[0].encoder.forward_value(X))
-    if fine_tune:
-        z_graph = forward(graph[0].encoder, z_graph)
-    parts = level_loss(graph[1], z_graph, y, s, alpha, 1.3, 0.9, label, root_mse)
+    parts = level_loss(graph[1], graph[0].encoder.forward_value(X), y, s, alpha, 1.3, 0.9,
+                       label)
     ad.backward(parts.objective)
-
-    prefix = kernel[:1] if fine_tune else []
-    x = X if fine_tune else kernel[0].encoder.forward_value(X)
-    rec, cls, adv = level_grads(kernel[1], x, y, s, alpha, 1.3, 0.9, label, root_mse, prefix)
+    rec, cls, adv = level_grads(kernel[1], kernel[0].encoder.forward_value(X), y, s, alpha,
+                                1.3, 0.9, label)
 
     assert rec == parts.rec.item() and cls == parts.cls.item()
     assert (adv is None) == (parts.adv is None)
     if adv is not None:
         assert adv == parts.adv.item()
-    trained = list(zip(main_params(graph[1]), main_params(kernel[1])))
-    if fine_tune:
-        trained += list(zip(graph[0].encoder.params(), kernel[0].encoder.params()))
-    for n, (g, k) in enumerate(trained):
+    for n, (g, k) in enumerate(zip(main_params(graph[1]), main_params(kernel[1]))):
         assert np.array_equal(k.grad, g.grad), f"parameter {n} {g.value.shape}"
     assert not any(p.grad.any() for p in kernel[1].adversary.params())  # frozen in the main step
-    if not fine_tune:
-        assert not any(p.grad.any() for p in all_params(kernel[0]))
+    assert not any(p.grad.any() for p in all_params(kernel[0]))
 
 
 @pytest.mark.parametrize("crit", CRITERIA)
@@ -136,24 +129,20 @@ def test_kernel_gradients_with_an_empty_eopp_subset():
 # multi-epoch train_stack traces: the kernel trainer against the graph trainer
 
 
-def _reference_run_level(level, level_index, prefix, X0, y, s, alpha, beta, gamma,
-                         root_mse, cfg, val):
+def _reference_run_level(level, level_index, X, y, s, alpha, beta, gamma, cfg, val):
     """The level loop on the graph path, with a per-parameter Adam."""
-    main = main_params(level) + [p for lv in prefix for p in lv.encoder.params()]
+    main = main_params(level)
     adam_main = AdamReference(main, lr=cfg.lr)
     adam_adv = AdamReference(level.adversary.params(), lr=cfg.adversary_lr)
     records = []
     for epoch in range(cfg.epochs):
         rec_sum = cls_sum = adv_sum = 0.0
         n_batches = n_adv_batches = 0
-        for idx in batches(X0.shape[0], cfg.batch_size, (cfg.seed, level_index), epoch):
-            xb, yb, sb = X0[idx], y[idx], s[idx]
+        for idx in batches(X.shape[0], cfg.batch_size, (cfg.seed, level_index), epoch):
+            xb, yb, sb = X[idx], y[idx], s[idx]
             ad.zero_grads(main + level.adversary.params())
-            z_in = Var(xb)
-            for lv in prefix:
-                z_in = forward(lv.encoder, z_in)
-            parts = level_loss(level, z_in, yb, sb, alpha, beta, gamma,
-                               eopp_label=cfg.eopp_adv_label, root_mse=root_mse)
+            parts = level_loss(level, xb, yb, sb, alpha, beta, gamma,
+                               eopp_label=cfg.eopp_adv_label)
             ad.backward(parts.objective)
             adam_main.step()
             rec_sum += parts.rec.item()
@@ -163,9 +152,7 @@ def _reference_run_level(level, level_index, prefix, X0, y, s, alpha, beta, gamm
                 adv_sum += parts.adv.item()
                 n_adv_batches += 1
 
-            z = xb
-            for lv in [*prefix, level]:
-                z = lv.encoder.forward_value(z)
+            z = level.encoder.forward_value(xb)
             if level.criterion == "eopp":
                 sub = np.flatnonzero(yb == cfg.eopp_adv_label)
             else:
@@ -183,8 +170,7 @@ def _reference_run_level(level, level_index, prefix, X0, y, s, alpha, beta, gamm
         adv_acc = dp = eo = eopp = math.nan
         if val is not None:
             zv, yv, sv = val
-            for lv in [*prefix, level]:
-                zv = lv.encoder.forward_value(zv)
+            zv = level.encoder.forward_value(zv)
             adv_acc = training._adversary_accuracy(level, zv, yv, sv, cfg.eopp_adv_label)
             dp, eo, eopp = training._classifier_gaps(level, zv, yv, sv)
         records.append(EpochRecord(
@@ -211,12 +197,9 @@ TRACE_CASES = {
                                    {"eopp_adv_label": 1, "batch_size": 8}),
     "hidden-and-linear-heads": ({"hidden": (6,), "adv_hidden": 0, "cls_hidden": 0}, {}),
     "adv-steps-2": ({}, {"adv_steps": 2, "lr_adv": 0.02}),
-    "warm-start": ({"criterion": "eo"}, {"adversary_warm_start": True}),
-    "fine-tune": ({"criterion": "eopp"}, {"freeze_previous": False}),
     "alpha": ({"alpha": 0.7}, {}),
-    "alpha-root-mse-eo": ({"alpha": 0.5, "root_mse": True, "criterion": "eo"}, {}),
-    "alpha-fine-tune-eopp": ({"alpha": 0.7, "criterion": "eopp"},
-                             {"freeze_previous": False, "eopp_adv_label": 1}),
+    "alpha-eo": ({"alpha": 0.5, "criterion": "eo"}, {}),
+    "alpha-eopp-label-1": ({"alpha": 0.7, "criterion": "eopp"}, {"eopp_adv_label": 1}),
 }
 
 
@@ -264,11 +247,9 @@ from fairstack.training import TrainConfig, train_stack
 ds = make_synthetic(n=240, seed=5, n_noise=4)
 train, val = ds.subset(range(180)), ds.subset(range(180, 240))
 for crit in CRITERIA:
-    for freeze in (True, False):
-        spec = StackSpec(levels=(LevelSpec(in_dim=train.d, latent=4),
-                                 LevelSpec(in_dim=4, latent=2)), criterion=crit)
-        stack, _ = train_stack(spec, train, TrainConfig(epochs=2, batch_size=32,
-                                                        freeze_previous=freeze), val=val)
+    spec = StackSpec(levels=(LevelSpec(in_dim=train.d, latent=4),
+                             LevelSpec(in_dim=4, latent=2)), criterion=crit)
+    stack, _ = train_stack(spec, train, TrainConfig(epochs=2, batch_size=32), val=val)
 train_probe(stack, train.X, train.y, ProbeSpec(hidden=3, epochs=2))
 train_logreg(train.X, train.y, epochs=20)
 print(" ".join(sorted(m for m in sys.modules if m.startswith("fairstack"))))
@@ -277,7 +258,7 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith("fairstack"))))
 
 def test_training_builds_no_graph_per_batch():
     # production code never imports the graph engine: the CLI, the trainer
-    # (frozen and fine-tuned, every criterion), the probe and logreg run
+    # (two levels, every criterion), the probe and logreg run
     # in a fresh interpreter and leave it unloaded
     src = Path(fairstack.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

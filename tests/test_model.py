@@ -15,7 +15,6 @@ from fairstack.model import (
     StackSpec,
     TrainedStack,
     build,
-    encode,
     spec_hash,
     stacked_spec,
     vanilla_spec,
@@ -95,7 +94,7 @@ def test_spec_hash_tracks_content():
 
 
 def test_spec_dict_round_trip():
-    spec = stacked_spec(12, (6, 3), alpha=0.0, beta=5.0, criterion="eo", root_mse=True)
+    spec = stacked_spec(12, (6, 3), alpha=0.0, beta=5.0, criterion="eo", adv_hidden=0)
     again = spec_from_dict(spec.to_dict())
     assert again == spec
 
@@ -126,39 +125,27 @@ def test_adversary_width_depends_on_criterion():
         assert levels[0].adversary.in_dim == 4 + extra
 
 
-def test_encode_upto_zero_is_identity():
-    levels = build(stacked_spec(6, (3,)), seed=0)
-    X = np.random.default_rng(0).normal(size=(5, 6))
-    np.testing.assert_array_equal(encode(levels, X, upto=0), X)
-
-
 def test_encode_output_shape():
     levels = build(stacked_spec(104, (20, 8)), seed=0)
     X = np.random.default_rng(0).normal(size=(64, 104))
-    assert encode(levels, X).shape == (64, 8)
-    assert encode(levels, X, upto=1).shape == (64, 20)
+    assert TrainedStack.from_levels(levels).encode(X).shape == (64, 8)
+    assert TrainedStack.from_levels(levels[:1]).encode(X).shape == (64, 20)
 
 
 def test_encode_composes_level_by_level():
     levels = build(stacked_spec(9, (5, 2)), seed=3)
     X = np.random.default_rng(1).normal(size=(7, 9))
-    z1 = encode(levels, X, upto=1)
-    z2_direct = encode(levels, X, upto=2)
-    z2_composed = levels[1].encoder.forward_value(z1)
+    z1 = TrainedStack.from_levels(levels[:1]).encode(X)
+    z2_direct = TrainedStack.from_levels(levels).encode(X)
+    z2_composed = TrainedStack.from_levels(levels[1:]).encode(z1)
     np.testing.assert_array_equal(z2_direct, z2_composed)
 
 
 def test_encode_width_mismatch():
-    levels = build(stacked_spec(6, (3,)), seed=0)
+    stack = TrainedStack.from_levels(build(stacked_spec(6, (3,)), seed=0))
     with pytest.raises(DimensionError) as exc:
-        encode(levels, np.zeros((4, 7)))
+        stack.encode(np.zeros((4, 7)))
     assert "6" in str(exc.value) and "7" in str(exc.value)
-
-
-def test_encode_upto_bounds():
-    levels = build(stacked_spec(6, (3,)), seed=0)
-    with pytest.raises(ValueError):
-        encode(levels, np.zeros((2, 6)), upto=2)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +310,8 @@ def test_trained_stack_matches_live_encode():
     levels = build(stacked_spec(12, (6, 3)), seed=1)
     stack = TrainedStack.from_levels(levels)
     X = np.random.default_rng(3).normal(size=(9, 12))
-    np.testing.assert_array_equal(stack.encode(X), encode(levels, X))
+    live = levels[1].encoder.forward_value(levels[0].encoder.forward_value(X))
+    np.testing.assert_array_equal(stack.encode(X), live)
 
 
 def test_load_rejects_bad_magic(tmp_path):

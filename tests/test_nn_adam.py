@@ -3,7 +3,7 @@ import pytest
 
 from fairstack.autodiff import (Var, backward, bce_loss, forward, mse_loss, parameter,
                                 zero_grads)
-from fairstack.model import CRITERIA, adversary_input, build, encode, stacked_spec
+from fairstack.model import CRITERIA, adversary_input, build, stacked_spec
 from fairstack.nn import (ACTIVATIONS, BCE_EPS, Adam, DenseLayer, MLP, bce_step,
                           dense_forward, init_weight, sigmoid)
 from oracles import AdamReference, adam_reference_trace, masked_sigmoid
@@ -204,7 +204,7 @@ def test_adversary_steps_match_the_graph(criterion):
     y, s = rng.integers(0, 2, 64), rng.integers(0, 2, 64)
     spec = stacked_spec(6, (3,), criterion=criterion, adv_hidden=5)
     level = build(spec, seed=1)[0]
-    rows, idx = adversary_input(level, encode([level], X), y, eopp_label=1)
+    rows, idx = adversary_input(level, level.encoder.forward_value(X), y, eopp_label=1)
     assert rows.shape[1] == 3 + (criterion == "eo")
     assert (idx.size < 64) == (criterion == "eopp")
     target = s[idx].reshape(-1, 1).astype(float)

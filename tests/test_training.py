@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -11,12 +12,11 @@ from fairstack.autodiff import Var, forward, level_loss
 from fairstack.config import config_hash, load_config
 from fairstack.data import make_synthetic
 from fairstack.model import TrainedStack, build, stacked_spec
-from fairstack.nn import Adam
+from fairstack.nn import Adam, DimensionError
 from fairstack.training import (
     LOG_COLUMNS,
     DivergenceError,
     TrainConfig,
-    _warm_start_adversary,
     train_stack,
 )
 from oracles import main_params
@@ -86,7 +86,7 @@ def test_fixed_seed_reproduces_identical_log():
 def test_frozen_levels_stay_bit_identical():
     train, _ = _synthetic_split(n=128)
     spec = stacked_spec(train.d, (4, 2), beta=1.0)
-    cfg = TrainConfig(epochs=2, batch_size=32, seed=3, freeze_previous=True)
+    cfg = TrainConfig(epochs=2, batch_size=32, seed=3)
 
     stack, logs = train_stack(spec, train, cfg)
     assert [{r.level for r in records} for records in logs] == [{0}, {1}]
@@ -99,17 +99,14 @@ def test_frozen_levels_stay_bit_identical():
         assert np.array_equal(b, b0)
 
 
-def test_fine_tuning_updates_earlier_encoders():
-    train, _ = _synthetic_split(n=128)
-    spec = stacked_spec(train.d, (4, 2), beta=1.0)
-    frozen, _ = train_stack(spec, train, TrainConfig(
-        epochs=2, batch_size=32, seed=3, freeze_previous=True))
-    tuned, _ = train_stack(spec, train, TrainConfig(
-        epochs=2, batch_size=32, seed=3, freeze_previous=False))
-    w_frozen = frozen.levels[0][0][0]
-    w_tuned = tuned.levels[0][0][0]
-    assert w_frozen.shape == w_tuned.shape
-    assert not np.array_equal(w_frozen, w_tuned)
+def test_train_stack_rejects_data_of_another_width():
+    train, val = _synthetic_split(n=64)
+    cfg = TrainConfig(epochs=1)
+    with pytest.raises(DimensionError, match=f"expected input width {train.d + 1}, got {train.d}"):
+        train_stack(stacked_spec(train.d + 1, (3,)), train, cfg)
+    narrow = dataclasses.replace(val, X=val.X[:, 1:])
+    with pytest.raises(DimensionError, match=f"got {train.d - 1}"):
+        train_stack(stacked_spec(train.d, (3,)), train, cfg, val=narrow)
 
 
 def test_train_stack_deterministic_end_to_end():
@@ -262,33 +259,6 @@ def test_nan_in_a_middle_gradient_only_step_raises_divergence_error(fit, monkeyp
     assert "Adam step" in str(exc.value)
     if fit == "adversary":
         assert "level 0, epoch 0, batch 5" in str(exc.value)
-
-
-# ---------------------------------------------------------------------------
-# adversary warm start
-
-
-def test_warm_start_copies_matching_layers_only():
-    spec = stacked_spec(10, (4, 2), adv_hidden=6)
-    levels = build(spec, seed=0)
-    levels[0].adversary.layers[1].weight.value[...] = 7.0
-    copied = _warm_start_adversary(levels[1], levels[0])
-    # first layers differ in width (4 vs 2 inputs); hidden->output matches
-    assert copied == 1
-    assert np.all(levels[1].adversary.layers[1].weight.value == 7.0)
-    assert levels[1].adversary.layers[0].weight.value.shape == (2, 6)
-
-
-def test_warm_start_flag_changes_level2_adversary_path():
-    train, _ = _synthetic_split(n=128)
-    spec = stacked_spec(train.d, (4, 2), beta=1.0, adv_hidden=6)
-    cold, logs_cold = train_stack(spec, train, TrainConfig(
-        epochs=2, batch_size=32, seed=1, adversary_warm_start=False))
-    warm, logs_warm = train_stack(spec, train, TrainConfig(
-        epochs=2, batch_size=32, seed=1, adversary_warm_start=True))
-    # level 0 is identical; the level-1 game differs through the adversary
-    assert np.array_equal(cold.levels[0][0][0], warm.levels[0][0][0])
-    assert logs_cold[1][-1].loss_adv != logs_warm[1][-1].loss_adv
 
 
 # ---------------------------------------------------------------------------
