@@ -1,13 +1,16 @@
 """Command-line front end: fit, transform, sweep, table1.
 
-Every command reads one JSON config (see :mod:`fairstack.config`) plus a few
-overrides, and writes its artifacts into a fresh timestamped directory under
+``fit``, ``sweep`` and ``table1`` read one JSON config (see
+:mod:`fairstack.config`), which sets the whole experiment but ``--seed`` and
+``--jobs``, and write their artifacts into a fresh timestamped directory under
 ``out_dir`` — nothing is ever overwritten. All artifacts embed the config
 hash and seed so a run can be traced back to its exact inputs.
 
 ``sweep`` runs one job per row: a (beta, seed, variant) training run scored
 by the probe, and per seed the raw-feature baseline, which is the ``unfair``
-variant of the same job (identity stack, no training). ``--jobs N`` runs all
+variant of the same job (identity stack, no training). With one level the
+vanilla spec is the stacked one, so each (beta, seed) trains once and its
+vanilla row is a copy of the stacked row. ``--jobs N`` runs all
 sweep rows plus the baseline, or table1's six CV cells, in one pool of N
 worker processes. Those workers are the only parallelism: importing this
 module sets each of ``BLAS_THREAD_VARS`` to 1 unless it is already set, so
@@ -15,7 +18,9 @@ the CLI and its workers run BLAS on one thread; code that does not import
 this module keeps numpy's default.
 
 ``transform`` reads a UTF-8 CSV of numeric feature rows (a leading byte-order
-mark is skipped): an optional non-numeric header row, ``,`` delimiters, ``"``
+mark is skipped). The model file stores no standardization, so the rows must
+already be z-scored with the training split's statistics, as ``fit`` trained
+on. The CSV has an optional non-numeric header row, ``,`` delimiters, ``"``
 quotes, blank lines skipped. The body is
 parsed by one ``np.loadtxt`` call into the float matrix, so its memory is
 about that matrix, not a Python object per value; a value ``float`` accepts
@@ -311,17 +316,26 @@ def _mean_rows(rows: list[dict], key_cols: tuple) -> list[dict]:
     return means
 
 
+def _vanilla_is_stacked(cfg: ExperimentConfig) -> bool:
+    """One level: the vanilla spec equals the stacked one at every input width."""
+    return len(cfg.levels) == 1
+
+
 def cmd_sweep(cfg: ExperimentConfig, jobs: int = 1) -> int:
     if not cfg.betas:
         raise ConfigError("sweep.betas: must be non-empty for the sweep command")
     chash = config_hash(cfg)
+    copy_vanilla = _vanilla_is_stacked(cfg)
+    trained = VARIANTS[:1] if copy_vanilla else VARIANTS
     tasks = [(cfg, beta, seed, variant)
-             for beta in cfg.betas for seed in cfg.seeds for variant in VARIANTS]
+             for beta in cfg.betas for seed in cfg.seeds for variant in trained]
     baseline_tasks = [(cfg, None, seed, "unfair") for seed in cfg.seeds]
 
     t0 = time.perf_counter()
     results = _map(_sweep_job, tasks + baseline_tasks, jobs)
     rows, baseline = results[:len(tasks)], results[len(tasks):]
+    if copy_vanilla:  # each stacked row, then its copy as the vanilla row
+        rows = [r for row in rows for r in (row, {**row, "variant": "vanilla"})]
     wall = time.perf_counter() - t0
 
     run = _run_dir(cfg.out_dir, "sweep")  # made last: a config error leaves no directory
@@ -370,11 +384,9 @@ def cmd_table1(cfg: ExperimentConfig, jobs: int = 1) -> int:
 
     t0 = time.perf_counter()
     tcfg = train_config_for(cfg, seed)
-    stacked_spec, lafr_spec = spec_for("stacked"), spec_for("vanilla")
-    stacked, _ = train_stack(stacked_spec, train_ds, tcfg)
-    # with one level the single-level spec is the stacked one: train that stack once
-    lafr = (stacked if lafr_spec == stacked_spec
-            else train_stack(lafr_spec, train_ds, tcfg)[0])
+    stacked, _ = train_stack(spec_for("stacked"), train_ds, tcfg)
+    lafr = (stacked if _vanilla_is_stacked(cfg)
+            else train_stack(spec_for("vanilla"), train_ds, tcfg)[0])
     del train_ds
     encoders = {
         "unfair": TrainedStack.identity(d, provenance={"variant": "unfair"}),
@@ -433,17 +445,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None,
                        help="override: use this single seed")
-        p.add_argument("--beta", type=float, default=None,
-                       help="override: pin loss.beta and sweep.betas to this value")
-        p.add_argument("--criterion", default=None, choices=("dp", "eo", "eopp"),
-                       help="override the fairness criterion")
         p.add_argument("--jobs", type=int, default=1,
                        help="parallel worker processes where the command supports it")
 
     add_config_args(sub.add_parser("fit", help="train one stacked model"))
-    t = sub.add_parser("transform", help="encode a CSV of raw feature rows")
+    t = sub.add_parser("transform", help="encode a CSV of standardized feature rows")
     t.add_argument("--model", required=True, help="path to a saved .fstk model")
-    t.add_argument("--input", required=True, help="CSV of numeric feature rows")
+    t.add_argument("--input", required=True,
+                   help="CSV of numeric feature rows, z-scored with the training split's "
+                        "statistics (the model stores none)")
     t.add_argument("--output", required=True, help="where to write the encoded CSV")
     add_config_args(sub.add_parser("sweep", help="beta sweep over seeds and variants"))
     add_config_args(sub.add_parser("table1", help="cross-validated fairness table"))
@@ -468,8 +478,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "transform":
             return cmd_transform(args.model, args.input, args.output)
-        cfg = load_config(args.config, seed=args.seed, beta=args.beta,
-                          criterion=args.criterion)
+        cfg = load_config(args.config, seed=args.seed)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         _check_out_dir(cfg.out_dir)

@@ -5,7 +5,8 @@ its dotted key, type, default and bound. The parser, ``to_dict`` and the
 README key list (:func:`describe_keys`) are all derived from those fields.
 
 Unknown keys are rejected with their full dotted path, so typos fail loudly
-instead of silently running defaults.
+instead of silently running defaults; so is a ``dataset.*`` key that the
+chosen ``dataset.id`` does not read, unless it holds its default.
 """
 
 import dataclasses
@@ -117,13 +118,15 @@ def _parse_betas(raw, key: str) -> tuple:
 
 
 def _key(key: str, default=MISSING, doc: str = "", *, min=None, choices=None, parse=None,
-         dump=None):
+         dump=None, ids=DATASET_IDS):
     """One config key: its dotted path in the file, its default (none: the key
     is required), a short ``doc`` for the README, and its bound, a minimum or
     a set of choices; a field typed ``X | None`` may be null. A structured key
-    brings its own ``parse`` and, when its file form is not a list, ``dump``."""
+    brings its own ``parse`` and, when its file form is not a list, ``dump``.
+    ``ids`` names the dataset ids that read the key; with any other id it
+    must keep its default."""
     return dataclasses.field(default=default, metadata=dict(
-        key=key, min=min, choices=choices, parse=parse, dump=dump, doc=doc))
+        key=key, min=min, choices=choices, parse=parse, dump=dump, doc=doc, ids=ids))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -132,28 +135,33 @@ class ExperimentConfig:
 
     dataset_id: str = _key("dataset.id", doc="the dataset to load", choices=DATASET_IDS)
     dataset_path: str | None = _key("dataset.path", None,
-                                    "data file or directory; null: $FAIRSTACK_DATA_DIR")
-    include_sensitive: bool = _key("dataset.include_sensitive", False, "keep the sensitive column")
-    synthetic_n: int = _key("dataset.n", 2000, "synthetic or planted rows", min=4)
-    synthetic_noise: int = _key("dataset.n_noise", 3, "synthetic noise columns", min=0)
-    synthetic_flip_y: float = _key("dataset.flip_y", 0.0, "synthetic label flip rate, in [0, 1]")
+                                    "data file or directory; null: $FAIRSTACK_DATA_DIR",
+                                    ids=("adult", "german"))
+    synthetic_n: int = _key("dataset.n", 2000, "rows drawn", min=4, ids=("synthetic", "planted"))
+    synthetic_noise: int = _key("dataset.n_noise", 3, "noise columns", min=0, ids=("synthetic",))
+    synthetic_flip_y: float = _key("dataset.flip_y", 0.0, "label flip rate, in [0, 1]",
+                                   ids=("synthetic",))
     subsample: int | None = _key("dataset.subsample", None, "seeded row cap; null: all", min=10)
     subsample_seed: int = _key("dataset.subsample_seed", 0, "subsample and generator seed", min=0)
     levels: tuple = _key("stack.levels", doc="list of {latent, hidden}, latents decreasing",
                          parse=_parse_levels, dump=_dump_levels)
-    adv_hidden: int = _key("stack.adv_hidden", 20, "adversary hidden width, 0: linear", min=0)
-    cls_hidden: int = _key("stack.cls_hidden", 20, "classifier hidden width, 0: linear", min=0)
-    epochs: int = _key("train.epochs", 150, "training epochs per level", min=1)
-    batch: int = _key("train.batch", 64, "minibatch rows", min=1)
-    lr: float = _key("train.lr", 0.01, "learning rate", min=1e-12)
-    lr_adv: float | None = _key("train.lr_adv", None, "adversary lr; null: train.lr", min=1e-12)
-    adv_steps: int = _key("train.adv_steps", 1, "adversary updates per main update", min=1)
-    eopp_adv_label: int = _key("train.eopp_adv_label", 0, "eopp adversary's rows have this y",
-                               choices=(0, 1))
-    alpha: float = _key("loss.alpha", 1.0, "reconstruction weight", min=0)
-    beta: float = _key("loss.beta", 1.0, "adversary weight", min=0)
-    gamma: float = _key("loss.gamma", 1.0, "classifier weight", min=0)
-    criterion: str = _key("criterion", "dp", "fairness criterion", choices=CRITERIA)
+    adv_hidden: int = _key("stack.adv_hidden", StackSpec.adv_hidden,
+                           "adversary hidden width, 0: linear", min=0)
+    cls_hidden: int = _key("stack.cls_hidden", StackSpec.cls_hidden,
+                           "classifier hidden width, 0: linear", min=0)
+    epochs: int = _key("train.epochs", TrainConfig.epochs, "training epochs per level", min=1)
+    batch: int = _key("train.batch", TrainConfig.batch_size, "minibatch rows", min=1)
+    lr: float = _key("train.lr", TrainConfig.lr, "learning rate", min=1e-12)
+    lr_adv: float | None = _key("train.lr_adv", TrainConfig.lr_adv,
+                                "adversary lr; null: train.lr", min=1e-12)
+    adv_steps: int = _key("train.adv_steps", TrainConfig.adv_steps,
+                          "adversary updates per main update", min=1)
+    eopp_adv_label: int = _key("train.eopp_adv_label", TrainConfig.eopp_adv_label,
+                               "eopp adversary's rows have this y", choices=(0, 1))
+    alpha: float = _key("loss.alpha", StackSpec.alpha, "reconstruction weight", min=0)
+    beta: float = _key("loss.beta", StackSpec.beta, "adversary weight", min=0)
+    gamma: float = _key("loss.gamma", StackSpec.gamma, "classifier weight", min=0)
+    criterion: str = _key("criterion", StackSpec.criterion, "fairness criterion", choices=CRITERIA)
     eo_mode: str = _key("eo_mode", "sum", "how the two eo gaps combine", choices=EO_MODES)
     betas: tuple = _key("sweep.betas", (1.0, 2.0, 3.0, 5.0, 15.0), "beta values of sweep",
                         parse=_parse_betas)
@@ -162,13 +170,16 @@ class ExperimentConfig:
     out_dir: str = _key("out_dir", "runs", "artifact root")
     val_frac: float = _key("val_frac", 0.2, "validation share, in (0, 0.5)")
     cv_folds: int = _key("cv_folds", 5, "cross-validation folds of table1", min=2)
-    probe_hidden: int = _key("probe.hidden", 20, "probe hidden width, 0: linear", min=0)
-    probe_epochs: int = _key("probe.epochs", 100, "probe epochs", min=1)
-    probe_lr: float = _key("probe.lr", 0.01, "probe learning rate", min=1e-12)
-    probe_batch: int = _key("probe.batch", 64, "probe minibatch rows", min=1)
-    forest_trees: int = _key("forest.n_trees", 100, "trees per forest", min=1)
-    forest_max_depth: int | None = _key("forest.max_depth", None, "depth cap; null: none", min=1)
-    forest_min_split: int = _key("forest.min_samples_split", 2, "fewest rows to split", min=2)
+    probe_hidden: int = _key("probe.hidden", ProbeSpec.hidden, "probe hidden width, 0: linear",
+                             min=0)
+    probe_epochs: int = _key("probe.epochs", ProbeSpec.epochs, "probe epochs", min=1)
+    probe_lr: float = _key("probe.lr", ProbeSpec.lr, "probe learning rate", min=1e-12)
+    probe_batch: int = _key("probe.batch", ProbeSpec.batch_size, "probe minibatch rows", min=1)
+    forest_trees: int = _key("forest.n_trees", ForestSpec.n_trees, "trees per forest", min=1)
+    forest_max_depth: int | None = _key("forest.max_depth", ForestSpec.max_depth,
+                                        "depth cap; null: none", min=1)
+    forest_min_split: int = _key("forest.min_samples_split", ForestSpec.min_samples_split,
+                                 "fewest rows to split", min=2)
 
     def to_dict(self) -> dict:
         """The fully resolved config in its file shape (defaults filled in)."""
@@ -205,7 +216,8 @@ def describe_keys() -> str:
         bound += " or null" if nullable else ""
         default = ("required" if f.default is MISSING
                    else f"default {json.dumps(_file_value(f, f.default))}")
-        lines.append(f"{meta['key']:<26} {meta['doc']} ({bound}; {default})")
+        only = "" if meta["ids"] == DATASET_IDS else f"; {', '.join(meta['ids'])} only"
+        lines.append(f"{meta['key']:<26} {meta['doc']} ({bound}; {default}{only})")
     return "\n".join(lines)
 
 
@@ -259,14 +271,16 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if not 0.0 <= cfg.synthetic_flip_y <= 1.0:
         raise ConfigError(f"dataset.flip_y: expected a fraction in [0, 1], got "
                           f"{cfg.synthetic_flip_y}")
+    for f in fields(cfg):
+        if cfg.dataset_id not in f.metadata["ids"] and getattr(cfg, f.name) != f.default:
+            raise ConfigError(f"{f.metadata['key']}: dataset {cfg.dataset_id!r} does not read "
+                              f"this key (read by: {', '.join(f.metadata['ids'])})")
     return _with_dataset_path(cfg, base_dir)
 
 
-def load_config(path, seed: int | None = None, beta: float | None = None,
-                criterion: str | None = None) -> ExperimentConfig:
-    """Parse and validate a JSON config file, applying CLI overrides
-    (--seed replaces the seed list, --beta pins both loss.beta and the sweep
-    list, --criterion replaces the criterion)."""
+def load_config(path, seed: int | None = None) -> ExperimentConfig:
+    """Parse and validate a JSON config file; ``seed`` (the CLI's --seed)
+    replaces the seed list."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
@@ -282,16 +296,6 @@ def load_config(path, seed: int | None = None, beta: float | None = None,
         if seed < 0:
             raise ConfigError(f"--seed must be non-negative, got {seed}")
         raw["seeds"] = [seed]
-    if beta is not None:
-        if beta < 0:
-            raise ConfigError(f"--beta must be >= 0, got {beta}")
-        for section, leaf, value in (("loss", "beta", beta), ("sweep", "betas", [beta])):
-            sub = raw.setdefault(section, {})
-            if not isinstance(sub, dict):
-                raise ConfigError(f"{section}: expected an object, got {type(sub).__name__}")
-            sub[leaf] = value
-    if criterion is not None:
-        raw["criterion"] = criterion
     return parse_config(raw, base_dir=p.parent)
 
 
@@ -337,7 +341,7 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
         if path is None:
             raise ConfigError(f"dataset.path: cannot locate data for {cfg.dataset_id!r}")
         loader = load_adult if cfg.dataset_id == "adult" else load_german
-        ds = loader(path, include_sensitive=cfg.include_sensitive)
+        ds = loader(path)
     if cfg.subsample is not None and cfg.subsample < ds.n:
         idx = np.sort(np.random.default_rng(cfg.subsample_seed)
                       .choice(ds.n, size=cfg.subsample, replace=False))

@@ -90,9 +90,9 @@ class _Column:
 class _Table:
     """One UCI dataset. A line holds one field per column, then the label,
     split on ``sep`` (None: whitespace). ``labels`` maps the label to y and
-    ``groups`` maps field ``sensitive`` to s; that field is left out of X,
-    and ``include_sensitive`` appends s named ``sensitive_name``. A directory
-    holds ``files``, read in order. The nouns name the codes in errors.
+    ``groups`` maps field ``sensitive`` to s; that field is left out of X. A
+    directory holds ``files``, read in order. The nouns name the codes in
+    errors.
     """
 
     columns: tuple[_Column, ...]
@@ -101,7 +101,6 @@ class _Table:
     labels: dict[str, int]
     groups: dict[str, int]
     sensitive: int
-    sensitive_name: str
     label_noun: str
     group_noun: str
 
@@ -129,7 +128,6 @@ ADULT = _Table(
     labels={">50K": 1, ">50K.": 1, "<=50K": 0, "<=50K.": 0},
     groups={"Male": 1, "Female": 0},
     sensitive=9,
-    sensitive_name="sex=Male",
     label_noun="income label",
     group_noun="sex value",
 )
@@ -163,7 +161,6 @@ GERMAN = _Table(
     # personal-status/sex codes: A91/A93/A94 male, A92/A95 female
     groups={"A91": 1, "A93": 1, "A94": 1, "A92": 0, "A95": 0},
     sensitive=8,
-    sensitive_name="sex=male",
     label_noun="credit class",
     group_noun="personal-status code",
 )
@@ -181,10 +178,9 @@ def _table_files(table: _Table, path) -> list[Path]:
     return [p]
 
 
-def _encode_columns(rows: list[list[str]], columns, keep: list[int], extra: int = 0):
+def _encode_columns(rows: list[list[str]], columns, keep: list[int]):
     """Encode fields ``keep`` of the string rows, field ``j`` as described by
-    ``columns[j]``, into a float matrix, leaving ``extra`` zero columns at its
-    right end for the caller to fill.
+    ``columns[j]``, into a float matrix.
 
     Continuous columns parse as finite floats. Categorical columns with two
     values become one 0/1 indicator; with k > 2 values, k one-hot indicators
@@ -197,7 +193,7 @@ def _encode_columns(rows: list[list[str]], columns, keep: list[int], extra: int 
     # k categories take k indicators, or k - 1 for k <= 2 (a constant is
     # dropped, a pair is one 0/1 column)
     width = sum(1 if j not in cats else len(cats[j]) - (len(cats[j]) <= 2) for j in keep)
-    X = np.zeros((n, width + extra))
+    X = np.zeros((n, width))
     names: list[str] = []
     continuous: list[str] = []
     encoding: dict[str, str] = {}
@@ -235,7 +231,7 @@ def _encode_columns(rows: list[list[str]], columns, keep: list[int], extra: int 
     return X, names, continuous, encoding
 
 
-def _load_table(table: _Table, path, include_sensitive: bool) -> Dataset:
+def _load_table(table: _Table, path) -> Dataset:
     """Read ``path``, a file or a directory holding ``table.files`` (their
     rows concatenated; re-splitting is the caller's job), into a Dataset."""
     width = len(table.columns) + 1  # the features, then the label
@@ -279,33 +275,29 @@ def _load_table(table: _Table, path, include_sensitive: bool) -> Dataset:
             raise DatasetError(f"{what} column degenerate: only one class present")
 
     keep = [j for j in range(len(table.columns)) if j != table.sensitive]
-    X, names, continuous, encoding = _encode_columns(rows, table.columns, keep,
-                                                     extra=int(include_sensitive))
-    if include_sensitive:
-        X[:, -1] = s
-        names.append(table.sensitive_name)
+    X, names, continuous, encoding = _encode_columns(rows, table.columns, keep)
     return Dataset(
         X=X, y=y, s=s, feature_names=names, continuous=continuous,
         meta={"source": str(path), "n_raw": n_raw, "n_dropped": n_dropped,
-              "encoding": encoding, "include_sensitive": include_sensitive},
+              "encoding": encoding},
     )
 
 
-def load_adult(path, include_sensitive: bool = False) -> Dataset:
+def load_adult(path) -> Dataset:
     """UCI Adult Income: y=1 for income >50K, s=1 for sex Male.
 
     ``path`` is one CSV file or a directory holding adult.data/adult.test.
     """
-    return _load_table(ADULT, path, include_sensitive)
+    return _load_table(ADULT, path)
 
 
-def load_german(path, include_sensitive: bool = False) -> Dataset:
+def load_german(path) -> Dataset:
     """UCI German Credit: y=1 for class 1 (good), s from the
     personal-status/sex codes (A91/A93/A94 male=1, A92/A95 female=0).
 
     ``path`` is the whitespace-separated german.data or its directory.
     """
-    return _load_table(GERMAN, path, include_sensitive)
+    return _load_table(GERMAN, path)
 
 
 # ---------------------------------------------------------------------------

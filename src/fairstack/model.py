@@ -92,11 +92,6 @@ def validate_spec(spec: StackSpec) -> None:
                 f"dimension chain mismatch: level {i + 1} input width {b.in_dim} "
                 f"!= level {i} code width {a.latent}"
             )
-        if b.latent >= a.latent:
-            raise SpecError(
-                f"code widths must strictly decrease: level {i} has {a.latent}, "
-                f"level {i + 1} has {b.latent}"
-            )
     for name in ("alpha", "beta", "gamma"):
         if getattr(spec, name) < 0:
             raise SpecError(f"loss weight {name} must be >= 0, got {getattr(spec, name)}")

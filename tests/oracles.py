@@ -328,10 +328,9 @@ def reference_forest_trees(X: np.ndarray, y: np.ndarray, spec) -> list[dict]:
 # byte for byte.
 
 
-def hstack_encode_columns(rows, columns, s=None, s_name=None):
+def hstack_encode_columns(rows, columns):
     """(X, names) of the UCI column encoder built as one block per column,
-    then ``np.hstack``; with ``s``, a second ``np.hstack`` appends it as a
-    float column named ``s_name``. ``columns`` carry ``.name`` and ``.kind``."""
+    then ``np.hstack``. ``columns`` carry ``.name`` and ``.kind``."""
     blocks, names = [], []
     for j, col in enumerate(columns):
         raw = [r[j] for r in rows]
@@ -350,9 +349,6 @@ def hstack_encode_columns(rows, columns, s=None, s_name=None):
             blocks.append(block)
             names.extend(f"{col.name}={c}" for c in cats)
     X = np.hstack(blocks) if blocks else np.zeros((len(rows), 0))
-    if s is not None:
-        X = np.hstack([X, s.reshape(-1, 1).astype(float)])
-        names.append(s_name)
     return X, names
 
 

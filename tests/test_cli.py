@@ -1,5 +1,5 @@
 """End-to-end tests for the command line: config parsing, fit/transform/sweep/
-table1 artifacts, exit codes, and override flags.
+table1 artifacts, exit codes, and the --seed and --jobs flags.
 
 Everything runs on the synthetic dataset with tiny budgets so the whole file
 stays fast; artifact *shape* and determinism are what matter here, not scores.
@@ -40,9 +40,14 @@ def _base_config(out_dir: str) -> dict:
 
 
 def _write_config(dir_path: Path, name: str = "config.json", **overrides) -> Path:
+    """The base config with each section of ``overrides`` merged in; a
+    dataset of another id replaces the dataset section, since each id reads
+    its own keys."""
     cfg = _base_config(str(dir_path / "runs"))
     for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
+        if key == "dataset" and value.get("id", "synthetic") != "synthetic":
+            cfg[key] = value
+        elif isinstance(value, dict) and isinstance(cfg.get(key), dict):
             cfg[key] = {**cfg[key], **value}
         else:
             cfg[key] = value
@@ -213,7 +218,7 @@ def test_fit_on_a_data_file_that_is_not_utf8_exit_1(tmp_path, monkeypatch, capsy
 
 
 # ---------------------------------------------------------------------------
-# load_config overrides
+# load_config
 
 
 def test_load_config_missing_file(tmp_path):
@@ -235,18 +240,25 @@ def test_seed_override_replaces_seed_list(tmp_path):
         load_config(path, seed=-1)
 
 
-def test_beta_override_pins_loss_and_sweep(tmp_path):
-    path = _write_config(tmp_path)
-    cfg = load_config(path, beta=4.5)
-    assert cfg.beta == 4.5
-    assert cfg.betas == (4.5,)
-    with pytest.raises(ConfigError, match="--beta"):
-        load_config(path, beta=-0.1)
+# Each (dataset id, dataset key) pair whose id never reads the key.
+UNREAD_DATASET_KEYS = [
+    ("synthetic", "path", "x.data"),
+    ("planted", "path", "x.data"), ("planted", "n_noise", 5), ("planted", "flip_y", 0.1),
+    ("adult", "n", 50), ("adult", "n_noise", 5), ("adult", "flip_y", 0.1),
+    ("german", "n", 50), ("german", "n_noise", 5), ("german", "flip_y", 0.1),
+]
 
 
-def test_criterion_override(tmp_path):
-    path = _write_config(tmp_path)
-    assert load_config(path, criterion="eo").criterion == "eo"
+@pytest.mark.parametrize("dataset_id, key, value", UNREAD_DATASET_KEYS,
+                         ids=[f"{i}-{k}" for i, k, _ in UNREAD_DATASET_KEYS])
+def test_dataset_key_the_id_does_not_read_exit_2(tmp_path, monkeypatch, capsys,
+                                                 dataset_id, key, value):
+    monkeypatch.setenv("FAIRSTACK_DATA_DIR", str(tmp_path))  # adult and german find a path
+    path = _write_config(tmp_path, dataset={"id": dataset_id, key: value})
+    assert main(["fit", "--config", str(path)]) == 2
+    assert (f"config error: dataset.{key}: dataset {dataset_id!r} does not read this key"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "runs").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +333,20 @@ def test_removed_training_key_exit_2(tmp_path, capsys, key):
     assert f"unknown config key '{key}'" in capsys.readouterr().err
 
 
-def test_bad_criterion_flag_exit_2(tmp_path, capsys):
+def test_beta_and_criterion_flags_exit_2_while_fit_takes_jobs(tmp_path, capsys):
+    # the config file sets loss.beta, sweep.betas and criterion; no flag does
     path = _write_config(tmp_path)
-    assert main(["fit", "--config", str(path), "--criterion", "bogus"]) == 2
-    assert "invalid choice" in capsys.readouterr().err
+    for flag, value in (("--beta", "1"), ("--criterion", "eo")):
+        assert main(["fit", "--config", str(path), flag, value]) == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+    assert main(["fit", "--config", str(path), "--seed", "0", "--jobs", "1"]) == 0
 
 
 @pytest.mark.parametrize("section", ["loss", "sweep"])
-def test_beta_flag_on_a_null_section_exit_2(tmp_path, capsys, section):
+def test_null_section_exit_2(tmp_path, capsys, section):
     path = _write_config(tmp_path, **{section: None})
-    assert main(["fit", "--config", str(path), "--beta", "1"]) == 2
+    assert main(["fit", "--config", str(path)]) == 2
     assert f"{section}: expected an object, got NoneType" in capsys.readouterr().err
 
 
@@ -870,6 +886,30 @@ def test_sweep_in_a_pool_matches_the_serial_run(tmp_path, capsys):
         run = _run_dir_from(capsys.readouterr().out)
         outputs.append({name: (run / name).read_bytes() for name in names})
     assert outputs[0] == outputs[1]
+
+
+def test_sweep_trains_a_one_level_spec_once_per_beta_and_seed(tmp_path, monkeypatch, capsys):
+    # one level: the vanilla spec is the stacked one, so its row is a copy
+    config = json.loads((Path(__file__).parents[1] / "configs" /
+                         "synthetic-smoke.json").read_text())
+    config["out_dir"] = str(tmp_path / "runs")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return train_stack(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_stack", counting)
+    assert main(["sweep", "--config", str(path)]) == 0
+    assert len(calls) == 3  # betas 0, 1 and 5; seed 0
+    rows = _read_csv_rows(_run_dir_from(capsys.readouterr().out) / "sweep.csv")
+    assert [(r["beta"], r["variant"]) for r in rows] == [
+        (b, v) for b in ("0.0", "1.0", "5.0") for v in ("stacked", "vanilla")]
+    # the copied row is the row a vanilla training of its own would give
+    vanilla = cli._sweep_job(load_config(path), 0.0, 0, "vanilla")
+    assert {k: str(v) for k, v in vanilla.items()} == rows[1]
 
 
 def test_run_dir_relies_on_mkdir_not_exists(tmp_path, monkeypatch):

@@ -15,20 +15,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairstack.config import (ConfigError, ExperimentConfig, config_hash, describe_keys,
-                              load_config, parse_config)
+from fairstack.config import (DATASET_IDS, ConfigError, ExperimentConfig, config_hash,
+                              describe_keys, load_config, parse_config)
 
 ROOT = Path(__file__).resolve().parents[1]
 FIELDS = dataclasses.fields(ExperimentConfig)
 
 # The hashes of the shipped configs. They are part of every run's artifacts,
 # so a change to the key table must leave them as they are. (They last changed
-# when train.freeze_previous, train.adversary_warm_start and loss.root_mse were
-# removed and out_dir left the hash.)
+# when dataset.include_sensitive was removed.)
 SHIPPED_HASHES = {
-    "synthetic-smoke.json": "7000786f19db0c117d9d6c777bd9910bcc45f8883132034251217dd0efd54393",
-    "adult.json": "ad1b7433dc91072435e1e2c80703214cc724429fbf371f4215fc99b9062ffd6c",
-    "german.json": "4580fce6e6c1ae32a6054ed5966ca3b804d960a21a6c87b3330f9d76b94a9fe7",
+    "synthetic-smoke.json": "9c7896b73753da294800648ba3504f7ed2db4febc529f972d2fc0d509e370145",
+    "adult.json": "5b0c08605600515801ab1d2ca8bc9ab715b0e62192cfe910f15132a1e082e0ae",
+    "german.json": "a88de16e60c71ba71a9a83078bf2245c96e6d5071710d5902f99b456f6b057c1",
 }
 
 
@@ -56,9 +55,7 @@ def _strategy(f):
     else:
         kind = args[0] if args else f.type
         lo = meta["min"]
-        if kind is bool:
-            base = st.booleans()
-        elif kind is int:
+        if kind is int:
             base = st.integers(0 if lo is None else lo, 10_000)
         elif kind is float:
             base = st.floats(-1e6 if lo is None else lo, 1e6, allow_nan=False)
@@ -78,16 +75,19 @@ STRUCTURED = {
     "levels": _levels(),
     "seeds": st.lists(st.integers(0, 2**31), min_size=1, max_size=4).map(tuple),
     "betas": st.lists(st.floats(0, 100), max_size=5).map(tuple),
-    # a non-synthetic dataset needs a path that exists; this file does
+    # adult and german need a path that exists; this file does
     "dataset_path": st.just(str(Path(__file__).resolve())),
 }
 
 
 @st.composite
 def valid_configs(draw):
+    """A valid config of a drawn dataset id; the dataset keys that id does
+    not read keep their defaults."""
+    dataset_id = draw(st.sampled_from(DATASET_IDS))
     values = {f.name: draw(STRUCTURED[f.name] if f.name in STRUCTURED else _strategy(f))
-              for f in FIELDS}
-    return ExperimentConfig(**values)
+              for f in FIELDS if f.name != "dataset_id" and dataset_id in f.metadata["ids"]}
+    return ExperimentConfig(dataset_id=dataset_id, **values)
 
 
 @st.composite

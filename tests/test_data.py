@@ -44,12 +44,6 @@ def test_adult_two_rows(adult_two_row_file):
         assert name in ds.continuous
 
 
-def test_adult_include_sensitive_appends_column(adult_two_row_file):
-    ds = load_adult(adult_two_row_file, include_sensitive=True)
-    assert ds.feature_names[-1] == "sex=Male"
-    np.testing.assert_array_equal(ds.X[:, -1], ds.s.astype(float))
-
-
 def test_adult_test_style_labels_with_trailing_period(tmp_path):
     rows = [
         ROW_TEMPLATE.format(age=30, workclass="Private", education="Bachelors",
@@ -265,27 +259,25 @@ THREE_EDUCATIONS = [
 ]
 
 
-@pytest.mark.parametrize("include_sensitive", [False, True])
-@pytest.mark.parametrize("loader,sex_name,lines", [
-    (load_adult, "sex=Male", ADULT_TWO_ROWS.splitlines()),
-    (load_adult, "sex=Male", THREE_EDUCATIONS),
-    (load_german, "sex=male", [GERMAN_GOOD_MALE, GERMAN_BAD_FEMALE]),
+@pytest.mark.parametrize("loader,lines", [
+    (load_adult, ADULT_TWO_ROWS.splitlines()),
+    (load_adult, THREE_EDUCATIONS),
+    (load_german, [GERMAN_GOOD_MALE, GERMAN_BAD_FEMALE]),
 ])
-def test_uci_matrix_matches_the_hstack_form(tmp_path, monkeypatch, loader, sex_name, lines,
-                                            include_sensitive):
+def test_uci_matrix_matches_the_hstack_form(tmp_path, monkeypatch, loader, lines):
     seen = []
     encode = data._encode_columns
 
-    def spy(rows, columns, keep, *args, **kwargs):
+    def spy(rows, columns, keep):
         # the oracle reads column j of each row: hand it the kept fields only
         seen.append(([[r[j] for j in keep] for r in rows], [columns[j] for j in keep]))
-        return encode(rows, columns, keep, *args, **kwargs)
+        return encode(rows, columns, keep)
 
     monkeypatch.setattr(data, "_encode_columns", spy)
     path = _german_file(tmp_path, lines) if loader is load_german else _adult_file(tmp_path, lines)
-    ds = loader(path, include_sensitive=include_sensitive)
+    ds = loader(path)
     (rows, columns), = seen
-    X, names = hstack_encode_columns(rows, columns, ds.s if include_sensitive else None, sex_name)
+    X, names = hstack_encode_columns(rows, columns)
     assert ds.X.dtype == X.dtype and ds.X.shape == X.shape and ds.X.flags.c_contiguous
     assert ds.X.tobytes() == X.tobytes()
     assert ds.feature_names == names
