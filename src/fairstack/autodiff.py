@@ -344,9 +344,8 @@ _ACTIVATE = {"identity": lambda a: a, "relu": relu, "leaky_relu": leaky_relu,
 def forward(net: nn.MLP, x) -> Var:
     """``net`` on ``x`` as a graph over leaves of its parameters: the
     reference for ``net.forward_value(x)``."""
-    for layer in net.layers:
-        x = add(matmul(x, leaf(layer.weight)), leaf(layer.bias))
-        x = _ACTIVATE[layer.activation](x)
+    for W, b, act in zip(net.weights, net.biases, net.activations):
+        x = _ACTIVATE[act](add(matmul(x, leaf(W)), leaf(b)))
     return x
 
 

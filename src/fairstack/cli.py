@@ -297,7 +297,9 @@ def _write_rows(path: Path, columns, rows, comment: str | None = None) -> None:
 
 def _mean_rows(rows: list[dict], key_cols: tuple) -> list[dict]:
     """Arithmetic means of the metric columns over ok-rows per key, in
-    ascending key order (betas by value)."""
+    ascending key order (betas by value). A metric undefined in any ok-row of
+    a key is written empty, as :func:`downstream.aggregate_reports` does,
+    rather than averaged over the rows where it is defined."""
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         if row["status"] != "ok":
@@ -310,8 +312,8 @@ def _mean_rows(rows: list[dict], key_cols: tuple) -> list[dict]:
         out = dict(zip(key_cols, key))
         out["n"] = len(members)
         for m in METRIC_COLUMNS:
-            vals = [r[m] for r in members if r[m] not in ("", None)]
-            out[m] = float(np.mean(vals)) if vals else ""
+            vals = [r[m] for r in members]
+            out[m] = "" if any(v in ("", None) for v in vals) else float(np.mean(vals))
         means.append(out)
     return means
 

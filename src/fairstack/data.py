@@ -196,7 +196,6 @@ def _encode_columns(rows: list[list[str]], columns, keep: list[int]):
     X = np.zeros((n, width))
     names: list[str] = []
     continuous: list[str] = []
-    encoding: dict[str, str] = {}
     for j in keep:
         col = columns[j]
         at = len(names)  # the next free column
@@ -212,23 +211,19 @@ def _encode_columns(rows: list[list[str]], columns, keep: list[int]):
                                    f"in row {i}")
             names.append(col.name)
             continuous.append(col.name)
-            encoding[col.name] = "continuous"
             continue
         levels = cats[j]
         if len(levels) == 1:
-            encoding[col.name] = "constant-dropped"
             continue
         if len(levels) == 2:
             X[:, at] = [1.0 if r[j] == levels[1] else 0.0 for r in rows]
             names.append(f"{col.name}={levels[1]}")
-            encoding[col.name] = "binary"
             continue
         index = {c: at + i for i, c in enumerate(levels)}
         for i, r in enumerate(rows):
             X[i, index[r[j]]] = 1.0
         names.extend(f"{col.name}={c}" for c in levels)
-        encoding[col.name] = "onehot"
-    return X, names, continuous, encoding
+    return X, names, continuous
 
 
 def _load_table(table: _Table, path) -> Dataset:
@@ -275,11 +270,10 @@ def _load_table(table: _Table, path) -> Dataset:
             raise DatasetError(f"{what} column degenerate: only one class present")
 
     keep = [j for j in range(len(table.columns)) if j != table.sensitive]
-    X, names, continuous, encoding = _encode_columns(rows, table.columns, keep)
+    X, names, continuous = _encode_columns(rows, table.columns, keep)
     return Dataset(
         X=X, y=y, s=s, feature_names=names, continuous=continuous,
-        meta={"source": str(path), "n_raw": n_raw, "n_dropped": n_dropped,
-              "encoding": encoding},
+        meta={"source": str(path), "n_raw": n_raw, "n_dropped": n_dropped},
     )
 
 
@@ -403,7 +397,6 @@ def standardize(ds: Dataset, train_idx, *row_sets) -> Dataset | tuple[Dataset, .
 class SplitPlan:
     """A seeded train/val partition of [0, n)."""
 
-    seed: int
     train: np.ndarray
     val: np.ndarray
 
@@ -413,7 +406,7 @@ def train_val_test_split(n: int, seed: int, val_frac: float = 0.2) -> SplitPlan:
         raise ValueError(f"val_frac={val_frac} must be in [0, 1)")
     perm = np.random.default_rng(seed).permutation(n)
     n_val = int(round(n * val_frac))
-    return SplitPlan(seed=seed, val=np.sort(perm[:n_val]), train=np.sort(perm[n_val:]))
+    return SplitPlan(val=np.sort(perm[:n_val]), train=np.sort(perm[n_val:]))
 
 
 def make_folds(n: int, k: int, seed: int) -> list[np.ndarray]:

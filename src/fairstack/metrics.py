@@ -23,7 +23,7 @@ def _binary_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values).reshape(-1)
     if arr.size == 0:
         raise ValueError(f"{name} is empty")
-    if not np.isin(arr, (0, 1)).all():   # the values as given: 0.5 is not 0
+    if not ((arr == 0) | (arr == 1)).all():   # the values as given: 0.5 is not 0
         raise ValueError(f"{name} must contain only 0/1 values")
     return arr.astype(np.int64)
 
@@ -45,9 +45,6 @@ class PredictionBatch:
                 f"length mismatch: y_pred={len(self.y_pred)} "
                 f"y_true={len(self.y_true)} s={len(self.s)}"
             )
-
-    def __len__(self) -> int:
-        return len(self.y_pred)
 
 
 def threshold_predictions(probs, thr: float = 0.5) -> np.ndarray:
@@ -88,17 +85,17 @@ def evaluate(batch: PredictionBatch, eo_mode: str = "sum") -> FairnessReport:
     the larger of the two with ``"max"``."""
     if eo_mode not in EO_MODES:
         raise ValueError(f"eo_mode must be one of {EO_MODES}, got {eo_mode!r}")
+    # c[4*s + 2*y_true + y_pred]: the row count of each (s, y_true, y_pred) cell
+    c = np.bincount(4 * batch.s + 2 * batch.y_true + batch.y_pred, minlength=8).tolist()
     n, pos_rate, tpr, fpr = [], [], [], []
     for g in (0, 1):
-        mask = batch.s == g
-        n.append(int(mask.sum()))
+        tn, fp, fn, tp = c[4 * g:4 * g + 4]
+        n.append(tn + fp + fn + tp)
         if n[g] == 0:
             raise UndefinedMetricError(f"group s={g} is empty")
-        yp, yt = batch.y_pred[mask], batch.y_true[mask]
-        n_y1 = int((yt == 1).sum())
-        pos_rate.append(float((yp == 1).mean()))
-        tpr.append(float((yp[yt == 1] == 1).mean()) if n_y1 else None)    # None: no y=1 rows
-        fpr.append(float((yp[yt == 0] == 1).mean()) if n[g] - n_y1 else None)  # no y=0 rows
+        pos_rate.append((fp + tp) / n[g])
+        tpr.append(tp / (fn + tp) if fn + tp else None)   # None: no y=1 rows
+        fpr.append(fp / (tn + fp) if tn + fp else None)   # None: no y=0 rows
     dp = abs(pos_rate[0] - pos_rate[1])
     eopp = abs(tpr[0] - tpr[1]) if None not in tpr else None
     eo = None
@@ -106,7 +103,7 @@ def evaluate(batch: PredictionBatch, eo_mode: str = "sum") -> FairnessReport:
         fpr_gap = abs(fpr[0] - fpr[1])
         eo = eopp + fpr_gap if eo_mode == "sum" else max(eopp, fpr_gap)
     return FairnessReport(
-        accuracy=float((batch.y_pred == batch.y_true).mean()),
+        accuracy=(c[0] + c[3] + c[4] + c[7]) / sum(n),   # tn + tp of both groups
         delta_dp=dp,
         delta_eo=eo,
         delta_eopp=eopp,

@@ -1,7 +1,9 @@
-"""Parameters, dense layers, MLPs and the Adam optimizer used by every network.
+"""Parameters, MLPs and the Adam optimizer used by every network.
 
-Weight initialization is uniform in +-sqrt(6 / (fan_in + fan_out)); biases
-start at zero. Hidden activations default to leaky ReLU (slope 0.01).
+Each :class:`MLP` owns its parameters, one weight and one bias :class:`Param`
+per layer, and there is no per-layer object. Weight initialization is uniform
+in +-sqrt(6 / (fan_in + fan_out)); biases start at zero. Hidden layers are
+leaky ReLU (slope 0.01).
 
 Every forward pass, training or inference, is one :func:`dense_forward`.
 A training step hands it a tape, a list that receives each layer's input,
@@ -23,6 +25,7 @@ import numpy as np
 
 BCE_EPS = 1e-7
 LEAKY_SLOPE = 0.01
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 ACTIVATIONS = ("identity", "relu", "leaky_relu", "sigmoid")
 
 
@@ -84,66 +87,34 @@ def init_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarr
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-class DenseLayer:
-    """Affine map plus activation: act(x @ W + b), W is (in_dim, out_dim)."""
-
-    def __init__(self, in_dim: int, out_dim: int, activation: str = "identity",
-                 rng: np.random.Generator | None = None):
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}, expected one of {ACTIVATIONS}")
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.activation = activation
-        self.weight = Param(init_weight(rng, in_dim, out_dim))
-        self.bias = Param(np.zeros((1, out_dim)))
-
-    def backward(self, record: tuple, g: np.ndarray, input_grad: bool = True,
-                 param_grads: bool = True) -> np.ndarray | None:
-        """Pull d(loss)/d(output) ``g`` back through the forward that left
-        ``record`` = (input, pre-activation, output): accumulate into the
-        weight's and bias's ``.grad`` (unless ``param_grads`` is off) and
-        return d(loss)/d(input) (None unless ``input_grad``)."""
-        x, pre, out = record
-        if self.activation == "relu":
-            g = g * (pre > 0)
-        elif self.activation == "leaky_relu":
-            g = g * np.where(pre > 0, 1.0, LEAKY_SLOPE)
-        elif self.activation == "sigmoid":
-            g = g * out * (1.0 - out)
-        if param_grads:
-            self.weight.grad += x.T @ g
-            self.bias.grad += np.add.reduce(g, axis=0, keepdims=True)
-        return g @ self.weight.value.T if input_grad else None
-
-    def params(self) -> list[Param]:
-        return [self.weight, self.bias]
-
-
 class MLP:
-    """A stack of dense layers defined by a dim chain [d0, d1, ..., dk]."""
+    """Dense layers act(x @ W + b) along a dim chain [d0, d1, ..., dk]: leaky
+    ReLU on the hidden layers, ``output_activation`` on the last; each W is
+    (d_i, d_i+1) and each b is (1, d_i+1)."""
 
     def __init__(self, dims: Sequence[int], rng: np.random.Generator,
-                 hidden_activation: str = "leaky_relu",
                  output_activation: str = "identity"):
         if len(dims) < 2:
             raise ValueError(f"an MLP needs at least two dims, got {list(dims)}")
-        self.layers: list[DenseLayer] = []
-        for i in range(len(dims) - 1):
-            act = output_activation if i == len(dims) - 2 else hidden_activation
-            self.layers.append(DenseLayer(dims[i], dims[i + 1], act, rng))
+        if output_activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {output_activation!r}, "
+                             f"expected one of {ACTIVATIONS}")
+        self.weights = [Param(init_weight(rng, i, o)) for i, o in zip(dims, dims[1:])]
+        self.biases = [Param(np.zeros((1, o))) for o in dims[1:]]
+        self.activations = ["leaky_relu"] * (len(dims) - 2) + [output_activation]
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0].in_dim
+        return self.weights[0].value.shape[0]
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1].out_dim
+        return self.weights[-1].value.shape[1]
 
     def triples(self) -> list[tuple[np.ndarray, np.ndarray, str]]:
         """(weight, bias, activation) per layer, as :func:`dense_forward` takes them."""
-        return [(l.weight.value, l.bias.value, l.activation) for l in self.layers]
+        return [(W.value, b.value, act)
+                for W, b, act in zip(self.weights, self.biases, self.activations)]
 
     def forward_value(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
         """:func:`dense_forward` through this net's layers."""
@@ -151,14 +122,28 @@ class MLP:
 
     def backward(self, tape: list, g: np.ndarray, input_grad: bool = True,
                  param_grads: bool = True) -> np.ndarray | None:
-        """:meth:`DenseLayer.backward` through every layer, last to first,
-        each reading its record of ``tape``, as :meth:`forward_value` filled it."""
-        for i in range(len(self.layers) - 1, -1, -1):
-            g = self.layers[i].backward(tape[i], g, input_grad or i > 0, param_grads)
+        """Pull d(loss)/d(output) ``g`` back through the layers, last to first,
+        each reading its (input, pre-activation, output) record of ``tape``, as
+        :meth:`forward_value` filled it: accumulate into every weight's and
+        bias's ``.grad`` (unless ``param_grads`` is off) and return
+        d(loss)/d(input) (None unless ``input_grad``)."""
+        for i in range(len(self.weights) - 1, -1, -1):
+            x, pre, out = tape[i]
+            act = self.activations[i]
+            if act == "relu":
+                g = g * (pre > 0)
+            elif act == "leaky_relu":
+                g = g * np.where(pre > 0, 1.0, LEAKY_SLOPE)
+            elif act == "sigmoid":
+                g = g * out * (1.0 - out)
+            if param_grads:
+                self.weights[i].grad += x.T @ g
+                self.biases[i].grad += np.add.reduce(g, axis=0, keepdims=True)
+            g = g @ self.weights[i].value.T if input_grad or i > 0 else None
         return g
 
     def params(self) -> list[Param]:
-        return [p for layer in self.layers for p in layer.params()]
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
 
 def bce(predicted: np.ndarray, target: np.ndarray) -> float:
@@ -214,22 +199,20 @@ def bce_step(net: MLP, opt: Adam, x: np.ndarray, target: np.ndarray) -> None:
 
 
 class Adam:
-    """Adam with bias correction: p -= lr * m_hat / (sqrt(v_hat) + eps).
+    """Adam with bias correction: p -= lr * m_hat / (sqrt(v_hat) + eps), with
+    beta1, beta2 and eps fixed at :data:`ADAM_BETA1`, :data:`ADAM_BETA2` and
+    :data:`ADAM_EPS`.
 
     The optimizer owns its parameters' storage: each ``.value`` and ``.grad``
     becomes a view into one flat buffer, so a step is one vectorized update
     and one finiteness check over all of them.
     """
 
-    def __init__(self, params: Sequence[Param], lr: float = 0.01,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Sequence[Param], lr: float = 0.01):
         self.params = list(params)
         if len({id(p) for p in self.params}) != len(self.params):
             raise ValueError("Adam: a parameter is listed more than once")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.value = _flatten(self.params, "value")
         self.grad = _flatten(self.params, "grad")
@@ -240,14 +223,14 @@ class Adam:
     def step(self) -> None:
         """The update above, in place through two scratch buffers, in its order."""
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - ADAM_BETA1 ** self.t
+        b2t = 1.0 - ADAM_BETA2 ** self.t
         g, m, v, a, b = self.grad, self.m, self.v, self._a, self._b
-        m *= self.beta1
-        m += np.multiply(g, 1.0 - self.beta1, out=a)
-        v *= self.beta2
-        v += np.multiply(np.multiply(g, g, out=a), 1.0 - self.beta2, out=a)
-        np.add(np.sqrt(np.divide(v, b2t, out=a), out=a), self.eps, out=a)  # sqrt(v_hat) + eps
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+        v *= ADAM_BETA2
+        v += np.multiply(np.multiply(g, g, out=a), 1.0 - ADAM_BETA2, out=a)
+        np.add(np.sqrt(np.divide(v, b2t, out=a), out=a), ADAM_EPS, out=a)  # sqrt(v_hat) + eps
         np.multiply(np.divide(m, b1t, out=b), self.lr, out=b)              # lr * m_hat
         self.value -= np.divide(b, a, out=b)
         assert_finite(self.value, f"parameter after Adam step {self.t}")

@@ -877,6 +877,27 @@ def test_sweep_means_sort_betas_by_value(tmp_path, capsys):
         ("2.0", "stacked"), ("2.0", "vanilla"), ("15.0", "stacked"), ("15.0", "vanilla")]
 
 
+def test_sweep_means_leave_a_metric_undefined_in_any_ok_row_empty(tmp_path, monkeypatch,
+                                                                    capsys):
+    # seed 1 leaves delta_eo undefined; its mean is not seed 0's value alone
+    cfg = load_config(_write_config(tmp_path, seeds=[0, 1], sweep={"betas": [1.0]}))
+
+    def job(cfg, beta, seed, variant):
+        return {"beta": beta, "seed": seed, "variant": variant, "status": "ok",
+                "accuracy": 0.5 + 0.25 * seed, "delta_dp": 0.1, "delta_eopp": 0.2,
+                "delta_eo": None if seed == 1 else 0.3}
+
+    monkeypatch.setattr(cli, "_sweep_job", job)
+    assert cli.cmd_sweep(cfg) == 0
+    run = _run_dir_from(capsys.readouterr().out)
+    for name in ("sweep_means.csv", "baseline_means.csv"):
+        means = _read_csv_rows(run / name)
+        assert means and all(m["n"] == "2" for m in means)
+        assert all(m["delta_eo"] == "" for m in means)
+        assert all(float(m["accuracy"]) == 0.625 for m in means)
+        assert all(float(m["delta_dp"]) == 0.1 for m in means)
+
+
 def test_sweep_in_a_pool_matches_the_serial_run(tmp_path, capsys):
     path = _write_config(tmp_path, seeds=[0, 1], sweep={"betas": [0.0, 1.0]})
     names = ("sweep.csv", "baseline.csv", "sweep_means.csv", "baseline_means.csv")

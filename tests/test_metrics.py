@@ -227,11 +227,13 @@ def test_batch_rejects_nonbinary():
 
 @pytest.mark.parametrize("column", range(3))
 def test_batch_rejects_fractional_values(column):
-    # checked as given, not after a cast to int that would read 0.5 as 0
-    cols = [[1, 1, 0, 1], [1, 0, 0, 1], [0, 1, 0, 1]]
-    cols[column] = [0.5, 1, 0, 1]
-    with pytest.raises(ValueError, match="0/1"):
-        batch(*cols)
+    # checked as given, not after a cast to int that would read 0.5 as 0,
+    # nan as some integer or the string "1" as 1
+    for bad in (0.5, np.nan, "1"):
+        cols = [[1, 1, 0, 1], [1, 0, 0, 1], [0, 1, 0, 1]]
+        cols[column] = [bad, 1, 0, 1]
+        with pytest.raises(ValueError, match="0/1"):
+            batch(*cols)
 
 
 def test_batch_accepts_integral_floats_and_bools():

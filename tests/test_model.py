@@ -115,8 +115,8 @@ def test_build_deterministic_per_seed():
         for pa, pb in zip(all_params(la), all_params(lb)):
             assert np.array_equal(pa.value, pb.value)
     c = build(spec, seed=8)
-    assert not np.array_equal(a[0].encoder.layers[0].weight.value,
-                              c[0].encoder.layers[0].weight.value)
+    assert not np.array_equal(a[0].encoder.weights[0].value,
+                              c[0].encoder.weights[0].value)
 
 
 def test_adversary_width_depends_on_criterion():
@@ -182,14 +182,14 @@ def test_beta_zero_kills_adversary_gradient():
 def test_level_loss_hand_computed_two_samples():
     level = Level(LevelSpec(2, 1), criterion="dp", adv_hidden=0, cls_hidden=0,
                   rng=np.random.default_rng(0))
-    level.encoder.layers[0].weight.value[...] = [[0.5], [-0.25]]
-    level.encoder.layers[0].bias.value[...] = [[0.1]]
-    level.decoder.layers[0].weight.value[...] = [[1.0, 0.5]]
-    level.decoder.layers[0].bias.value[...] = [[0.0, 0.2]]
-    level.classifier.layers[0].weight.value[...] = [[2.0]]
-    level.classifier.layers[0].bias.value[...] = [[-0.1]]
-    level.adversary.layers[0].weight.value[...] = [[-1.0]]
-    level.adversary.layers[0].bias.value[...] = [[0.3]]
+    level.encoder.weights[0].value[...] = [[0.5], [-0.25]]
+    level.encoder.biases[0].value[...] = [[0.1]]
+    level.decoder.weights[0].value[...] = [[1.0, 0.5]]
+    level.decoder.biases[0].value[...] = [[0.0, 0.2]]
+    level.classifier.weights[0].value[...] = [[2.0]]
+    level.classifier.biases[0].value[...] = [[-0.1]]
+    level.adversary.weights[0].value[...] = [[-1.0]]
+    level.adversary.biases[0].value[...] = [[0.3]]
 
     X = np.array([[1.0, 2.0], [-1.0, 0.5]])
     y = np.array([1, 0])

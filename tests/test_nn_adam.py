@@ -4,8 +4,8 @@ import pytest
 from fairstack.autodiff import (Var, backward, bce_loss, forward, mse_loss, parameter,
                                 zero_grads)
 from fairstack.model import CRITERIA, adversary_input, build, stacked_spec
-from fairstack.nn import (ACTIVATIONS, BCE_EPS, Adam, DenseLayer, MLP, bce_step,
-                          dense_forward, init_weight, sigmoid)
+from fairstack.nn import (ACTIVATIONS, BCE_EPS, Adam, MLP, bce_step, dense_forward,
+                          init_weight, sigmoid)
 from oracles import AdamReference, adam_reference_trace, masked_sigmoid
 
 
@@ -22,23 +22,22 @@ def test_init_weight_bounds_and_determinism():
     assert np.array_equal(w1, w2)
 
 
-def test_dense_layer_rejects_unknown_activation():
+def test_mlp_rejects_unknown_activation():
     with pytest.raises(ValueError) as exc:
-        DenseLayer(2, 2, "tanh")
+        MLP([2, 2], np.random.default_rng(0), output_activation="tanh")
     assert "tanh" in str(exc.value)
     for name in ACTIVATIONS:
         assert name in str(exc.value)
 
 
-def test_dense_bias_starts_at_zero():
-    layer = DenseLayer(3, 2, "identity", np.random.default_rng(0))
-    np.testing.assert_array_equal(layer.bias.value, np.zeros((1, 2)))
+def test_mlp_bias_starts_at_zero():
+    mlp = MLP([3, 2], np.random.default_rng(0))
+    np.testing.assert_array_equal(mlp.biases[0].value, np.zeros((1, 2)))
 
 
 def test_mlp_activation_assignment():
-    mlp = MLP([4, 3, 2, 1], np.random.default_rng(0),
-               hidden_activation="leaky_relu", output_activation="sigmoid")
-    assert [l.activation for l in mlp.layers] == ["leaky_relu", "leaky_relu", "sigmoid"]
+    mlp = MLP([4, 3, 2, 1], np.random.default_rng(0), output_activation="sigmoid")
+    assert mlp.activations == ["leaky_relu", "leaky_relu", "sigmoid"]
     assert mlp.in_dim == 4 and mlp.out_dim == 1
 
 
@@ -73,7 +72,7 @@ def test_a_tape_records_each_layer_and_leaves_the_forward_unchanged():
     tape: list = []
     out = mlp.forward_value(x, tape)
     assert out.tobytes() == mlp.forward_value(x).tobytes()
-    assert len(tape) == len(mlp.layers)
+    assert len(tape) == len(mlp.weights)
     assert tape[0][0] is x and tape[-1][2] is out
     assert all(a[2] is b[0] for a, b in zip(tape, tape[1:]))
     for (W, b, act), (inp, pre, post) in zip(mlp.triples(), tape):
