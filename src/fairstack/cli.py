@@ -20,13 +20,13 @@ this module keeps numpy's default.
 ``transform`` reads a UTF-8 CSV of numeric feature rows (a leading byte-order
 mark is skipped). The model file stores no standardization, so the rows must
 already be z-scored with the training split's statistics, as ``fit`` trained
-on. The CSV has an optional non-numeric header row, ``,`` delimiters, ``"``
-quotes, blank lines skipped. The body is
-parsed by one ``np.loadtxt`` call into the float matrix, so its memory is
-about that matrix, not a Python object per value; a value ``float`` accepts
-but ``loadtxt`` does not (``1_0``, non-ASCII digits) is non-numeric. The codes
-are written as ``repr`` floats joined by ``,`` with ``\\r\\n`` line ends, the
-bytes ``csv.writer`` writes.
+on; ``fit`` records them in its ``run.json`` as ``norm_stats``. The CSV has an
+optional non-numeric header row, ``,`` delimiters, ``"`` quotes, blank lines
+skipped. The body is parsed by one ``np.loadtxt`` call into the float matrix,
+so its memory is about that matrix, not a Python object per value; a value
+``float`` accepts but ``loadtxt`` does not (``1_0``, non-ASCII digits) is
+non-numeric. The codes are written as ``repr`` floats joined by ``,`` with
+``\\r\\n`` line ends, the bytes ``csv.writer`` writes.
 
 Exit codes: 0 success, 1 runtime failure (training/IO), 2 config error.
 """
@@ -152,7 +152,7 @@ def cmd_fit(cfg: ExperimentConfig) -> int:
                   seed=seed, beta=spec.beta, criterion=cfg.criterion,
                   decoder_inactive=spec.alpha == 0.0, model_path=str(model_path),
                   log_paths=log_paths, probe_report=report.to_json(), dataset=summary,
-                  n_train=train_ds.n, n_val=val_ds.n)
+                  n_train=train_ds.n, n_val=val_ds.n, norm_stats=train_ds.norm_stats)
     print(f"fit: wrote {model_path} ({stack.n_levels} levels, out_dim={stack.out_dim})")
     print(f"fit: probe accuracy={report.accuracy:.4f} "
           f"delta_dp={_fmt(report.delta_dp)} (val n={val_ds.n})")
@@ -454,8 +454,8 @@ def _build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("transform", help="encode a CSV of standardized feature rows")
     t.add_argument("--model", required=True, help="path to a saved .fstk model")
     t.add_argument("--input", required=True,
-                   help="CSV of numeric feature rows, z-scored with the training split's "
-                        "statistics (the model stores none)")
+                   help="CSV of numeric feature rows, z-scored with the norm_stats that fit "
+                        "records in its run.json (the model stores none)")
     t.add_argument("--output", required=True, help="where to write the encoded CSV")
     add_config_args(sub.add_parser("sweep", help="beta sweep over seeds and variants"))
     add_config_args(sub.add_parser("table1", help="cross-validated fairness table"))

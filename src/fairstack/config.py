@@ -106,15 +106,24 @@ def _check_list(raw, key: str, kind, min=None) -> tuple:
     return tuple(_check(x, f"{key}[{i}]", kind, min=min) for i, x in enumerate(raw))
 
 
+def _distinct(values: tuple, key: str) -> tuple:
+    """Refuse a repeated value (``1`` is ``1.0``): it would train the same runs twice."""
+    for i, v in enumerate(values):
+        j = values.index(v)
+        if j < i:
+            raise ConfigError(f"{key}[{i}]: duplicate of {key}[{j}] ({values[j]})")
+    return values
+
+
 def _parse_seeds(raw, key: str) -> tuple:
     seeds = _check_list(raw, key, int, min=0)
     if not seeds:
         raise ConfigError(f"{key}: must be non-empty")
-    return seeds
+    return _distinct(seeds, key)
 
 
 def _parse_betas(raw, key: str) -> tuple:
-    return _check_list(raw, key, float, min=0)
+    return _distinct(_check_list(raw, key, float, min=0), key)
 
 
 def _key(key: str, default=MISSING, doc: str = "", *, min=None, choices=None, parse=None,
@@ -151,11 +160,7 @@ class ExperimentConfig:
                            "classifier hidden width, 0: linear", min=0)
     epochs: int = _key("train.epochs", TrainConfig.epochs, "training epochs per level", min=1)
     batch: int = _key("train.batch", TrainConfig.batch_size, "minibatch rows", min=1)
-    lr: float = _key("train.lr", TrainConfig.lr, "learning rate", min=1e-12)
-    lr_adv: float | None = _key("train.lr_adv", TrainConfig.lr_adv,
-                                "adversary lr; null: train.lr", min=1e-12)
-    adv_steps: int = _key("train.adv_steps", TrainConfig.adv_steps,
-                          "adversary updates per main update", min=1)
+    lr: float = _key("train.lr", TrainConfig.lr, "learning rate of both steps", min=1e-12)
     eopp_adv_label: int = _key("train.eopp_adv_label", TrainConfig.eopp_adv_label,
                                "eopp adversary's rows have this y", choices=(0, 1))
     alpha: float = _key("loss.alpha", StackSpec.alpha, "reconstruction weight", min=0)
@@ -163,9 +168,9 @@ class ExperimentConfig:
     gamma: float = _key("loss.gamma", StackSpec.gamma, "classifier weight", min=0)
     criterion: str = _key("criterion", StackSpec.criterion, "fairness criterion", choices=CRITERIA)
     eo_mode: str = _key("eo_mode", "sum", "how the two eo gaps combine", choices=EO_MODES)
-    betas: tuple = _key("sweep.betas", (1.0, 2.0, 3.0, 5.0, 15.0), "beta values of sweep",
-                        parse=_parse_betas)
-    seeds: tuple = _key("seeds", (0,), "run seeds; fit and table1 use the first",
+    betas: tuple = _key("sweep.betas", (1.0, 2.0, 3.0, 5.0, 15.0),
+                        "beta values of sweep, each once", parse=_parse_betas)
+    seeds: tuple = _key("seeds", (0,), "run seeds, each once; fit and table1 use the first",
                         parse=_parse_seeds)
     out_dir: str = _key("out_dir", "runs", "artifact root")
     val_frac: float = _key("val_frac", 0.2, "validation share, in (0, 0.5)")
@@ -282,12 +287,14 @@ def load_config(path, seed: int | None = None) -> ExperimentConfig:
     """Parse and validate a JSON config file; ``seed`` (the CLI's --seed)
     replaces the seed list."""
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {p} is not UTF-8 text: {exc.reason}") from None
+    except OSError as exc:
+        raise ConfigError(f"config {p} cannot be read: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -385,8 +392,8 @@ def stack_spec_for(cfg: ExperimentConfig, in_dim: int, variant: str = "stacked",
 
 def train_config_for(cfg: ExperimentConfig, seed: int) -> TrainConfig:
     return TrainConfig(
-        epochs=cfg.epochs, batch_size=cfg.batch, lr=cfg.lr, lr_adv=cfg.lr_adv,
-        adv_steps=cfg.adv_steps, seed=seed, eopp_adv_label=cfg.eopp_adv_label,
+        epochs=cfg.epochs, batch_size=cfg.batch, lr=cfg.lr, seed=seed,
+        eopp_adv_label=cfg.eopp_adv_label,
     )
 
 

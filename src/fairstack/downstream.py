@@ -117,11 +117,11 @@ class CVResult:
 def aggregate_reports(reports: list[FairnessReport]) -> tuple[dict, dict]:
     """Per-metric mean and sample std (ddof=1); a metric undefined on any
     fold aggregates to None rather than a quietly-filtered number."""
-    keys = reports[0].to_json().keys()
+    dicts = [r.to_json() for r in reports]
     mean: dict = {}
     std: dict = {}
-    for key in keys:
-        vals = [r.to_json()[key] for r in reports]
+    for key in dicts[0]:
+        vals = [d[key] for d in dicts]
         if any(v is None for v in vals):
             mean[key] = None
             std[key] = None

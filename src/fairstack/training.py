@@ -2,14 +2,14 @@
 
 Per batch the main step updates encoder, decoder and classifier to minimize
 alpha*L_rec + gamma*L_class - beta*L_adv with the adversary frozen; then the
-adversary alone takes ``adv_steps`` minimization steps on BCE(f(z), s) against
-the freshly updated (and detached) codes. Levels train sequentially, each
-on the codes of the frozen level before it, computed once by that level's
-encoder.
+adversary alone takes one adversary step, at the same learning rate, on
+BCE(f(z), s) against the freshly updated (and detached) codes. Levels train
+sequentially, each on the codes of the frozen level before it, computed once
+by that level's encoder.
 
 Both steps run on the explicit kernel of :mod:`nn` (:func:`model.level_grads`
 for the main step, :func:`nn.bce_step` for the adversary), with one flat Adam
-per side; the adversary steps compute no loss (a non-finite one fails Adam's
+per side; the adversary step computes no loss (a non-finite one fails Adam's
 check). With alpha == 0 the decoder's gradient is exactly zero, so its
 backward pass and Adam update are skipped; it still runs forward, so the
 ``loss_rec`` column is unchanged.
@@ -36,9 +36,7 @@ class DivergenceError(RuntimeError):
 class TrainConfig:
     epochs: int = 150
     batch_size: int = 64
-    lr: float = 0.01
-    lr_adv: float | None = None       # None -> same as lr
-    adv_steps: int = 1                # adversary updates per main update
+    lr: float = 0.01                  # both sides: the main step and the adversary step
     seed: int = 0
     eopp_adv_label: int = 0           # adversary subset under eopp: rows with y == this
 
@@ -47,18 +45,12 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.adv_steps < 1:
-            raise ValueError(f"adv_steps must be >= 1, got {self.adv_steps}")
-        if self.lr <= 0 or (self.lr_adv is not None and self.lr_adv <= 0):
-            raise ValueError("learning rates must be positive")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.eopp_adv_label not in (0, 1):
             raise ValueError(f"eopp_adv_label must be 0 or 1, got {self.eopp_adv_label}")
-
-    @property
-    def adversary_lr(self) -> float:
-        return self.lr if self.lr_adv is None else self.lr_adv
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -113,7 +105,7 @@ def _run_level(level: Level, level_index: int, X: np.ndarray, y: np.ndarray,
     # with alpha == 0 the decoder's Adam update is exactly zero: leave it out
     nets = [level.encoder, level.classifier, *([level.decoder] if alpha else [])]
     adam_main = Adam([p for net in nets for p in net.params()], lr=cfg.lr)
-    adam_adv = Adam(level.adversary.params(), lr=cfg.adversary_lr)
+    adam_adv = Adam(level.adversary.params(), lr=cfg.lr)
     records: list[EpochRecord] = []
     s_col = s.reshape(-1, 1).astype(float)   # the adversary's targets, made once
 
@@ -141,13 +133,11 @@ def _run_level(level: Level, level_index: int, X: np.ndarray, y: np.ndarray,
                     adv_sum += adv
                     n_adv_batches += 1
 
-                # Adversary steps on the updated, detached codes.
+                # Adversary step on the updated, detached codes.
                 z_now = level.encoder.forward_value(xb)
                 rows, sub = adversary_input(level, z_now, yb, cfg.eopp_adv_label)
                 if rows is not None:
-                    target = s_col[idx[sub]]
-                    for _ in range(cfg.adv_steps):
-                        bce_step(level.adversary, adam_adv, rows, target)
+                    bce_step(level.adversary, adam_adv, rows, s_col[idx[sub]])
             except FloatingPointError as exc:
                 raise DivergenceError(f"non-finite value at {where}: {exc}") from exc
 

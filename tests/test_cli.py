@@ -318,6 +318,23 @@ def test_missing_config_file_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_config_that_is_a_directory_exit_2(tmp_path, capsys):
+    assert main(["fit", "--config", str(tmp_path)]) == 2
+    assert f"config error: config file not found: {tmp_path}" in capsys.readouterr().err
+
+
+def test_unreadable_config_exit_2(tmp_path, capsys, monkeypatch):
+    path = _write_config(tmp_path)
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    assert main(["fit", "--config", str(path)]) == 2
+    assert f"config error: config {path} cannot be read: Permission denied" \
+        in capsys.readouterr().err
+
+
 def test_unknown_config_key_exit_2(tmp_path, capsys):
     path = _write_config(tmp_path, mystery=1)
     assert main(["fit", "--config", str(path)]) == 2
@@ -325,7 +342,7 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["train.freeze_previous", "train.adversary_warm_start",
-                                 "loss.root_mse"])
+                                 "loss.root_mse", "train.adv_steps", "train.lr_adv"])
 def test_removed_training_key_exit_2(tmp_path, capsys, key):
     section, leaf = key.split(".")
     path = _write_config(tmp_path, **{section: {leaf: False}})
@@ -430,6 +447,23 @@ def test_fit_run_json_records_peak_rss(fitted):
     _, run = fitted
     peak = json.loads((run / "run.json").read_text())["peak_rss_mb"]
     assert isinstance(peak, float) and 0 < peak < 1e5
+
+
+def test_fit_run_json_records_the_standardization_of_its_rows(fitted):
+    # transform's input must be z-scored as fit's rows were: run.json says how
+    cfg_path, run = fitted
+    stats = json.loads((run / "run.json").read_text())["norm_stats"]
+    cfg = load_config(cfg_path)
+    ds = load_dataset(cfg)
+    assert sorted(stats) == sorted(ds.continuous)
+    plan = train_val_test_split(ds.n, seed=0, val_frac=cfg.val_frac)
+    _, train, val = cli._load_split(cfg, seed=0)
+    for rows, part in ((plan.train, train), (plan.val, val)):
+        X = ds.X[rows]
+        for name, (mean, std) in stats.items():
+            j = ds.feature_names.index(name)
+            X[:, j] = (X[:, j] - mean) / std
+        assert X.tobytes() == part.X.tobytes()
 
 
 def test_fit_with_a_one_row_val_split_exit_1(tmp_path, capsys):

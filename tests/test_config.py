@@ -23,11 +23,11 @@ FIELDS = dataclasses.fields(ExperimentConfig)
 
 # The hashes of the shipped configs. They are part of every run's artifacts,
 # so a change to the key table must leave them as they are. (They last changed
-# when dataset.include_sensitive was removed.)
+# when train.lr_adv and train.adv_steps were removed.)
 SHIPPED_HASHES = {
-    "synthetic-smoke.json": "9c7896b73753da294800648ba3504f7ed2db4febc529f972d2fc0d509e370145",
-    "adult.json": "5b0c08605600515801ab1d2ca8bc9ab715b0e62192cfe910f15132a1e082e0ae",
-    "german.json": "a88de16e60c71ba71a9a83078bf2245c96e6d5071710d5902f99b456f6b057c1",
+    "synthetic-smoke.json": "fa63fc49ac858ed4b0eb28fa7d52a072666cafab2e1825f77fbd6687a34b04e7",
+    "adult.json": "f349526302af105bed15006d7824deea524cde8ca06a99031557e3c1f5499a5b",
+    "german.json": "314e8541830d8f3b3b944ce69e8970136c92ff8fa31a004c233828ff0c9c8678",
 }
 
 
@@ -73,8 +73,8 @@ def _levels():
 
 STRUCTURED = {
     "levels": _levels(),
-    "seeds": st.lists(st.integers(0, 2**31), min_size=1, max_size=4).map(tuple),
-    "betas": st.lists(st.floats(0, 100), max_size=5).map(tuple),
+    "seeds": st.lists(st.integers(0, 2**31), min_size=1, max_size=4, unique=True).map(tuple),
+    "betas": st.lists(st.floats(0, 100), max_size=5, unique=True).map(tuple),
     # adult and german need a path that exists; this file does
     "dataset_path": st.just(str(Path(__file__).resolve())),
 }
@@ -160,7 +160,9 @@ def test_every_key_rejects_a_bad_value_by_name(f):
     ("sweep.betas", [1.0, float("nan")], "sweep.betas[1]: must be a finite number"),
     ("stack.levels", [{"latent": 2, "hidden": [4, 0]}],
      "stack.levels[0].hidden[1]: must be >= 1"),
-], ids=["seeds", "sweep.betas", "stack.levels.hidden"])
+    ("seeds", [0, 1, 0], "seeds[2]: duplicate of seeds[0] (0)"),
+    ("sweep.betas", [1, 2, 1.0], "sweep.betas[2]: duplicate of sweep.betas[0] (1.0)"),
+], ids=["seeds", "sweep.betas", "stack.levels.hidden", "seeds-repeated", "sweep.betas-repeated"])
 def test_list_entries_are_named_by_index(key, value, error):
     with pytest.raises(ConfigError, match=re.escape(error)):
         parse_config(_with(_valid_file(), key, value))

@@ -133,7 +133,7 @@ def _reference_run_level(level, level_index, X, y, s, alpha, beta, gamma, cfg, v
     """The level loop on the graph path, with a per-parameter Adam."""
     main = main_params(level)
     adam_main = AdamReference(main, lr=cfg.lr)
-    adam_adv = AdamReference(level.adversary.params(), lr=cfg.adversary_lr)
+    adam_adv = AdamReference(level.adversary.params(), lr=cfg.lr)
     records = []
     for epoch in range(cfg.epochs):
         rec_sum = cls_sum = adv_sum = 0.0
@@ -163,10 +163,9 @@ def _reference_run_level(level, level_index, X, y, s, alpha, beta, gamma, cfg, v
             if level.criterion == "eo":
                 rows = ad.concat_cols(rows, Var(yb[sub].reshape(-1, 1).astype(float)))
             target = sb[sub].reshape(-1, 1).astype(float)
-            for _ in range(cfg.adv_steps):
-                ad.zero_grads(level.adversary.params())
-                ad.backward(ad.bce_loss(forward(level.adversary, rows), target))
-                adam_adv.step()
+            ad.zero_grads(level.adversary.params())
+            ad.backward(ad.bce_loss(forward(level.adversary, rows), target))
+            adam_adv.step()
         adv_acc = dp = eo = eopp = math.nan
         if val is not None:
             zv, yv, sv = val
@@ -196,7 +195,6 @@ TRACE_CASES = {
     "eopp-label-1-empty-batches": ({"criterion": "eopp"},
                                    {"eopp_adv_label": 1, "batch_size": 8}),
     "hidden-and-linear-heads": ({"hidden": (6,), "adv_hidden": 0, "cls_hidden": 0}, {}),
-    "adv-steps-2": ({}, {"adv_steps": 2, "lr_adv": 0.02}),
     "alpha": ({"alpha": 0.7}, {}),
     "alpha-eo": ({"alpha": 0.5, "criterion": "eo"}, {}),
     "alpha-eopp-label-1": ({"alpha": 0.7, "criterion": "eopp"}, {"eopp_adv_label": 1}),

@@ -38,18 +38,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
-        TrainConfig(adv_steps=0)
-    with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
-        TrainConfig(lr_adv=-0.1)
-    with pytest.raises(ValueError):
         TrainConfig(eopp_adv_label=2)
-
-
-def test_config_adversary_lr_defaults_to_main():
-    assert TrainConfig(lr=0.02).adversary_lr == 0.02
-    assert TrainConfig(lr=0.02, lr_adv=0.5).adversary_lr == 0.5
 
 
 # ---------------------------------------------------------------------------
