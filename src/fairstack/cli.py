@@ -12,10 +12,10 @@ variant of the same job (identity stack, no training). With one level the
 vanilla spec is the stacked one, so each (beta, seed) trains once and its
 vanilla row is a copy of the stacked row. ``--jobs N`` runs all
 sweep rows plus the baseline, or table1's six CV cells, in one pool of N
-worker processes. Those workers are the only parallelism: importing this
-module sets each of ``BLAS_THREAD_VARS`` to 1 unless it is already set, so
-the CLI and its workers run BLAS on one thread; code that does not import
-this module keeps numpy's default.
+worker processes (fewer when there are fewer jobs). Those workers are the
+only parallelism: importing this module sets each of ``BLAS_THREAD_VARS``
+to 1 unless it is already set, so the CLI and its workers run BLAS on one
+thread; code that does not import this module keeps numpy's default.
 
 ``transform`` reads a UTF-8 CSV of numeric feature rows (a leading byte-order
 mark is skipped). The model file stores no standardization, so the rows must
@@ -263,7 +263,7 @@ def _sweep_job(cfg: ExperimentConfig, beta: float | None, seed: int, variant: st
     try:
         _, train_ds, val_ds = _load_split(cfg, seed)
         if variant == "unfair":
-            stack = TrainedStack.identity(train_ds.d, provenance={"variant": "unfair"})
+            stack = TrainedStack.identity(train_ds.d)
         else:
             spec = stack_spec_for(cfg, in_dim=train_ds.d, variant=variant, beta=beta)
             stack, _ = train_stack(spec, train_ds, train_config_for(cfg, seed), val=None)
@@ -276,12 +276,13 @@ def _sweep_job(cfg: ExperimentConfig, beta: float | None, seed: int, variant: st
 
 
 def _map(fn, calls: list[tuple], jobs: int) -> list:
-    """``[fn(*c) for c in calls]``, run in one pool of ``jobs`` worker
-    processes when ``jobs > 1``; results keep the order of ``calls``."""
-    if jobs == 1:
+    """``[fn(*c) for c in calls]``, run in one pool of ``min(jobs, len(calls))``
+    worker processes when that is above 1; results keep the order of ``calls``."""
+    workers = min(jobs, len(calls))
+    if workers <= 1:
         return [fn(*c) for c in calls]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: pool runs only
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
+    with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, *zip(*calls)))
 
 
@@ -391,7 +392,7 @@ def cmd_table1(cfg: ExperimentConfig, jobs: int = 1) -> int:
             else train_stack(spec_for("vanilla"), train_ds, tcfg)[0])
     del train_ds
     encoders = {
-        "unfair": TrainedStack.identity(d, provenance={"variant": "unfair"}),
+        "unfair": TrainedStack.identity(d),
         "lafr": lafr,
         "stacked": stacked,
     }

@@ -178,13 +178,9 @@ class ExperimentConfig:
     probe_hidden: int = _key("probe.hidden", ProbeSpec.hidden, "probe hidden width, 0: linear",
                              min=0)
     probe_epochs: int = _key("probe.epochs", ProbeSpec.epochs, "probe epochs", min=1)
-    probe_lr: float = _key("probe.lr", ProbeSpec.lr, "probe learning rate", min=1e-12)
-    probe_batch: int = _key("probe.batch", ProbeSpec.batch_size, "probe minibatch rows", min=1)
     forest_trees: int = _key("forest.n_trees", ForestSpec.n_trees, "trees per forest", min=1)
     forest_max_depth: int | None = _key("forest.max_depth", ForestSpec.max_depth,
                                         "depth cap; null: none", min=1)
-    forest_min_split: int = _key("forest.min_samples_split", ForestSpec.min_samples_split,
-                                 "fewest rows to split", min=2)
 
     def to_dict(self) -> dict:
         """The fully resolved config in its file shape (defaults filled in)."""
@@ -398,10 +394,8 @@ def train_config_for(cfg: ExperimentConfig, seed: int) -> TrainConfig:
 
 
 def probe_spec_for(cfg: ExperimentConfig, seed: int) -> ProbeSpec:
-    return ProbeSpec(hidden=cfg.probe_hidden, epochs=cfg.probe_epochs,
-                     lr=cfg.probe_lr, batch_size=cfg.probe_batch, seed=seed)
+    return ProbeSpec(hidden=cfg.probe_hidden, epochs=cfg.probe_epochs, seed=seed)
 
 
 def forest_spec_for(cfg: ExperimentConfig, seed: int) -> ForestSpec:
-    return ForestSpec(n_trees=cfg.forest_trees, max_depth=cfg.forest_max_depth,
-                      min_samples_split=cfg.forest_min_split, seed=seed)
+    return ForestSpec(n_trees=cfg.forest_trees, max_depth=cfg.forest_max_depth, seed=seed)

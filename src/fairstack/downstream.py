@@ -22,19 +22,23 @@ from .nn import MLP, Adam, bce, bce_step
 from .training import DivergenceError
 
 
+PROBE_LR = 0.01
+PROBE_BATCH = 64
+
+
 @dataclass
 class ProbeSpec:
+    """Probe width, epochs and seed; every probe trains with Adam at
+    ``PROBE_LR`` on minibatches of ``PROBE_BATCH`` rows."""
     hidden: int = 20
     epochs: int = 100
-    lr: float = 0.01
-    batch_size: int = 64
     seed: int = 0
 
     def __post_init__(self):
         if self.hidden < 0:
             raise ValueError(f"hidden must be >= 0 (0 = linear), got {self.hidden}")
-        if self.epochs < 1 or self.batch_size < 1 or self.lr <= 0:
-            raise ValueError("epochs/batch_size must be >= 1 and lr > 0")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
 class MLPPredictor:
@@ -63,11 +67,11 @@ def train_probe(stack: TrainedStack, X: np.ndarray, y: np.ndarray,
     z = stack.encode(X)
     mlp = MLP(head_dims(z.shape[1], spec.hidden), np.random.default_rng(spec.seed),
               output_activation="sigmoid")
-    opt = Adam(mlp.params(), lr=spec.lr)
+    opt = Adam(mlp.params(), lr=PROBE_LR)
     target = y.reshape(-1, 1).astype(float)
     try:
         for epoch in range(spec.epochs):
-            for idx in batches(z.shape[0], spec.batch_size, spec.seed, epoch):
+            for idx in batches(z.shape[0], PROBE_BATCH, spec.seed, epoch):
                 bce_step(mlp, opt, z[idx], target[idx])
     except FloatingPointError as exc:
         raise DivergenceError(f"non-finite value in probe epoch {epoch}: {exc}") from exc
@@ -169,6 +173,5 @@ def cross_validate(model_kind: str, stack: TrainedStack, dataset: Dataset,
     mean, std = aggregate_reports(reports)
     return CVResult(
         model_kind=model_kind, reports=reports, mean=mean, std=std,
-        meta={"k": k, "seed": seed, "std_kind": "sample (ddof=1)",
-              "encoder_levels": stack.n_levels},
+        meta={"k": k, "seed": seed},
     )

@@ -1,17 +1,17 @@
 """Random forest for binary labels, built on CART with Gini impurity.
 
-Trees grow greedily, level by level. At each depth every node that is impure,
-large enough and above ``max_depth`` draws a fresh random subset of
-ceil(sqrt(d)) features from the tree's stream, node by node in breadth-first
-order (the ``Generator.choice`` stream, read by one call per depth), and all
-of them are searched in one vectorized pass for
-the boundary (midpoint between consecutive distinct values, or the lower
-value where the midpoint rounds up to the upper) of least weighted child
-Gini. Node ids are breadth-first. Zero-gain splits are allowed; greedy
-Gini needs them to express XOR-like concepts. Each tree's bootstrap sample,
-drawn from a per-tree seeded stream, is kept as counts on the original rows:
-CART on counts splits exactly as CART on the duplicated rows, and X is ranked
-once per forest instead of copied per tree (at most MAX_ROWS = 2**21 rows).
+Trees grow greedily, level by level. At each depth every node that is impure
+and above ``max_depth`` draws a fresh random subset of m = ceil(sqrt(d))
+features from the tree's stream: the first m entries of a stable argsort of
+d uniform draws, node by node in breadth-first order (one (nodes, d) draw per
+depth). All of them are searched in one vectorized pass for the boundary
+(midpoint between consecutive distinct values, or the lower value where the
+midpoint rounds up to the upper) of least weighted child Gini. Node ids are
+breadth-first. Zero-gain splits are allowed; greedy Gini needs them to
+express XOR-like concepts. Each tree's bootstrap sample, drawn from a
+per-tree seeded stream, is kept as counts on the original rows: CART on
+counts splits exactly as CART on the duplicated rows, and X is ranked once
+per forest instead of copied per tree (at most MAX_ROWS = 2**21 rows).
 The forest predicts by strict-majority vote (ties go to class 0).
 """
 
@@ -28,8 +28,7 @@ MAX_ROWS = 2 ** 21   # keeps the packed int64 sort values of _best_splits below 
 @dataclass
 class ForestSpec:
     n_trees: int = 100
-    max_depth: int | None = None      # None = grow until pure/too small
-    min_samples_split: int = 2
+    max_depth: int | None = None      # None = grow until pure
     seed: int = 0
 
     def __post_init__(self):
@@ -37,8 +36,6 @@ class ForestSpec:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError(f"max_depth must be >= 1 or None, got {self.max_depth}")
-        if self.min_samples_split < 2:
-            raise ValueError(f"min_samples_split must be >= 2, got {self.min_samples_split}")
 
 
 def _fit_input(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -71,29 +68,6 @@ def _ranks(X: np.ndarray) -> np.ndarray:
         xs = col[order]
         ranks[order[1:], j] = np.cumsum(xs[1:] != xs[:-1])
     return ranks
-
-
-def _draw_features(rng: np.random.Generator, d: int, m: int, k: int) -> np.ndarray:
-    """k rows of ``rng.choice(d, size=m, replace=False)`` from one draw.
-
-    ``choice`` runs Floyd's selection (one integer below each of d-m+1..d),
-    then a Fisher-Yates shuffle (below each of m..2), so one ``integers``
-    call over those bounds, node after node, reads the same stream and
-    leaves the generator in the same state."""
-    bounds = np.concatenate((np.arange(d - m + 1, d + 1), np.arange(m, 1, -1)))
-    draws = rng.integers(0, np.tile(bounds, k)).tolist()
-    step = bounds.size
-    feats = []
-    for start in range(0, k * step, step):
-        pick, chosen = [], set()
-        for j, val in zip(range(d - m, d), draws[start:start + m]):
-            val = j if val in chosen else val
-            chosen.add(val)
-            pick.append(val)
-        for i, swap in zip(range(m - 1, 0, -1), draws[start + m:start + step]):
-            pick[i], pick[swap] = pick[swap], pick[i]
-        feats.append(pick)
-    return np.array(feats, dtype=np.int64)
 
 
 def _best_splits(X, ranks, rows, w, wy, node, feats, size, pos):
@@ -198,11 +172,11 @@ class DecisionTree:
             threshold = np.zeros(width)
             parts.append((feature, threshold, left, right, (2 * pos > size).astype(np.int64)))
             depth_ok = spec.max_depth is None or depth < spec.max_depth
-            can = (pos > 0) & (pos < size) & (size >= spec.min_samples_split) & depth_ok
+            can = (pos > 0) & (pos < size) & depth_ok
             cand = np.flatnonzero(can)
             if not cand.size:
                 break
-            feats = _draw_features(self._rng, d, m, cand.size)
+            feats = self._rng.random((cand.size, d)).argsort(axis=1, kind="stable")[:, :m]
             live = can[node]
             rows, w, wy = rows[live], w[live], wy[live]
             node = (np.cumsum(can) - 1)[node[live]]

@@ -47,9 +47,9 @@ class PredictionBatch:
             )
 
 
-def threshold_predictions(probs, thr: float = 0.5) -> np.ndarray:
-    """Turn probabilistic outputs into hard 0/1 labels (>= thr -> 1)."""
-    return (np.asarray(probs).reshape(-1) >= thr).astype(np.int64)
+def threshold_predictions(probs) -> np.ndarray:
+    """Turn probabilistic outputs into hard 0/1 labels (>= 0.5 -> 1)."""
+    return (np.asarray(probs).reshape(-1) >= 0.5).astype(np.int64)
 
 
 @dataclass

@@ -264,9 +264,9 @@ class TrainedStack:
                    provenance=dict(provenance or {}))
 
     @classmethod
-    def identity(cls, in_dim: int, provenance: dict | None = None) -> "TrainedStack":
+    def identity(cls, in_dim: int) -> "TrainedStack":
         """A zero-level stack: encode(X) = X. Used for the unfair baseline."""
-        return cls(in_dim=in_dim, levels=[], provenance=dict(provenance or {}))
+        return cls(in_dim=in_dim, levels=[])
 
     @property
     def n_levels(self) -> int:

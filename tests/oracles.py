@@ -257,7 +257,7 @@ def reference_best_split(Xf: np.ndarray, y: np.ndarray):
 
 def reference_tree(X: np.ndarray, y: np.ndarray, spec, rng: np.random.Generator) -> dict:
     """CART tree arrays (feature, threshold, left, right, value) for ``spec``
-    (``max_depth``, ``min_samples_split``), drawing from ``rng``."""
+    (``max_depth``), drawing each node's features from ``rng``."""
     n, d = X.shape
     m = math.ceil(math.sqrt(d))
     feature: list[int] = []
@@ -282,9 +282,9 @@ def reference_tree(X: np.ndarray, y: np.ndarray, spec, rng: np.random.Generator)
         value[node] = 1 if 2 * n_pos > idx.size else 0   # majority, tie -> 0
         pure = n_pos == 0 or n_pos == idx.size
         depth_ok = spec.max_depth is None or depth < spec.max_depth
-        if pure or idx.size < spec.min_samples_split or not depth_ok:
+        if pure or not depth_ok:
             continue
-        feats = rng.choice(d, size=m, replace=False)
+        feats = rng.random(d).argsort(kind="stable")[:m]
         found = reference_best_split(X[np.ix_(idx, feats)], yn)
         if found is None:
             continue

@@ -5,6 +5,7 @@ Everything runs on the synthetic dataset with tiny budgets so the whole file
 stays fast; artifact *shape* and determinism are what matter here, not scores.
 """
 
+import concurrent.futures
 import csv
 import io
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairstack import cli
+from fairstack import cli, downstream
 from fairstack.cli import main
 from fairstack.config import (ConfigError, config_hash, load_config,
                               load_dataset, parse_config, resolve_data_path,
@@ -34,7 +35,7 @@ def _base_config(out_dir: str) -> dict:
         "seeds": [0],
         "out_dir": out_dir,
         "cv_folds": 2,
-        "probe": {"hidden": 4, "epochs": 3, "batch": 32},
+        "probe": {"hidden": 4, "epochs": 3},
         "forest": {"n_trees": 3, "max_depth": 3},
     }
 
@@ -342,7 +343,8 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["train.freeze_previous", "train.adversary_warm_start",
-                                 "loss.root_mse", "train.adv_steps", "train.lr_adv"])
+                                 "loss.root_mse", "train.adv_steps", "train.lr_adv",
+                                 "probe.lr", "probe.batch", "forest.min_samples_split"])
 def test_removed_training_key_exit_2(tmp_path, capsys, key):
     section, leaf = key.split(".")
     path = _write_config(tmp_path, **{section: {leaf: False}})
@@ -532,9 +534,10 @@ def test_fit_alpha_zero_marks_decoder_inactive(tmp_path, capsys):
     assert json.loads((run / "run.json").read_text())["decoder_inactive"] is True
 
 
-def test_fit_with_a_diverging_probe_exit_1(tmp_path, capsys):
-    # probe.lr passes validation, but the probe's weights overflow
-    path = _write_config(tmp_path, probe={"lr": 1e300})
+def test_fit_with_a_diverging_probe_exit_1(tmp_path, capsys, monkeypatch):
+    # the probe's weights overflow
+    monkeypatch.setattr(downstream, "PROBE_LR", 1e300)
+    path = _write_config(tmp_path)
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["fit", "--config", str(path)]) == 1
     assert "error: non-finite value in probe" in capsys.readouterr().err
@@ -834,8 +837,9 @@ def test_sweep_failed_rows_exit_1(tmp_path, capsys):
     assert "FAILED" in err
 
 
-def test_sweep_with_a_diverging_probe_writes_failed_rows(tmp_path, capsys):
-    path = _write_config(tmp_path, probe={"lr": 1e300}, sweep={"betas": [1.0]})
+def test_sweep_with_a_diverging_probe_writes_failed_rows(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(downstream, "PROBE_LR", 1e300)
+    path = _write_config(tmp_path, sweep={"betas": [1.0]})
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["sweep", "--config", str(path)]) == 1
     run = _run_dir_from(capsys.readouterr().out)
@@ -965,6 +969,28 @@ def test_sweep_trains_a_one_level_spec_once_per_beta_and_seed(tmp_path, monkeypa
     # the copied row is the row a vanilla training of its own would give
     vanilla = cli._sweep_job(load_config(path), 0.0, 0, "vanilla")
     assert {k: str(v) for k, v in vanilla.items()} == rows[1]
+
+
+@pytest.mark.parametrize("command,workers", [("table1", 6), ("sweep", 4)])
+def test_pool_forks_no_more_workers_than_jobs(tmp_path, monkeypatch, capsys, command, workers):
+    # smoke: six table1 cells; a one-level sweep trains betas 0, 1 and 5 once
+    # and adds one baseline
+    config = json.loads((Path(__file__).parents[1] / "configs" /
+                         "synthetic-smoke.json").read_text())
+    config.update(out_dir=str(tmp_path / "runs"), train={"epochs": 1},
+                  probe={"hidden": 2, "epochs": 1}, forest={"n_trees": 1, "max_depth": 1})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    asked = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            asked.append(max_workers)
+            super().__init__(max_workers=1, **kwargs)   # one fork is enough to run the calls
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert main([command, "--config", str(path), "--jobs", "8"]) == 0
+    assert asked == [workers]
 
 
 def test_run_dir_relies_on_mkdir_not_exists(tmp_path, monkeypatch):

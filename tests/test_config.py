@@ -23,11 +23,11 @@ FIELDS = dataclasses.fields(ExperimentConfig)
 
 # The hashes of the shipped configs. They are part of every run's artifacts,
 # so a change to the key table must leave them as they are. (They last changed
-# when train.lr_adv and train.adv_steps were removed.)
+# when probe.lr, probe.batch and forest.min_samples_split were removed.)
 SHIPPED_HASHES = {
-    "synthetic-smoke.json": "fa63fc49ac858ed4b0eb28fa7d52a072666cafab2e1825f77fbd6687a34b04e7",
-    "adult.json": "f349526302af105bed15006d7824deea524cde8ca06a99031557e3c1f5499a5b",
-    "german.json": "314e8541830d8f3b3b944ce69e8970136c92ff8fa31a004c233828ff0c9c8678",
+    "synthetic-smoke.json": "68fe06609a8b117ad4f82d012d0ee9818ed272478d21e3027eec7a2aa7eb8022",
+    "adult.json": "28d27b4693a7db200c192b79be381c4e95253a525186a28c799b8bdaf2ebdab0",
+    "german.json": "845ed99ac24c62821890452f6cba2fa61ed1fd9a776a2b4ec7f3c8efd5cab374",
 }
 
 

@@ -1,5 +1,4 @@
 import contextlib
-import math
 import signal
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairstack import cli
+from fairstack import cli, downstream
 from fairstack.autodiff import Var, backward, bce_loss, forward, zero_grads
 from fairstack.data import make_synthetic
 from fairstack.downstream import (
@@ -19,8 +18,8 @@ from fairstack.downstream import (
     train_logreg,
     train_probe,
 )
-from fairstack.forest import (MAX_ROWS, DecisionTree, ForestSpec, RandomForest,
-                              _draw_features, _ranks, _weighted_gini, train_forest)
+from fairstack.forest import (MAX_ROWS, DecisionTree, ForestSpec, RandomForest, _ranks,
+                              _weighted_gini, train_forest)
 from fairstack.metrics import FairnessReport
 from fairstack.model import TrainedStack, build, stacked_spec
 from fairstack.nn import MLP, Adam, bce_step
@@ -144,9 +143,10 @@ def test_logreg_matches_the_graph_reference_bytewise():
 
 @pytest.mark.parametrize("fit", [
     lambda X, y: train_logreg(X, y, lr=1e308),
-    lambda X, y: train_probe(TrainedStack.identity(2), X, y, ProbeSpec(epochs=2, lr=1e300)),
+    lambda X, y: train_probe(TrainedStack.identity(2), X, y, ProbeSpec(epochs=2)),
 ], ids=["logreg", "probe"])
-def test_diverging_predictor_raises_divergence_error(fit):
+def test_diverging_predictor_raises_divergence_error(fit, monkeypatch):
+    monkeypatch.setattr(downstream, "PROBE_LR", 1e300)
     X, y = _separable_toy(n=40, seed=8)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
         fit(X, y)
@@ -290,10 +290,9 @@ def test_forest_tie_vote_goes_to_zero():
 
 
 def test_leaf_majority_tie_predicts_zero():
-    X = np.array([[0.0], [1.0]])
+    X = np.array([[0.0], [0.0]])   # one value: the root cannot split
     y = np.array([0, 1])
-    tree = DecisionTree(ForestSpec(n_trees=1, min_samples_split=3),
-                        np.random.default_rng(0)).fit(X, y)
+    tree = DecisionTree(ForestSpec(n_trees=1), np.random.default_rng(0)).fit(X, y)
     np.testing.assert_array_equal(tree.predict(X), np.zeros(2, dtype=int))
 
 
@@ -340,10 +339,6 @@ def _grower_cases():
     X = rng.integers(0, 3, size=(500, 6)).astype(float)
     y = (X.sum(axis=1) + rng.integers(0, 3, size=500) > 6).astype(int)
     cases.append(pytest.param(X, y, ForestSpec(n_trees=3, seed=2), id="ties"))
-    X = rng.normal(size=(800, 5))
-    y = (X[:, 1] > 0).astype(int) ^ (rng.random(800) < 0.2)
-    cases.append(pytest.param(X, y, ForestSpec(n_trees=3, max_depth=6, min_samples_split=5),
-                              id="min-split-5"))
     X = np.tile(np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float), (25, 1))
     y = X[:, 0].astype(int) ^ X[:, 1].astype(int)
     cases.append(pytest.param(X, y, ForestSpec(n_trees=5), id="xor"))
@@ -386,14 +381,13 @@ def test_level_wise_grower_matches_fifo_reference(X, y, spec):
     d=st.integers(1, 6),
     levels=st.integers(1, 4),
     max_depth=st.one_of(st.none(), st.integers(1, 5)),
-    min_split=st.integers(2, 6),
     seed=st.integers(0, 2**16),
 )
-def test_grower_matches_reference_on_tied_data(n, d, levels, max_depth, min_split, seed):
+def test_grower_matches_reference_on_tied_data(n, d, levels, max_depth, seed):
     rng = np.random.default_rng(seed)
     X = rng.integers(0, levels, size=(n, d)) / 2.0   # few distinct values: heavy ties
     y = rng.integers(0, 2, size=n)
-    spec = ForestSpec(n_trees=2, max_depth=max_depth, min_samples_split=min_split, seed=seed)
+    spec = ForestSpec(n_trees=2, max_depth=max_depth, seed=seed)
     _assert_same_trees(train_forest(X, y, spec).trees, reference_forest_trees(X, y, spec))
 
 
@@ -522,22 +516,6 @@ def test_tree_predict_before_fit_raises():
         DecisionTree(ForestSpec(), np.random.default_rng(0)).predict(np.zeros((2, 3)))
 
 
-@pytest.mark.parametrize("d", [*range(1, 40), 64, 100, 101, 1000, 2500, 5000,
-                               9999, 10000, 10001, 40000])
-def test_feature_draws_match_generator_choice(d):
-    # one integers() call per depth reads the stream of k choice() calls,
-    # including where choice switches method above 10,000
-    m = math.ceil(math.sqrt(d))
-    for k, seed in ((1, 0), (3, 1), (17, 2)):
-        want_rng, got_rng = np.random.default_rng([seed, d]), np.random.default_rng([seed, d])
-        want_rng.integers(0, 7, size=seed), got_rng.integers(0, 7, size=seed)
-        want = np.array([want_rng.choice(d, size=m, replace=False) for _ in range(k)])
-        got = _draw_features(got_rng, d, m, k)
-        assert got.dtype == want.dtype and got.shape == want.shape == (k, m)
-        assert (got == want).all()
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
-
-
 def _stable_ranks(X):
     ranks = np.zeros(X.shape, dtype=np.int32)
     for j, col in enumerate(X.T):
@@ -593,8 +571,6 @@ def test_cv_produces_k_reports():
     result = cross_validate("logreg", TrainedStack.identity(ds.d), ds, k=5, seed=1)
     assert len(result.reports) == 5
     assert result.meta["k"] == 5
-    assert result.meta["std_kind"] == "sample (ddof=1)"
-    assert result.meta["encoder_levels"] == 0
     assert result.model_kind == "logreg"
     assert set(result.mean) == set(result.std) == set(result.reports[0].to_json())
 
@@ -619,7 +595,6 @@ def test_cv_probe_kind_runs_on_encoded_features():
     stack = TrainedStack.from_levels(levels)
     result = cross_validate("probe", stack, ds, k=3, seed=0,
                             probe_spec=ProbeSpec(epochs=3, hidden=4))
-    assert result.meta["encoder_levels"] == 1
     assert len(result.reports) == 3
 
 

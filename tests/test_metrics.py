@@ -208,12 +208,6 @@ def test_threshold_predictions_half_open():
     )
 
 
-def test_threshold_custom():
-    np.testing.assert_array_equal(
-        threshold_predictions([0.1, 0.3], thr=0.2), [0, 1]
-    )
-
-
 def test_batch_rejects_length_mismatch():
     with pytest.raises(ValueError) as exc:
         batch([1, 0], [1, 0, 1], [0, 1])

@@ -98,7 +98,7 @@ def _config(path: Path) -> Path:
         "train": {"epochs": 2, "batch": 1024},
         "loss": {"alpha": 0.0, "beta": 1.0, "gamma": 1.0},
         "seeds": [0],
-        "probe": {"hidden": 8, "epochs": 2, "batch": 1024},
+        "probe": {"hidden": 8, "epochs": 2},
         "forest": {"n_trees": 2, "max_depth": 4},
         "cv_folds": 2,
         "out_dir": "runs",
