@@ -1,10 +1,12 @@
 """Reverse-mode automatic differentiation: the reference the kernel is held to.
 
 Every value in the graph is a 2-D numpy array. ``Var`` wraps a value together
-with a gradient buffer of the same shape; operations build the graph by
-recording parents and a vector-Jacobian closure. ``backward`` walks the graph
-in reverse topological order and *accumulates* gradients into ``.grad`` --
-call :func:`zero_grads` (or an optimizer's ``zero_grad``) between steps.
+with a gradient buffer of the same shape; operations, plain functions (``Var``
+overloads no operator), build the graph by recording parents and a
+vector-Jacobian closure; its activations are those of :data:`nn.ACTIVATIONS`.
+``backward`` walks the graph in reverse topological order and *accumulates*
+gradients into ``.grad`` -- call :func:`zero_grads` (or an optimizer's
+``zero_grad``) between steps.
 
 Finiteness is enforced at the API boundaries (loss values, optimizer
 updates, user-constructed leaves), not after every intermediate op.
@@ -78,21 +80,6 @@ class Var:
             raise GraphError(f"item() requires a 1x1 value, got shape {self.value.shape}")
         return float(self.value[0, 0])
 
-    # Scalar arithmetic sugar used when combining loss terms.
-    def __add__(self, other: "Var") -> "Var":
-        return add(self, other)
-
-    def __sub__(self, other: "Var") -> "Var":
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, c) -> "Var":
-        return scale(self, float(c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Var":
-        return scale(self, -1.0)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Var(shape={self.value.shape}, requires_grad={self.requires_grad})"
 
@@ -161,16 +148,6 @@ def scale(a: Var, c: float) -> Var:
         return (g * c,)
 
     return _make(a.value * c, (a,), vjp)
-
-
-def relu(a: Var) -> Var:
-    a = as_var(a)
-    mask = a.value > 0
-
-    def vjp(g):
-        return (g * mask,)
-
-    return _make(np.maximum(a.value, 0.0), (a,), vjp)
 
 
 def leaky_relu(a: Var, slope: float = LEAKY_SLOPE) -> Var:
@@ -337,8 +314,7 @@ def zero_grads(params: Sequence[Param | Var]) -> None:
 # ---------------------------------------------------------------------------
 # The package's networks as graphs
 
-_ACTIVATE = {"identity": lambda a: a, "relu": relu, "leaky_relu": leaky_relu,
-             "sigmoid": sigmoid}
+_ACTIVATE = {"identity": lambda a: a, "leaky_relu": leaky_relu, "sigmoid": sigmoid}
 
 
 def forward(net: nn.MLP, x) -> Var:

@@ -10,8 +10,9 @@ hash and seed so a run can be traced back to its exact inputs.
 by the probe, and per seed the raw-feature baseline, which is the ``unfair``
 variant of the same job (identity stack, no training). With one level the
 vanilla spec is the stacked one, so each (beta, seed) trains once and its
-vanilla row is a copy of the stacked row. ``--jobs N`` runs all
-sweep rows plus the baseline, or table1's six CV cells, in one pool of N
+vanilla row is a copy of the stacked row; likewise table1 then scores the
+stacked codes once and copies their cells as lafr's. ``--jobs N`` runs all
+sweep rows plus the baseline, or table1's CV cells, in one pool of N
 worker processes (fewer when there are fewer jobs). Those workers are the
 only parallelism: importing this module sets each of ``BLAS_THREAD_VARS``
 to 1 unless it is already set, so the CLI and its workers run BLAS on one
@@ -57,7 +58,7 @@ from .config import (ConfigError, ExperimentConfig, config_hash, forest_spec_for
                      load_config, load_dataset, probe_spec_for, stack_spec_for,
                      train_config_for)
 from .data import TEXT_ENCODING, Dataset, DatasetError, standardize, train_val_test_split
-from .downstream import cross_validate, train_probe
+from .downstream import aggregate_metrics, cross_validate, train_probe
 from .metrics import PredictionBatch, UndefinedMetricError, evaluate
 from .model import ModelFormatError, SpecError, TrainedStack
 from .training import LOG_COLUMNS, DivergenceError, train_stack
@@ -134,7 +135,7 @@ def cmd_fit(cfg: ExperimentConfig) -> int:
     tcfg = train_config_for(cfg, seed)
 
     t0 = time.perf_counter()
-    stack, logs = train_stack(spec, train_ds, tcfg, val=val_ds)
+    stack, logs = train_stack(spec, train_ds, tcfg, val=val_ds, eo_mode=cfg.eo_mode)
     wall = time.perf_counter() - t0
 
     report = _probe_report(stack, train_ds, val_ds, cfg, seed)
@@ -297,10 +298,9 @@ def _write_rows(path: Path, columns, rows, comment: str | None = None) -> None:
 
 
 def _mean_rows(rows: list[dict], key_cols: tuple) -> list[dict]:
-    """Arithmetic means of the metric columns over ok-rows per key, in
-    ascending key order (betas by value). A metric undefined in any ok-row of
-    a key is written empty, as :func:`downstream.aggregate_reports` does,
-    rather than averaged over the rows where it is defined."""
+    """Means of the metric columns over ok-rows per key, in ascending key
+    order (betas by value), by :func:`downstream.aggregate_metrics`: a metric
+    undefined in any ok-row of a key is written empty."""
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         if row["status"] != "ok":
@@ -312,9 +312,8 @@ def _mean_rows(rows: list[dict], key_cols: tuple) -> list[dict]:
         members = groups[key]
         out = dict(zip(key_cols, key))
         out["n"] = len(members)
-        for m in METRIC_COLUMNS:
-            vals = [r[m] for r in members]
-            out[m] = "" if any(v in ("", None) for v in vals) else float(np.mean(vals))
+        mean, _ = aggregate_metrics([{m: r[m] for m in METRIC_COLUMNS} for r in members])
+        out.update((m, "" if v is None else v) for m, v in mean.items())
         means.append(out)
     return means
 
@@ -387,9 +386,9 @@ def cmd_table1(cfg: ExperimentConfig, jobs: int = 1) -> int:
 
     t0 = time.perf_counter()
     tcfg = train_config_for(cfg, seed)
+    copy_lafr = _vanilla_is_stacked(cfg)
     stacked, _ = train_stack(spec_for("stacked"), train_ds, tcfg)
-    lafr = (stacked if _vanilla_is_stacked(cfg)
-            else train_stack(spec_for("vanilla"), train_ds, tcfg)[0])
+    lafr = stacked if copy_lafr else train_stack(spec_for("vanilla"), train_ds, tcfg)[0]
     del train_ds
     encoders = {
         "unfair": TrainedStack.identity(d),
@@ -398,16 +397,21 @@ def cmd_table1(cfg: ExperimentConfig, jobs: int = 1) -> int:
     }
 
     labels = [(kind, variant) for kind in TABLE1_MODELS for variant in TABLE1_VARIANTS]
+    scored = [(kind, variant) for kind, variant in labels
+              if not (copy_lafr and variant == "lafr")]
     calls = [(kind, encoders[variant], std, cfg.cv_folds, seed, cfg.eo_mode,
               probe_spec_for(cfg, seed), forest_spec_for(cfg, seed))
-             for kind, variant in labels]
+             for kind, variant in scored]
     results = _map(cross_validate, calls, jobs)
     wall = time.perf_counter() - t0
 
     cells: dict = {kind: {} for kind in TABLE1_MODELS}
-    for (kind, variant), res in zip(labels, results):
+    for (kind, variant), res in zip(scored, results):
         cells[kind][variant] = {f"{m}_{stat}": getattr(res, stat)[m]
                                 for m in METRIC_COLUMNS for stat in ("mean", "std")}
+    if copy_lafr:  # the lafr encoder is the stacked one: so are its cells
+        for kind in TABLE1_MODELS:
+            cells[kind]["lafr"] = dict(cells[kind]["stacked"])
 
     chash = config_hash(cfg)
     run = _run_dir(cfg.out_dir, "table1")

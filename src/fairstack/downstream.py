@@ -118,10 +118,10 @@ class CVResult:
     meta: dict = field(default_factory=dict)
 
 
-def aggregate_reports(reports: list[FairnessReport]) -> tuple[dict, dict]:
-    """Per-metric mean and sample std (ddof=1); a metric undefined on any
-    fold aggregates to None rather than a quietly-filtered number."""
-    dicts = [r.to_json() for r in reports]
+def aggregate_metrics(dicts: list[dict]) -> tuple[dict, dict]:
+    """Per-metric mean and sample std (ddof=1) over dicts with the keys of the
+    first; a metric undefined (None) in any dict aggregates to None rather
+    than a quietly-filtered number."""
     mean: dict = {}
     std: dict = {}
     for key in dicts[0]:
@@ -170,7 +170,7 @@ def cross_validate(model_kind: str, stack: TrainedStack, dataset: Dataset,
         pred = predictor.predict(z[test_idx])
         batch = PredictionBatch(pred, dataset.y[test_idx], dataset.s[test_idx])
         reports.append(evaluate(batch, eo_mode=eo_mode))
-    mean, std = aggregate_reports(reports)
+    mean, std = aggregate_metrics([r.to_json() for r in reports])
     return CVResult(
         model_kind=model_kind, reports=reports, mean=mean, std=std,
         meta={"k": k, "seed": seed},

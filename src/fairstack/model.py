@@ -11,7 +11,8 @@ the explicit :mod:`nn` kernel, holding the forward tape of each net it
 back-propagates through; the graph form of the same objective, which the
 tests check it against, lives with the reference graph engine. After
 training, only the encoders survive as a :class:`TrainedStack`, which
-serializes to a small binary format.
+serializes to a small binary format; the format, not :mod:`nn`, fixes the
+code each activation is stored as (:data:`ACTIVATION_CODES`).
 """
 
 from __future__ import annotations
@@ -23,12 +24,16 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .nn import ACTIVATIONS, MLP, DimensionError, _bce_with_grad, dense_forward, mse
+from .nn import MLP, DimensionError, _bce_with_grad, dense_forward, mse
 
 CRITERIA = ("dp", "eo", "eopp")
 
 MAGIC = b"FSTK"
 FORMAT_VERSION = 1
+# The byte each layer's activation is stored as. Code 1 was relu, which no
+# network has any more; it stays unassigned, so every file keeps its meaning.
+ACTIVATION_CODES = {"identity": 0, "leaky_relu": 2, "sigmoid": 3}
+_ACTIVATION_NAMES = {code: name for name, code in ACTIVATION_CODES.items()}
 
 
 class SpecError(ValueError):
@@ -248,8 +253,8 @@ class TrainedStack:
 
     ``levels`` holds, per level, a list of (weight, bias, activation-name)
     dense-layer triples. Supports numpy-only encoding and a binary file
-    format (magic FSTK, version, dims, row-major float64 weights, then a
-    provenance JSON blob).
+    format (magic FSTK, version, dims, per layer its width pair, activation
+    code and row-major float64 weights, then a provenance JSON blob).
     """
 
     in_dim: int
@@ -298,7 +303,7 @@ class TrainedStack:
             chunks.append(struct.pack("<I", len(layers)))
             for W, b, act in layers:
                 n_in, n_out = W.shape
-                chunks.append(struct.pack("<IIB", n_in, n_out, ACTIVATIONS.index(act)))
+                chunks.append(struct.pack("<IIB", n_in, n_out, ACTIVATION_CODES[act]))
                 chunks.append(np.ascontiguousarray(W, dtype="<f8").tobytes())
                 chunks.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
         prov = json.dumps(self.provenance, sort_keys=True).encode()
@@ -338,9 +343,11 @@ class TrainedStack:
                 raise ModelFormatError(f"level {i} has no layers: {path}")
             layers = []
             for j in range(n_layers):
-                n_in, n_out, act_idx = struct.unpack("<IIB", take(9))
-                if act_idx >= len(ACTIVATIONS):
-                    raise ModelFormatError(f"unknown activation code {act_idx}")
+                n_in, n_out, code = struct.unpack("<IIB", take(9))
+                act = _ACTIVATION_NAMES.get(code)
+                if act is None:
+                    raise ModelFormatError(
+                        f"unknown activation code {code} in level {i}, layer {j}: {path}")
                 if n_in != width:
                     raise ModelFormatError(
                         f"level {i}, layer {j} takes width {n_in}, but its input has "
@@ -351,7 +358,7 @@ class TrainedStack:
                 if not (np.isfinite(W).all() and np.isfinite(b).all()):
                     raise ModelFormatError(
                         f"non-finite weight or bias in level {i}, layer {j}: {path}")
-                layers.append((W, b, ACTIVATIONS[act_idx]))
+                layers.append((W, b, act))
             levels.append(layers)
         (prov_len,) = struct.unpack("<I", take(4))
         try:

@@ -3,7 +3,9 @@
 Each :class:`MLP` owns its parameters, one weight and one bias :class:`Param`
 per layer, and there is no per-layer object. Weight initialization is uniform
 in +-sqrt(6 / (fan_in + fan_out)); biases start at zero. Hidden layers are
-leaky ReLU (slope 0.01).
+leaky ReLU (slope 0.01), and a last layer is identity or sigmoid: these three
+are :data:`ACTIVATIONS`, all a network can have. The model file stores each
+by the code :data:`model.ACTIVATION_CODES` gives it, not by its position here.
 
 Every forward pass, training or inference, is one :func:`dense_forward`.
 A training step hands it a tape, a list that receives each layer's input,
@@ -26,7 +28,7 @@ import numpy as np
 BCE_EPS = 1e-7
 LEAKY_SLOPE = 0.01
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-ACTIVATIONS = ("identity", "relu", "leaky_relu", "sigmoid")
+ACTIVATIONS = ("identity", "leaky_relu", "sigmoid")
 
 
 class DimensionError(ValueError):
@@ -61,8 +63,6 @@ def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
     same functions, so a forward pass gives the same bytes on both paths."""
     if name == "identity":
         return x
-    if name == "relu":
-        return np.maximum(x, 0.0)
     if name == "leaky_relu":
         return np.where(x > 0, x, LEAKY_SLOPE * x)
     if name == "sigmoid":
@@ -130,9 +130,7 @@ class MLP:
         for i in range(len(self.weights) - 1, -1, -1):
             x, pre, out = tape[i]
             act = self.activations[i]
-            if act == "relu":
-                g = g * (pre > 0)
-            elif act == "leaky_relu":
+            if act == "leaky_relu":
                 g = g * np.where(pre > 0, 1.0, LEAKY_SLOPE)
             elif act == "sigmoid":
                 g = g * out * (1.0 - out)

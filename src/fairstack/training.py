@@ -86,10 +86,10 @@ def _adversary_accuracy(level: Level, z_val: np.ndarray, y_val: np.ndarray,
 
 
 def _classifier_gaps(level: Level, z_val: np.ndarray, y_val: np.ndarray,
-                     s_val: np.ndarray) -> tuple[float, float, float]:
+                     s_val: np.ndarray, eo_mode: str) -> tuple[float, float, float]:
     pred = threshold_predictions(level.classifier.forward_value(z_val))
     try:  # an empty group makes every gap undefined
-        report = evaluate(PredictionBatch(pred, y_val, s_val))
+        report = evaluate(PredictionBatch(pred, y_val, s_val), eo_mode=eo_mode)
     except ValueError:
         return math.nan, math.nan, math.nan
     gaps = (report.delta_dp, report.delta_eo, report.delta_eopp)
@@ -98,9 +98,9 @@ def _classifier_gaps(level: Level, z_val: np.ndarray, y_val: np.ndarray,
 
 def _run_level(level: Level, level_index: int, X: np.ndarray, y: np.ndarray,
                s: np.ndarray, alpha: float, beta: float, gamma: float,
-               cfg: TrainConfig, val: tuple | None) -> list[EpochRecord]:
+               cfg: TrainConfig, val: tuple | None, eo_mode: str) -> list[EpochRecord]:
     """The alternating-update loop for one level on its input matrix ``X``;
-    returns one record per epoch."""
+    returns one record per epoch, its val gaps scored with ``eo_mode``."""
     n = X.shape[0]
     # with alpha == 0 the decoder's Adam update is exactly zero: leave it out
     nets = [level.encoder, level.classifier, *([level.decoder] if alpha else [])]
@@ -145,7 +145,7 @@ def _run_level(level: Level, level_index: int, X: np.ndarray, y: np.ndarray,
             Xv, yv, sv = val
             zv = level.encoder.forward_value(Xv)
             adv_acc = _adversary_accuracy(level, zv, yv, sv, cfg.eopp_adv_label)
-            dp, eo, eopp = _classifier_gaps(level, zv, yv, sv)
+            dp, eo, eopp = _classifier_gaps(level, zv, yv, sv, eo_mode)
         else:
             adv_acc = dp = eo = eopp = math.nan
         records.append(EpochRecord(
@@ -159,9 +159,11 @@ def _run_level(level: Level, level_index: int, X: np.ndarray, y: np.ndarray,
 
 
 def train_stack(spec: StackSpec, train: Dataset, cfg: TrainConfig,
-                val: Dataset | None = None) -> tuple[TrainedStack, list[list[EpochRecord]]]:
+                val: Dataset | None = None,
+                eo_mode: str = "sum") -> tuple[TrainedStack, list[list[EpochRecord]]]:
     """Sequential level-by-level training; returns the encoder-only stack and
-    the epoch records of each level, level 0 first.
+    the epoch records of each level, level 0 first. ``eo_mode`` combines the
+    two eo gaps of the records' ``val_eo``, as :func:`metrics.evaluate` does.
 
     Each level trains on the codes of the trained, frozen level before it.
     """
@@ -177,7 +179,8 @@ def train_stack(spec: StackSpec, train: Dataset, cfg: TrainConfig,
             X = levels[i - 1].encoder.forward_value(X)
             Xv = None if Xv is None else levels[i - 1].encoder.forward_value(Xv)
         logs.append(_run_level(level, i, X, train.y, train.s, spec.alpha, spec.beta,
-                               spec.gamma, cfg, None if val is None else (Xv, val.y, val.s)))
+                               spec.gamma, cfg, None if val is None else (Xv, val.y, val.s),
+                               eo_mode))
     provenance = {
         "spec": spec.to_dict(),
         "spec_hash": spec_hash(spec),

@@ -971,10 +971,10 @@ def test_sweep_trains_a_one_level_spec_once_per_beta_and_seed(tmp_path, monkeypa
     assert {k: str(v) for k, v in vanilla.items()} == rows[1]
 
 
-@pytest.mark.parametrize("command,workers", [("table1", 6), ("sweep", 4)])
+@pytest.mark.parametrize("command,workers", [("table1", 4), ("sweep", 4)])
 def test_pool_forks_no_more_workers_than_jobs(tmp_path, monkeypatch, capsys, command, workers):
-    # smoke: six table1 cells; a one-level sweep trains betas 0, 1 and 5 once
-    # and adds one baseline
+    # smoke: four table1 cells are scored (lafr's copy stacked's); a one-level
+    # sweep trains betas 0, 1 and 5 once and adds one baseline
     config = json.loads((Path(__file__).parents[1] / "configs" /
                          "synthetic-smoke.json").read_text())
     config.update(out_dir=str(tmp_path / "runs"), train={"epochs": 1},
@@ -1039,6 +1039,7 @@ def test_table1_grid(tmp_path, capsys):
 ])
 def test_table1_trains_each_distinct_stack_once(tmp_path, monkeypatch, capsys, levels,
                                                 trained):
+    # ... and cross-validates each distinct encoder once per model kind
     config = json.loads((Path(__file__).parents[1] / "configs" /
                          "synthetic-smoke.json").read_text())
     config["out_dir"] = str(tmp_path / "runs")
@@ -1046,15 +1047,22 @@ def test_table1_trains_each_distinct_stack_once(tmp_path, monkeypatch, capsys, l
         config["stack"]["levels"] = levels
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    calls = []
+    calls, scored = [], []
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return train_stack(*args, **kwargs)
 
+    def counting_cv(*args, **kwargs):
+        scored.append(args[:2])
+        return downstream.cross_validate(*args, **kwargs)
+
     monkeypatch.setattr(cli, "train_stack", counting)
+    monkeypatch.setattr(cli, "cross_validate", counting_cv)
     assert main(["table1", "--config", str(path)]) == 0
     assert len(calls) == trained
+    assert len(scored) == 2 * (1 + trained)   # logreg and forest on unfair + each stack
+    assert len({(kind, id(stack)) for kind, stack in scored}) == len(scored)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -13,7 +13,7 @@ from fairstack.downstream import (
     CVResult,
     MODEL_KINDS,
     ProbeSpec,
-    aggregate_reports,
+    aggregate_metrics,
     cross_validate,
     train_logreg,
     train_probe,
@@ -608,7 +608,7 @@ def _report(dp, acc=0.8):
 
 def test_aggregate_matches_hand_arithmetic():
     reports = [_report(dp) for dp in (0.1, 0.2, 0.3, 0.4, 0.5)]
-    mean, std = aggregate_reports(reports)
+    mean, std = aggregate_metrics([r.to_json() for r in reports])
     assert mean["delta_dp"] == pytest.approx(0.3)
     # sample std: sqrt(((0.2)^2+(0.1)^2+0+ (0.1)^2+(0.2)^2)/4)
     assert std["delta_dp"] == pytest.approx(np.sqrt(0.10 / 4), rel=1e-12)
@@ -618,13 +618,13 @@ def test_aggregate_matches_hand_arithmetic():
 def test_aggregate_propagates_none():
     reports = [_report(0.1), _report(0.2)]
     reports[1].delta_eo = None
-    mean, std = aggregate_reports(reports)
+    mean, std = aggregate_metrics([r.to_json() for r in reports])
     assert mean["delta_eo"] is None and std["delta_eo"] is None
     assert mean["delta_dp"] == pytest.approx(0.15)
 
 
 def test_aggregate_single_report_std_zero():
-    mean, std = aggregate_reports([_report(0.25)])
+    mean, std = aggregate_metrics([_report(0.25).to_json()])
     assert mean["delta_dp"] == pytest.approx(0.25)
     assert std["delta_dp"] == 0.0
 

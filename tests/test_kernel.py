@@ -129,7 +129,8 @@ def test_kernel_gradients_with_an_empty_eopp_subset():
 # multi-epoch train_stack traces: the kernel trainer against the graph trainer
 
 
-def _reference_run_level(level, level_index, X, y, s, alpha, beta, gamma, cfg, val):
+def _reference_run_level(level, level_index, X, y, s, alpha, beta, gamma, cfg, val,
+                          eo_mode):
     """The level loop on the graph path, with a per-parameter Adam."""
     main = main_params(level)
     adam_main = AdamReference(main, lr=cfg.lr)
@@ -171,7 +172,7 @@ def _reference_run_level(level, level_index, X, y, s, alpha, beta, gamma, cfg, v
             zv, yv, sv = val
             zv = level.encoder.forward_value(zv)
             adv_acc = training._adversary_accuracy(level, zv, yv, sv, cfg.eopp_adv_label)
-            dp, eo, eopp = training._classifier_gaps(level, zv, yv, sv)
+            dp, eo, eopp = training._classifier_gaps(level, zv, yv, sv, eo_mode)
         records.append(EpochRecord(
             level=level_index, epoch=epoch, loss_rec=rec_sum / n_batches,
             loss_adv=adv_sum / n_adv_batches if n_adv_batches else math.nan,

@@ -1,3 +1,4 @@
+import struct
 import tempfile
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from fairstack.autodiff import backward, level_loss
 from fairstack.model import (
+    ACTIVATION_CODES,
     Level,
     LevelSpec,
     ModelFormatError,
@@ -19,7 +21,7 @@ from fairstack.model import (
     stacked_spec,
     vanilla_spec,
 )
-from fairstack.nn import DimensionError
+from fairstack.nn import ACTIVATIONS, DimensionError
 from oracles import all_params
 
 
@@ -363,6 +365,50 @@ def test_load_rejects_non_finite_weights(tmp_path, bad):
     stack.save(path)
     with pytest.raises(ModelFormatError, match="level 1, layer 0"):
         TrainedStack.load(path)
+
+
+def _tiny_stack() -> TrainedStack:
+    """One level, three layers 2 -> 1 -> 1 -> 1, one of each activation."""
+    return TrainedStack(in_dim=2, levels=[[
+        (np.array([[0.5], [-0.25]]), np.array([[1.0]]), "leaky_relu"),
+        (np.array([[2.0]]), np.array([[0.0]]), "sigmoid"),
+        (np.array([[-1.5]]), np.array([[0.125]]), "identity"),
+    ]])
+
+
+# each layer: n_in, n_out, activation code, then W and b as little-endian float64
+TINY_STACK_BYTES = (b"FSTK" + struct.pack("<III", 1, 2, 1) + struct.pack("<I", 3)
+                    + struct.pack("<IIB", 2, 1, 2) + struct.pack("<3d", 0.5, -0.25, 1.0)
+                    + struct.pack("<IIB", 1, 1, 3) + struct.pack("<2d", 2.0, 0.0)
+                    + struct.pack("<IIB", 1, 1, 0) + struct.pack("<2d", -1.5, 0.125)
+                    + struct.pack("<I", 2) + b"{}")
+FIRST_CODE_AT = 4 + 8 + 4 + 4 + 8   # magic, version and in_dim, n_levels, n_layers, widths
+
+
+def test_activation_codes_are_pinned_golden_bytes(tmp_path):
+    # identity 0, leaky_relu 2, sigmoid 3: what every saved model.fstk holds
+    path = tmp_path / "model.fstk"
+    _tiny_stack().save(path)
+    assert path.read_bytes() == TINY_STACK_BYTES
+    again = TrainedStack.load(path)
+    assert [act for _, _, act in again.levels[0]] == ["leaky_relu", "sigmoid", "identity"]
+
+
+@pytest.mark.parametrize("code", [1, 4])
+def test_load_rejects_an_unassigned_activation_code(tmp_path, code):
+    blob = bytearray(TINY_STACK_BYTES)
+    blob[FIRST_CODE_AT] = code
+    path = tmp_path / "model.fstk"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ModelFormatError) as exc:
+        TrainedStack.load(path)
+    msg = str(exc.value)
+    assert f"activation code {code}" in msg and "level 0, layer 0" in msg and str(path) in msg
+
+
+def test_every_activation_has_a_file_code():
+    assert set(ACTIVATION_CODES) == set(ACTIVATIONS)
+    assert len(set(ACTIVATION_CODES.values())) == len(ACTIVATION_CODES)
 
 
 @settings(max_examples=30, deadline=None)

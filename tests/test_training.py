@@ -11,6 +11,7 @@ from fairstack import cli, downstream, training
 from fairstack.autodiff import Var, forward, level_loss
 from fairstack.config import config_hash, load_config
 from fairstack.data import make_synthetic
+from fairstack.metrics import evaluate
 from fairstack.model import TrainedStack, build, stacked_spec
 from fairstack.nn import Adam, DimensionError
 from fairstack.training import (
@@ -19,7 +20,7 @@ from fairstack.training import (
     TrainConfig,
     train_stack,
 )
-from oracles import main_params
+from oracles import main_params, naive_group_stats
 
 
 def _synthetic_split(n=256, seed=0, **kw):
@@ -268,8 +269,8 @@ def test_log_csv_layout(tmp_path, monkeypatch, capsys):
     val_columns = ("adv_acc", "val_dp", "val_eo", "val_eopp")
     for with_val in (True, False):
         if not with_val:
-            monkeypatch.setattr(cli, "train_stack",
-                                lambda spec, train, cfg, val: train_stack(spec, train, cfg))
+            monkeypatch.setattr(cli, "train_stack", lambda spec, train, cfg, val, eo_mode:
+                                train_stack(spec, train, cfg))
         assert cli.main(["fit", "--config", str(path)]) == 0
         run = Path(capsys.readouterr().out.rsplit(" in ", 1)[1].strip())
         lines = (run / "train-level0.csv").read_text().splitlines()
@@ -280,3 +281,35 @@ def test_log_csv_layout(tmp_path, monkeypatch, capsys):
         assert [(r["level"], r["epoch"]) for r in rows] == [("0", "0"), ("0", "1")]
         values = np.array([float(r[c]) for r in rows for c in val_columns])
         assert np.isfinite(values).all() if with_val else np.isnan(values).all()
+
+
+def test_log_val_eo_follows_the_config_eo_mode(tmp_path, monkeypatch, capsys):
+    # under eo_mode max, each epoch's val_eo is max(eopp gap, FPR gap) of that
+    # epoch's val predictions, as the probe report scores it, not their sum
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "dataset": {"id": "synthetic", "n": 600, "n_noise": 3},
+        "stack": {"levels": [{"latent": 3}], "adv_hidden": 4, "cls_hidden": 4},
+        "train": {"epochs": 4, "batch": 64}, "probe": {"epochs": 2},
+        "criterion": "eo", "eo_mode": "max", "out_dir": str(tmp_path / "runs")}))
+    seen = []
+
+    def recording(batch, eo_mode="sum"):
+        seen.append(batch)
+        return evaluate(batch, eo_mode=eo_mode)
+
+    monkeypatch.setattr(training, "evaluate", recording)
+    assert cli.main(["fit", "--config", str(path)]) == 0
+    run = Path(capsys.readouterr().out.rsplit(" in ", 1)[1].strip())
+    lines = (run / "train-level0.csv").read_text().splitlines()[2:]
+    rows = [dict(zip(LOG_COLUMNS, line.split(","))) for line in lines]
+    assert len(rows) == len(seen) == 4
+    both_gaps = 0
+    for row, batch in zip(rows, seen):
+        stats = naive_group_stats(batch.y_pred, batch.y_true, batch.s)
+        eopp = abs(stats[0]["tpr"] - stats[1]["tpr"])
+        fpr = abs(stats[0]["fpr"] - stats[1]["fpr"])
+        both_gaps += eopp > 0 and fpr > 0
+        assert float(row["val_eopp"]) == pytest.approx(eopp, abs=1e-12)
+        assert float(row["val_eo"]) == pytest.approx(max(eopp, fpr), abs=1e-12)
+    assert both_gaps  # where the sum and max forms differ
