@@ -343,8 +343,7 @@ class LevelLoss:
 
 
 def level_loss(level: Level, z_prev, y: np.ndarray, s: np.ndarray,
-               alpha: float, beta: float, gamma: float,
-               eopp_label: int = 0) -> LevelLoss:
+               alpha: float, beta: float, gamma: float) -> LevelLoss:
     """Reconstruction + adversary + classifier losses at one level, as a graph.
 
     ``z_prev`` is the level's input (matrix or graph node); the reconstruction
@@ -362,7 +361,7 @@ def level_loss(level: Level, z_prev, y: np.ndarray, s: np.ndarray,
     cls = bce_loss(forward(level.classifier, z), y.reshape(-1, 1).astype(float))
     objective = add(scale(rec, alpha), scale(cls, gamma))
 
-    idx = adversary_rows(level, y, eopp_label)
+    idx = adversary_rows(level, y)
     if idx.size == 0:
         return LevelLoss(objective=objective, rec=rec, cls=cls, adv=None, n_adv=0)
     rows = z if idx.size == y.shape[0] else take_rows(z, idx)

@@ -399,8 +399,8 @@ def cmd_table1(cfg: ExperimentConfig, jobs: int = 1) -> int:
     labels = [(kind, variant) for kind in TABLE1_MODELS for variant in TABLE1_VARIANTS]
     scored = [(kind, variant) for kind, variant in labels
               if not (copy_lafr and variant == "lafr")]
-    calls = [(kind, encoders[variant], std, cfg.cv_folds, seed, cfg.eo_mode,
-              probe_spec_for(cfg, seed), forest_spec_for(cfg, seed))
+    calls = [(kind, encoders[variant], std, cfg.cv_folds, seed, cfg.eo_mode, None,
+              forest_spec_for(cfg, seed))
              for kind, variant in scored]
     results = _map(cross_validate, calls, jobs)
     wall = time.perf_counter() - t0

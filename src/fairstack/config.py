@@ -3,6 +3,8 @@
 Every config key is declared once, as a field of :class:`ExperimentConfig`:
 its dotted key, type, default and bound. The parser, ``to_dict`` and the
 README key list (:func:`describe_keys`) are all derived from those fields.
+``stack.levels`` lists the code widths only; :func:`stack_spec_for` hands them
+to :mod:`model`'s two spec builders, one per variant.
 
 Unknown keys are rejected with their full dotted path, so typos fail loudly
 instead of silently running defaults; so is a ``dataset.*`` key that the
@@ -24,7 +26,7 @@ from .data import Dataset, load_adult, load_german, make_planted, make_synthetic
 from .downstream import ProbeSpec
 from .forest import ForestSpec
 from .metrics import EO_MODES
-from .model import CRITERIA, LevelSpec, StackSpec, vanilla_spec
+from .model import CRITERIA, StackSpec, stacked_spec, vanilla_spec
 from .training import TrainConfig
 
 DATA_DIR_ENV = "FAIRSTACK_DATA_DIR"
@@ -75,28 +77,27 @@ def _check(value, key: str, kind, nullable: bool = False, min=None, choices=None
 
 
 def _parse_levels(raw, key: str) -> tuple:
+    """The latent width of each level, checked to strictly decrease."""
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{key}: expected a non-empty list")
-    levels = []
+    latents = []
     for i, item in enumerate(raw):
         path = f"{key}[{i}]"
         if not isinstance(item, dict):
             raise ConfigError(f"{path}: expected an object")
-        _reject_unknown(item, {"latent", "hidden"}, path)
+        _reject_unknown(item, {"latent"}, path)
         if "latent" not in item:
             raise ConfigError(f"{path}.latent: required")
-        latent = _check(item["latent"], f"{path}.latent", int, min=1)
-        hidden = _check_list(item.get("hidden", []), f"{path}.hidden", int, min=1)
-        levels.append((hidden, latent))
-    for i in range(len(levels) - 1):
-        if levels[i + 1][1] >= levels[i][1]:
+        latents.append(_check(item["latent"], f"{path}.latent", int, min=1))
+    for i in range(len(latents) - 1):
+        if latents[i + 1] >= latents[i]:
             raise ConfigError(f"{key}[{i + 1}].latent: widths must strictly decrease "
-                              f"({levels[i][1]} then {levels[i + 1][1]})")
-    return tuple(levels)
+                              f"({latents[i]} then {latents[i + 1]})")
+    return tuple(latents)
 
 
 def _dump_levels(levels: tuple) -> list:
-    return [{"hidden": list(h), "latent": l} for h, l in levels]
+    return [{"latent": w} for w in levels]
 
 
 def _check_list(raw, key: str, kind, min=None) -> tuple:
@@ -152,7 +153,7 @@ class ExperimentConfig:
                                    ids=("synthetic",))
     subsample: int | None = _key("dataset.subsample", None, "seeded row cap; null: all", min=10)
     subsample_seed: int = _key("dataset.subsample_seed", 0, "subsample and generator seed", min=0)
-    levels: tuple = _key("stack.levels", doc="list of {latent, hidden}, latents decreasing",
+    levels: tuple = _key("stack.levels", doc="list of {latent}, latents decreasing",
                          parse=_parse_levels, dump=_dump_levels)
     adv_hidden: int = _key("stack.adv_hidden", StackSpec.adv_hidden,
                            "adversary hidden width, 0: linear", min=0)
@@ -161,8 +162,6 @@ class ExperimentConfig:
     epochs: int = _key("train.epochs", TrainConfig.epochs, "training epochs per level", min=1)
     batch: int = _key("train.batch", TrainConfig.batch_size, "minibatch rows", min=1)
     lr: float = _key("train.lr", TrainConfig.lr, "learning rate of both steps", min=1e-12)
-    eopp_adv_label: int = _key("train.eopp_adv_label", TrainConfig.eopp_adv_label,
-                               "eopp adversary's rows have this y", choices=(0, 1))
     alpha: float = _key("loss.alpha", StackSpec.alpha, "reconstruction weight", min=0)
     beta: float = _key("loss.beta", StackSpec.beta, "adversary weight", min=0)
     gamma: float = _key("loss.gamma", StackSpec.gamma, "classifier weight", min=0)
@@ -362,35 +361,23 @@ def stack_spec_for(cfg: ExperimentConfig, in_dim: int, variant: str = "stacked",
                    beta: float | None = None) -> StackSpec:
     """The architecture implied by the config for a given input width.
 
-    ``stacked`` gives one level per configured latent; ``vanilla`` collapses
-    the same chain into a single level (every intermediate width becomes an
-    interior hidden layer) so only the final code carries fairness pressure.
+    ``stacked`` gives one single-layer level per configured latent;
+    ``vanilla`` is one level whose encoder runs through the same widths (every
+    latent but the last becomes an interior hidden layer), so only the final
+    code carries fairness pressure.
     """
     beta = cfg.beta if beta is None else float(beta)
     common = dict(alpha=cfg.alpha, beta=beta, gamma=cfg.gamma, criterion=cfg.criterion,
                   adv_hidden=cfg.adv_hidden, cls_hidden=cfg.cls_hidden)
     if variant == "stacked":
-        specs = []
-        prev = in_dim
-        for hidden, latent in cfg.levels:
-            specs.append(LevelSpec(in_dim=prev, latent=latent, hidden=hidden))
-            prev = latent
-        return StackSpec(levels=tuple(specs), **common)
+        return stacked_spec(in_dim, cfg.levels, **common)
     if variant == "vanilla":
-        chain: list[int] = []
-        for hidden, latent in cfg.levels[:-1]:
-            chain.extend(hidden)
-            chain.append(latent)
-        chain.extend(cfg.levels[-1][0])
-        return vanilla_spec(in_dim, hidden=chain, latent=cfg.levels[-1][1], **common)
+        return vanilla_spec(in_dim, hidden=cfg.levels[:-1], latent=cfg.levels[-1], **common)
     raise ValueError(f"unknown variant {variant!r}, expected 'stacked' or 'vanilla'")
 
 
 def train_config_for(cfg: ExperimentConfig, seed: int) -> TrainConfig:
-    return TrainConfig(
-        epochs=cfg.epochs, batch_size=cfg.batch, lr=cfg.lr, seed=seed,
-        eopp_adv_label=cfg.eopp_adv_label,
-    )
+    return TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch, lr=cfg.lr, seed=seed)
 
 
 def probe_spec_for(cfg: ExperimentConfig, seed: int) -> ProbeSpec:

@@ -3,7 +3,8 @@
 Each level owns four networks: an encoder E_i mapping the previous code z_{i-1}
 to a narrower code z_i, a decoder D_i mirroring the encoder, a classifier head
 h_i predicting the label from z_i, and an adversary head f_i predicting the
-sensitive attribute from z_i (plus the label column under the eo criterion).
+sensitive attribute from z_i: from every row under dp, every row plus the
+label column under eo, and the y = 1 rows under eopp.
 Levels compose: z_0 is the raw input, z_i = E_i(z_{i-1}), with strictly
 decreasing code widths, and level i trains on the frozen codes z_{i-1}.
 :func:`level_grads` computes a level's signed objective and its gradients on
@@ -106,14 +107,14 @@ def validate_spec(spec: StackSpec) -> None:
         raise SpecError("adv_hidden and cls_hidden must be >= 0 (0 = linear head)")
 
 
-def stacked_spec(in_dim: int, latents=(20, 8), **kwargs) -> StackSpec:
+def stacked_spec(in_dim: int, latents, **kwargs) -> StackSpec:
     """A stack of single-layer encoders: in_dim -> latents[0] -> latents[1] ..."""
     dims = [in_dim, *latents]
     levels = tuple(LevelSpec(in_dim=dims[i], latent=dims[i + 1]) for i in range(len(latents)))
     return StackSpec(levels=levels, **kwargs)
 
 
-def vanilla_spec(in_dim: int, hidden=(20,), latent: int = 8, **kwargs) -> StackSpec:
+def vanilla_spec(in_dim: int, hidden, latent: int, **kwargs) -> StackSpec:
     """The single-level baseline: one encoder with interior hidden layers and
     one adversary acting on the final code only."""
     return StackSpec(levels=(LevelSpec(in_dim=in_dim, latent=latent, hidden=tuple(hidden)),),
@@ -166,22 +167,22 @@ def build(spec: StackSpec, seed: int) -> list[Level]:
 # Per-level loss
 
 
-def adversary_rows(level: Level, y: np.ndarray, eopp_label: int = 0) -> np.ndarray:
-    """Index of the rows the adversary sees: under eopp the rows with
-    y == eopp_label, otherwise all rows."""
+def adversary_rows(level: Level, y: np.ndarray) -> np.ndarray:
+    """Index of the rows the adversary sees: under eopp the y == 1 rows, the
+    rows whose TPR gap ``delta_eopp`` measures; otherwise all rows."""
     if level.criterion == "eopp":
-        return np.flatnonzero(y == eopp_label)
+        return np.flatnonzero(y == 1)
     return np.arange(y.shape[0])
 
 
-def adversary_input(level: Level, z: np.ndarray, y: np.ndarray,
-                    eopp_label: int = 0) -> tuple[np.ndarray | None, np.ndarray]:
+def adversary_input(level: Level, z: np.ndarray,
+                    y: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
     """The adversary's input rows of the codes ``z`` and their row index.
 
     The rows are those :func:`adversary_rows` picks; under eo the label column
     is appended. The input is None when no row qualifies.
     """
-    idx = adversary_rows(level, y, eopp_label)
+    idx = adversary_rows(level, y)
     if idx.size == 0:
         return None, idx
     rows = z if idx.size == y.shape[0] else z[idx]
@@ -196,8 +197,7 @@ def _check_rows(n: int, y: np.ndarray, s: np.ndarray, what: str) -> None:
 
 
 def level_grads(level: Level, x: np.ndarray, y: np.ndarray, s: np.ndarray,
-                alpha: float, beta: float, gamma: float,
-                eopp_label: int = 0) -> tuple[float, float, float | None]:
+                alpha: float, beta: float, gamma: float) -> tuple[float, float, float | None]:
     """The objective of a level's main step, alpha*rec + gamma*cls - beta*adv,
     on the explicit kernel: forward the level's input ``x`` through the level
     and accumulate d(objective)/d(parameter) into ``.grad`` of its encoder,
@@ -224,7 +224,7 @@ def level_grads(level: Level, x: np.ndarray, y: np.ndarray, s: np.ndarray,
     g_z = level.classifier.backward(cls_tape, g_cls)
     if g_rec is not None:
         g_z = level.decoder.backward(dec_tape, g_rec) + g_z
-    rows, idx = adversary_input(level, z, y, eopp_label)
+    rows, idx = adversary_input(level, z, y)
     adv = None
     if rows is not None:
         adv_tape: list = []

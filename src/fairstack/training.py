@@ -3,9 +3,11 @@
 Per batch the main step updates encoder, decoder and classifier to minimize
 alpha*L_rec + gamma*L_class - beta*L_adv with the adversary frozen; then the
 adversary alone takes one adversary step, at the same learning rate, on
-BCE(f(z), s) against the freshly updated (and detached) codes. Levels train
-sequentially, each on the codes of the frozen level before it, computed once
-by that level's encoder.
+BCE(f(z), s) against the freshly updated (and detached) codes. In both steps
+the adversary sees the rows :func:`model.adversary_rows` picks: every row
+under dp and eo, the y == 1 rows under eopp. Levels train sequentially, each
+on the codes of the frozen level before it, computed once by that level's
+encoder.
 
 Both steps run on the explicit kernel of :mod:`nn` (:func:`model.level_grads`
 for the main step, :func:`nn.bce_step` for the adversary), with one flat Adam
@@ -23,7 +25,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .data import Dataset, batches
-from .metrics import PredictionBatch, evaluate, threshold_predictions
+from .metrics import PredictionBatch, UndefinedMetricError, evaluate, threshold_predictions
 from .model import Level, StackSpec, TrainedStack, adversary_input, build, level_grads, spec_hash
 from .nn import Adam, DimensionError, bce_step
 
@@ -38,7 +40,6 @@ class TrainConfig:
     batch_size: int = 64
     lr: float = 0.01                  # both sides: the main step and the adversary step
     seed: int = 0
-    eopp_adv_label: int = 0           # adversary subset under eopp: rows with y == this
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -49,8 +50,6 @@ class TrainConfig:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.eopp_adv_label not in (0, 1):
-            raise ValueError(f"eopp_adv_label must be 0 or 1, got {self.eopp_adv_label}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -77,8 +76,8 @@ LOG_COLUMNS = tuple(f.name for f in fields(EpochRecord))
 
 
 def _adversary_accuracy(level: Level, z_val: np.ndarray, y_val: np.ndarray,
-                        s_val: np.ndarray, eopp_label: int) -> float:
-    rows, idx = adversary_input(level, z_val, y_val, eopp_label)
+                        s_val: np.ndarray) -> float:
+    rows, idx = adversary_input(level, z_val, y_val)
     if rows is None:
         return math.nan
     pred = threshold_predictions(level.adversary.forward_value(rows))
@@ -90,7 +89,7 @@ def _classifier_gaps(level: Level, z_val: np.ndarray, y_val: np.ndarray,
     pred = threshold_predictions(level.classifier.forward_value(z_val))
     try:  # an empty group makes every gap undefined
         report = evaluate(PredictionBatch(pred, y_val, s_val), eo_mode=eo_mode)
-    except ValueError:
+    except UndefinedMetricError:
         return math.nan, math.nan, math.nan
     gaps = (report.delta_dp, report.delta_eo, report.delta_eopp)
     return tuple(math.nan if g is None else g for g in gaps)
@@ -115,15 +114,13 @@ def _run_level(level: Level, level_index: int, X: np.ndarray, y: np.ndarray,
         n_batches = 0
         n_adv_batches = 0
         for b_num, idx in enumerate(batches(n, cfg.batch_size, (cfg.seed, level_index), epoch)):
-            where = f"level {level_index}, epoch {epoch}, batch {b_num}"
             try:
                 xb = X[idx]
                 yb, sb = y[idx], s[idx]
                 # Main step: encoder/decoder/classifier descend the signed
                 # level objective.
                 adam_main.zero_grad()
-                rec, cls, adv = level_grads(level, xb, yb, sb, alpha, beta, gamma,
-                                            cfg.eopp_adv_label)
+                rec, cls, adv = level_grads(level, xb, yb, sb, alpha, beta, gamma)
                 adam_main.step()
 
                 rec_sum += rec
@@ -135,16 +132,17 @@ def _run_level(level: Level, level_index: int, X: np.ndarray, y: np.ndarray,
 
                 # Adversary step on the updated, detached codes.
                 z_now = level.encoder.forward_value(xb)
-                rows, sub = adversary_input(level, z_now, yb, cfg.eopp_adv_label)
+                rows, sub = adversary_input(level, z_now, yb)
                 if rows is not None:
                     bce_step(level.adversary, adam_adv, rows, s_col[idx[sub]])
             except FloatingPointError as exc:
-                raise DivergenceError(f"non-finite value at {where}: {exc}") from exc
+                raise DivergenceError(f"non-finite value at level {level_index}, epoch {epoch}, "
+                                      f"batch {b_num}: {exc}") from exc
 
         if val is not None:
             Xv, yv, sv = val
             zv = level.encoder.forward_value(Xv)
-            adv_acc = _adversary_accuracy(level, zv, yv, sv, cfg.eopp_adv_label)
+            adv_acc = _adversary_accuracy(level, zv, yv, sv)
             dp, eo, eopp = _classifier_gaps(level, zv, yv, sv, eo_mode)
         else:
             adv_acc = dp = eo = eopp = math.nan

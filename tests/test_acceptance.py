@@ -24,7 +24,8 @@ from fairstack.cli import main
 from fairstack.data import make_synthetic, standardize, train_val_test_split
 from fairstack.downstream import ProbeSpec, train_probe
 from fairstack.metrics import PredictionBatch, UndefinedMetricError, evaluate
-from fairstack.model import LevelSpec, StackSpec, build, level_grads, stacked_spec
+from fairstack.model import (LevelSpec, StackSpec, adversary_rows, build, level_grads,
+                             stacked_spec)
 from fairstack.nn import Adam
 from fairstack.training import TrainConfig, train_stack
 from oracles import (adam_reference_trace, all_params, enumerate_count_batches,
@@ -409,7 +410,7 @@ def test_parity_gap_bands_german(german_file, tmp_path, capsys):
 def test_repeated_fit_is_bit_identical(tmp_path, capsys):
     cfg = {
         "dataset": {"id": "synthetic", "n": 200, "n_noise": 2},
-        "stack": {"levels": [{"hidden": [6], "latent": 3}],
+        "stack": {"levels": [{"latent": 3}],
                   "adv_hidden": 4, "cls_hidden": 4},
         "train": {"epochs": 3, "batch": 32},
         "seeds": [5],
@@ -460,15 +461,16 @@ def test_adversary_wiring_invariants():
         differs = l_y.adv.value.item() != l_flip.adv.value.item()
         assert differs == should_differ, crit
 
-    # eopp: adversary gradients vanish exactly on rows outside y == 0
+    # eopp: the adversary sees the y == 1 rows, the rows delta_eopp conditions
+    # on, and its gradient vanishes exactly on the y == 0 rows
     level = build(stacked_spec(6, (3,), criterion="eopp"), seed=4)[0]
+    assert np.array_equal(adversary_rows(level, y), np.flatnonzero(y == 1))
     z_prev = parameter(X)
-    parts = level_loss(level, z_prev, y, s, alpha=0.0, beta=1.0, gamma=0.0,
-                       eopp_label=0)
-    assert parts.n_adv == int((y == 0).sum())
+    parts = level_loss(level, z_prev, y, s, alpha=0.0, beta=1.0, gamma=0.0)
+    assert parts.n_adv == int((y == 1).sum())
     backward(parts.adv)
-    outside = z_prev.grad[y != 0]
-    inside = z_prev.grad[y == 0]
+    outside = z_prev.grad[y == 0]
+    inside = z_prev.grad[y == 1]
     assert np.all(outside == 0.0)
     assert np.any(inside != 0.0)
 

@@ -27,7 +27,7 @@ from fairstack.training import DivergenceError, train_stack
 def _base_config(out_dir: str) -> dict:
     return {
         "dataset": {"id": "synthetic", "n": 120, "n_noise": 1},
-        "stack": {"levels": [{"hidden": [5], "latent": 3}],
+        "stack": {"levels": [{"latent": 3}],
                   "adv_hidden": 4, "cls_hidden": 4},
         "train": {"epochs": 2, "batch": 32},
         "loss": {"alpha": 1.0, "beta": 1.0, "gamma": 1.0},
@@ -103,8 +103,7 @@ def test_levels_required_and_nonempty():
 
 def test_levels_must_strictly_decrease():
     cfg = _base_config("runs")
-    cfg["stack"]["levels"] = [{"hidden": [5], "latent": 4},
-                              {"hidden": [], "latent": 4}]
+    cfg["stack"]["levels"] = [{"latent": 4}, {"latent": 4}]
     with pytest.raises(ConfigError, match="strictly decrease"):
         parse_config(cfg)
 
@@ -268,21 +267,20 @@ def test_dataset_key_the_id_does_not_read_exit_2(tmp_path, monkeypatch, capsys,
 
 def test_stack_spec_for_both_variants():
     cfg = _base_config("runs")
-    cfg["stack"]["levels"] = [{"hidden": [10], "latent": 8},
-                              {"hidden": [6], "latent": 4}]
+    cfg["stack"]["levels"] = [{"latent": 10}, {"latent": 8}, {"latent": 4}]
     parsed = parse_config(cfg)
 
     stacked = stack_spec_for(parsed, in_dim=20, variant="stacked")
     assert [(l.in_dim, l.latent, l.hidden) for l in stacked.levels] == [
-        (20, 8, (10,)), (8, 4, (6,))]
+        (20, 10, ()), (10, 8, ()), (8, 4, ())]
 
-    # vanilla folds the whole chain into one level: the old latent widths
+    # vanilla folds the whole chain into one level: the earlier latent widths
     # become interior hidden layers, only the last code is adversarially shaped
     vanilla = stack_spec_for(parsed, in_dim=20, variant="vanilla")
     assert len(vanilla.levels) == 1
     assert vanilla.levels[0].in_dim == 20
     assert vanilla.levels[0].latent == 4
-    assert vanilla.levels[0].hidden == (10, 8, 6)
+    assert vanilla.levels[0].hidden == (10, 8)
 
     assert stack_spec_for(parsed, 20, beta=7.5).beta == 7.5
     assert stack_spec_for(parsed, 20).beta == parsed.beta
@@ -344,10 +342,14 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["train.freeze_previous", "train.adversary_warm_start",
                                  "loss.root_mse", "train.adv_steps", "train.lr_adv",
-                                 "probe.lr", "probe.batch", "forest.min_samples_split"])
+                                 "probe.lr", "probe.batch", "forest.min_samples_split",
+                                 "train.eopp_adv_label", "stack.levels[0].hidden"])
 def test_removed_training_key_exit_2(tmp_path, capsys, key):
-    section, leaf = key.split(".")
-    path = _write_config(tmp_path, **{section: {leaf: False}})
+    if key == "stack.levels[0].hidden":  # a level lists its latent width only
+        path = _write_config(tmp_path, stack={"levels": [{"latent": 3, "hidden": [5]}]})
+    else:
+        section, leaf = key.split(".")
+        path = _write_config(tmp_path, **{section: {leaf: False}})
     assert main(["fit", "--config", str(path)]) == 2
     assert f"unknown config key '{key}'" in capsys.readouterr().err
 
@@ -1093,3 +1095,21 @@ def test_table1_in_a_pool_matches_the_serial_run(tmp_path, capsys):
         cells = json.loads((run / "table1.json").read_text())["cells"]
         outputs.append(((run / "table1.csv").read_bytes(), cells))
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# every command under the label-aware criteria
+
+
+@pytest.mark.parametrize("criterion", ["eo", "eopp"])
+def test_fit_sweep_and_table1_run_under_criterion(tmp_path, capsys, criterion):
+    path = _write_config(tmp_path, criterion=criterion)
+    for command in ("fit", "sweep", "table1"):
+        assert main([command, "--config", str(path)]) == 0, command
+        run = _run_dir_from(capsys.readouterr().out)
+        if command == "fit":
+            stack = TrainedStack.load(run / "model.fstk")
+            assert stack.encode(np.zeros((2, stack.in_dim))).shape == (2, 3)
+        elif command == "sweep":
+            ok = [r for r in _read_csv_rows(run / "sweep.csv") if r["status"] == "ok"]
+            assert ok and all(np.isfinite(float(r["delta_dp"])) for r in ok)

@@ -49,16 +49,15 @@ def _grad_cases():
         for alpha in (0.0, 0.7):
             for linear_adv in (False, True):
                 for hidden_layer in (False, True):
-                    labels = (0, 1) if crit == "eopp" else (0,)
-                    for label in labels:
-                        yield crit, alpha, linear_adv, hidden_layer, label
+                    yield crit, alpha, linear_adv, hidden_layer, int(crit == "eopp")
 
 
-@pytest.mark.parametrize("crit,alpha,linear_adv,hidden_layer,label", list(_grad_cases()))
-def test_kernel_gradients_match_the_graph(crit, alpha, linear_adv, hidden_layer, label):
+@pytest.mark.parametrize("crit,alpha,linear_adv,hidden_layer,draw", list(_grad_cases()))
+def test_kernel_gradients_match_the_graph(crit, alpha, linear_adv, hidden_layer, draw):
     # level 1's main step on level 0's codes; linear_adv: the adversary has
-    # no hidden layer, hidden_layer: each encoder has one of width 4
-    rng = np.random.default_rng([len(crit), int(10 * alpha), linear_adv, hidden_layer, label])
+    # no hidden layer, hidden_layer: each encoder has one of width 4; draw
+    # keys the data: the eopp cases draw their batches apart from dp and eo
+    rng = np.random.default_rng([len(crit), int(10 * alpha), linear_adv, hidden_layer, draw])
     spec = _spec(crit, alpha, hidden=(4,) if hidden_layer else (),
                  adv_hidden=0 if linear_adv else 4)
     X = rng.normal(size=(16, 7))
@@ -69,11 +68,10 @@ def test_kernel_gradients_match_the_graph(crit, alpha, linear_adv, hidden_layer,
         for p in levels[0].encoder.params():
             p.value += 0.1 * np.random.default_rng(4).normal(size=p.value.shape)
 
-    parts = level_loss(graph[1], graph[0].encoder.forward_value(X), y, s, alpha, 1.3, 0.9,
-                       label)
+    parts = level_loss(graph[1], graph[0].encoder.forward_value(X), y, s, alpha, 1.3, 0.9)
     ad.backward(parts.objective)
     rec, cls, adv = level_grads(kernel[1], kernel[0].encoder.forward_value(X), y, s, alpha,
-                                1.3, 0.9, label)
+                                1.3, 0.9)
 
     assert rec == parts.rec.item() and cls == parts.cls.item()
     assert (adv is None) == (parts.adv is None)
@@ -116,9 +114,9 @@ def test_kernel_gradients_with_an_empty_eopp_subset():
     y = np.zeros(8, dtype=int)  # no row has y == 1: the adversary term drops out
     s = rng.integers(0, 2, 8)
     graph, kernel = build(spec, seed=0), build(spec, seed=0)
-    parts = level_loss(graph[0], X, y, s, 0.0, 1.3, 0.9, eopp_label=1)
+    parts = level_loss(graph[0], X, y, s, 0.0, 1.3, 0.9)
     ad.backward(parts.objective)
-    rec, cls, adv = level_grads(kernel[0], X, y, s, 0.0, 1.3, 0.9, eopp_label=1)
+    rec, cls, adv = level_grads(kernel[0], X, y, s, 0.0, 1.3, 0.9)
     assert parts.adv is None and adv is None
     assert (rec, cls) == (parts.rec.item(), parts.cls.item())
     for g, k in zip(main_params(graph[0]), main_params(kernel[0])):
@@ -142,8 +140,7 @@ def _reference_run_level(level, level_index, X, y, s, alpha, beta, gamma, cfg, v
         for idx in batches(X.shape[0], cfg.batch_size, (cfg.seed, level_index), epoch):
             xb, yb, sb = X[idx], y[idx], s[idx]
             ad.zero_grads(main + level.adversary.params())
-            parts = level_loss(level, xb, yb, sb, alpha, beta, gamma,
-                               eopp_label=cfg.eopp_adv_label)
+            parts = level_loss(level, xb, yb, sb, alpha, beta, gamma)
             ad.backward(parts.objective)
             adam_main.step()
             rec_sum += parts.rec.item()
@@ -155,7 +152,7 @@ def _reference_run_level(level, level_index, X, y, s, alpha, beta, gamma, cfg, v
 
             z = level.encoder.forward_value(xb)
             if level.criterion == "eopp":
-                sub = np.flatnonzero(yb == cfg.eopp_adv_label)
+                sub = np.flatnonzero(yb == 1)
             else:
                 sub = np.arange(yb.shape[0])
             if sub.size == 0:
@@ -171,7 +168,7 @@ def _reference_run_level(level, level_index, X, y, s, alpha, beta, gamma, cfg, v
         if val is not None:
             zv, yv, sv = val
             zv = level.encoder.forward_value(zv)
-            adv_acc = training._adversary_accuracy(level, zv, yv, sv, cfg.eopp_adv_label)
+            adv_acc = training._adversary_accuracy(level, zv, yv, sv)
             dp, eo, eopp = training._classifier_gaps(level, zv, yv, sv, eo_mode)
         records.append(EpochRecord(
             level=level_index, epoch=epoch, loss_rec=rec_sum / n_batches,
@@ -192,13 +189,12 @@ TRACE_CASES = {
     # name: (StackSpec overrides, TrainConfig overrides)
     "dp": ({}, {}),
     "eo": ({"criterion": "eo"}, {}),
-    "eopp-label-0": ({"criterion": "eopp"}, {}),
-    "eopp-label-1-empty-batches": ({"criterion": "eopp"},
-                                   {"eopp_adv_label": 1, "batch_size": 8}),
+    "eopp": ({"criterion": "eopp"}, {}),
+    "eopp-empty-batches": ({"criterion": "eopp"}, {"batch_size": 8}),
     "hidden-and-linear-heads": ({"hidden": (6,), "adv_hidden": 0, "cls_hidden": 0}, {}),
     "alpha": ({"alpha": 0.7}, {}),
     "alpha-eo": ({"alpha": 0.5, "criterion": "eo"}, {}),
-    "alpha-eopp-label-1": ({"alpha": 0.7, "criterion": "eopp"}, {"eopp_adv_label": 1}),
+    "alpha-eopp": ({"alpha": 0.7, "criterion": "eopp"}, {}),
 }
 
 

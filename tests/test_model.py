@@ -218,21 +218,16 @@ def test_level_loss_hand_computed_two_samples():
 def test_eopp_subset_restricts_adversary_rows():
     levels = build(stacked_spec(10, (4,), criterion="eopp"), seed=0)
     X, _, s = _toy_batch()
-    y = np.array([0, 1] * 8)
-    parts = level_loss(levels[0], X, y, s, alpha=1.0, beta=1.0, gamma=1.0,
-                       eopp_label=0)
-    assert parts.n_adv == 8
-    parts1 = level_loss(levels[0], X, y, s, alpha=1.0, beta=1.0, gamma=1.0,
-                        eopp_label=1)
-    assert parts1.n_adv == 8
+    y = np.array([0, 1, 0, 0] * 4)  # the adversary sees the 4 rows with y == 1
+    parts = level_loss(levels[0], X, y, s, alpha=1.0, beta=1.0, gamma=1.0)
+    assert parts.n_adv == 4
 
 
 def test_eopp_empty_subset_drops_adversary_term():
     levels = build(stacked_spec(10, (4,), criterion="eopp"), seed=0)
     X, _, s = _toy_batch()
-    y = np.ones(16, dtype=int)  # nothing has y == 0
-    parts = level_loss(levels[0], X, y, s, alpha=1.0, beta=1.0, gamma=1.0,
-                       eopp_label=0)
+    y = np.zeros(16, dtype=int)  # nothing has y == 1
+    parts = level_loss(levels[0], X, y, s, alpha=1.0, beta=1.0, gamma=1.0)
     assert parts.adv is None and parts.n_adv == 0
     assert parts.objective.item() == pytest.approx(
         parts.rec.item() + parts.cls.item(), rel=1e-12

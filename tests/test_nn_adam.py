@@ -203,7 +203,7 @@ def test_adversary_steps_match_the_graph(criterion):
     y, s = rng.integers(0, 2, 64), rng.integers(0, 2, 64)
     spec = stacked_spec(6, (3,), criterion=criterion, adv_hidden=5)
     level = build(spec, seed=1)[0]
-    rows, idx = adversary_input(level, level.encoder.forward_value(X), y, eopp_label=1)
+    rows, idx = adversary_input(level, level.encoder.forward_value(X), y)
     assert rows.shape[1] == 3 + (criterion == "eo")
     assert (idx.size < 64) == (criterion == "eopp")
     target = s[idx].reshape(-1, 1).astype(float)

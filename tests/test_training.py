@@ -40,8 +40,28 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(eopp_adv_label=2)
+
+
+# ---------------------------------------------------------------------------
+# val scoring
+
+
+def test_bad_eo_mode_raises_instead_of_logging_nan():
+    train, val = _synthetic_split(n=64)
+    with pytest.raises(ValueError, match="eo_mode must be one of"):
+        train_stack(stacked_spec(train.d, (4,)), train, TrainConfig(epochs=2), val=val,
+                    eo_mode="Max")
+
+
+def test_val_split_with_an_empty_group_logs_nan_gaps():
+    train, val = _synthetic_split(n=64)
+    val = dataclasses.replace(val, s=np.zeros_like(val.s))  # no row has s == 1
+    _, (records,) = train_stack(stacked_spec(train.d, (4,)), train, TrainConfig(epochs=2),
+                                val=val)
+    assert len(records) == 2
+    for r in records:
+        assert np.isnan([r.val_dp, r.val_eo, r.val_eopp]).all()
+        assert np.isfinite(r.adv_acc)
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +209,9 @@ def test_eopp_rows_outside_subset_get_zero_gradient():
     ds = make_synthetic(n=64, seed=3)
     level = build(stacked_spec(ds.d, (3,), criterion="eopp"), seed=0)[0]
     z_prev = ad.parameter(ds.X)
-    parts = level_loss(level, z_prev, ds.y, ds.s, alpha=1.0, beta=1.0,
-                       gamma=1.0, eopp_label=0)
+    parts = level_loss(level, z_prev, ds.y, ds.s, alpha=1.0, beta=1.0, gamma=1.0)
     ad.backward(parts.adv)
-    outside = ds.y != 0
+    outside = ds.y != 1
     assert outside.any() and (~outside).any()
     np.testing.assert_array_equal(z_prev.grad[outside],
                                   np.zeros_like(z_prev.grad[outside]))
