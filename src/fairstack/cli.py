@@ -287,10 +287,9 @@ def _map(fn, calls: list[tuple], jobs: int) -> list:
         return list(ex.map(fn, *zip(*calls)))
 
 
-def _write_rows(path: Path, columns, rows, comment: str | None = None) -> None:
+def _write_rows(path: Path, columns, rows, comment: str) -> None:
     with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
+        fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:

@@ -302,34 +302,32 @@ def load_config(path, seed: int | None = None) -> ExperimentConfig:
 
 
 def _with_dataset_path(cfg: ExperimentConfig, base_dir: Path | None) -> ExperimentConfig:
-    """Check that the data can be found, and store a given dataset.path as the
-    absolute path it names. A null path stays null: $FAIRSTACK_DATA_DIR is
-    read again when the data is loaded, so the config hash does not depend
-    on the environment."""
+    """Store a given dataset.path as the absolute path it names, looked up
+    next to the config first, then in the cwd, and check that the data can be
+    found. A null path stays null: $FAIRSTACK_DATA_DIR is read again when the
+    data is loaded, so the config hash does not depend on the environment."""
     if cfg.dataset_id in ("synthetic", "planted"):  # generated: no file
         return cfg
     if cfg.dataset_path:
         p = Path(cfg.dataset_path)
         found = next((c for c in ([base_dir / p] if base_dir else []) + [p] if c.exists()), None)
         if found is not None:
-            return dataclasses.replace(cfg, dataset_path=str(found.resolve()))
-    elif resolve_data_path(cfg) is not None:
-        return cfg
-    raise ConfigError(
-        f"dataset.path: no path configured for dataset {cfg.dataset_id!r} and "
-        f"${DATA_DIR_ENV} is not set (or the file does not exist)"
-    )
+            cfg = dataclasses.replace(cfg, dataset_path=str(found.resolve()))
+    resolve_data_path(cfg)
+    return cfg
 
 
-def resolve_data_path(cfg: ExperimentConfig) -> Path | None:
-    """dataset.path (absolute once parsed) if it exists, else $FAIRSTACK_DATA_DIR."""
-    if cfg.dataset_path:
-        p = Path(cfg.dataset_path)
-        return p if p.exists() else None
-    env = os.environ.get(DATA_DIR_ENV)
-    if env and Path(env).exists():
-        return Path(env)
-    return None
+def resolve_data_path(cfg: ExperimentConfig) -> Path:
+    """dataset.path (absolute once parsed), else $FAIRSTACK_DATA_DIR; a
+    :class:`ConfigError` naming the one it read when nothing is there."""
+    key, value = (("dataset.path", cfg.dataset_path) if cfg.dataset_path
+                  else (f"${DATA_DIR_ENV}", os.environ.get(DATA_DIR_ENV)))
+    if not value:
+        raise ConfigError(f"dataset.path: null for dataset {cfg.dataset_id!r}, "
+                          f"and ${DATA_DIR_ENV} is not set")
+    if not Path(value).exists():
+        raise ConfigError(f"{key}: {value} does not exist")
+    return Path(value)
 
 
 def load_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -339,17 +337,12 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
     elif cfg.dataset_id == "planted":
         ds = make_planted(n=cfg.synthetic_n, seed=cfg.subsample_seed)
     else:
-        path = resolve_data_path(cfg)
-        if path is None:
-            raise ConfigError(f"dataset.path: cannot locate data for {cfg.dataset_id!r}")
         loader = load_adult if cfg.dataset_id == "adult" else load_german
-        ds = loader(path)
+        ds = loader(resolve_data_path(cfg))
     if cfg.subsample is not None and cfg.subsample < ds.n:
         idx = np.sort(np.random.default_rng(cfg.subsample_seed)
                       .choice(ds.n, size=cfg.subsample, replace=False))
-        sub = ds.subset(idx)
-        sub.meta["subsampled_from"] = ds.n
-        return sub
+        return ds.subset(idx)
     return ds
 
 

@@ -2,7 +2,8 @@
 
 Three independent predictors score a frozen encoding: a one-hidden-layer MLP
 probe, logistic regression (both trained with plain BCE, no fairness terms,
-on the explicit kernel of :mod:`nn`), and a random forest.
+on the explicit kernel of :mod:`nn`, at the fixed ``PROBE_*`` and
+``LOGREG_*`` settings), and a random forest.
 ``cross_validate`` runs the k-fold protocol — encode, fit on the train fold,
 report fairness metrics on the test fold — and aggregates mean and sample
 standard deviation per metric.
@@ -24,6 +25,8 @@ from .training import DivergenceError
 
 PROBE_LR = 0.01
 PROBE_BATCH = 64
+LOGREG_EPOCHS = 500
+LOGREG_LR = 0.05
 
 
 @dataclass
@@ -78,22 +81,20 @@ def train_probe(stack: TrainedStack, X: np.ndarray, y: np.ndarray,
     return MLPPredictor(mlp, stack=stack)
 
 
-def train_logreg(features: np.ndarray, y: np.ndarray, seed: int = 0,
-                 epochs: int = 500, lr: float = 0.05) -> MLPPredictor:
+def train_logreg(features: np.ndarray, y: np.ndarray, seed: int = 0) -> MLPPredictor:
     """Logistic regression = single dense layer + sigmoid, full-batch Adam on
-    BCE. Raises :class:`DivergenceError` on a non-finite value or if the loss
-    before the last step is not below the loss before the first."""
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    BCE (``LOGREG_EPOCHS`` steps at ``LOGREG_LR``). Raises :class:`DivergenceError`
+    on a non-finite value or if the loss before the last step is not below
+    the loss before the first."""
     X, y = _fit_input(features, y)
     mlp = MLP([X.shape[1], 1], np.random.default_rng(seed), output_activation="sigmoid")
-    opt = Adam(mlp.params(), lr=lr)
+    opt = Adam(mlp.params(), lr=LOGREG_LR)
     target = y.reshape(-1, 1).astype(float)
     try:
-        first = bce(mlp.forward_value(X), target)
-        for _ in range(epochs - 1):
+        first, _ = bce(mlp.forward_value(X), target)
+        for _ in range(LOGREG_EPOCHS - 1):
             bce_step(mlp, opt, X, target)
-        last = bce(mlp.forward_value(X), target)
+        last, _ = bce(mlp.forward_value(X), target)
         bce_step(mlp, opt, X, target)
     except FloatingPointError as exc:
         raise DivergenceError(f"non-finite value in logistic regression: {exc}") from exc

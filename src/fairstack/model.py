@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .nn import MLP, DimensionError, _bce_with_grad, dense_forward, mse
+from .nn import MLP, DimensionError, bce, dense_forward, mse
 
 CRITERIA = ("dp", "eo", "eopp")
 
@@ -219,7 +219,7 @@ def level_grads(level: Level, x: np.ndarray, y: np.ndarray, s: np.ndarray,
     rec, g_rec = mse(level.decoder.forward_value(z, dec_tape), x, alpha if alpha else None)
     y_hat = level.classifier.forward_value(z, cls_tape)
     y_col = y.reshape(-1, 1).astype(float)
-    cls, g_cls = _bce_with_grad(y_hat, y_col, gamma)
+    cls, g_cls = bce(y_hat, y_col, gamma)
     # d(objective)/dz sums the heads in the graph's order: rec, cls, adv
     g_z = level.classifier.backward(cls_tape, g_cls)
     if g_rec is not None:
@@ -230,7 +230,7 @@ def level_grads(level: Level, x: np.ndarray, y: np.ndarray, s: np.ndarray,
         adv_tape: list = []
         s_hat = level.adversary.forward_value(rows, adv_tape)
         s_col = s[idx].reshape(-1, 1).astype(float)
-        adv, g_adv = _bce_with_grad(s_hat, s_col, -beta)
+        adv, g_adv = bce(s_hat, s_col, -beta)
         g_rows = level.adversary.backward(adv_tape, g_adv, param_grads=False)
         if level.criterion == "eo":
             g_rows = g_rows[:, :level.latent]
@@ -352,6 +352,9 @@ class TrainedStack:
                     raise ModelFormatError(
                         f"level {i}, layer {j} takes width {n_in}, but its input has "
                         f"width {width}: {path}")
+                if 0 in (n_in, n_out):
+                    raise ModelFormatError(f"level {i}, layer {j} has a width of 0 "
+                                           f"({n_in} -> {n_out}): {path}")
                 width = n_out
                 W = np.frombuffer(take(8 * n_in * n_out), dtype="<f8").reshape(n_in, n_out).copy()
                 b = np.frombuffer(take(8 * n_out), dtype="<f8").reshape(1, n_out).copy()
@@ -360,6 +363,8 @@ class TrainedStack:
                         f"non-finite weight or bias in level {i}, layer {j}: {path}")
                 layers.append((W, b, act))
             levels.append(layers)
+        if width == 0:  # a file with no level and a header in_dim of 0
+            raise ModelFormatError(f"model input width is 0: {path}")
         (prov_len,) = struct.unpack("<I", take(4))
         try:
             provenance = json.loads(take(prov_len).decode())

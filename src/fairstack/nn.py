@@ -11,11 +11,11 @@ Every forward pass, training or inference, is one :func:`dense_forward`.
 A training step hands it a tape, a list that receives each layer's input,
 pre-activation and output; ``MLP.backward(tape, g)`` walks that tape in
 reverse and accumulates into each :class:`Param`'s ``.grad``. The caller owns
-the tape, so a network keeps no copy of what it last saw. :func:`mse` returns
-a loss with its gradient, :func:`bce` and :func:`bce_grad` apart, so a step
-that reads no loss computes none (a non-finite gradient then fails
-:class:`Adam`'s check). The reference graph does the same element-wise math
-in the same order, byte for byte, and no production module imports it.
+the tape, so a network keeps no copy of what it last saw. :func:`mse` and
+:func:`bce` return a loss and ``scale`` times its gradient; :func:`bce_grad`
+is the gradient alone, for a step that reads no loss (a non-finite
+gradient then fails :class:`Adam`'s check). The reference graph does the
+same math in the same order, byte for byte; no production module imports it.
 """
 
 from __future__ import annotations
@@ -144,28 +144,23 @@ class MLP:
         return [p for pair in zip(self.weights, self.biases) for p in pair]
 
 
-def bce(predicted: np.ndarray, target: np.ndarray) -> float:
-    """Mean BCE of ``predicted``, clamped into [BCE_EPS, 1-BCE_EPS], against ``target``."""
-    return _bce_value(np.clip(predicted, BCE_EPS, 1.0 - BCE_EPS), target)
-
-
-def bce_grad(predicted: np.ndarray, target: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """``scale`` times the gradient of :func:`bce` (zero where its clamp is active)."""
-    return _bce_grad(predicted, np.clip(predicted, BCE_EPS, 1.0 - BCE_EPS), target, scale)
-
-
-def _bce_with_grad(predicted: np.ndarray, target: np.ndarray,
-                   scale: float) -> tuple[float, np.ndarray]:
-    """:func:`bce` and :func:`bce_grad` of one head, clamping it once."""
+def bce(predicted: np.ndarray, target: np.ndarray,
+        scale: float | None = None) -> tuple[float, np.ndarray | None]:
+    """Mean BCE of ``predicted``, clamped into [BCE_EPS, 1-BCE_EPS], against
+    ``target``, and ``scale`` times its gradient (zero where clamped), None
+    without a ``scale``: the value and pullback of the graph's ``bce_loss``."""
     p = np.clip(predicted, BCE_EPS, 1.0 - BCE_EPS)
-    return _bce_value(p, target), _bce_grad(predicted, p, target, scale)
-
-
-def _bce_value(p: np.ndarray, target: np.ndarray) -> float:
     value = float(-(target * np.log(p) + (1.0 - target) * np.log1p(-p)).mean())
     if not math.isfinite(value):
         raise FloatingPointError("non-finite values in bce_loss")
-    return value
+    if scale is None:
+        return value, None
+    return value, _bce_grad(predicted, p, target, scale)
+
+
+def bce_grad(predicted: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The gradient of :func:`bce` alone, for a step that reads no loss."""
+    return _bce_grad(predicted, np.clip(predicted, BCE_EPS, 1.0 - BCE_EPS), target, 1.0)
 
 
 def _bce_grad(predicted: np.ndarray, p: np.ndarray, target: np.ndarray,

@@ -174,6 +174,20 @@ def test_adult_config_requires_a_data_path(monkeypatch):
         parse_config(cfg)
 
 
+def test_a_missing_data_path_names_what_was_read(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FAIRSTACK_DATA_DIR", str(tmp_path))  # set and present, but not read
+    path = _write_config(tmp_path, dataset={"id": "adult", "path": "no/such.data"})
+    assert main(["fit", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "dataset.path: no/such.data does not exist" in err
+    assert "no path configured" not in err
+    gone = tmp_path / "gone"
+    monkeypatch.setenv("FAIRSTACK_DATA_DIR", str(gone))
+    path = _write_config(tmp_path, dataset={"id": "adult"})
+    assert main(["fit", "--config", str(path)]) == 2
+    assert f"$FAIRSTACK_DATA_DIR: {gone} does not exist" in capsys.readouterr().err
+
+
 def test_dataset_path_resolves_relative_to_config(tmp_path, monkeypatch):
     monkeypatch.delenv("FAIRSTACK_DATA_DIR", raising=False)
     (tmp_path / "adult.data").write_text("")
@@ -295,12 +309,10 @@ def test_load_dataset_subsample():
     parsed = parse_config(cfg)
     ds = load_dataset(parsed)
     assert ds.n == 20
-    assert ds.meta["subsampled_from"] == 50
 
     cfg["dataset"]["subsample"] = 60  # larger than the dataset: no-op
     ds_full = load_dataset(parse_config(cfg))
     assert ds_full.n == 50
-    assert "subsampled_from" not in ds_full.meta
 
 
 # ---------------------------------------------------------------------------

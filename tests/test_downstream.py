@@ -113,24 +113,27 @@ def test_logreg_seeded_determinism():
     np.testing.assert_array_equal(a.predict_proba(X), b.predict_proba(X))
 
 
-def test_logreg_convergence_guard():
+def test_logreg_convergence_guard(monkeypatch):
+    monkeypatch.setattr(downstream, "LOGREG_EPOCHS", 1)  # loss cannot have decreased yet
     X, y = _separable_toy(n=40, seed=7)
     with pytest.raises(RuntimeError) as exc:
-        train_logreg(X, y, epochs=1)  # loss cannot have decreased yet
+        train_logreg(X, y)
     assert "converge" in str(exc.value)
 
 
-def test_logreg_non_convergence_is_a_run_error():
+def test_logreg_non_convergence_is_a_run_error(monkeypatch):
     # the CLI turns RUN_ERRORS into exit code 1 (or a failed sweep row)
+    monkeypatch.setattr(downstream, "LOGREG_EPOCHS", 1)
     X, y = _separable_toy(n=40, seed=7)
     with pytest.raises(cli.RUN_ERRORS, match="converge"):
-        train_logreg(X, y, epochs=1)
+        train_logreg(X, y)
 
 
-def test_logreg_matches_the_graph_reference_bytewise():
+def test_logreg_matches_the_graph_reference_bytewise(monkeypatch):
     # full-batch steps through the graph's bce_loss and the per-parameter Adam
+    monkeypatch.setattr(downstream, "LOGREG_EPOCHS", 300)
     X, y = _separable_toy(n=150, seed=9)
-    got = train_logreg(X, y, seed=4, epochs=300)
+    got = train_logreg(X, y, seed=4)
     mlp = MLP([2, 1], np.random.default_rng(4), output_activation="sigmoid")
     opt = AdamReference(mlp.params(), lr=0.05)
     for _ in range(300):
@@ -142,10 +145,11 @@ def test_logreg_matches_the_graph_reference_bytewise():
 
 
 @pytest.mark.parametrize("fit", [
-    lambda X, y: train_logreg(X, y, lr=1e308),
+    train_logreg,
     lambda X, y: train_probe(TrainedStack.identity(2), X, y, ProbeSpec(epochs=2)),
 ], ids=["logreg", "probe"])
 def test_diverging_predictor_raises_divergence_error(fit, monkeypatch):
+    monkeypatch.setattr(downstream, "LOGREG_LR", 1e308)
     monkeypatch.setattr(downstream, "PROBE_LR", 1e300)
     X, y = _separable_toy(n=40, seed=8)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
@@ -172,12 +176,13 @@ def _reachable_arrays(obj) -> list[np.ndarray]:
     return found
 
 
-def test_trained_predictors_hold_no_training_cache():
+def test_trained_predictors_hold_no_training_cache(monkeypatch):
     # a forward record kept on the net would keep the training matrix (or a
     # batch of it) alive as long as the predictor, e.g. through the next
     # cross-validation fold's fit
+    monkeypatch.setattr(downstream, "LOGREG_EPOCHS", 40)
     X, y = _separable_toy(n=90, seed=8)
-    logreg = train_logreg(X, y, seed=2, epochs=40)
+    logreg = train_logreg(X, y, seed=2)
     probe = train_probe(TrainedStack.identity(2), X, y, ProbeSpec(hidden=4, epochs=3, seed=2))
     for predictor in (logreg, probe):
         arrays = _reachable_arrays(predictor)

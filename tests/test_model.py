@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairstack.autodiff import backward, level_loss
+from fairstack.cli import main
 from fairstack.model import (
     ACTIVATION_CODES,
     Level,
@@ -359,6 +360,32 @@ def test_load_rejects_non_finite_weights(tmp_path, bad):
     path = tmp_path / "model.fstk"
     stack.save(path)
     with pytest.raises(ModelFormatError, match="level 1, layer 0"):
+        TrainedStack.load(path)
+
+
+@pytest.mark.parametrize("in_dim, n_in, n_out", [(3, 3, 0), (0, 0, 2)])
+def test_load_rejects_a_width_of_zero(tmp_path, capsys, in_dim, n_in, n_out):
+    # one level, one leaky-ReLU layer whose W and b hold n_in * n_out and n_out zeros
+    blob = (b"FSTK" + struct.pack("<III", 1, in_dim, 1) + struct.pack("<I", 1)
+            + struct.pack("<IIB", n_in, n_out, 2) + bytes(8 * (n_in * n_out + n_out))
+            + struct.pack("<I", 2) + b"{}")
+    path = tmp_path / "model.fstk"
+    path.write_bytes(blob)
+    with pytest.raises(ModelFormatError) as exc:
+        TrainedStack.load(path)
+    msg = str(exc.value)
+    assert "level 0, layer 0" in msg and "width of 0" in msg and str(path) in msg
+    rows = tmp_path / "rows.csv"
+    rows.write_text("a,b,c\n1,2,3\n")
+    assert main(["transform", "--model", str(path), "--input", str(rows),
+                 "--output", str(tmp_path / "codes.csv")]) == 1
+    assert "level 0, layer 0" in capsys.readouterr().err
+
+
+def test_load_rejects_an_input_width_of_zero_without_levels(tmp_path):
+    path = tmp_path / "model.fstk"
+    path.write_bytes(b"FSTK" + struct.pack("<IIII", 1, 0, 0, 2) + b"{}")
+    with pytest.raises(ModelFormatError, match="input width is 0"):
         TrainedStack.load(path)
 
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from fairstack.autodiff import (Var, backward, bce_loss, forward, mse_loss, parameter,
-                                zero_grads)
+                                scale, zero_grads)
 from fairstack.model import CRITERIA, adversary_input, build, stacked_spec
-from fairstack.nn import (ACTIVATIONS, BCE_EPS, Adam, MLP, bce_step, dense_forward,
-                          init_weight, sigmoid)
+from fairstack.nn import (ACTIVATIONS, BCE_EPS, Adam, MLP, bce, bce_grad, bce_step,
+                          dense_forward, init_weight, sigmoid)
 from oracles import AdamReference, adam_reference_trace, masked_sigmoid
 
 
@@ -159,6 +159,29 @@ def test_in_place_adam_matches_the_reference_bytewise():
         ref_opt.step()
         for a, b in zip(live, ref):
             assert a.value.tobytes() == b.value.tobytes(), f"step {step}"
+
+
+# ---------------------------------------------------------------------------
+# bce's value and pullback against the graph's bce_loss
+
+
+@pytest.mark.parametrize("c", [1.0, 0.7, -5.0])
+def test_bce_pullback_is_scale_times_the_graph_backward(c):
+    rng = np.random.default_rng(0)
+    p = sigmoid(3.0 * rng.normal(size=(40, 1)))
+    p[:6, 0] = [0.0, BCE_EPS / 2, BCE_EPS, 1.0 - BCE_EPS, 1.0 - BCE_EPS / 4, 1.0]  # clamped
+    t = rng.integers(0, 2, size=(40, 1)).astype(float)
+    value, g = bce(p, t, c)
+    pv = parameter(p)
+    loss = bce_loss(pv, t)
+    backward(scale(loss, c))
+    acc = np.zeros_like(p)
+    acc += g  # accumulated as a .grad is, on both sides
+    assert acc.tobytes() == pv.grad.tobytes()
+    assert (g[:6] == 0).all() and (g[6:] != 0).all()
+    assert value == loss.item()
+    assert bce(p, t) == (value, None)
+    assert bce_grad(p, t).tobytes() == bce(p, t, 1.0)[1].tobytes()
 
 
 # ---------------------------------------------------------------------------

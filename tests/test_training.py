@@ -264,7 +264,8 @@ def test_nan_in_a_middle_gradient_only_step_raises_divergence_error(fit, monkeyp
                                              downstream.ProbeSpec(epochs=4))
     else:
         _poison_step(monkeypatch, downstream, at=20)
-        run = lambda: downstream.train_logreg(train.X, train.y, epochs=50)
+        monkeypatch.setattr(downstream, "LOGREG_EPOCHS", 50)
+        run = lambda: downstream.train_logreg(train.X, train.y)
     with pytest.raises(DivergenceError, match="non-finite") as exc:
         run()
     assert "Adam step" in str(exc.value)
