@@ -6,17 +6,19 @@
 ``out_dir`` — nothing is ever overwritten. All artifacts embed the config
 hash and seed so a run can be traced back to its exact inputs.
 
-``sweep`` runs one job per row: a (beta, seed, variant) training run scored
-by the probe, and per seed the raw-feature baseline, which is the ``unfair``
-variant of the same job (identity stack, no training). With one level the
-vanilla spec is the stacked one, so each (beta, seed) trains once and its
-vanilla row is a copy of the stacked row; likewise table1 then scores the
-stacked codes once and copies their cells as lafr's. ``--jobs N`` runs all
-sweep rows plus the baseline, or table1's CV cells, in one pool of N
-worker processes (fewer when there are fewer jobs). Those workers are the
-only parallelism: importing this module sets each of ``BLAS_THREAD_VARS``
-to 1 unless it is already set, so the CLI and its workers run BLAS on one
-thread; code that does not import this module keeps numpy's default.
+``sweep`` runs one job per (seed, variant): it loads and splits the data
+once, then trains and probes each beta in ``sweep.betas`` order, one row per
+beta. Per seed the raw-feature baseline is the ``unfair`` variant of the same
+job (identity stack, no training, one row and no beta). Rows are kept by
+(beta, seed, variant) and written in that order. With one level the vanilla
+spec is the stacked one, so vanilla is not trained and each vanilla row is
+read from its stacked row; likewise table1 then scores the stacked codes once
+and reads lafr's cells from them. ``--jobs N`` runs the sweep's jobs, or
+table1's CV cells, in one pool of N worker processes (fewer when there are
+fewer jobs). Those workers are the only parallelism: importing this module
+sets each of ``BLAS_THREAD_VARS`` to 1 unless it is already set, so the CLI
+and its workers run BLAS on one thread; code that does not import this module
+keeps numpy's default.
 
 ``transform`` reads a UTF-8 CSV of numeric feature rows (a leading byte-order
 mark is skipped). The model file stores no standardization, so the rows must
@@ -26,7 +28,8 @@ optional non-numeric header row, ``,`` delimiters, ``"`` quotes, blank lines
 skipped. The body is parsed by one ``np.loadtxt`` call into the float matrix,
 so its memory is about that matrix, not a Python object per value; a value
 ``float`` accepts but ``loadtxt`` does not (``1_0``, non-ASCII digits) is
-non-numeric. The codes are written as ``repr`` floats joined by ``,`` with
+non-numeric. A row whose code is not finite fails the command, and nothing is
+written. The codes are written as ``repr`` floats joined by ``,`` with
 ``\\r\\n`` line ends, the bytes ``csv.writer`` writes.
 
 Exit codes: 0 success, 1 runtime failure (training/IO), 2 config error.
@@ -240,7 +243,12 @@ def cmd_transform(model_path: str, input_path: str, output_path: str) -> int:
                 f"width mismatch: model expects {stack.in_dim} input columns, "
                 f"{input_path} has {X.shape[1]}"
             )
-        Z = stack.encode(X)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite code is an error
+            Z = stack.encode(X)
+        bad_rows = np.flatnonzero(~np.isfinite(Z).all(axis=1))
+        if bad_rows.size:
+            raise DatasetError(f"non-finite code (nan or inf) for data row {bad_rows[0] + 1} "
+                               f"of {input_path}: the input overflows the model")
     # the bytes csv.writer would write: repr of each float, "," and "\r\n"
     with open(output_path, "w", newline="") as fh:
         fh.write(",".join(f"z_{i}" for i in range(stack.out_dim)) + "\r\n")
@@ -255,25 +263,30 @@ def cmd_transform(model_path: str, input_path: str, output_path: str) -> int:
 # sweep
 
 
-def _sweep_job(cfg: ExperimentConfig, beta: float | None, seed: int, variant: str) -> dict:
-    """One sweep row: train the variant's stack and score its codes with the
-    probe. The "unfair" variant is the baseline: the identity stack (raw
-    standardized features), untrained, with no beta."""
-    row = {"beta": beta, "seed": seed, "variant": variant, "status": "ok",
-           **{m: "" for m in METRIC_COLUMNS}}
-    try:
-        _, train_ds, val_ds = _load_split(cfg, seed)
-        if variant == "unfair":
-            stack = TrainedStack.identity(train_ds.d)
-        else:
-            spec = stack_spec_for(cfg, in_dim=train_ds.d, variant=variant, beta=beta)
-            stack, _ = train_stack(spec, train_ds, train_config_for(cfg, seed), val=None)
-        rj = _probe_report(stack, train_ds, val_ds, cfg, seed).to_json()
-        row.update((m, rj[m]) for m in METRIC_COLUMNS)
-    except RUN_ERRORS as exc:  # a failed run becomes a failed row, not a crash
-        row["status"] = "failed"
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
+def _sweep_job(cfg: ExperimentConfig, seed: int, variant: str) -> list[dict]:
+    """One (seed, variant) job: load and split once, then train and probe at
+    each beta in ``sweep.betas`` order, one row per beta. The "unfair" variant
+    is the baseline: one row, no beta, the untrained identity stack. A run
+    error fails only its own row (a failed load is tried again for the next)."""
+    betas = (None,) if variant == "unfair" else cfg.betas
+    rows = [{"beta": beta, "seed": seed, "variant": variant, "status": "ok",
+             **{m: "" for m in METRIC_COLUMNS}} for beta in betas]
+    split = None
+    for row in rows:
+        try:
+            split = split or _load_split(cfg, seed)
+            _, train_ds, val_ds = split
+            if variant == "unfair":
+                stack = TrainedStack.identity(train_ds.d)
+            else:
+                spec = stack_spec_for(cfg, in_dim=train_ds.d, variant=variant, beta=row["beta"])
+                stack, _ = train_stack(spec, train_ds, train_config_for(cfg, seed), val=None)
+            rj = _probe_report(stack, train_ds, val_ds, cfg, seed).to_json()
+            row.update((m, rj[m]) for m in METRIC_COLUMNS)
+        except RUN_ERRORS as exc:  # a failed run becomes a failed row, not a crash
+            row["status"] = "failed"
+            row["error"] = f"{type(exc).__name__}: {exc}"
+    return rows
 
 
 def _map(fn, calls: list[tuple], jobs: int) -> list:
@@ -326,17 +339,16 @@ def cmd_sweep(cfg: ExperimentConfig, jobs: int = 1) -> int:
     if not cfg.betas:
         raise ConfigError("sweep.betas: must be non-empty for the sweep command")
     chash = config_hash(cfg)
-    copy_vanilla = _vanilla_is_stacked(cfg)
-    trained = VARIANTS[:1] if copy_vanilla else VARIANTS
-    tasks = [(cfg, beta, seed, variant)
-             for beta in cfg.betas for seed in cfg.seeds for variant in trained]
-    baseline_tasks = [(cfg, None, seed, "unfair") for seed in cfg.seeds]
+    trained = VARIANTS[:1] if _vanilla_is_stacked(cfg) else VARIANTS
+    calls = [(cfg, seed, variant) for variant in trained + ("unfair",) for seed in cfg.seeds]
 
     t0 = time.perf_counter()
-    results = _map(_sweep_job, tasks + baseline_tasks, jobs)
-    rows, baseline = results[:len(tasks)], results[len(tasks):]
-    if copy_vanilla:  # each stacked row, then its copy as the vanilla row
-        rows = [r for row in rows for r in (row, {**row, "variant": "vanilla"})]
+    by_key = {(r["beta"], r["seed"], r["variant"]): r
+              for job_rows in _map(_sweep_job, calls, jobs) for r in job_rows}
+    # an untrained vanilla reads its stacked row
+    rows = [{**by_key[beta, seed, v if v in trained else "stacked"], "variant": v}
+            for beta in cfg.betas for seed in cfg.seeds for v in VARIANTS]
+    baseline = [by_key[None, seed, "unfair"] for seed in cfg.seeds]
     wall = time.perf_counter() - t0
 
     run = _run_dir(cfg.out_dir, "sweep")  # made last: a config error leaves no directory
@@ -385,32 +397,25 @@ def cmd_table1(cfg: ExperimentConfig, jobs: int = 1) -> int:
 
     t0 = time.perf_counter()
     tcfg = train_config_for(cfg, seed)
-    copy_lafr = _vanilla_is_stacked(cfg)
-    stacked, _ = train_stack(spec_for("stacked"), train_ds, tcfg)
-    lafr = stacked if copy_lafr else train_stack(spec_for("vanilla"), train_ds, tcfg)[0]
+    encoders = {"unfair": TrainedStack.identity(d),
+                "stacked": train_stack(spec_for("stacked"), train_ds, tcfg)[0]}
+    if not _vanilla_is_stacked(cfg):
+        encoders["lafr"] = train_stack(spec_for("vanilla"), train_ds, tcfg)[0]
     del train_ds
-    encoders = {
-        "unfair": TrainedStack.identity(d),
-        "lafr": lafr,
-        "stacked": stacked,
-    }
 
     labels = [(kind, variant) for kind in TABLE1_MODELS for variant in TABLE1_VARIANTS]
-    scored = [(kind, variant) for kind, variant in labels
-              if not (copy_lafr and variant == "lafr")]
+    scored = [(kind, variant) for kind in TABLE1_MODELS for variant in encoders]
     calls = [(kind, encoders[variant], std, cfg.cv_folds, seed, cfg.eo_mode, None,
               forest_spec_for(cfg, seed))
              for kind, variant in scored]
-    results = _map(cross_validate, calls, jobs)
+    results = dict(zip(scored, _map(cross_validate, calls, jobs)))
     wall = time.perf_counter() - t0
 
     cells: dict = {kind: {} for kind in TABLE1_MODELS}
-    for (kind, variant), res in zip(scored, results):
+    for kind, variant in labels:  # a lafr with no encoder of its own reads stacked's result
+        res = results[kind, variant if variant in encoders else "stacked"]
         cells[kind][variant] = {f"{m}_{stat}": getattr(res, stat)[m]
                                 for m in METRIC_COLUMNS for stat in ("mean", "std")}
-    if copy_lafr:  # the lafr encoder is the stacked one: so are its cells
-        for kind in TABLE1_MODELS:
-            cells[kind]["lafr"] = dict(cells[kind]["stacked"])
 
     chash = config_hash(cfg)
     run = _run_dir(cfg.out_dir, "table1")

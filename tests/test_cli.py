@@ -680,6 +680,23 @@ def test_transform_non_finite_input_exit_1(fitted, tmp_path, capsys):
     assert not dst.exists()
 
 
+def test_transform_input_that_overflows_the_codes_exit_1(fitted, tmp_path, capsys):
+    # finite input whose codes are not: an error, not inf written with exit 0
+    _, run = fitted
+    model = run / "model.fstk"
+    (W, _, act), = TrainedStack.load(model).levels[0]  # one linear layer: z = xW + b
+    assert act == "identity"
+    # the largest float, signed so that every term of one code adds up past it
+    huge = np.sign(W[:, np.abs(W).sum(axis=0).argmax()]) * np.finfo(np.float64).max
+    src = tmp_path / "huge.csv"
+    src.write_text("1.0,2.0,3.0,4.0\n" + ",".join(map(repr, huge.tolist())) + "\n")
+    dst = tmp_path / "out.csv"
+    rc = main(["transform", "--model", str(model), "--input", str(src), "--output", str(dst)])
+    assert rc == 1
+    assert "non-finite code (nan or inf) for data row 2" in capsys.readouterr().err
+    assert not dst.exists()
+
+
 def _transform(model: Path, tmp_path: Path, text: str, capsys):
     """(exit code, output bytes or None, stderr) of transform on ``text``."""
     src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
@@ -934,10 +951,11 @@ def test_sweep_means_leave_a_metric_undefined_in_any_ok_row_empty(tmp_path, monk
     # seed 1 leaves delta_eo undefined; its mean is not seed 0's value alone
     cfg = load_config(_write_config(tmp_path, seeds=[0, 1], sweep={"betas": [1.0]}))
 
-    def job(cfg, beta, seed, variant):
-        return {"beta": beta, "seed": seed, "variant": variant, "status": "ok",
-                "accuracy": 0.5 + 0.25 * seed, "delta_dp": 0.1, "delta_eopp": 0.2,
-                "delta_eo": None if seed == 1 else 0.3}
+    def job(cfg, seed, variant):
+        return [{"beta": beta, "seed": seed, "variant": variant, "status": "ok",
+                 "accuracy": 0.5 + 0.25 * seed, "delta_dp": 0.1, "delta_eopp": 0.2,
+                 "delta_eo": None if seed == 1 else 0.3}
+                for beta in ((None,) if variant == "unfair" else cfg.betas)]
 
     monkeypatch.setattr(cli, "_sweep_job", job)
     assert cli.cmd_sweep(cfg) == 0
@@ -950,15 +968,50 @@ def test_sweep_means_leave_a_metric_undefined_in_any_ok_row_empty(tmp_path, monk
         assert all(float(m["delta_dp"]) == 0.1 for m in means)
 
 
-def test_sweep_in_a_pool_matches_the_serial_run(tmp_path, capsys):
-    path = _write_config(tmp_path, seeds=[0, 1], sweep={"betas": [0.0, 1.0]})
+def _diverging_at(beta: float):
+    """``train_stack``, except that it raises DivergenceError at ``beta``."""
+    def train(spec, *args, **kwargs):
+        if spec.beta == beta:
+            raise DivergenceError(f"non-finite value at beta {beta}")
+        return train_stack(spec, *args, **kwargs)
+    return train
+
+
+def test_sweep_in_a_pool_matches_the_serial_run(tmp_path, monkeypatch, capsys):
+    # the base config has one level, so vanilla reads the stacked rows; the
+    # second input trains both variants on two levels and fails beta 0.0 only
     names = ("sweep.csv", "baseline.csv", "sweep_means.csv", "baseline_means.csv")
-    outputs = []
-    for jobs in ("1", "2"):
-        assert main(["sweep", "--config", str(path), "--jobs", jobs]) == 0
-        run = _run_dir_from(capsys.readouterr().out)
-        outputs.append({name: (run / name).read_bytes() for name in names})
-    assert outputs[0] == outputs[1]
+    for levels, rc in ((None, 0), ([{"latent": 3}, {"latent": 2}], 1)):
+        path = _write_config(tmp_path, seeds=[0, 1], sweep={"betas": [0.0, 1.0]},
+                             **({"stack": {"levels": levels}} if levels else {}))
+        if levels:
+            monkeypatch.setattr(cli, "train_stack", _diverging_at(0.0))
+        outputs = []
+        for jobs in ("1", "2"):
+            assert main(["sweep", "--config", str(path), "--jobs", jobs]) == rc
+            run = _run_dir_from(capsys.readouterr().out)
+            outputs.append({name: (run / name).read_bytes() for name in names})
+        assert outputs[0] == outputs[1]
+    # rows in beta, seed, variant order; each job goes on past its failed beta
+    rows = _read_csv_rows(run / "sweep.csv")
+    assert [(r["beta"], r["seed"], r["variant"], r["status"]) for r in rows] == [
+        (b, s, v, "failed" if b == "0.0" else "ok")
+        for b in ("0.0", "1.0") for s in ("0", "1") for v in ("stacked", "vanilla")]
+    assert all(r["accuracy"] for r in rows if r["status"] == "ok")
+
+
+def test_sweep_loads_the_data_once_per_job(tmp_path, monkeypatch, capsys):
+    path = _write_config(tmp_path, seeds=[0, 1], sweep={"betas": [0.0, 1.0]},
+                         stack={"levels": [{"latent": 3}, {"latent": 2}]})
+    loads = []
+
+    def counting(cfg):
+        loads.append(cfg)
+        return load_dataset(cfg)
+
+    monkeypatch.setattr(cli, "load_dataset", counting)
+    assert main(["sweep", "--config", str(path), "--jobs", "1"]) == 0
+    assert len(loads) == 2 * (2 + 1)  # per seed: the stacked, vanilla and baseline jobs
 
 
 def test_sweep_trains_a_one_level_spec_once_per_beta_and_seed(tmp_path, monkeypatch, capsys):
@@ -980,15 +1033,15 @@ def test_sweep_trains_a_one_level_spec_once_per_beta_and_seed(tmp_path, monkeypa
     rows = _read_csv_rows(_run_dir_from(capsys.readouterr().out) / "sweep.csv")
     assert [(r["beta"], r["variant"]) for r in rows] == [
         (b, v) for b in ("0.0", "1.0", "5.0") for v in ("stacked", "vanilla")]
-    # the copied row is the row a vanilla training of its own would give
-    vanilla = cli._sweep_job(load_config(path), 0.0, 0, "vanilla")
-    assert {k: str(v) for k, v in vanilla.items()} == rows[1]
+    # each row read from stacked is the row a vanilla training of its own gives
+    vanilla = cli._sweep_job(load_config(path), 0, "vanilla")
+    assert [{k: str(v) for k, v in row.items()} for row in vanilla] == rows[1::2]
 
 
-@pytest.mark.parametrize("command,workers", [("table1", 4), ("sweep", 4)])
+@pytest.mark.parametrize("command,workers", [("table1", 4), ("sweep", 2)])
 def test_pool_forks_no_more_workers_than_jobs(tmp_path, monkeypatch, capsys, command, workers):
-    # smoke: four table1 cells are scored (lafr's copy stacked's); a one-level
-    # sweep trains betas 0, 1 and 5 once and adds one baseline
+    # smoke: four table1 cells are scored (lafr reads stacked's); a one-level
+    # sweep has one seed, so one stacked job (betas 0, 1 and 5) and one baseline
     config = json.loads((Path(__file__).parents[1] / "configs" /
                          "synthetic-smoke.json").read_text())
     config.update(out_dir=str(tmp_path / "runs"), train={"epochs": 1},
