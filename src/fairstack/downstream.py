@@ -1,9 +1,10 @@
 """Downstream evaluation of learned representations.
 
 Three independent predictors score a frozen encoding: a one-hidden-layer MLP
-probe, logistic regression (both trained with plain BCE, no fairness terms,
-on the explicit kernel of :mod:`nn`, at the fixed ``PROBE_*`` and
-``LOGREG_*`` settings), and a random forest.
+probe (plain BCE, no fairness terms, minibatch Adam on the explicit kernel of
+:mod:`nn` at the fixed ``PROBE_*`` settings), logistic regression (solved to
+its ridge-regularized optimum by Newton's method at the fixed ``LOGREG_*``
+settings), and a random forest.
 ``cross_validate`` runs the k-fold protocol — encode, fit on the train fold,
 report fairness metrics on the test fold — and aggregates mean and sample
 standard deviation per metric.
@@ -19,14 +20,15 @@ from .data import Dataset, batches, make_folds, fold_train_indices
 from .forest import ForestSpec, _fit_input, train_forest
 from .metrics import FairnessReport, PredictionBatch, evaluate, threshold_predictions
 from .model import TrainedStack, head_dims
-from .nn import MLP, Adam, bce, bce_step
+from .nn import MLP, Adam, bce_step, sigmoid
 from .training import DivergenceError
 
 
 PROBE_LR = 0.01
 PROBE_BATCH = 64
-LOGREG_EPOCHS = 500
-LOGREG_LR = 0.05
+LOGREG_RIDGE = 1e-6
+LOGREG_TOL = 1e-10
+LOGREG_MAX_STEPS = 50
 
 
 @dataclass
@@ -81,26 +83,54 @@ def train_probe(stack: TrainedStack, X: np.ndarray, y: np.ndarray,
     return MLPPredictor(mlp, stack=stack)
 
 
-def train_logreg(features: np.ndarray, y: np.ndarray, seed: int = 0) -> MLPPredictor:
-    """Logistic regression = single dense layer + sigmoid, full-batch Adam on
-    BCE (``LOGREG_EPOCHS`` steps at ``LOGREG_LR``). Raises :class:`DivergenceError`
-    on a non-finite value or if the loss before the last step is not below
-    the loss before the first."""
+def train_logreg(features: np.ndarray, y: np.ndarray) -> MLPPredictor:
+    """Logistic regression = single dense layer + sigmoid, at the minimum of
+    mean BCE plus ``LOGREG_RIDGE / 2`` (1e-6 / 2) times the squared norm of
+    the weights and the bias. Newton (IRLS) steps from zero on the
+    bias-augmented design X~ solve
+    ``(X~' diag(p(1-p)) X~ / n + ridge I) delta = X~'(p - y) / n + ridge w``
+    and take ``w -= delta``, until the Newton decrement ``g' delta`` is below
+    ``LOGREG_TOL`` (1e-10). The ridge keeps the system positive definite, so
+    separable data and dead or duplicated columns have a finite optimum.
+    Raises :class:`DivergenceError` on a non-finite value, or if the
+    tolerance is not met within ``LOGREG_MAX_STEPS`` (50) steps."""
     X, y = _fit_input(features, y)
-    mlp = MLP([X.shape[1], 1], np.random.default_rng(seed), output_activation="sigmoid")
-    opt = Adam(mlp.params(), lr=LOGREG_LR)
-    target = y.reshape(-1, 1).astype(float)
+    n, d = X.shape
+    w = np.zeros(d + 1)        # the weights, then the bias
+    H = np.empty((d + 1, d + 1))
+    g = np.empty(d + 1)
     try:
-        first, _ = bce(mlp.forward_value(X), target)
-        for _ in range(LOGREG_EPOCHS - 1):
-            bce_step(mlp, opt, X, target)
-        last, _ = bce(mlp.forward_value(X), target)
-        bce_step(mlp, opt, X, target)
+        # exp(-|z|) underflows on well-separated rows; that is no error
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for step in range(LOGREG_MAX_STEPS):
+                p = sigmoid(X @ w[:d] + w[d])
+                h = p * (1.0 - p) / n
+                # the bias column enters as the Hessian's last row and column,
+                # so no augmented copy of X is made
+                H[:d, :d] = X.T @ (X * h[:, None])
+                H[:d, d] = H[d, :d] = h @ X
+                H[d, d] = h.sum()
+                H.flat[::d + 2] += LOGREG_RIDGE
+                r = (p - y) / n
+                g[:d] = r @ X
+                g[d] = r.sum()
+                g += LOGREG_RIDGE * w
+                delta = np.linalg.solve(H, g)
+                w -= delta
+                decrement = float(g @ delta)
+                if not np.isfinite(decrement):
+                    raise FloatingPointError(f"non-finite Newton decrement at step {step}")
+                if decrement < LOGREG_TOL:
+                    break
+            else:
+                raise DivergenceError(
+                    f"logistic regression did not converge in {LOGREG_MAX_STEPS} Newton "
+                    f"steps: decrement {decrement:.3g} >= {LOGREG_TOL:g}")
     except FloatingPointError as exc:
         raise DivergenceError(f"non-finite value in logistic regression: {exc}") from exc
-    if last >= first:
-        raise DivergenceError(
-            f"logistic regression failed to converge: loss {first:.6f} -> {last:.6f}")
+    mlp = MLP([d, 1], np.random.default_rng(0), output_activation="sigmoid")
+    mlp.weights[0].value[:, 0] = w[:d]   # the initial draw is overwritten
+    mlp.biases[0].value[0, 0] = w[d]
     return MLPPredictor(mlp)
 
 
@@ -141,7 +171,7 @@ def _fit_kind(kind: str, z_train: np.ndarray, y_train: np.ndarray, seed: int,
               probe_spec: ProbeSpec | None, forest_spec: ForestSpec | None):
     """Fit one model of ``kind``, which :func:`cross_validate` has checked."""
     if kind == "logreg":
-        return train_logreg(z_train, y_train, seed=seed)
+        return train_logreg(z_train, y_train)
     if kind == "forest":
         return train_forest(z_train, y_train, replace(forest_spec or ForestSpec(), seed=seed))
     return train_probe(TrainedStack.identity(z_train.shape[1]), z_train, y_train,

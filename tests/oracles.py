@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from first principles (plain loops,
 no imports from the package under test) so agreement is evidence, not
-circularity.
+circularity. The one exception is :func:`adam_logreg`, the package's former
+logistic-regression solver kept as it was: what it pins is that path itself.
 """
 
 from __future__ import annotations
@@ -104,6 +105,43 @@ def main_params(level) -> list:
 def all_params(level) -> list:
     """Every parameter of a level: its main-step ones, then the adversary's."""
     return main_params(level) + level.adversary.params()
+
+
+# ---------------------------------------------------------------------------
+# Logistic regression by 500 full-batch Adam steps: the package's solver
+# before it took Newton steps to the optimum, kept verbatim on the package's
+# kernel (imported on call, so importing this module loads no package code).
+
+ADAM_LOGREG_EPOCHS = 500
+ADAM_LOGREG_LR = 0.05
+
+
+def adam_logreg(features: np.ndarray, y: np.ndarray, seed: int = 0):
+    """Logistic regression = single dense layer + sigmoid, full-batch Adam on
+    BCE (``ADAM_LOGREG_EPOCHS`` steps at ``ADAM_LOGREG_LR``). Raises
+    ``DivergenceError`` on a non-finite value or if the loss before the last
+    step is not below the loss before the first."""
+    from fairstack.downstream import MLPPredictor
+    from fairstack.forest import _fit_input
+    from fairstack.nn import MLP, Adam, bce, bce_step
+    from fairstack.training import DivergenceError
+
+    X, y = _fit_input(features, y)
+    mlp = MLP([X.shape[1], 1], np.random.default_rng(seed), output_activation="sigmoid")
+    opt = Adam(mlp.params(), lr=ADAM_LOGREG_LR)
+    target = y.reshape(-1, 1).astype(float)
+    try:
+        first, _ = bce(mlp.forward_value(X), target)
+        for _ in range(ADAM_LOGREG_EPOCHS - 1):
+            bce_step(mlp, opt, X, target)
+        last, _ = bce(mlp.forward_value(X), target)
+        bce_step(mlp, opt, X, target)
+    except FloatingPointError as exc:
+        raise DivergenceError(f"non-finite value in logistic regression: {exc}") from exc
+    if last >= first:
+        raise DivergenceError(
+            f"logistic regression failed to converge: loss {first:.6f} -> {last:.6f}")
+    return MLPPredictor(mlp)
 
 
 # ---------------------------------------------------------------------------

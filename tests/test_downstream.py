@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairstack import cli, downstream
-from fairstack.autodiff import Var, backward, bce_loss, forward, zero_grads
-from fairstack.data import make_synthetic
+from fairstack.data import fold_train_indices, make_folds, make_synthetic, standardize
 from fairstack.downstream import (
     CVResult,
     MODEL_KINDS,
@@ -22,9 +21,8 @@ from fairstack.forest import (MAX_ROWS, DecisionTree, ForestSpec, RandomForest, 
                               _weighted_gini, train_forest)
 from fairstack.metrics import FairnessReport
 from fairstack.model import TrainedStack, build, stacked_spec
-from fairstack.nn import MLP, Adam, bce_step
 from fairstack.training import DivergenceError
-from oracles import (AdamReference, brute_force_best_split, reference_forest_trees,
+from oracles import (adam_logreg, brute_force_best_split, reference_forest_trees,
                      reference_tree, reference_weighted_gini)
 
 
@@ -89,18 +87,33 @@ def test_probe_spec_validation():
 # logistic regression
 
 
-def test_logreg_threshold_near_zero_on_signed_line():
+def _signed_line():
     x = np.concatenate([np.linspace(-2, -0.02, 100), np.linspace(0.02, 2, 100)])
-    y = (x > 0).astype(int)
-    model = train_logreg(x.reshape(-1, 1), y, seed=0)
+    return x.reshape(-1, 1), (x > 0).astype(int)
+
+
+LOGREG_RIDGE = 1e-6   # as train_logreg's docstring states it
+
+
+def _logreg_gradient(model, X, y) -> np.ndarray:
+    """X~'(p - y)/n + ridge w at the model's weights and bias: the gradient
+    of the objective ``train_logreg`` minimizes, zero at its optimum."""
+    w = np.append(model.mlp.weights[0].value[:, 0], model.mlp.biases[0].value[0, 0])
+    r = (model.predict_proba(X) - y) / len(y)
+    return np.append(r @ X, r.sum()) + LOGREG_RIDGE * w
+
+
+def test_logreg_threshold_near_zero_on_signed_line():
+    X, y = _signed_line()
+    model = train_logreg(X, y)
     lo, hi = model.predict_proba(np.array([[-0.1], [0.1]]))
     assert lo < 0.5 <= hi
 
 
 def test_logreg_invariant_to_duplicating_samples():
     X, y = _separable_toy(n=120, seed=5)
-    a = train_logreg(X, y, seed=0)
-    b = train_logreg(np.vstack([X, X]), np.concatenate([y, y]), seed=0)
+    a = train_logreg(X, y)
+    b = train_logreg(np.vstack([X, X]), np.concatenate([y, y]))
     grid = np.random.default_rng(0).normal(size=(50, 2))
     np.testing.assert_allclose(a.predict_proba(grid), b.predict_proba(grid),
                                atol=1e-6)
@@ -108,48 +121,94 @@ def test_logreg_invariant_to_duplicating_samples():
 
 def test_logreg_seeded_determinism():
     X, y = _separable_toy(n=80, seed=6)
-    a = train_logreg(X, y, seed=3)
-    b = train_logreg(X, y, seed=3)
+    a = train_logreg(X, y)
+    b = train_logreg(X, y)
     np.testing.assert_array_equal(a.predict_proba(X), b.predict_proba(X))
 
 
-def test_logreg_convergence_guard(monkeypatch):
-    monkeypatch.setattr(downstream, "LOGREG_EPOCHS", 1)  # loss cannot have decreased yet
-    X, y = _separable_toy(n=40, seed=7)
-    with pytest.raises(RuntimeError) as exc:
-        train_logreg(X, y)
-    assert "converge" in str(exc.value)
+TOY_X, TOY_Y = _separable_toy()
 
 
-def test_logreg_non_convergence_is_a_run_error(monkeypatch):
+@pytest.mark.parametrize("X,y", [
+    pytest.param(*_signed_line(), id="signed-line"),
+    pytest.param(TOY_X, TOY_Y, id="separable-toy"),
+    pytest.param(np.column_stack([TOY_X, np.zeros(len(TOY_Y))]), TOY_Y, id="dead-column"),
+    pytest.param(np.column_stack([TOY_X, TOY_X[:, 0]]), TOY_Y, id="duplicated-column"),
+])
+def test_logreg_converges_on_hard_inputs(X, y):
+    # separable data has no finite unregularized optimum, and a dead or
+    # duplicated column makes X'WX singular: the ridge keeps each solvable
+    model = train_logreg(X, y)
+    assert all(np.isfinite(p.value).all() for p in model.mlp.params())
+    assert np.abs(_logreg_gradient(model, X, y)).max() <= 1e-9
+    assert (model.predict(X) == y).all()
+
+
+def _cv_case(n, n_noise, flip_y, k):
+    ds = make_synthetic(n=n, seed=0, n_noise=n_noise, flip_y=flip_y)
+    ds = standardize(ds, np.arange(ds.n))
+    folds = make_folds(ds.n, k, 0)
+    return ds, [(fold_train_indices(folds, f), test) for f, test in enumerate(folds)]
+
+
+# table1's raw-feature folds: the smoke config (separable labels, 3 folds of
+# 2,000 x 6) and table1-adult (10% label noise, 2 folds of 6,000 x 100)
+SMOKE_CV, ADULT_CV = (2000, 3, 0.0, 3), (6000, 97, 0.1, 2)
+
+
+@pytest.mark.parametrize("shape", [pytest.param(SMOKE_CV, id="smoke"),
+                                   pytest.param(ADULT_CV, id="table1-adult")])
+def test_logreg_gradient_vanishes_at_the_solution(shape):
+    ds, folds = _cv_case(*shape)
+    for train_idx, _ in folds:
+        X, y = ds.X[train_idx], ds.y[train_idx]
+        assert np.abs(_logreg_gradient(train_logreg(X, y), X, y)).max() <= 1e-9
+
+
+# the Adam reference stopped short of the optimum on separable labels, so
+# there the two may disagree on a few rows near the boundary (5 to 10 of 667)
+@pytest.mark.parametrize("shape,max_disagree", [pytest.param(SMOKE_CV, 15, id="smoke"),
+                                                pytest.param(ADULT_CV, 0, id="table1-adult")])
+def test_logreg_predicts_as_the_adam_reference(shape, max_disagree):
+    ds, folds = _cv_case(*shape)
+    for train_idx, test_idx in folds:
+        newton = train_logreg(ds.X[train_idx], ds.y[train_idx]).predict(ds.X[test_idx])
+        adam = adam_logreg(ds.X[train_idx], ds.y[train_idx]).predict(ds.X[test_idx])
+        assert (newton != adam).sum() <= max_disagree
+        truth = ds.y[test_idx]
+        assert (newton == truth).mean() >= (adam == truth).mean()
+
+
+def test_logreg_step_cap_is_a_run_error(monkeypatch):
     # the CLI turns RUN_ERRORS into exit code 1 (or a failed sweep row)
-    monkeypatch.setattr(downstream, "LOGREG_EPOCHS", 1)
+    monkeypatch.setattr(downstream, "LOGREG_MAX_STEPS", 1)
     X, y = _separable_toy(n=40, seed=7)
-    with pytest.raises(cli.RUN_ERRORS, match="converge"):
+    with pytest.raises(cli.RUN_ERRORS, match="converge") as exc:
         train_logreg(X, y)
+    assert isinstance(exc.value, DivergenceError)
 
 
-def test_logreg_matches_the_graph_reference_bytewise(monkeypatch):
-    # full-batch steps through the graph's bce_loss and the per-parameter Adam
-    monkeypatch.setattr(downstream, "LOGREG_EPOCHS", 300)
-    X, y = _separable_toy(n=150, seed=9)
-    got = train_logreg(X, y, seed=4)
-    mlp = MLP([2, 1], np.random.default_rng(4), output_activation="sigmoid")
-    opt = AdamReference(mlp.params(), lr=0.05)
-    for _ in range(300):
-        zero_grads(mlp.params())
-        backward(bce_loss(forward(mlp, Var(X)), y.reshape(-1, 1).astype(float)))
-        opt.step()
-    for a, b in zip(got.mlp.params(), mlp.params()):
-        assert a.value.tobytes() == b.value.tobytes()
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_logreg_non_finite_value_mid_solve_raises_divergence_error(bad, monkeypatch):
+    # the toy takes 14 Newton steps; one entry of step 5's p goes bad
+    real, calls = downstream.sigmoid, iter(range(100))
+
+    def poisoned(z):
+        p = real(z)
+        if next(calls) == 5:
+            p[0] = bad
+        return p
+
+    monkeypatch.setattr(downstream, "sigmoid", poisoned)
+    X, y = _separable_toy(n=40, seed=7)
+    with pytest.raises(DivergenceError, match="non-finite"):
+        train_logreg(X, y)
 
 
 @pytest.mark.parametrize("fit", [
-    train_logreg,
     lambda X, y: train_probe(TrainedStack.identity(2), X, y, ProbeSpec(epochs=2)),
-], ids=["logreg", "probe"])
+], ids=["probe"])
 def test_diverging_predictor_raises_divergence_error(fit, monkeypatch):
-    monkeypatch.setattr(downstream, "LOGREG_LR", 1e308)
     monkeypatch.setattr(downstream, "PROBE_LR", 1e300)
     X, y = _separable_toy(n=40, seed=8)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
@@ -176,27 +235,18 @@ def _reachable_arrays(obj) -> list[np.ndarray]:
     return found
 
 
-def test_trained_predictors_hold_no_training_cache(monkeypatch):
+def test_trained_predictors_hold_no_training_cache():
     # a forward record kept on the net would keep the training matrix (or a
     # batch of it) alive as long as the predictor, e.g. through the next
     # cross-validation fold's fit
-    monkeypatch.setattr(downstream, "LOGREG_EPOCHS", 40)
     X, y = _separable_toy(n=90, seed=8)
-    logreg = train_logreg(X, y, seed=2)
+    logreg = train_logreg(X, y)
     probe = train_probe(TrainedStack.identity(2), X, y, ProbeSpec(hidden=4, epochs=3, seed=2))
     for predictor in (logreg, probe):
         arrays = _reachable_arrays(predictor)
         assert not any(np.shares_memory(a, X) for a in arrays)
         params = {id(a) for p in predictor.mlp.params() for a in (p.value, p.grad)}
         assert {id(a) for a in arrays} == params
-    # the same full-batch steps without train_logreg predict the same bytes
-    mlp = MLP([2, 1], np.random.default_rng(2), output_activation="sigmoid")
-    opt = Adam(mlp.params(), lr=0.05)
-    for _ in range(40):
-        bce_step(mlp, opt, X, y.reshape(-1, 1).astype(float))
-    grid = np.random.default_rng(1).normal(size=(30, 2))
-    np.testing.assert_array_equal(logreg.predict_proba(grid),
-                                  mlp.forward_value(grid).reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -639,5 +689,5 @@ def test_downstream_models_never_see_sensitive_column():
     stack = TrainedStack.identity(ds.d)
     probe = train_probe(stack, ds.X, ds.y, ProbeSpec(epochs=2, hidden=3))
     assert probe.mlp.in_dim == ds.d  # width of X, no appended s
-    model = train_logreg(ds.X, ds.y, seed=0)
+    model = train_logreg(ds.X, ds.y)
     assert model.mlp.in_dim == ds.d

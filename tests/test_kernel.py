@@ -234,7 +234,6 @@ import sys
 import fairstack.cli
 print(" ".join(m for m in ("concurrent.futures.process", "multiprocessing")
                if m in sys.modules) or "-")
-from fairstack import downstream
 from fairstack.data import make_synthetic
 from fairstack.downstream import ProbeSpec, train_logreg, train_probe
 from fairstack.model import CRITERIA, LevelSpec, StackSpec
@@ -247,7 +246,6 @@ for crit in CRITERIA:
                              LevelSpec(in_dim=4, latent=2)), criterion=crit)
     stack, _ = train_stack(spec, train, TrainConfig(epochs=2, batch_size=32), val=val)
 train_probe(stack, train.X, train.y, ProbeSpec(hidden=3, epochs=2))
-downstream.LOGREG_EPOCHS = 20
 train_logreg(train.X, train.y)
 print(" ".join(sorted(m for m in sys.modules if m.startswith("fairstack"))))
 """

@@ -9,6 +9,7 @@ the rows each phase needs. A needless whole-matrix copy breaks the budget.
 matrix plus the encoder's working memory, not a Python object per value.
 ``load_adult`` gets one on a 10,000-row Adult-format file: one list of rows
 whose repeated field values share one string each, plus the matrix.
+``train_logreg`` on a CV fold's matrix may hold one temporary of its size.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ import pytest
 from fairstack.cli import main
 from fairstack.config import load_config, load_dataset
 from fairstack.data import load_adult
+from fairstack.downstream import train_logreg
 from fairstack.model import TrainedStack, build, stacked_spec
 
 
@@ -113,3 +115,15 @@ def test_load_adult_peak_traced_memory_within_budget(tmp_path):
     peak, ds = _traced(lambda: load_adult(tmp_path / "adult.data"))
     ratio = peak / ds.X.nbytes
     assert ratio <= 4.0, f"load_adult peaked at {ratio:.2f} x X.nbytes ({ds.X.nbytes} bytes)"
+
+
+def test_logreg_peak_traced_memory_within_budget():
+    # the Newton solve weights one copy of X per step; the bias column goes
+    # into the Hessian's last row and column, not into an augmented copy
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(3000, 100))
+    y = (X[:, 0] + rng.normal(size=3000) > 0).astype(int)
+    train_logreg(X[:50], y[:50])  # first-use imports and caches are not counted
+    peak, _ = _traced(lambda: train_logreg(X, y))
+    ratio = peak / X.nbytes
+    assert ratio <= 1.25, f"train_logreg peaked at {ratio:.2f} x X.nbytes ({X.nbytes} bytes)"

@@ -250,7 +250,7 @@ def _poison_step(monkeypatch, module, at: int) -> None:
     monkeypatch.setattr(module, "bce_step", poisoned)
 
 
-@pytest.mark.parametrize("fit", ["adversary", "probe", "logreg"])
+@pytest.mark.parametrize("fit", ["adversary", "probe"])
 def test_nan_in_a_middle_gradient_only_step_raises_divergence_error(fit, monkeypatch):
     # these steps compute no loss: Adam's finiteness check catches the nan
     train, _ = _synthetic_split(n=128)
@@ -258,14 +258,10 @@ def test_nan_in_a_middle_gradient_only_step_raises_divergence_error(fit, monkeyp
         _poison_step(monkeypatch, training, at=5)      # of 6 batches x 2 epochs
         cfg = TrainConfig(epochs=2, batch_size=16, seed=0)
         run = lambda: train_stack(stacked_spec(train.d, (3,)), train, cfg)
-    elif fit == "probe":
+    else:
         _poison_step(monkeypatch, downstream, at=5)    # of 2 batches x 4 epochs
         run = lambda: downstream.train_probe(TrainedStack.identity(train.d), train.X, train.y,
                                              downstream.ProbeSpec(epochs=4))
-    else:
-        _poison_step(monkeypatch, downstream, at=20)
-        monkeypatch.setattr(downstream, "LOGREG_EPOCHS", 50)
-        run = lambda: downstream.train_logreg(train.X, train.y)
     with pytest.raises(DivergenceError, match="non-finite") as exc:
         run()
     assert "Adam step" in str(exc.value)
