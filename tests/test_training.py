@@ -250,21 +250,43 @@ def _poison_step(monkeypatch, module, at: int) -> None:
     monkeypatch.setattr(module, "bce_step", poisoned)
 
 
-@pytest.mark.parametrize("fit", ["adversary", "probe"])
+def _poison_sigmoid(monkeypatch, at: int) -> None:
+    """Give call number ``at`` (from 0) of ``downstream.sigmoid`` a nan in its
+    output, so that Newton step's system is nan while every step before it
+    was finite."""
+    real, calls = downstream.sigmoid, itertools.count()
+
+    def poisoned(z):
+        p = real(z)
+        if next(calls) == at:
+            p[0] = np.nan
+        return p
+
+    monkeypatch.setattr(downstream, "sigmoid", poisoned)
+
+
+@pytest.mark.parametrize("fit", ["adversary", "probe", "logreg"])
 def test_nan_in_a_middle_gradient_only_step_raises_divergence_error(fit, monkeypatch):
-    # these steps compute no loss: Adam's finiteness check catches the nan
+    # these steps compute no loss: Adam's finiteness check catches the nan,
+    # and logreg's check of the Newton decrement
     train, _ = _synthetic_split(n=128)
     if fit == "adversary":
         _poison_step(monkeypatch, training, at=5)      # of 6 batches x 2 epochs
         cfg = TrainConfig(epochs=2, batch_size=16, seed=0)
         run = lambda: train_stack(stacked_spec(train.d, (3,)), train, cfg)
-    else:
+    elif fit == "probe":
         _poison_step(monkeypatch, downstream, at=5)    # of 2 batches x 4 epochs
         run = lambda: downstream.train_probe(TrainedStack.identity(train.d), train.X, train.y,
                                              downstream.ProbeSpec(epochs=4))
+    else:
+        _poison_sigmoid(monkeypatch, at=5)             # of 14 Newton steps
+        run = lambda: downstream.train_logreg(train.X, train.y)
     with pytest.raises(DivergenceError, match="non-finite") as exc:
         run()
-    assert "Adam step" in str(exc.value)
+    if fit == "logreg":
+        assert "Newton decrement at step 5" in str(exc.value)
+    else:
+        assert "Adam step" in str(exc.value)
     if fit == "adversary":
         assert "level 0, epoch 0, batch 5" in str(exc.value)
 
