@@ -20,7 +20,7 @@ from .data import Dataset, batches, make_folds, fold_train_indices
 from .forest import ForestSpec, _fit_input, train_forest
 from .metrics import FairnessReport, PredictionBatch, evaluate, threshold_predictions
 from .model import TrainedStack, head_dims
-from .nn import MLP, Adam, bce_step, sigmoid
+from .nn import MLP, Adam, bce_step, dense_forward, sigmoid
 from .training import DivergenceError
 
 
@@ -47,17 +47,19 @@ class ProbeSpec:
 
 
 class MLPPredictor:
-    """Thresholded sigmoid-MLP predictor, optionally behind a frozen encoder."""
+    """Thresholded sigmoid-MLP predictor, optionally behind a frozen encoder:
+    the trained ``layers``, (W, b, activation) triples as
+    :func:`nn.dense_forward` takes them, and nothing else of the fit."""
 
-    def __init__(self, mlp: MLP, stack: TrainedStack | None = None):
-        self.mlp = mlp
+    def __init__(self, layers: list, stack: TrainedStack | None = None):
+        self.layers = layers
         self.stack = stack
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if self.stack is not None:
             X = self.stack.encode(X)
-        return self.mlp.forward_value(X).reshape(-1)
+        return dense_forward(self.layers, X).reshape(-1)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return threshold_predictions(self.predict_proba(X))
@@ -80,7 +82,7 @@ def train_probe(stack: TrainedStack, X: np.ndarray, y: np.ndarray,
                 bce_step(mlp, opt, z[idx], target[idx])
     except FloatingPointError as exc:
         raise DivergenceError(f"non-finite value in probe epoch {epoch}: {exc}") from exc
-    return MLPPredictor(mlp, stack=stack)
+    return MLPPredictor(mlp.triples(), stack=stack)
 
 
 def train_logreg(features: np.ndarray, y: np.ndarray) -> MLPPredictor:
@@ -128,10 +130,7 @@ def train_logreg(features: np.ndarray, y: np.ndarray) -> MLPPredictor:
                     f"steps: decrement {decrement:.3g} >= {LOGREG_TOL:g}")
     except FloatingPointError as exc:
         raise DivergenceError(f"non-finite value in logistic regression: {exc}") from exc
-    mlp = MLP([d, 1], np.random.default_rng(0), output_activation="sigmoid")
-    mlp.weights[0].value[:, 0] = w[:d]   # the initial draw is overwritten
-    mlp.biases[0].value[0, 0] = w[d]
-    return MLPPredictor(mlp)
+    return MLPPredictor([(w[:d].reshape(d, 1), w[d:].reshape(1, 1), "sigmoid")])
 
 
 # ---------------------------------------------------------------------------

@@ -223,11 +223,10 @@ class RandomForest:
     def __init__(self, spec: ForestSpec):
         self.spec = spec
         self.trees: list[DecisionTree] = []
-        self.n_features: int | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
         X, y = _fit_input(X, y)
-        n, self.n_features = X.shape
+        n = X.shape[0]
         ranks = _ranks(X)
         self.trees = []
         for t in range(self.spec.n_trees):

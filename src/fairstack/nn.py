@@ -202,30 +202,24 @@ class Adam:
     """
 
     def __init__(self, params: Sequence[Param], lr: float = 0.01):
-        self.params = list(params)
-        if len({id(p) for p in self.params}) != len(self.params):
+        params = list(params)
+        if len({id(p) for p in params}) != len(params):
             raise ValueError("Adam: a parameter is listed more than once")
         self.lr = lr
         self.t = 0
-        self.value = _flatten(self.params, "value")
-        self.grad = _flatten(self.params, "grad")
+        self.value = _flatten(params, "value")
+        self.grad = _flatten(params, "grad")
         self.m = np.zeros_like(self.value)
         self.v = np.zeros_like(self.value)
-        self._a, self._b = np.empty_like(self.value), np.empty_like(self.value)
 
     def step(self) -> None:
-        """The update above, in place through two scratch buffers, in its order."""
+        """The update above over the flat buffers, in its order."""
         self.t += 1
-        b1t = 1.0 - ADAM_BETA1 ** self.t
-        b2t = 1.0 - ADAM_BETA2 ** self.t
-        g, m, v, a, b = self.grad, self.m, self.v, self._a, self._b
-        m *= ADAM_BETA1
-        m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
-        v *= ADAM_BETA2
-        v += np.multiply(np.multiply(g, g, out=a), 1.0 - ADAM_BETA2, out=a)
-        np.add(np.sqrt(np.divide(v, b2t, out=a), out=a), ADAM_EPS, out=a)  # sqrt(v_hat) + eps
-        np.multiply(np.divide(m, b1t, out=b), self.lr, out=b)              # lr * m_hat
-        self.value -= np.divide(b, a, out=b)
+        g = self.grad
+        self.m = self.m * ADAM_BETA1 + g * (1.0 - ADAM_BETA1)
+        self.v = self.v * ADAM_BETA2 + g * g * (1.0 - ADAM_BETA2)
+        self.value -= (self.m / (1.0 - ADAM_BETA1 ** self.t) * self.lr
+                       / (np.sqrt(self.v / (1.0 - ADAM_BETA2 ** self.t)) + ADAM_EPS))
         assert_finite(self.value, f"parameter after Adam step {self.t}")
 
     def zero_grad(self) -> None:

@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .data import Dataset, batches
+from .forest import _fit_input
 from .metrics import PredictionBatch, UndefinedMetricError, evaluate, threshold_predictions
 from .model import Level, StackSpec, TrainedStack, adversary_input, build, level_grads, spec_hash
 from .nn import Adam, DimensionError, bce_step
@@ -148,9 +149,9 @@ def _run_level(level: Level, level_index: int, X: np.ndarray, y: np.ndarray,
             adv_acc = dp = eo = eopp = math.nan
         records.append(EpochRecord(
             level=level_index, epoch=epoch,
-            loss_rec=rec_sum / max(n_batches, 1),
+            loss_rec=rec_sum / n_batches,
             loss_adv=adv_sum / n_adv_batches if n_adv_batches else math.nan,
-            loss_class=cls_sum / max(n_batches, 1),
+            loss_class=cls_sum / n_batches,
             adv_acc=adv_acc, val_dp=dp, val_eo=eo, val_eopp=eopp,
         ))
     return records
@@ -164,11 +165,15 @@ def train_stack(spec: StackSpec, train: Dataset, cfg: TrainConfig,
     two eo gaps of the records' ``val_eo``, as :func:`metrics.evaluate` does.
 
     Each level trains on the codes of the trained, frozen level before it.
+    ``train`` and ``val`` need a row, finite features and 0/1 ``y`` and ``s``.
     """
     for ds in (train,) if val is None else (train, val):
         if ds.d != spec.levels[0].in_dim:
             raise DimensionError(f"train_stack: expected input width "
                                  f"{spec.levels[0].in_dim}, got {ds.d}")
+        _fit_input(ds.X, ds.y)
+        if not np.isin(ds.s, (0, 1)).all():
+            raise ValueError("train_stack: the sensitive column s must be 0/1")
     levels = build(spec, cfg.seed)
     logs: list[list[EpochRecord]] = []
     X, Xv = train.X, None if val is None else val.X

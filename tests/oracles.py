@@ -141,7 +141,7 @@ def adam_logreg(features: np.ndarray, y: np.ndarray, seed: int = 0):
     if last >= first:
         raise DivergenceError(
             f"logistic regression failed to converge: loss {first:.6f} -> {last:.6f}")
-    return MLPPredictor(mlp)
+    return MLPPredictor(mlp.triples())
 
 
 # ---------------------------------------------------------------------------

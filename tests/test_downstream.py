@@ -21,6 +21,7 @@ from fairstack.forest import (MAX_ROWS, DecisionTree, ForestSpec, RandomForest, 
                               _weighted_gini, train_forest)
 from fairstack.metrics import FairnessReport
 from fairstack.model import TrainedStack, build, stacked_spec
+from fairstack.nn import MLP, Param
 from fairstack.training import DivergenceError
 from oracles import (adam_logreg, brute_force_best_split, reference_forest_trees,
                      reference_tree, reference_weighted_gini)
@@ -98,7 +99,8 @@ LOGREG_RIDGE = 1e-6   # as train_logreg's docstring states it
 def _logreg_gradient(model, X, y) -> np.ndarray:
     """X~'(p - y)/n + ridge w at the model's weights and bias: the gradient
     of the objective ``train_logreg`` minimizes, zero at its optimum."""
-    w = np.append(model.mlp.weights[0].value[:, 0], model.mlp.biases[0].value[0, 0])
+    (W, b, _), = model.layers
+    w = np.append(W[:, 0], b[0, 0])
     r = (model.predict_proba(X) - y) / len(y)
     return np.append(r @ X, r.sum()) + LOGREG_RIDGE * w
 
@@ -139,7 +141,7 @@ def test_logreg_converges_on_hard_inputs(X, y):
     # separable data has no finite unregularized optimum, and a dead or
     # duplicated column makes X'WX singular: the ridge keeps each solvable
     model = train_logreg(X, y)
-    assert all(np.isfinite(p.value).all() for p in model.mlp.params())
+    assert all(np.isfinite(a).all() for W, b, _ in model.layers for a in (W, b))
     assert np.abs(_logreg_gradient(model, X, y)).max() <= 1e-9
     assert (model.predict(X) == y).all()
 
@@ -206,17 +208,19 @@ def test_diverging_predictor_raises_divergence_error(fit, monkeypatch):
         fit(X, y)
 
 
-def _reachable_arrays(obj) -> list[np.ndarray]:
-    """Every ndarray reachable from ``obj`` through attributes, slots and containers."""
+def _reachable(obj) -> list:
+    """Every object reachable from ``obj`` through attributes, slots and
+    containers (not through an ndarray's base)."""
     seen, todo, found = set(), [obj], []
     while todo:
         o = todo.pop()
         if id(o) in seen:
             continue
         seen.add(id(o))
+        found.append(o)
         if isinstance(o, np.ndarray):
-            found.append(o)
-        elif isinstance(o, dict):
+            continue
+        if isinstance(o, dict):
             todo.extend(o.values())
         elif isinstance(o, (list, tuple)):
             todo.extend(o)
@@ -234,10 +238,13 @@ def test_trained_predictors_hold_no_training_cache():
     logreg = train_logreg(X, y)
     probe = train_probe(TrainedStack.identity(2), X, y, ProbeSpec(hidden=4, epochs=3, seed=2))
     for predictor in (logreg, probe):
-        arrays = _reachable_arrays(predictor)
+        reachable = _reachable(predictor)
+        arrays = [o for o in reachable if isinstance(o, np.ndarray)]
         assert not any(np.shares_memory(a, X) for a in arrays)
-        params = {id(a) for p in predictor.mlp.params() for a in (p.value, p.grad)}
-        assert {id(a) for a in arrays} == params
+        # the layers' weights and biases only: no MLP, Param or gradient array
+        layers = {id(a) for W, b, _ in predictor.layers for a in (W, b)}
+        assert {id(a) for a in arrays} == layers
+        assert not any(isinstance(o, (MLP, Param)) for o in reachable)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +600,7 @@ def test_ranks_match_the_stable_sort_on_ties(seed):
 def test_forest_predict_rejects_another_width(width):
     X, y = _separable_toy(n=60, seed=2)
     forest = train_forest(X, y, ForestSpec(n_trees=3, max_depth=3))
-    assert forest.n_features == 2
+    assert all(tree.n_features == 2 for tree in forest.trees)
     with pytest.raises(ValueError, match="fitted on 2 features"):
         forest.predict(np.zeros((5, width)))
 
@@ -679,6 +686,6 @@ def test_downstream_models_never_see_sensitive_column():
     ds = make_synthetic(n=200, seed=14)
     stack = TrainedStack.identity(ds.d)
     probe = train_probe(stack, ds.X, ds.y, ProbeSpec(epochs=2, hidden=3))
-    assert probe.mlp.in_dim == ds.d  # width of X, no appended s
+    assert probe.layers[0][0].shape[0] == ds.d  # width of X, no appended s
     model = train_logreg(ds.X, ds.y)
-    assert model.mlp.in_dim == ds.d
+    assert model.layers[0][0].shape[0] == ds.d

@@ -142,7 +142,7 @@ def test_adam_rejects_a_parameter_listed_twice():
         Adam([w, w])
 
 
-def test_in_place_adam_matches_the_reference_bytewise():
+def test_flat_adam_matches_the_reference_bytewise():
     # random gradients over many magnitudes, zeros included, for 300 steps
     rng = np.random.default_rng(12)
     shapes = [(4, 3), (1, 3), (3, 1), (1, 1)]
@@ -185,7 +185,7 @@ def test_bce_pullback_is_scale_times_the_graph_backward(c):
 
 
 # ---------------------------------------------------------------------------
-# gradient-only BCE steps: bce_step with the in-place Adam against the graph's
+# gradient-only BCE steps: bce_step with the flat Adam against the graph's
 # bce_loss + backward with the per-parameter reference Adam
 
 

@@ -121,6 +121,31 @@ def test_train_stack_rejects_data_of_another_width():
         train_stack(stacked_spec(train.d, (3,)), train, cfg, val=narrow)
 
 
+def _nan_first(X):
+    X = X.copy()
+    X[0, 0] = np.nan
+    return X
+
+
+@pytest.mark.parametrize("train_of,val_of,match", [
+    (lambda ds: ds.subset([]), None, "zero rows"),
+    (lambda ds: dataclasses.replace(ds, X=_nan_first(ds.X)), None, "finite"),
+    (lambda ds: dataclasses.replace(ds, y=2 * ds.y), None, "labels must be 0/1"),
+    (lambda ds: dataclasses.replace(ds, s=2 * ds.s), None, "sensitive column s"),
+    (lambda ds: ds, lambda ds: ds.subset([]), "zero rows"),
+], ids=["no-rows", "nan-feature", "y-in-0-2", "s-in-0-2", "empty-val"])
+def test_train_stack_checks_its_rows_before_any_step(train_of, val_of, match, monkeypatch):
+    train, val = _synthetic_split(n=64)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(training, "level_grads", no_step)
+    with pytest.raises(ValueError, match=match):
+        train_stack(stacked_spec(train.d, (3,)), train_of(train), TrainConfig(epochs=1),
+                    val=None if val_of is None else val_of(val))
+
+
 def test_train_stack_deterministic_end_to_end():
     train, val = _synthetic_split(n=128)
     spec = stacked_spec(train.d, (4, 2), beta=1.0)
