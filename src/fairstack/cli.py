@@ -44,7 +44,6 @@ import os
 import resource
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 # One BLAS thread per process, set before numpy loads (``import fairstack``
@@ -159,15 +158,9 @@ def cmd_fit(cfg: ExperimentConfig) -> int:
                   n_train=train_ds.n, n_val=val_ds.n, norm_stats=train_ds.norm_stats)
     print(f"fit: wrote {model_path} ({stack.n_levels} levels, out_dim={stack.out_dim})")
     print(f"fit: probe accuracy={report.accuracy:.4f} "
-          f"delta_dp={_fmt(report.delta_dp)} (val n={val_ds.n})")
+          f"delta_dp={report.delta_dp:.4f} (val n={val_ds.n})")
     print(f"fit: artifacts in {run}")
     return 0
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return "undefined"
-    return f"{x:.4f}"
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +372,6 @@ def cmd_sweep(cfg: ExperimentConfig, jobs: int = 1) -> int:
 
 def cmd_table1(cfg: ExperimentConfig, jobs: int = 1) -> int:
     seed = cfg.seeds[0]
-    # The tabulated protocol pins the loss weights; note the pin in run.json.
-    forced = {"alpha": 0.0, "beta": 1.0, "gamma": 1.0}
     ds = load_dataset(cfg)
     if cfg.cv_folds > ds.n:
         raise ConfigError(f"cv_folds: {cfg.cv_folds} folds need at least as many rows, "
@@ -391,16 +382,14 @@ def cmd_table1(cfg: ExperimentConfig, jobs: int = 1) -> int:
     del ds  # CV runs on the standardized rows; the raw matrix is not needed again
     train_ds = std.subset(plan.train)
 
-    def spec_for(variant):
-        s = stack_spec_for(cfg, in_dim=d, variant=variant)
-        return replace(s, **forced)
-
     t0 = time.perf_counter()
     tcfg = train_config_for(cfg, seed)
     encoders = {"unfair": TrainedStack.identity(d),
-                "stacked": train_stack(spec_for("stacked"), train_ds, tcfg)[0]}
+                "stacked": train_stack(stack_spec_for(cfg, in_dim=d, variant="stacked"),
+                                       train_ds, tcfg)[0]}
     if not _vanilla_is_stacked(cfg):
-        encoders["lafr"] = train_stack(spec_for("vanilla"), train_ds, tcfg)[0]
+        encoders["lafr"] = train_stack(stack_spec_for(cfg, in_dim=d, variant="vanilla"),
+                                       train_ds, tcfg)[0]
     del train_ds
 
     labels = [(kind, variant) for kind in TABLE1_MODELS for variant in TABLE1_VARIANTS]
@@ -420,7 +409,7 @@ def cmd_table1(cfg: ExperimentConfig, jobs: int = 1) -> int:
     chash = config_hash(cfg)
     run = _run_dir(cfg.out_dir, "table1")
     _write_record(run / "table1.json", "table1", cfg, chash, wall,
-                  dataset=summary, loss_weights=forced, k=cfg.cv_folds, seed=seed,
+                  dataset=summary, k=cfg.cv_folds, seed=seed,
                   std_kind="sample (ddof=1)", cells=cells)
     csv_rows = [{"model": kind, "variant": variant,
                  **{k: ("" if v is None else v) for k, v in cells[kind][variant].items()}}
@@ -430,13 +419,9 @@ def cmd_table1(cfg: ExperimentConfig, jobs: int = 1) -> int:
                  "accuracy_mean", "accuracy_std"),
                 csv_rows, f"config_hash={chash} std=sample(ddof=1)")
     for kind in TABLE1_MODELS:
-        parts = []
-        for variant in TABLE1_VARIANTS:
-            c = cells[kind][variant]
-            dp = c["delta_dp_mean"]
-            parts.append(f"{variant} dp={dp:.3f}±{c['delta_dp_std']:.3f}"
-                         if dp is not None else f"{variant} dp=undefined")
-        print(f"table1[{kind}]: " + "  ".join(parts))
+        print(f"table1[{kind}]: " + "  ".join(
+            f"{v} dp={c['delta_dp_mean']:.3f}±{c['delta_dp_std']:.3f}"
+            for v, c in cells[kind].items()))
     print(f"table1: artifacts in {run}")
     return 0
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, load_adult, load_german, make_planted, make_synthetic
+from .data import TEXT_ENCODING, Dataset, load_adult, load_german, make_planted, make_synthetic
 from .downstream import ProbeSpec
 from .forest import ForestSpec
 from .metrics import EO_MODES
@@ -278,14 +278,25 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     return _with_dataset_path(cfg, base_dir)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict; a key given twice is an error."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"config key {key!r} is given more than once")
+        out[key] = value
+    return out
+
+
 def load_config(path, seed: int | None = None) -> ExperimentConfig:
-    """Parse and validate a JSON config file; ``seed`` (the CLI's --seed)
-    replaces the seed list."""
+    """Parse and validate a JSON config file (UTF-8, a leading byte-order
+    mark skipped; a key repeated within an object is refused); ``seed``
+    (the CLI's --seed) replaces the seed list."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
+        raw = json.loads(p.read_text(encoding=TEXT_ENCODING), object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {p} is not UTF-8 text: {exc.reason}") from None
     except OSError as exc:

@@ -47,6 +47,11 @@ class Dataset:
     norm_stats: dict[str, tuple[float, float]] | None = None
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.X.ndim != 2 or not self.y.shape == self.s.shape == self.X.shape[:1]:
+            raise DatasetError(f"misaligned dataset: X {self.X.shape}, y {self.y.shape} and "
+                               f"s {self.s.shape} must be (n, d), (n,) and (n,)")
+
     @property
     def n(self) -> int:
         return self.X.shape[0]

@@ -12,13 +12,13 @@ standard deviation per metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, batches, make_folds, fold_train_indices
 from .forest import ForestSpec, _fit_input, train_forest
-from .metrics import FairnessReport, PredictionBatch, evaluate, threshold_predictions
+from .metrics import PredictionBatch, evaluate, threshold_predictions
 from .model import TrainedStack, head_dims
 from .nn import MLP, Adam, bce_step, dense_forward, sigmoid
 from .training import DivergenceError
@@ -47,19 +47,16 @@ class ProbeSpec:
 
 
 class MLPPredictor:
-    """Thresholded sigmoid-MLP predictor, optionally behind a frozen encoder:
-    the trained ``layers``, (W, b, activation) triples as
-    :func:`nn.dense_forward` takes them, and nothing else of the fit."""
+    """Thresholded sigmoid-MLP predictor: its ``layers``, (W, b, activation)
+    triples as :func:`nn.dense_forward` takes them, and nothing else of the
+    fit. A probe's layers are its frozen encoder's, then its head's, so it
+    reads raw rows."""
 
-    def __init__(self, layers: list, stack: TrainedStack | None = None):
+    def __init__(self, layers: list):
         self.layers = layers
-        self.stack = stack
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if self.stack is not None:
-            X = self.stack.encode(X)
-        return dense_forward(self.layers, X).reshape(-1)
+        return dense_forward(self.layers, np.asarray(X, dtype=np.float64)).reshape(-1)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return threshold_predictions(self.predict_proba(X))
@@ -68,7 +65,8 @@ class MLPPredictor:
 def train_probe(stack: TrainedStack, X: np.ndarray, y: np.ndarray,
                 spec: ProbeSpec | None = None) -> MLPPredictor:
     """Label probe on frozen encodings: encode X, fit hidden->sigmoid MLP
-    with plain BCE, minibatch Adam. The stack is only ever read."""
+    with plain BCE, minibatch Adam. The stack is only ever read; the
+    predictor runs its layers, then the head's."""
     spec = spec or ProbeSpec()
     X, y = _fit_input(X, y)
     z = stack.encode(X)
@@ -82,7 +80,7 @@ def train_probe(stack: TrainedStack, X: np.ndarray, y: np.ndarray,
                 bce_step(mlp, opt, z[idx], target[idx])
     except FloatingPointError as exc:
         raise DivergenceError(f"non-finite value in probe epoch {epoch}: {exc}") from exc
-    return MLPPredictor(mlp.triples(), stack=stack)
+    return MLPPredictor([layer for layers in stack.levels for layer in layers] + mlp.triples())
 
 
 def train_logreg(features: np.ndarray, y: np.ndarray) -> MLPPredictor:
@@ -141,11 +139,10 @@ MODEL_KINDS = ("logreg", "forest", "probe")
 
 @dataclass
 class CVResult:
-    model_kind: str
-    reports: list[FairnessReport]
-    mean: dict = field(default_factory=dict)
-    std: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    """Per-metric mean and sample std over the folds; ``meta`` holds k and the seed."""
+    mean: dict
+    std: dict
+    meta: dict
 
 
 def aggregate_metrics(dicts: list[dict]) -> tuple[dict, dict]:
@@ -166,15 +163,14 @@ def aggregate_metrics(dicts: list[dict]) -> tuple[dict, dict]:
     return mean, std
 
 
-def _fit_kind(kind: str, z_train: np.ndarray, y_train: np.ndarray, seed: int,
+def _fit_kind(kind: str, z_train: np.ndarray, y_train: np.ndarray,
               probe_spec: ProbeSpec | None, forest_spec: ForestSpec | None):
     """Fit one model of ``kind``, which :func:`cross_validate` has checked."""
     if kind == "logreg":
         return train_logreg(z_train, y_train)
     if kind == "forest":
-        return train_forest(z_train, y_train, replace(forest_spec or ForestSpec(), seed=seed))
-    return train_probe(TrainedStack.identity(z_train.shape[1]), z_train, y_train,
-                       replace(probe_spec or ProbeSpec(), seed=seed))
+        return train_forest(z_train, y_train, forest_spec)
+    return train_probe(TrainedStack.identity(z_train.shape[1]), z_train, y_train, probe_spec)
 
 
 def cross_validate(model_kind: str, stack: TrainedStack, dataset: Dataset,
@@ -185,23 +181,22 @@ def cross_validate(model_kind: str, stack: TrainedStack, dataset: Dataset,
     downstream model on each train fold, report fairness on the test fold.
 
     The sensitive column is never part of the model input; it enters only
-    the evaluation. Folds are seeded and shared by callers that compare
-    encodings (pass the same seed).
+    the evaluation. ``seed`` seeds the folds, which callers that compare
+    encodings share by passing the same seed. Each fold's model is fitted
+    with the spec it is given, so the forest's or the probe's own seed seeds
+    that model (a spec left None is the default, seed 0).
     """
     if model_kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {model_kind!r}, expected one of {MODEL_KINDS}")
     z = stack.encode(dataset.X)
     folds = make_folds(dataset.n, k, seed)
-    reports: list[FairnessReport] = []
+    reports = []
     for fold, test_idx in enumerate(folds):
         train_idx = fold_train_indices(folds, fold)
         predictor = _fit_kind(model_kind, z[train_idx], dataset.y[train_idx],
-                              seed, probe_spec, forest_spec)
+                              probe_spec, forest_spec)
         pred = predictor.predict(z[test_idx])
         batch = PredictionBatch(pred, dataset.y[test_idx], dataset.s[test_idx])
-        reports.append(evaluate(batch, eo_mode=eo_mode))
-    mean, std = aggregate_metrics([r.to_json() for r in reports])
-    return CVResult(
-        model_kind=model_kind, reports=reports, mean=mean, std=std,
-        meta={"k": k, "seed": seed},
-    )
+        reports.append(evaluate(batch, eo_mode=eo_mode).to_json())
+    mean, std = aggregate_metrics(reports)
+    return CVResult(mean=mean, std=std, meta={"k": k, "seed": seed})

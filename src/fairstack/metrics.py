@@ -56,11 +56,13 @@ def threshold_predictions(probs) -> np.ndarray:
 class FairnessReport:
     """Accuracy plus the three gaps with the per-group rates behind them.
 
-    Gap fields are None when undefined on the evaluated batch.
+    ``delta_dp`` is always defined: :func:`evaluate` raises on an empty group.
+    The eo and eopp gaps, and the rates behind them, are None when a
+    conditioning cell is empty on the evaluated batch.
     """
 
     accuracy: float
-    delta_dp: float | None
+    delta_dp: float
     delta_eo: float | None
     delta_eopp: float | None
     tpr_s0: float | None

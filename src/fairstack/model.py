@@ -146,14 +146,6 @@ class Level:
         self.adversary = MLP(head_dims(adv_in, adv_hidden), rng,
                              output_activation="sigmoid")
 
-    @property
-    def in_dim(self) -> int:
-        return self.encoder.in_dim
-
-    @property
-    def latent(self) -> int:
-        return self.encoder.out_dim
-
 
 def build(spec: StackSpec, seed: int) -> list[Level]:
     """Freshly initialized levels; deterministic per seed (one rng stream,
@@ -233,7 +225,7 @@ def level_grads(level: Level, x: np.ndarray, y: np.ndarray, s: np.ndarray,
         adv, g_adv = bce(s_hat, s_col, -beta)
         g_rows = level.adversary.backward(adv_tape, g_adv, param_grads=False)
         if level.criterion == "eo":
-            g_rows = g_rows[:, :level.latent]
+            g_rows = g_rows[:, :level.encoder.out_dim]
         if idx.size < y.shape[0]:
             scattered = np.zeros_like(z)
             scattered[idx] += g_rows
@@ -265,7 +257,7 @@ class TrainedStack:
     def from_levels(cls, levels: list[Level], provenance: dict | None = None) -> "TrainedStack":
         snap = [[(W.copy(), b.copy(), act) for W, b, act in lv.encoder.triples()]
                 for lv in levels]
-        return cls(in_dim=levels[0].in_dim if levels else 0, levels=snap,
+        return cls(in_dim=levels[0].encoder.in_dim if levels else 0, levels=snap,
                    provenance=dict(provenance or {}))
 
     @classmethod

@@ -404,6 +404,24 @@ def test_config_that_is_not_utf8_exit_2(tmp_path, capsys):
     assert f"config error: config {path} is not UTF-8 text" in capsys.readouterr().err
 
 
+def test_config_with_a_byte_order_mark_runs(tmp_path, capsys):
+    # as data files and transform input do, a config may start with a BOM
+    path = _write_config(tmp_path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main(["fit", "--config", str(path)]) == 0
+    assert load_config(path) == load_config(_write_config(tmp_path, name="plain.json"))
+
+
+def test_config_with_a_repeated_key_exit_2(tmp_path, capsys):
+    # json.loads alone keeps the last value: this config would run seed 7
+    path = _write_config(tmp_path)
+    path.write_text(path.read_text().rstrip().rstrip("}") + ', "seeds": [7]}')
+    assert main(["fit", "--config", str(path)]) == 2
+    assert "config error: config key 'seeds' is given more than once" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("command", ["fit", "sweep", "table1"])
 @pytest.mark.parametrize("under", ["file", "file/runs", "link", "link/runs"])
 def test_out_dir_at_or_under_a_file_exit_2_before_any_training(tmp_path, monkeypatch, capsys,
@@ -1088,8 +1106,6 @@ def test_table1_grid(tmp_path, capsys):
                                  "accuracy_mean", "accuracy_std",
                                  "delta_eo_mean", "delta_eo_std",
                                  "delta_eopp_mean", "delta_eopp_std"}
-    # the tabulated protocol pins the loss weights regardless of the config
-    assert table["loss_weights"] == {"alpha": 0.0, "beta": 1.0, "gamma": 1.0}
     assert table["k"] == 2
     assert table["std_kind"] == "sample (ddof=1)"
 
@@ -1130,6 +1146,23 @@ def test_table1_trains_each_distinct_stack_once(tmp_path, monkeypatch, capsys, l
     assert len(calls) == trained
     assert len(scored) == 2 * (1 + trained)   # logreg and forest on unfair + each stack
     assert len({(kind, id(stack)) for kind, stack in scored}) == len(scored)
+
+
+def test_table1_trains_on_the_configured_loss_weights(tmp_path, monkeypatch, capsys):
+    path = _write_config(tmp_path, stack={"levels": [{"latent": 3}, {"latent": 2}]},
+                         loss={"alpha": 0.5, "beta": 2.5, "gamma": 0.75})
+    specs = []
+
+    def capturing(*args, **kwargs):
+        specs.append(args[0])
+        return train_stack(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_stack", capturing)
+    assert main(["table1", "--config", str(path)]) == 0
+    assert [len(s.levels) for s in specs] == [2, 1]   # stacked, then lafr
+    assert {(s.alpha, s.beta, s.gamma) for s in specs} == {(0.5, 2.5, 0.75)}
+    table = json.loads((_run_dir_from(capsys.readouterr().out) / "table1.json").read_text())
+    assert table["config"]["loss"] == {"alpha": 0.5, "beta": 2.5, "gamma": 0.75}
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -532,6 +532,14 @@ def test_subset_copies_rows():
     assert ds.X[0, 0] != 99.0
 
 
+@pytest.mark.parametrize("n_s", [21, 19], ids=["longer-s", "shorter-s"])
+def test_dataset_refuses_misaligned_rows(n_s):
+    ds = make_synthetic(n=20, seed=0)
+    with pytest.raises(DatasetError, match=r"misaligned dataset: X \(20, \d+\), y \(20,\)"):
+        Dataset(X=ds.X, y=ds.y, s=np.resize(ds.s, n_s), feature_names=ds.feature_names,
+                continuous=ds.continuous)
+
+
 def test_summary_fields():
     summ = make_synthetic(n=40, seed=0).summary()
     assert summ["n"] == 40

@@ -1,5 +1,6 @@
 import contextlib
 import signal
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from fairstack.forest import (MAX_ROWS, DecisionTree, ForestSpec, RandomForest, 
                               _weighted_gini, train_forest)
 from fairstack.metrics import FairnessReport
 from fairstack.model import TrainedStack, build, stacked_spec
-from fairstack.nn import MLP, Param
+from fairstack.nn import MLP, Param, dense_forward
 from fairstack.training import DivergenceError
 from oracles import (adam_logreg, brute_force_best_split, reference_forest_trees,
                      reference_tree, reference_weighted_gini)
@@ -50,6 +51,25 @@ def test_probe_never_touches_encoder_weights():
     ds = make_synthetic(n=200, seed=1)
     train_probe(stack, ds.X, ds.y, ProbeSpec(epochs=5, hidden=4))
     assert _stack_bytes(stack) == before
+
+
+def _layer_bytes(layers) -> list:
+    return [(W.tobytes(), b.tobytes(), act) for W, b, act in layers]
+
+
+def test_probe_predictor_is_its_stack_layers_then_its_head():
+    ds = make_synthetic(n=150, seed=5)
+    stack = TrainedStack.from_levels(build(stacked_spec(ds.d, (4, 2)), seed=0))
+    spec = ProbeSpec(epochs=3, hidden=3, seed=1)
+    probe = train_probe(stack, ds.X, ds.y, spec)
+    encoder = [layer for layers in stack.levels for layer in layers]
+    head = probe.layers[len(encoder):]
+    assert _layer_bytes(probe.layers[:len(encoder)]) == _layer_bytes(encoder)
+    # the head is the probe fitted on the codes themselves
+    z = stack.encode(ds.X)
+    assert _layer_bytes(head) == _layer_bytes(
+        train_probe(TrainedStack.identity(z.shape[1]), z, ds.y, spec).layers)
+    assert probe.predict_proba(ds.X).tobytes() == dense_forward(head, z).reshape(-1).tobytes()
 
 
 def test_probe_learns_separable_data_through_identity_stack():
@@ -622,10 +642,28 @@ def test_cv_constant_predictor_zero_gap():
 def test_cv_produces_k_reports():
     ds = make_synthetic(n=1000, seed=12)
     result = cross_validate("logreg", TrainedStack.identity(ds.d), ds, k=5, seed=1)
-    assert len(result.reports) == 5
-    assert result.meta["k"] == 5
-    assert result.model_kind == "logreg"
-    assert set(result.mean) == set(result.std) == set(result.reports[0].to_json())
+    assert result.meta == {"k": 5, "seed": 1}
+    assert set(result.mean) == set(result.std) == {f.name for f in fields(FairnessReport)}
+
+
+def test_cv_fits_each_fold_with_the_given_spec_seed(monkeypatch):
+    # the CV seed seeds the folds; the forest spec's own seed seeds each forest
+    ds = make_synthetic(n=120, seed=15)
+    fitted = []
+
+    def recording(X, y, spec):
+        forest = train_forest(X, y, spec)
+        fitted.append((X, y, forest))
+        return forest
+
+    monkeypatch.setattr(downstream, "train_forest", recording)
+    cross_validate("forest", TrainedStack.identity(ds.d), ds, k=2, seed=0,
+                   forest_spec=ForestSpec(n_trees=3, max_depth=3, seed=3))
+    assert len(fitted) == 2
+    for X, y, forest in fitted:
+        expected = train_forest(X, y, ForestSpec(n_trees=3, max_depth=3, seed=3))
+        assert [getattr(t, a).tobytes() for t in forest.trees for a in TREE_ARRAYS] == \
+            [getattr(t, a).tobytes() for t in expected.trees for a in TREE_ARRAYS]
 
 
 def test_cv_unknown_model_kind():
@@ -648,7 +686,8 @@ def test_cv_probe_kind_runs_on_encoded_features():
     stack = TrainedStack.from_levels(levels)
     result = cross_validate("probe", stack, ds, k=3, seed=0,
                             probe_spec=ProbeSpec(epochs=3, hidden=4))
-    assert len(result.reports) == 3
+    assert result.meta["k"] == 3
+    assert set(result.mean) == set(result.std) == {f.name for f in fields(FairnessReport)}
 
 
 def _report(dp, acc=0.8):
