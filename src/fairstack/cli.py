@@ -152,9 +152,8 @@ def cmd_fit(cfg: ExperimentConfig) -> int:
         log_paths.append(str(p))
 
     _write_record(run / "run.json", "fit", cfg, chash, wall,
-                  seed=seed, beta=spec.beta, criterion=cfg.criterion,
-                  decoder_inactive=spec.alpha == 0.0, model_path=str(model_path),
-                  log_paths=log_paths, probe_report=report.to_json(), dataset=summary,
+                  seed=seed, model_path=str(model_path), log_paths=log_paths,
+                  probe_report=report.to_json(), dataset=summary,
                   n_train=train_ds.n, n_val=val_ds.n, norm_stats=train_ds.norm_stats)
     print(f"fit: wrote {model_path} ({stack.n_levels} levels, out_dim={stack.out_dim})")
     print(f"fit: probe accuracy={report.accuracy:.4f} "
@@ -409,8 +408,7 @@ def cmd_table1(cfg: ExperimentConfig, jobs: int = 1) -> int:
     chash = config_hash(cfg)
     run = _run_dir(cfg.out_dir, "table1")
     _write_record(run / "table1.json", "table1", cfg, chash, wall,
-                  dataset=summary, k=cfg.cv_folds, seed=seed,
-                  std_kind="sample (ddof=1)", cells=cells)
+                  dataset=summary, seed=seed, cells=cells)
     csv_rows = [{"model": kind, "variant": variant,
                  **{k: ("" if v is None else v) for k, v in cells[kind][variant].items()}}
                 for kind, variant in labels]

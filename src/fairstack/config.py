@@ -303,6 +303,8 @@ def load_config(path, seed: int | None = None) -> ExperimentConfig:
         raise ConfigError(f"config {p} cannot be read: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"config {p} nests too deeply to parse") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root: expected a JSON object")
     if seed is not None:

@@ -69,7 +69,6 @@ class Dataset:
             "n_raw": self.meta.get("n_raw", self.n),
             "n_dropped": self.meta.get("n_dropped", 0),
             "source": self.meta.get("source", "synthetic"),
-            "standardized": self.norm_stats is not None,
         }
 
     def subset(self, idx) -> "Dataset":

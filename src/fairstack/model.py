@@ -6,7 +6,8 @@ h_i predicting the label from z_i, and an adversary head f_i predicting the
 sensitive attribute from z_i: from every row under dp, every row plus the
 label column under eo, and the y = 1 rows under eopp.
 Levels compose: z_0 is the raw input, z_i = E_i(z_{i-1}), with strictly
-decreasing code widths, and level i trains on the frozen codes z_{i-1}.
+decreasing code widths, and level i trains on the frozen codes z_{i-1}; a
+:class:`StackSpec` states z_0's width once and each level only its own widths.
 :func:`level_grads` computes a level's signed objective and its gradients on
 the explicit :mod:`nn` kernel, holding the forward tape of each net it
 back-propagates through; the graph form of the same objective, which the
@@ -47,9 +48,9 @@ class ModelFormatError(ValueError):
 
 @dataclass(frozen=True)
 class LevelSpec:
-    """Dims of one level's encoder: in_dim -> hidden... -> latent."""
+    """Widths of one level's encoder past its input: hidden... -> latent. The
+    input width is the stack's ``in_dim`` or the previous level's latent."""
 
-    in_dim: int
     latent: int
     hidden: tuple[int, ...] = ()
 
@@ -59,6 +60,10 @@ class LevelSpec:
 
 @dataclass(frozen=True)
 class StackSpec:
+    """A stack: its input width, its levels in order, the loss weights and
+    criterion every level trains with, and the widths of the heads."""
+
+    in_dim: int
     levels: tuple[LevelSpec, ...]
     alpha: float = 1.0
     beta: float = 1.0
@@ -70,6 +75,10 @@ class StackSpec:
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
         validate_spec(self)
+
+    def level_inputs(self) -> list[int]:
+        """Each level's input width: ``in_dim``, then each code width but the last."""
+        return [self.in_dim, *(lv.latent for lv in self.levels[:-1])]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -83,20 +92,13 @@ def spec_hash(spec: StackSpec) -> str:
 def validate_spec(spec: StackSpec) -> None:
     if not spec.levels:
         raise SpecError("a stack needs at least one level")
-    for i, lv in enumerate(spec.levels):
-        if lv.in_dim < 1 or lv.latent < 1 or any(h < 1 for h in lv.hidden):
+    for i, (in_dim, lv) in enumerate(zip(spec.level_inputs(), spec.levels)):
+        if lv.latent < 1 or any(h < 1 for h in lv.hidden):
             raise SpecError(f"level {i}: all dims must be >= 1, got {lv}")
-        if lv.latent >= lv.in_dim:
+        if lv.latent >= in_dim:
             raise SpecError(
                 f"level {i}: code width {lv.latent} must be strictly smaller "
-                f"than its input width {lv.in_dim} (widths must decrease)"
-            )
-    for i in range(len(spec.levels) - 1):
-        a, b = spec.levels[i], spec.levels[i + 1]
-        if b.in_dim != a.latent:
-            raise SpecError(
-                f"dimension chain mismatch: level {i + 1} input width {b.in_dim} "
-                f"!= level {i} code width {a.latent}"
+                f"than its input width {in_dim} (widths must decrease)"
             )
     for name in ("alpha", "beta", "gamma"):
         if getattr(spec, name) < 0:
@@ -109,16 +111,13 @@ def validate_spec(spec: StackSpec) -> None:
 
 def stacked_spec(in_dim: int, latents, **kwargs) -> StackSpec:
     """A stack of single-layer encoders: in_dim -> latents[0] -> latents[1] ..."""
-    dims = [in_dim, *latents]
-    levels = tuple(LevelSpec(in_dim=dims[i], latent=dims[i + 1]) for i in range(len(latents)))
-    return StackSpec(levels=levels, **kwargs)
+    return StackSpec(in_dim, tuple(LevelSpec(latent) for latent in latents), **kwargs)
 
 
 def vanilla_spec(in_dim: int, hidden, latent: int, **kwargs) -> StackSpec:
     """The single-level baseline: one encoder with interior hidden layers and
     one adversary acting on the final code only."""
-    return StackSpec(levels=(LevelSpec(in_dim=in_dim, latent=latent, hidden=tuple(hidden)),),
-                     **kwargs)
+    return StackSpec(in_dim, (LevelSpec(latent, tuple(hidden)),), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +132,12 @@ def head_dims(in_dim: int, hidden: int) -> list[int]:
 class Level:
     """One trainable level: encoder, mirrored decoder, classifier, adversary."""
 
-    def __init__(self, spec: LevelSpec, criterion: str, adv_hidden: int,
+    def __init__(self, in_dim: int, spec: LevelSpec, criterion: str, adv_hidden: int,
                  cls_hidden: int, rng: np.random.Generator):
-        enc_dims = [spec.in_dim, *spec.hidden, spec.latent]
-        dec_dims = [spec.latent, *reversed(spec.hidden), spec.in_dim]
+        enc_dims = [in_dim, *spec.hidden, spec.latent]
         self.criterion = criterion
         self.encoder = MLP(enc_dims, rng)
-        self.decoder = MLP(dec_dims, rng)
+        self.decoder = MLP(enc_dims[::-1], rng)
         self.classifier = MLP(head_dims(spec.latent, cls_hidden), rng,
                               output_activation="sigmoid")
         adv_in = spec.latent + (1 if criterion == "eo" else 0)
@@ -151,8 +149,8 @@ def build(spec: StackSpec, seed: int) -> list[Level]:
     """Freshly initialized levels; deterministic per seed (one rng stream,
     networks created in a fixed order)."""
     rng = np.random.default_rng(seed)
-    return [Level(lv, spec.criterion, spec.adv_hidden, spec.cls_hidden, rng)
-            for lv in spec.levels]
+    return [Level(in_dim, lv, spec.criterion, spec.adv_hidden, spec.cls_hidden, rng)
+            for in_dim, lv in zip(spec.level_inputs(), spec.levels)]
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +358,7 @@ class TrainedStack:
         (prov_len,) = struct.unpack("<I", take(4))
         try:
             provenance = json.loads(take(prov_len).decode())
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ModelFormatError(f"corrupt provenance block: {exc}") from exc
         if pos != len(data):
             raise ModelFormatError(f"trailing bytes after model data: {path}")

@@ -213,11 +213,14 @@ class Adam:
         self.v = np.zeros_like(self.value)
 
     def step(self) -> None:
-        """The update above over the flat buffers, in its order."""
+        """The update above over the flat buffers, in its order. A moment that
+        overflows raises FloatingPointError: an infinite ``v`` would zero
+        every update and leave the parameters finite but frozen."""
         self.t += 1
         g = self.grad
-        self.m = self.m * ADAM_BETA1 + g * (1.0 - ADAM_BETA1)
-        self.v = self.v * ADAM_BETA2 + g * g * (1.0 - ADAM_BETA2)
+        with np.errstate(over="raise"):
+            self.m = self.m * ADAM_BETA1 + g * (1.0 - ADAM_BETA1)
+            self.v = self.v * ADAM_BETA2 + g * g * (1.0 - ADAM_BETA2)
         self.value -= (self.m / (1.0 - ADAM_BETA1 ** self.t) * self.lr
                        / (np.sqrt(self.v / (1.0 - ADAM_BETA2 ** self.t)) + ADAM_EPS))
         assert_finite(self.value, f"parameter after Adam step {self.t}")

@@ -168,9 +168,8 @@ def train_stack(spec: StackSpec, train: Dataset, cfg: TrainConfig,
     ``train`` and ``val`` need a row, finite features and 0/1 ``y`` and ``s``.
     """
     for ds in (train,) if val is None else (train, val):
-        if ds.d != spec.levels[0].in_dim:
-            raise DimensionError(f"train_stack: expected input width "
-                                 f"{spec.levels[0].in_dim}, got {ds.d}")
+        if ds.d != spec.in_dim:
+            raise DimensionError(f"train_stack: expected input width {spec.in_dim}, got {ds.d}")
         _fit_input(ds.X, ds.y)
         if not np.isin(ds.s, (0, 1)).all():
             raise ValueError("train_stack: the sensitive column s must be 0/1")
@@ -187,7 +186,6 @@ def train_stack(spec: StackSpec, train: Dataset, cfg: TrainConfig,
     provenance = {
         "spec": spec.to_dict(),
         "spec_hash": spec_hash(spec),
-        "seed": cfg.seed,
         "train_config": cfg.to_dict(),
         "dataset": train.summary(),
     }

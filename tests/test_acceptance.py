@@ -95,7 +95,7 @@ def test_gradients_match_finite_differences():
     # - beta*adv, through encoder, decoder, classifier and adversary at once,
     # for every criterion
     for seed, crit in enumerate(("dp", "eo", "eopp")):
-        spec = StackSpec(levels=(LevelSpec(in_dim=4, latent=2, hidden=(3,)),),
+        spec = StackSpec(in_dim=4, levels=(LevelSpec(latent=2, hidden=(3,)),),
                          alpha=0.7, beta=1.3, gamma=0.9, criterion=crit,
                          adv_hidden=3, cls_hidden=3)
         level = build(spec, seed=seed)[0]
@@ -127,8 +127,8 @@ def test_gradients_match_finite_differences():
     # the adversary is frozen in the main step, and with alpha = 0 the
     # decoder's gradient is zero
     for seed, crit in enumerate(("dp", "eo", "eopp")):
-        spec = StackSpec(levels=(LevelSpec(in_dim=5, latent=4, hidden=(3,)),
-                                 LevelSpec(in_dim=4, latent=2, hidden=(3,))),
+        spec = StackSpec(in_dim=5, levels=(LevelSpec(latent=4, hidden=(3,)),
+                                           LevelSpec(latent=2, hidden=(3,))),
                          criterion=crit, adv_hidden=3, cls_hidden=3)
         first, level = build(spec, seed=seed)
         z = first.encoder.forward_value(rng.uniform(-1, 1, (6, 5)))

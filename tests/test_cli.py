@@ -285,14 +285,14 @@ def test_stack_spec_for_both_variants():
     parsed = parse_config(cfg)
 
     stacked = stack_spec_for(parsed, in_dim=20, variant="stacked")
-    assert [(l.in_dim, l.latent, l.hidden) for l in stacked.levels] == [
-        (20, 10, ()), (10, 8, ()), (8, 4, ())]
+    assert stacked.in_dim == 20
+    assert [(l.latent, l.hidden) for l in stacked.levels] == [(10, ()), (8, ()), (4, ())]
 
     # vanilla folds the whole chain into one level: the earlier latent widths
     # become interior hidden layers, only the last code is adversarially shaped
     vanilla = stack_spec_for(parsed, in_dim=20, variant="vanilla")
     assert len(vanilla.levels) == 1
-    assert vanilla.levels[0].in_dim == 20
+    assert vanilla.in_dim == 20
     assert vanilla.levels[0].latent == 4
     assert vanilla.levels[0].hidden == (10, 8)
 
@@ -412,6 +412,14 @@ def test_config_with_a_byte_order_mark_runs(tmp_path, capsys):
     assert load_config(path) == load_config(_write_config(tmp_path, name="plain.json"))
 
 
+def test_config_nested_too_deeply_exit_2(tmp_path, capsys):
+    # json.loads raises RecursionError, not a decode error, past its depth limit
+    path = tmp_path / "deep.json"
+    path.write_text('{"seeds": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["fit", "--config", str(path)]) == 2
+    assert f"config error: config {path} nests too deeply" in capsys.readouterr().err
+
+
 def test_config_with_a_repeated_key_exit_2(tmp_path, capsys):
     # json.loads alone keeps the last value: this config would run seed 7
     path = _write_config(tmp_path)
@@ -465,11 +473,15 @@ def test_fit_artifact_layout(fitted):
     assert (run / "model.fstk").is_file()
     assert (run / "train-level0.csv").is_file()
     record = json.loads((run / "run.json").read_text())
+    # the config and what the run measured: no key restates a config value
+    assert set(record) == {"command", "config_hash", "config", "wall_time_s", "peak_rss_mb",
+                           "seed", "model_path", "log_paths", "probe_report", "dataset",
+                           "n_train", "n_val", "norm_stats"}
     assert record["command"] == "fit"
     assert record["config_hash"] == config_hash(load_config(cfg_path))
     assert record["seed"] == 0
-    assert record["decoder_inactive"] is False
-    assert record["beta"] == 1.0
+    assert record["config"]["loss"] == {"alpha": 1.0, "beta": 1.0, "gamma": 1.0}
+    assert record["config"]["criterion"] == "dp"
     assert set(record["probe_report"]) >= {"accuracy", "delta_dp", "delta_eo",
                                            "delta_eopp"}
     assert record["n_train"] + record["n_val"] == 120
@@ -559,13 +571,6 @@ def test_fit_seed_flag_lands_in_artifacts(tmp_path, capsys):
     assert record["config"]["seeds"] == [3]
 
 
-def test_fit_alpha_zero_marks_decoder_inactive(tmp_path, capsys):
-    path = _write_config(tmp_path, loss={"alpha": 0.0})
-    assert main(["fit", "--config", str(path)]) == 0
-    run = _run_dir_from(capsys.readouterr().out)
-    assert json.loads((run / "run.json").read_text())["decoder_inactive"] is True
-
-
 def test_fit_with_a_diverging_probe_exit_1(tmp_path, capsys, monkeypatch):
     # the probe's weights overflow
     monkeypatch.setattr(downstream, "PROBE_LR", 1e300)
@@ -575,8 +580,20 @@ def test_fit_with_a_diverging_probe_exit_1(tmp_path, capsys, monkeypatch):
     assert "error: non-finite value in probe" in capsys.readouterr().err
 
 
-def test_fit_is_reproducible_and_never_overwrites(tmp_path, capsys):
-    path = _write_config(tmp_path)
+@pytest.mark.parametrize("weight", ["beta", "gamma"])
+def test_fit_whose_loss_weight_overflows_adam_exit_1(tmp_path, capsys, weight):
+    # a weight the config allows makes g * g overflow in Adam's second moment;
+    # an infinite moment would zero every update and save the initial encoder
+    path = _write_config(tmp_path, loss={weight: 1e300})
+    assert main(["fit", "--config", str(path)]) == 1
+    assert "error: non-finite value at level 0, epoch 0, batch 0: overflow" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("criterion", ["dp", "eo", "eopp"])
+def test_fit_is_reproducible_and_never_overwrites(tmp_path, capsys, criterion):
+    path = _write_config(tmp_path, criterion=criterion)
     assert main(["fit", "--config", str(path)]) == 0
     run_a = _run_dir_from(capsys.readouterr().out)
     assert main(["fit", "--config", str(path)]) == 0
@@ -828,6 +845,17 @@ def test_transform_model_whose_widths_do_not_chain_exit_1(tmp_path, capsys, in_d
     assert err.startswith("error:") and message in err
 
 
+def test_transform_model_whose_provenance_nests_too_deeply_exit_1(tmp_path, capsys):
+    model = tmp_path / "deep.fstk"
+    TrainedStack.identity(4).save(model)
+    deep = b"[" * 100_000 + b"]" * 100_000
+    # the empty provenance is its length (4 bytes) and "{}": swap in the deep one
+    model.write_bytes(model.read_bytes()[:-6] + len(deep).to_bytes(4, "little") + deep)
+    rc, out, err = _transform(model, tmp_path, "1,2,3,4\n", capsys)
+    assert (rc, out) == (1, None)
+    assert err.startswith("error: corrupt provenance block")
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -1018,6 +1046,18 @@ def test_sweep_in_a_pool_matches_the_serial_run(tmp_path, monkeypatch, capsys):
     assert all(r["accuracy"] for r in rows if r["status"] == "ok")
 
 
+def test_sweep_row_whose_beta_overflows_adam_fails_alone(tmp_path, capsys):
+    path = _write_config(tmp_path, sweep={"betas": [1.0, 1e300]})
+    assert main(["sweep", "--config", str(path)]) == 1
+    run = _run_dir_from(capsys.readouterr().out)
+    rows = _read_csv_rows(run / "sweep.csv")
+    assert [(r["beta"], r["variant"], r["status"]) for r in rows] == [
+        ("1.0", "stacked", "ok"), ("1.0", "vanilla", "ok"),
+        ("1e+300", "stacked", "failed"), ("1e+300", "vanilla", "failed")]
+    failures = json.loads((run / "run.json").read_text())["failures"]
+    assert all(f["error"].startswith("DivergenceError: non-finite value") for f in failures)
+
+
 def test_sweep_loads_the_data_once_per_job(tmp_path, monkeypatch, capsys):
     path = _write_config(tmp_path, seeds=[0, 1], sweep={"betas": [0.0, 1.0]},
                          stack={"levels": [{"latent": 3}, {"latent": 2}]})
@@ -1106,9 +1146,12 @@ def test_table1_grid(tmp_path, capsys):
                                  "accuracy_mean", "accuracy_std",
                                  "delta_eo_mean", "delta_eo_std",
                                  "delta_eopp_mean", "delta_eopp_std"}
-    assert table["k"] == 2
-    assert table["std_kind"] == "sample (ddof=1)"
+    assert set(table) == {"command", "config_hash", "config", "wall_time_s", "peak_rss_mb",
+                          "dataset", "seed", "cells"}
+    assert table["config"]["cv_folds"] == 2
 
+    assert (run / "table1.csv").read_text().splitlines()[0] == \
+        f"# config_hash={table['config_hash']} std=sample(ddof=1)"
     rows = _read_csv_rows(run / "table1.csv")
     assert [(r["model"], r["variant"]) for r in rows] == [
         (kind, variant)

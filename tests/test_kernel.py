@@ -38,8 +38,8 @@ from oracles import AdamReference, all_params, main_params
 
 
 def _spec(criterion: str, alpha: float, hidden=(3,), adv_hidden: int = 4) -> StackSpec:
-    return StackSpec(levels=(LevelSpec(in_dim=7, latent=5, hidden=hidden),
-                             LevelSpec(in_dim=5, latent=3, hidden=hidden)),
+    return StackSpec(in_dim=7, levels=(LevelSpec(latent=5, hidden=hidden),
+                                       LevelSpec(latent=3, hidden=hidden)),
                      alpha=alpha, beta=1.3, gamma=0.9, criterion=criterion,
                      adv_hidden=adv_hidden, cls_hidden=4)
 
@@ -204,8 +204,8 @@ def test_train_stack_matches_the_graph_trainer(name, monkeypatch):
     train, val = _data(rare_positives="empty" in name)
     spec_kw = {"alpha": 0.0, "criterion": "dp", "adv_hidden": 5, "cls_hidden": 5, **spec_kw}
     hidden = spec_kw.pop("hidden", ())
-    spec = StackSpec(levels=(LevelSpec(in_dim=train.d, latent=4, hidden=hidden),
-                             LevelSpec(in_dim=4, latent=2, hidden=hidden)),
+    spec = StackSpec(in_dim=train.d, levels=(LevelSpec(latent=4, hidden=hidden),
+                                             LevelSpec(latent=2, hidden=hidden)),
                      beta=1.0, gamma=1.0, **spec_kw)
     cfg = TrainConfig(**{"epochs": 3, "batch_size": 32, "seed": 0, **cfg_kw})
     if "empty" in name:  # the case must reach batches without a y == 1 row
@@ -242,8 +242,8 @@ from fairstack.training import TrainConfig, train_stack
 ds = make_synthetic(n=240, seed=5, n_noise=4)
 train, val = ds.subset(range(180)), ds.subset(range(180, 240))
 for crit in CRITERIA:
-    spec = StackSpec(levels=(LevelSpec(in_dim=train.d, latent=4),
-                             LevelSpec(in_dim=4, latent=2)), criterion=crit)
+    spec = StackSpec(in_dim=train.d, levels=(LevelSpec(latent=4), LevelSpec(latent=2)),
+                     criterion=crit)
     stack, _ = train_stack(spec, train, TrainConfig(epochs=2, batch_size=32), val=val)
 train_probe(stack, train.X, train.y, ProbeSpec(hidden=3, epochs=2))
 train_logreg(train.X, train.y)

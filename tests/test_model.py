@@ -41,11 +41,25 @@ def _sigmoid(t):
 
 
 def test_stacked_spec_widths():
+    # the input width is stated once; each level states its own widths only
     spec = stacked_spec(in_dim=104, latents=(20, 8))
-    assert len(spec.levels) == 2
-    assert spec.levels[0].in_dim == 104 and spec.levels[0].latent == 20
-    assert spec.levels[1].in_dim == 20 and spec.levels[1].latent == 8
-    assert spec.levels[0].in_dim == 104 and spec.levels[-1].latent == 8
+    assert spec.in_dim == 104
+    assert spec.levels == (LevelSpec(latent=20), LevelSpec(latent=8))
+    assert spec.level_inputs() == [104, 20]
+    assert spec.to_dict()["levels"] == ({"latent": 20, "hidden": ()},
+                                        {"latent": 8, "hidden": ()})
+
+
+def test_build_chains_each_level_from_the_code_before_it():
+    levels = build(stacked_spec(104, (20, 8)), seed=0)
+    assert [(lv.encoder.in_dim, lv.encoder.out_dim) for lv in levels] == [(104, 20), (20, 8)]
+    assert [(lv.decoder.in_dim, lv.decoder.out_dim) for lv in levels] == [(20, 104), (8, 20)]
+    # with hidden layers too, a decoder's dims are its encoder's reversed
+    level = build(vanilla_spec(12, hidden=(9, 6), latent=4), seed=0)[0]
+    enc = [W.value.shape for W in level.encoder.weights]
+    dec = [W.value.shape for W in level.decoder.weights]
+    assert enc == [(12, 9), (9, 6), (6, 4)]
+    assert dec == [(n_out, n_in) for n_in, n_out in reversed(enc)]
 
 
 def test_vanilla_spec_single_level_with_hidden():
@@ -54,23 +68,15 @@ def test_vanilla_spec_single_level_with_hidden():
     assert spec.levels[0].hidden == (15,)
 
 
-def test_spec_rejects_chain_mismatch():
-    with pytest.raises(SpecError) as exc:
-        StackSpec(levels=(LevelSpec(10, 8), LevelSpec(7, 4)))
-    msg = str(exc.value)
-    assert "level 1 input width 7" in msg
-    assert "level 0 code width 8" in msg
-
-
 def test_spec_rejects_nondecreasing_codes():
     with pytest.raises(SpecError) as exc:
-        StackSpec(levels=(LevelSpec(10, 4), LevelSpec(4, 4)))
+        StackSpec(10, levels=(LevelSpec(4), LevelSpec(4)))
     assert "strictly decrease" in str(exc.value) or "strictly smaller" in str(exc.value)
 
 
 def test_spec_rejects_expanding_level():
     with pytest.raises(SpecError):
-        StackSpec(levels=(LevelSpec(4, 9),))
+        StackSpec(4, levels=(LevelSpec(9),))
 
 
 def test_spec_rejects_unknown_criterion():
@@ -103,8 +109,8 @@ def test_spec_dict_round_trip():
 
 
 def test_spec_from_dict_fills_the_spec_defaults():
-    spec = spec_from_dict({"levels": [{"in_dim": 12, "latent": 6}, {"in_dim": 6, "latent": 3}]})
-    assert spec == StackSpec(levels=(LevelSpec(12, 6), LevelSpec(6, 3)))
+    spec = spec_from_dict({"in_dim": 12, "levels": [{"latent": 6}, {"latent": 3}]})
+    assert spec == StackSpec(12, levels=(LevelSpec(6), LevelSpec(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +189,7 @@ def test_beta_zero_kills_adversary_gradient():
 
 
 def test_level_loss_hand_computed_two_samples():
-    level = Level(LevelSpec(2, 1), criterion="dp", adv_hidden=0, cls_hidden=0,
+    level = Level(2, LevelSpec(1), criterion="dp", adv_hidden=0, cls_hidden=0,
                   rng=np.random.default_rng(0))
     level.encoder.weights[0].value[...] = [[0.5], [-0.25]]
     level.encoder.biases[0].value[...] = [[0.1]]

@@ -164,7 +164,10 @@ def test_train_stack_provenance():
     spec = stacked_spec(train.d, (3,), beta=0.5)
     cfg = TrainConfig(epochs=1, batch_size=32, seed=2)
     stack, _ = train_stack(spec, train, cfg)
-    assert stack.provenance["seed"] == 2
+    assert set(stack.provenance) == {"spec", "spec_hash", "train_config", "dataset"}
+    assert stack.provenance["spec"]["in_dim"] == train.d
+    assert stack.provenance["spec"]["levels"] == ({"latent": 3, "hidden": ()},)
+    assert stack.provenance["train_config"]["seed"] == 2
     assert stack.provenance["spec"]["beta"] == 0.5
     assert stack.provenance["train_config"]["epochs"] == 1
     assert stack.provenance["dataset"]["n"] == 48
@@ -258,6 +261,16 @@ def test_divergence_error_names_location():
             train_stack(spec, train, cfg)
     msg = str(exc.value)
     assert "level 0" in msg and "epoch" in msg and "batch" in msg
+
+
+@pytest.mark.parametrize("weight", ["beta", "gamma"])
+def test_a_loss_weight_that_overflows_adam_raises_divergence_error(weight):
+    # the gradient is finite, but g * g overflows in Adam's second moment: an
+    # infinite moment would make every update 0 and leave the encoder frozen
+    train, _ = _synthetic_split(n=64)
+    spec = stacked_spec(train.d, (3,), **{weight: 1e300})
+    with pytest.raises(DivergenceError, match="level 0, epoch 0, batch 0: overflow"):
+        train_stack(spec, train, TrainConfig(epochs=1, batch_size=16, seed=0))
 
 
 def _poison_step(monkeypatch, module, at: int) -> None:
