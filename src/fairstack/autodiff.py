@@ -3,7 +3,9 @@
 Every value in the graph is a 2-D numpy array. ``Var`` wraps a value together
 with a gradient buffer of the same shape; operations, plain functions (``Var``
 overloads no operator), build the graph by recording parents and a
-vector-Jacobian closure; its activations are those of :data:`nn.ACTIVATIONS`.
+vector-Jacobian closure; its activations are those of :data:`nn.ACTIVATIONS`,
+plus :func:`sigmoid`, which no network ends in: :func:`bce_loss` takes a
+head's logits, with the ops of :func:`nn.bce` in its order.
 ``backward`` walks the graph in reverse topological order and *accumulates*
 gradients into ``.grad`` -- call :func:`zero_grads` (or an optimizer's
 ``zero_grad``) between steps.
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import nn
 from .model import Level, _check_rows, adversary_rows
-from .nn import BCE_EPS, LEAKY_SLOPE, DimensionError, Param, assert_finite
+from .nn import LEAKY_SLOPE, DimensionError, Param, assert_finite
 
 
 class GraphError(RuntimeError):
@@ -213,29 +215,25 @@ def take_rows(a: Var, rows) -> Var:
 # Losses
 
 
-def bce_loss(predicted: Var, target) -> Var:
-    """Mean binary cross-entropy -[t*log(p) + (1-t)*log(1-p)] over all entries.
-
-    Predictions are clamped into [BCE_EPS, 1-BCE_EPS] before the log; the
-    gradient is zero where the clamp is active.
+def bce_loss(logits: Var, target) -> Var:
+    """Mean binary cross-entropy of sigmoid(l) against t over all entries,
+    taken on the logits l: mean(logaddexp(0, l) - t*l). Its pullback is
+    g * ((sigmoid(l) - t) / n), finite for every finite logit and g.
     """
-    predicted = as_var(predicted)
+    logits = as_var(logits)
     t = _as_matrix(target)
-    if predicted.value.shape != t.shape:
+    if logits.value.shape != t.shape:
         raise DimensionError(
-            f"bce_loss: prediction shape {predicted.value.shape} != target shape {t.shape}"
+            f"bce_loss: logit shape {logits.value.shape} != target shape {t.shape}"
         )
-    raw = predicted.value
-    p = np.clip(raw, BCE_EPS, 1.0 - BCE_EPS)
-    n = p.size
-    value = float(-(t * np.log(p) + (1.0 - t) * np.log1p(-p)).mean())
+    v = logits.value
+    value = float((np.logaddexp(0.0, v) - t * v).mean())
     assert_finite(np.array(value), "bce_loss")
-    inside = (raw > BCE_EPS) & (raw < 1.0 - BCE_EPS)
 
     def vjp(g):
-        return (g[0, 0] * inside * (p - t) / (p * (1.0 - p)) / n,)
+        return (g[0, 0] * ((nn.sigmoid(v) - t) / v.size),)
 
-    return _make(np.array([[value]]), (predicted,), vjp)
+    return _make(np.array([[value]]), (logits,), vjp)
 
 
 def mse_loss(reconstruction: Var, target) -> Var:
@@ -314,7 +312,7 @@ def zero_grads(params: Sequence[Param | Var]) -> None:
 # ---------------------------------------------------------------------------
 # The package's networks as graphs
 
-_ACTIVATE = {"identity": lambda a: a, "leaky_relu": leaky_relu, "sigmoid": sigmoid}
+_ACTIVATE = {"identity": lambda a: a, "leaky_relu": leaky_relu}
 
 
 def forward(net: nn.MLP, x) -> Var:

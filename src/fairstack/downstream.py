@@ -4,7 +4,9 @@ Three independent predictors score a frozen encoding: a one-hidden-layer MLP
 probe (plain BCE, no fairness terms, minibatch Adam on the explicit kernel of
 :mod:`nn` at the fixed ``PROBE_*`` settings), logistic regression (solved to
 its ridge-regularized optimum by Newton's method at the fixed ``LOGREG_*``
-settings), and a random forest.
+settings), and a random forest. The probe and logistic regression are both
+an :class:`MLPPredictor`, whose network ends in a logit: it predicts 1 where
+the logit is >= 0.
 ``cross_validate`` runs the k-fold protocol — encode, fit on the train fold,
 report fairness metrics on the test fold — and aggregates mean and sample
 standard deviation per metric.
@@ -47,7 +49,7 @@ class ProbeSpec:
 
 
 class MLPPredictor:
-    """Thresholded sigmoid-MLP predictor: its ``layers``, (W, b, activation)
+    """Thresholded logit-MLP predictor: its ``layers``, (W, b, activation)
     triples as :func:`nn.dense_forward` takes them, and nothing else of the
     fit. A probe's layers are its frozen encoder's, then its head's, so it
     reads raw rows."""
@@ -55,23 +57,22 @@ class MLPPredictor:
     def __init__(self, layers: list):
         self.layers = layers
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def logits(self, X: np.ndarray) -> np.ndarray:
         return dense_forward(self.layers, np.asarray(X, dtype=np.float64)).reshape(-1)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return threshold_predictions(self.predict_proba(X))
+        return threshold_predictions(self.logits(X))
 
 
 def train_probe(stack: TrainedStack, X: np.ndarray, y: np.ndarray,
                 spec: ProbeSpec | None = None) -> MLPPredictor:
-    """Label probe on frozen encodings: encode X, fit hidden->sigmoid MLP
+    """Label probe on frozen encodings: encode X, fit a hidden->logit MLP
     with plain BCE, minibatch Adam. The stack is only ever read; the
     predictor runs its layers, then the head's."""
     spec = spec or ProbeSpec()
     X, y = _fit_input(X, y)
     z = stack.encode(X)
-    mlp = MLP(head_dims(z.shape[1], spec.hidden), np.random.default_rng(spec.seed),
-              output_activation="sigmoid")
+    mlp = MLP(head_dims(z.shape[1], spec.hidden), np.random.default_rng(spec.seed))
     opt = Adam(mlp.params(), lr=PROBE_LR)
     target = y.reshape(-1, 1).astype(float)
     try:
@@ -84,10 +85,10 @@ def train_probe(stack: TrainedStack, X: np.ndarray, y: np.ndarray,
 
 
 def train_logreg(features: np.ndarray, y: np.ndarray) -> MLPPredictor:
-    """Logistic regression = single dense layer + sigmoid, at the minimum of
+    """Logistic regression = one dense layer to a logit, at the minimum of
     mean BCE plus ``LOGREG_RIDGE / 2`` (1e-6 / 2) times the squared norm of
     the weights and the bias. Newton (IRLS) steps from zero on the
-    bias-augmented design X~ solve
+    bias-augmented design X~, with p = sigmoid(X~ w), solve
     ``(X~' diag(p(1-p)) X~ / n + ridge I) delta = X~'(p - y) / n + ridge w``
     and take ``w -= delta``, until the Newton decrement ``g' delta`` is below
     ``LOGREG_TOL`` (1e-10). The ridge keeps the system positive definite, so
@@ -128,7 +129,7 @@ def train_logreg(features: np.ndarray, y: np.ndarray) -> MLPPredictor:
                     f"steps: decrement {decrement:.3g} >= {LOGREG_TOL:g}")
     except FloatingPointError as exc:
         raise DivergenceError(f"non-finite value in logistic regression: {exc}") from exc
-    return MLPPredictor([(w[:d].reshape(d, 1), w[d:].reshape(1, 1), "sigmoid")])
+    return MLPPredictor([(w[:d].reshape(d, 1), w[d:].reshape(1, 1), "identity")])
 
 
 # ---------------------------------------------------------------------------

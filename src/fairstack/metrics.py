@@ -6,6 +6,7 @@ frequencies of a :class:`PredictionBatch`. A gap is *undefined*, None in the
 report, when one of its conditioning cells is empty (the report's rate for
 that cell is None too); silently returning 0 would fake fairness. An empty
 group leaves no gap defined and raises :class:`UndefinedMetricError`.
+Hard predictions come from a head's logits by :func:`threshold_predictions`.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ class PredictionBatch:
             )
 
 
-def threshold_predictions(probs) -> np.ndarray:
-    """Turn probabilistic outputs into hard 0/1 labels (>= 0.5 -> 1)."""
-    return (np.asarray(probs).reshape(-1) >= 0.5).astype(np.int64)
+def threshold_predictions(logits) -> np.ndarray:
+    """Turn a head's logits into hard 0/1 labels (>= 0 -> 1, so -0.0 -> 1)."""
+    return (np.asarray(logits).reshape(-1) >= 0.0).astype(np.int64)
 
 
 @dataclass

@@ -4,7 +4,8 @@ Each level owns four networks: an encoder E_i mapping the previous code z_{i-1}
 to a narrower code z_i, a decoder D_i mirroring the encoder, a classifier head
 h_i predicting the label from z_i, and an adversary head f_i predicting the
 sensitive attribute from z_i: from every row under dp, every row plus the
-label column under eo, and the y = 1 rows under eopp.
+label column under eo, and the y = 1 rows under eopp. Both heads end in a
+logit, on which their BCE is taken.
 Levels compose: z_0 is the raw input, z_i = E_i(z_{i-1}), with strictly
 decreasing code widths, and level i trains on the frozen codes z_{i-1}; a
 :class:`StackSpec` states z_0's width once and each level only its own widths.
@@ -32,9 +33,10 @@ CRITERIA = ("dp", "eo", "eopp")
 
 MAGIC = b"FSTK"
 FORMAT_VERSION = 1
-# The byte each layer's activation is stored as. Code 1 was relu, which no
-# network has any more; it stays unassigned, so every file keeps its meaning.
-ACTIVATION_CODES = {"identity": 0, "leaky_relu": 2, "sigmoid": 3}
+# The byte each layer's activation is stored as. Code 1 was relu and code 3
+# sigmoid (only ever a head's, never an encoder's), which no network has any
+# more; they stay unassigned, so every file keeps its meaning.
+ACTIVATION_CODES = {"identity": 0, "leaky_relu": 2}
 _ACTIVATION_NAMES = {code: name for name, code in ACTIVATION_CODES.items()}
 
 
@@ -125,7 +127,7 @@ def vanilla_spec(in_dim: int, hidden, latent: int, **kwargs) -> StackSpec:
 
 
 def head_dims(in_dim: int, hidden: int) -> list[int]:
-    """Dims of a sigmoid head: in_dim -> hidden -> 1, or in_dim -> 1 when hidden is 0."""
+    """Dims of a logit head: in_dim -> hidden -> 1, or in_dim -> 1 when hidden is 0."""
     return [in_dim, hidden, 1] if hidden > 0 else [in_dim, 1]
 
 
@@ -138,11 +140,9 @@ class Level:
         self.criterion = criterion
         self.encoder = MLP(enc_dims, rng)
         self.decoder = MLP(enc_dims[::-1], rng)
-        self.classifier = MLP(head_dims(spec.latent, cls_hidden), rng,
-                              output_activation="sigmoid")
+        self.classifier = MLP(head_dims(spec.latent, cls_hidden), rng)
         adv_in = spec.latent + (1 if criterion == "eo" else 0)
-        self.adversary = MLP(head_dims(adv_in, adv_hidden), rng,
-                             output_activation="sigmoid")
+        self.adversary = MLP(head_dims(adv_in, adv_hidden), rng)
 
 
 def build(spec: StackSpec, seed: int) -> list[Level]:
@@ -207,9 +207,9 @@ def level_grads(level: Level, x: np.ndarray, y: np.ndarray, s: np.ndarray,
     enc_tape, cls_tape, dec_tape = [], [], ([] if alpha else None)
     z = level.encoder.forward_value(x, enc_tape)
     rec, g_rec = mse(level.decoder.forward_value(z, dec_tape), x, alpha if alpha else None)
-    y_hat = level.classifier.forward_value(z, cls_tape)
+    y_logit = level.classifier.forward_value(z, cls_tape)
     y_col = y.reshape(-1, 1).astype(float)
-    cls, g_cls = bce(y_hat, y_col, gamma)
+    cls, g_cls = bce(y_logit, y_col, gamma)
     # d(objective)/dz sums the heads in the graph's order: rec, cls, adv
     g_z = level.classifier.backward(cls_tape, g_cls)
     if g_rec is not None:
@@ -218,9 +218,9 @@ def level_grads(level: Level, x: np.ndarray, y: np.ndarray, s: np.ndarray,
     adv = None
     if rows is not None:
         adv_tape: list = []
-        s_hat = level.adversary.forward_value(rows, adv_tape)
+        s_logit = level.adversary.forward_value(rows, adv_tape)
         s_col = s[idx].reshape(-1, 1).astype(float)
-        adv, g_adv = bce(s_hat, s_col, -beta)
+        adv, g_adv = bce(s_logit, s_col, -beta)
         g_rows = level.adversary.backward(adv_tape, g_adv, param_grads=False)
         if level.criterion == "eo":
             g_rows = g_rows[:, :level.encoder.out_dim]

@@ -3,13 +3,15 @@
 Each :class:`MLP` owns its parameters, one weight and one bias :class:`Param`
 per layer, and there is no per-layer object. Weight initialization is uniform
 in +-sqrt(6 / (fan_in + fan_out)); biases start at zero. Hidden layers are
-leaky ReLU (slope 0.01), and a last layer is identity or sigmoid: these three
-are :data:`ACTIVATIONS`, all a network can have. The model file stores each
-by the code :data:`model.ACTIVATION_CODES` gives it, not by its position here.
+leaky ReLU (slope 0.01) and the last layer is identity: these two are
+:data:`ACTIVATIONS`, all a network can have. A classifier, adversary or probe
+head therefore ends in a logit, and its BCE is taken on that logit. The model
+file stores each activation by the code :data:`model.ACTIVATION_CODES` gives
+it, not by its position here.
 
 Every forward pass, training or inference, is one :func:`dense_forward`.
-A training step hands it a tape, a list that receives each layer's input,
-pre-activation and output; ``MLP.backward(tape, g)`` walks that tape in
+A training step hands it a tape, a list that receives each layer's input
+and pre-activation; ``MLP.backward(tape, g)`` walks that tape in
 reverse and accumulates into each :class:`Param`'s ``.grad``. The caller owns
 the tape, so a network keeps no copy of what it last saw. :func:`mse` and
 :func:`bce` return a loss and ``scale`` times its gradient; :func:`bce_grad`
@@ -25,10 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-BCE_EPS = 1e-7
 LEAKY_SLOPE = 0.01
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-ACTIVATIONS = ("identity", "leaky_relu", "sigmoid")
+ACTIVATIONS = ("identity", "leaky_relu")
 
 
 class DimensionError(ValueError):
@@ -65,20 +66,17 @@ def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
         return x
     if name == "leaky_relu":
         return np.where(x > 0, x, LEAKY_SLOPE * x)
-    if name == "sigmoid":
-        return sigmoid(x)
     raise ValueError(f"unknown activation {name!r}, expected one of {ACTIVATIONS}")
 
 
 def dense_forward(layers, x: np.ndarray, tape: list | None = None) -> np.ndarray:
     """act(x @ W + b) through (W, b, activation) triples; given a ``tape``
-    list, append each layer's (input, pre-activation, output) to it."""
+    list, append each layer's (input, pre-activation) to it."""
     for W, b, act in layers:
         pre = x @ W + b
-        out = apply_activation(act, pre)
         if tape is not None:
-            tape.append((x, pre, out))
-        x = out
+            tape.append((x, pre))
+        x = apply_activation(act, pre)
     return x
 
 
@@ -89,19 +87,15 @@ def init_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarr
 
 class MLP:
     """Dense layers act(x @ W + b) along a dim chain [d0, d1, ..., dk]: leaky
-    ReLU on the hidden layers, ``output_activation`` on the last; each W is
-    (d_i, d_i+1) and each b is (1, d_i+1)."""
+    ReLU on the hidden layers, identity on the last; each W is (d_i, d_i+1)
+    and each b is (1, d_i+1)."""
 
-    def __init__(self, dims: Sequence[int], rng: np.random.Generator,
-                 output_activation: str = "identity"):
+    def __init__(self, dims: Sequence[int], rng: np.random.Generator):
         if len(dims) < 2:
             raise ValueError(f"an MLP needs at least two dims, got {list(dims)}")
-        if output_activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {output_activation!r}, "
-                             f"expected one of {ACTIVATIONS}")
         self.weights = [Param(init_weight(rng, i, o)) for i, o in zip(dims, dims[1:])]
         self.biases = [Param(np.zeros((1, o))) for o in dims[1:]]
-        self.activations = ["leaky_relu"] * (len(dims) - 2) + [output_activation]
+        self.activations = ["leaky_relu"] * (len(dims) - 2) + ["identity"]
 
     @property
     def in_dim(self) -> int:
@@ -123,17 +117,14 @@ class MLP:
     def backward(self, tape: list, g: np.ndarray, input_grad: bool = True,
                  param_grads: bool = True) -> np.ndarray | None:
         """Pull d(loss)/d(output) ``g`` back through the layers, last to first,
-        each reading its (input, pre-activation, output) record of ``tape``, as
+        each reading its (input, pre-activation) record of ``tape``, as
         :meth:`forward_value` filled it: accumulate into every weight's and
         bias's ``.grad`` (unless ``param_grads`` is off) and return
         d(loss)/d(input) (None unless ``input_grad``)."""
         for i in range(len(self.weights) - 1, -1, -1):
-            x, pre, out = tape[i]
-            act = self.activations[i]
-            if act == "leaky_relu":
+            x, pre = tape[i]
+            if self.activations[i] == "leaky_relu":
                 g = g * np.where(pre > 0, 1.0, LEAKY_SLOPE)
-            elif act == "sigmoid":
-                g = g * out * (1.0 - out)
             if param_grads:
                 self.weights[i].grad += x.T @ g
                 self.biases[i].grad += np.add.reduce(g, axis=0, keepdims=True)
@@ -144,29 +135,24 @@ class MLP:
         return [p for pair in zip(self.weights, self.biases) for p in pair]
 
 
-def bce(predicted: np.ndarray, target: np.ndarray,
+def bce(logits: np.ndarray, target: np.ndarray,
         scale: float | None = None) -> tuple[float, np.ndarray | None]:
-    """Mean BCE of ``predicted``, clamped into [BCE_EPS, 1-BCE_EPS], against
-    ``target``, and ``scale`` times its gradient (zero where clamped), None
-    without a ``scale``: the value and pullback of the graph's ``bce_loss``."""
-    p = np.clip(predicted, BCE_EPS, 1.0 - BCE_EPS)
-    value = float(-(target * np.log(p) + (1.0 - target) * np.log1p(-p)).mean())
+    """Mean BCE of sigmoid(``logits``) against ``target``, taken on the
+    logits as ``mean(logaddexp(0, l) - t*l)``, and ``scale`` times its
+    gradient :func:`bce_grad`, None without a ``scale``: the value and
+    pullback of the graph's ``bce_loss``."""
+    value = float((np.logaddexp(0.0, logits) - target * logits).mean())
     if not math.isfinite(value):
         raise FloatingPointError("non-finite values in bce_loss")
     if scale is None:
         return value, None
-    return value, _bce_grad(predicted, p, target, scale)
+    return value, scale * bce_grad(logits, target)
 
 
-def bce_grad(predicted: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """The gradient of :func:`bce` alone, for a step that reads no loss."""
-    return _bce_grad(predicted, np.clip(predicted, BCE_EPS, 1.0 - BCE_EPS), target, 1.0)
-
-
-def _bce_grad(predicted: np.ndarray, p: np.ndarray, target: np.ndarray,
-              scale: float) -> np.ndarray:
-    inside = (predicted > BCE_EPS) & (predicted < 1.0 - BCE_EPS)
-    return scale * inside * (p - target) / (p * (1.0 - p)) / p.size
+def bce_grad(logits: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The gradient of :func:`bce` in its logits, ``(sigmoid(l) - t) / n``,
+    alone, for a step that reads no loss."""
+    return (sigmoid(logits) - target) / logits.size
 
 
 def mse(reconstruction: np.ndarray, target: np.ndarray,

@@ -3,11 +3,12 @@
 Per batch the main step updates encoder, decoder and classifier to minimize
 alpha*L_rec + gamma*L_class - beta*L_adv with the adversary frozen; then the
 adversary alone takes one adversary step, at the same learning rate, on
-BCE(f(z), s) against the freshly updated (and detached) codes. In both steps
-the adversary sees the rows :func:`model.adversary_rows` picks: every row
-under dp and eo, the y == 1 rows under eopp. Levels train sequentially, each
-on the codes of the frozen level before it, computed once by that level's
-encoder.
+the BCE of its logits f(z) against s, on the freshly updated (and detached)
+codes. Every BCE is taken on a head's logits, and a head predicts 1 on the
+val split where its logit is >= 0. In both steps the adversary sees the rows
+:func:`model.adversary_rows` picks: every row under dp and eo, the y == 1
+rows under eopp. Levels train sequentially, each on the codes of the frozen
+level before it, computed once by that level's encoder.
 
 Both steps run on the explicit kernel of :mod:`nn` (:func:`model.level_grads`
 for the main step, :func:`nn.bce_step` for the adversary), with one flat Adam

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from first principles (plain loops,
 no imports from the package under test) so agreement is evidence, not
-circularity. The one exception is :func:`adam_logreg`, the package's former
-logistic-regression solver kept as it was: what it pins is that path itself.
+circularity. The exceptions are :func:`adam_logreg`, the package's former
+logistic-regression solver kept as it was, and :func:`sigmoid_head_bce`, its
+former BCE: what they pin is those paths themselves.
 """
 
 from __future__ import annotations
@@ -47,6 +48,25 @@ def masked_sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+# ---------------------------------------------------------------------------
+# BCE as the package took it when every head ended in a sigmoid, kept
+# verbatim: the prediction clamped into [BCE_EPS, 1 - BCE_EPS], its value,
+# the pullback (zero where clamped) and the head's sigmoid pullback after it.
+
+BCE_EPS = 1e-7
+
+
+def sigmoid_head_bce(predicted: np.ndarray, target: np.ndarray,
+                     scale: float) -> tuple[float, np.ndarray]:
+    """The value and ``scale`` times d(BCE)/d(logit) of a sigmoid head whose
+    output is ``predicted``."""
+    p = np.clip(predicted, BCE_EPS, 1.0 - BCE_EPS)
+    value = float(-(target * np.log(p) + (1.0 - target) * np.log1p(-p)).mean())
+    inside = (predicted > BCE_EPS) & (predicted < 1.0 - BCE_EPS)
+    g = scale * inside * (p - target) / (p * (1.0 - p)) / p.size
+    return value, g * predicted * (1.0 - predicted)
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +129,16 @@ def all_params(level) -> list:
 
 # ---------------------------------------------------------------------------
 # Logistic regression by 500 full-batch Adam steps: the package's solver
-# before it took Newton steps to the optimum, kept verbatim on the package's
-# kernel (imported on call, so importing this module loads no package code).
+# before it took Newton steps to the optimum, kept on the package's kernel
+# (imported on call, so importing this module loads no package code) with
+# its logit head and logit BCE.
 
 ADAM_LOGREG_EPOCHS = 500
 ADAM_LOGREG_LR = 0.05
 
 
 def adam_logreg(features: np.ndarray, y: np.ndarray, seed: int = 0):
-    """Logistic regression = single dense layer + sigmoid, full-batch Adam on
+    """Logistic regression = single dense layer to a logit, full-batch Adam on
     BCE (``ADAM_LOGREG_EPOCHS`` steps at ``ADAM_LOGREG_LR``). Raises
     ``DivergenceError`` on a non-finite value or if the loss before the last
     step is not below the loss before the first."""
@@ -127,7 +148,7 @@ def adam_logreg(features: np.ndarray, y: np.ndarray, seed: int = 0):
     from fairstack.training import DivergenceError
 
     X, y = _fit_input(features, y)
-    mlp = MLP([X.shape[1], 1], np.random.default_rng(seed), output_activation="sigmoid")
+    mlp = MLP([X.shape[1], 1], np.random.default_rng(seed))
     opt = Adam(mlp.params(), lr=ADAM_LOGREG_LR)
     target = y.reshape(-1, 1).astype(float)
     try:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fairstack.autodiff import (
-    BCE_EPS,
     DimensionError,
     GraphError,
     Var,
@@ -65,42 +64,46 @@ def test_matmul_grad_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# bce_loss
+# bce_loss, on logits
 
 
 def test_bce_coin_flip_is_ln2():
-    loss = bce_loss(Var([[0.5]]), [[1.0]])
+    loss = bce_loss(Var([[0.0]]), [[1.0]])
     assert loss.item() == pytest.approx(math.log(2.0), rel=1e-12)
 
 
 def test_bce_confident_correct_is_tiny():
     eps = 1e-7
-    loss = bce_loss(Var([[1.0 - eps]]), [[1.0]])
+    loss = bce_loss(Var([[math.log((1.0 - eps) / eps)]]), [[1.0]])   # sigmoid: 1 - eps
     assert 0.0 < loss.item() < 2.0 * eps
 
 
 def test_bce_mean_over_entries():
-    loss = bce_loss(Var([[0.9, 0.1]]), [[1.0, 0.0]])
+    loss = bce_loss(Var([[math.log(9.0), -math.log(9.0)]]), [[1.0, 0.0]])   # 0.9, 0.1
     assert loss.item() == pytest.approx(-math.log(0.9), rel=1e-10)
     assert loss.item() == pytest.approx(0.105361, abs=1e-6)
 
 
 def test_bce_shape_mismatch():
     with pytest.raises(DimensionError):
-        bce_loss(Var([[0.5, 0.5]]), [[1.0]])
+        bce_loss(Var([[0.0, 0.0]]), [[1.0]])
 
 
-def test_bce_clamps_instead_of_diverging():
-    loss = bce_loss(Var([[1.0]]), [[0.0]])
-    assert math.isfinite(loss.item())
-    assert loss.item() == pytest.approx(-math.log(BCE_EPS), rel=1e-6)
+def test_bce_of_a_saturated_logit_is_exact():
+    # a logit whose sigmoid rounds to 1 or 0 still has its exact loss |l|
+    assert bce_loss(Var([[800.0]]), [[0.0]]).item() == 800.0
+    assert bce_loss(Var([[-800.0]]), [[1.0]]).item() == 800.0
 
 
-def test_bce_gradient_zero_where_clamped():
-    p = parameter([[1.0, 0.5]])
+def test_bce_gradient_of_a_saturated_logit_is_sigmoid_minus_target():
+    # wrong and saturated: the full gradient (sigmoid(l) - t) / n, not 0
+    p = parameter([[800.0, 0.0]])
     backward(bce_loss(p, [[0.0, 0.0]]))
-    assert p.grad[0, 0] == 0.0
-    assert p.grad[0, 1] != 0.0
+    np.testing.assert_array_equal(p.grad, [[0.5, 0.25]])
+    # right and saturated: sigmoid(l) rounds to t, so the gradient is 0
+    q = parameter([[800.0, -800.0]])
+    backward(bce_loss(q, [[1.0, 0.0]]))
+    np.testing.assert_array_equal(q.grad, [[0.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +166,10 @@ def test_backward_through_composite_network():
     t = rng.integers(0, 2, size=(4, 1)).astype(float)
 
     w = parameter(w0)
-    backward(bce_loss(sigmoid(matmul(Var(x0), w)), t))
+    backward(bce_loss(matmul(Var(x0), w), t))
 
     def f(m):
         p = 1.0 / (1.0 + np.exp(-(x0 @ m)))
-        p = np.clip(p, BCE_EPS, 1 - BCE_EPS)
         return float(-(t * np.log(p) + (1 - t) * np.log(1 - p)).mean())
 
     assert grad_close(w.grad, finite_difference(f, w0))

@@ -583,12 +583,14 @@ def test_fit_with_a_diverging_probe_exit_1(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("weight", ["beta", "gamma"])
 def test_fit_whose_loss_weight_overflows_adam_exit_1(tmp_path, capsys, weight):
     # a weight the config allows makes g * g overflow in Adam's second moment;
-    # an infinite moment would zero every update and save the initial encoder
-    path = _write_config(tmp_path, loss={weight: 1e300})
-    assert main(["fit", "--config", str(path)]) == 1
-    assert "error: non-finite value at level 0, epoch 0, batch 0: overflow" in \
-        capsys.readouterr().err
-    assert not (tmp_path / "runs").exists()
+    # an infinite moment would zero every update and save the initial encoder.
+    # 1e308 is near the float limit, where the pullback itself must stay finite
+    for value in (1e300, 1e308):
+        path = _write_config(tmp_path, loss={weight: value})
+        assert main(["fit", "--config", str(path)]) == 1
+        assert "error: non-finite value at level 0, epoch 0, batch 0: overflow" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("criterion", ["dp", "eo", "eopp"])
@@ -1047,13 +1049,14 @@ def test_sweep_in_a_pool_matches_the_serial_run(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_row_whose_beta_overflows_adam_fails_alone(tmp_path, capsys):
-    path = _write_config(tmp_path, sweep={"betas": [1.0, 1e300]})
+    path = _write_config(tmp_path, sweep={"betas": [1.0, 1e300, 1e308]})
     assert main(["sweep", "--config", str(path)]) == 1
     run = _run_dir_from(capsys.readouterr().out)
     rows = _read_csv_rows(run / "sweep.csv")
     assert [(r["beta"], r["variant"], r["status"]) for r in rows] == [
         ("1.0", "stacked", "ok"), ("1.0", "vanilla", "ok"),
-        ("1e+300", "stacked", "failed"), ("1e+300", "vanilla", "failed")]
+        ("1e+300", "stacked", "failed"), ("1e+300", "vanilla", "failed"),
+        ("1e+308", "stacked", "failed"), ("1e+308", "vanilla", "failed")]
     failures = json.loads((run / "run.json").read_text())["failures"]
     assert all(f["error"].startswith("DivergenceError: non-finite value") for f in failures)
 

@@ -22,7 +22,7 @@ from fairstack.forest import (MAX_ROWS, DecisionTree, ForestSpec, RandomForest, 
                               _weighted_gini, train_forest)
 from fairstack.metrics import FairnessReport
 from fairstack.model import TrainedStack, build, stacked_spec
-from fairstack.nn import MLP, Param, dense_forward
+from fairstack.nn import MLP, Param, dense_forward, sigmoid
 from fairstack.training import DivergenceError
 from oracles import (adam_logreg, brute_force_best_split, reference_forest_trees,
                      reference_tree, reference_weighted_gini)
@@ -69,7 +69,7 @@ def test_probe_predictor_is_its_stack_layers_then_its_head():
     z = stack.encode(ds.X)
     assert _layer_bytes(head) == _layer_bytes(
         train_probe(TrainedStack.identity(z.shape[1]), z, ds.y, spec).layers)
-    assert probe.predict_proba(ds.X).tobytes() == dense_forward(head, z).reshape(-1).tobytes()
+    assert probe.logits(ds.X).tobytes() == dense_forward(head, z).reshape(-1).tobytes()
 
 
 def test_probe_learns_separable_data_through_identity_stack():
@@ -86,7 +86,7 @@ def test_probe_seeded_determinism():
     spec = ProbeSpec(epochs=10, seed=4)
     a = train_probe(stack, ds.X, ds.y, spec)
     b = train_probe(stack, ds.X, ds.y, spec)
-    np.testing.assert_array_equal(a.predict_proba(ds.X), b.predict_proba(ds.X))
+    np.testing.assert_array_equal(a.logits(ds.X), b.logits(ds.X))
 
 
 def test_sensitive_probe_reads_planted_attribute_from_raw_features():
@@ -121,15 +121,15 @@ def _logreg_gradient(model, X, y) -> np.ndarray:
     of the objective ``train_logreg`` minimizes, zero at its optimum."""
     (W, b, _), = model.layers
     w = np.append(W[:, 0], b[0, 0])
-    r = (model.predict_proba(X) - y) / len(y)
+    r = (sigmoid(model.logits(X)) - y) / len(y)
     return np.append(r @ X, r.sum()) + LOGREG_RIDGE * w
 
 
 def test_logreg_threshold_near_zero_on_signed_line():
     X, y = _signed_line()
     model = train_logreg(X, y)
-    lo, hi = model.predict_proba(np.array([[-0.1], [0.1]]))
-    assert lo < 0.5 <= hi
+    lo, hi = model.logits(np.array([[-0.1], [0.1]]))
+    assert lo < 0.0 <= hi
 
 
 def test_logreg_invariant_to_duplicating_samples():
@@ -137,7 +137,7 @@ def test_logreg_invariant_to_duplicating_samples():
     a = train_logreg(X, y)
     b = train_logreg(np.vstack([X, X]), np.concatenate([y, y]))
     grid = np.random.default_rng(0).normal(size=(50, 2))
-    np.testing.assert_allclose(a.predict_proba(grid), b.predict_proba(grid),
+    np.testing.assert_allclose(sigmoid(a.logits(grid)), sigmoid(b.logits(grid)),
                                atol=1e-6)
 
 
@@ -145,7 +145,7 @@ def test_logreg_seeded_determinism():
     X, y = _separable_toy(n=80, seed=6)
     a = train_logreg(X, y)
     b = train_logreg(X, y)
-    np.testing.assert_array_equal(a.predict_proba(X), b.predict_proba(X))
+    np.testing.assert_array_equal(a.logits(X), b.logits(X))
 
 
 TOY_X, TOY_Y = _separable_toy()

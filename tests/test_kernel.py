@@ -28,9 +28,9 @@ from fairstack import training
 from fairstack.autodiff import Var, forward, level_loss
 from fairstack.data import batches, make_synthetic
 from fairstack.model import CRITERIA, LevelSpec, StackSpec, build, level_grads
-from fairstack.nn import BCE_EPS
+from fairstack.nn import sigmoid
 from fairstack.training import EpochRecord, TrainConfig, train_stack
-from oracles import AdamReference, all_params, main_params
+from oracles import BCE_EPS, AdamReference, all_params, main_params
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +85,9 @@ def test_kernel_gradients_match_the_graph(crit, alpha, linear_adv, hidden_layer,
 
 @pytest.mark.parametrize("crit", CRITERIA)
 def test_kernel_losses_match_the_graph_with_clamped_heads(crit):
-    # both heads scaled up until predictions sit on the BCE clamp, where the
-    # value and the gradient each read the clamped predictions
+    # both heads scaled up until their logits saturate, past where the BCE
+    # of a sigmoid head clamped its predictions: the logit form still gives
+    # the value and the gradient the same bytes on both paths
     rng = np.random.default_rng(9)
     spec = _spec(crit, 0.0)
     X = rng.normal(size=(32, 7))
@@ -100,7 +101,7 @@ def test_kernel_losses_match_the_graph_with_clamped_heads(crit):
     ad.backward(parts.objective)
     rec, cls, adv = level_grads(kernel[0], X, y, s, 0.0, 1.3, 0.9)
     z = kernel[0].encoder.forward_value(X)
-    y_hat = kernel[0].classifier.forward_value(z)
+    y_hat = sigmoid(kernel[0].classifier.forward_value(z))
     assert ((y_hat < BCE_EPS) | (y_hat > 1.0 - BCE_EPS)).any()
     assert (rec, cls, adv) == (parts.rec.item(), parts.cls.item(), parts.adv.item())
     for g, k in zip(main_params(graph[0]), main_params(kernel[0])):

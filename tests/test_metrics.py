@@ -10,6 +10,7 @@ from fairstack.metrics import (
     evaluate,
     threshold_predictions,
 )
+from fairstack.nn import sigmoid
 from oracles import naive_metrics
 
 
@@ -203,9 +204,36 @@ def test_fifty_sample_batch_matches_naive_recount():
 
 
 def test_threshold_predictions_half_open():
+    # logits: [0, inf) -> 1, -0.0 included; the smallest negative float and nan -> 0
     np.testing.assert_array_equal(
-        threshold_predictions([0.4, 0.5, 0.6]), [0, 1, 1]
+        threshold_predictions([-0.1, -5e-324, -0.0, 0.0, 0.1, np.nan]), [0, 0, 1, 1, 1, 0]
     )
+
+
+# The negative logits whose sigmoid rounds to exactly 0.5: the old cut,
+# sigmoid(l) >= 0.5, read them as 1, and l >= 0 reads them as 0. They run
+# from the smallest subnormal down to this edge, about -4.51e-17.
+HALF_BAND_EDGE = float.fromhex("-0x1.9ffffffffffffp-55")
+
+
+def test_logit_cut_differs_from_the_sigmoid_cut_only_on_the_half_band():
+    # the edge is in the band and the float below it is not, and so for
+    # 2000 floats on each side of it
+    below = above = HALF_BAND_EDGE
+    for _ in range(2000):
+        below = np.nextafter(below, -np.inf)
+        above = np.nextafter(above, 0.0)
+        assert sigmoid(np.array([below]))[0] < 0.5 and sigmoid(np.array([above]))[0] == 0.5
+    band = np.concatenate([[HALF_BAND_EDGE, -5e-324],
+                           -np.logspace(-323, np.log10(-HALF_BAND_EDGE), 5000)])
+    band = band[band >= HALF_BAND_EDGE]
+    rest = np.concatenate([[np.nextafter(HALF_BAND_EDGE, -np.inf), -0.0, 0.0, 5e-324,
+                            np.inf, -np.inf, np.nan],
+                           -np.logspace(np.log10(-HALF_BAND_EDGE) + 1e-12, 300, 5000),
+                           np.logspace(-323, 300, 5000)])
+    for logits, differs in ((band, True), (rest, False)):
+        old = (sigmoid(logits) >= 0.5).astype(np.int64)
+        assert ((threshold_predictions(logits) != old) == differs).all()
 
 
 def test_batch_rejects_length_mismatch():

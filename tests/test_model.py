@@ -396,10 +396,10 @@ def test_load_rejects_an_input_width_of_zero_without_levels(tmp_path):
 
 
 def _tiny_stack() -> TrainedStack:
-    """One level, three layers 2 -> 1 -> 1 -> 1, one of each activation."""
+    """One level, three layers 2 -> 1 -> 1 -> 1, every activation."""
     return TrainedStack(in_dim=2, levels=[[
         (np.array([[0.5], [-0.25]]), np.array([[1.0]]), "leaky_relu"),
-        (np.array([[2.0]]), np.array([[0.0]]), "sigmoid"),
+        (np.array([[2.0]]), np.array([[0.0]]), "leaky_relu"),
         (np.array([[-1.5]]), np.array([[0.125]]), "identity"),
     ]])
 
@@ -407,22 +407,22 @@ def _tiny_stack() -> TrainedStack:
 # each layer: n_in, n_out, activation code, then W and b as little-endian float64
 TINY_STACK_BYTES = (b"FSTK" + struct.pack("<III", 1, 2, 1) + struct.pack("<I", 3)
                     + struct.pack("<IIB", 2, 1, 2) + struct.pack("<3d", 0.5, -0.25, 1.0)
-                    + struct.pack("<IIB", 1, 1, 3) + struct.pack("<2d", 2.0, 0.0)
+                    + struct.pack("<IIB", 1, 1, 2) + struct.pack("<2d", 2.0, 0.0)
                     + struct.pack("<IIB", 1, 1, 0) + struct.pack("<2d", -1.5, 0.125)
                     + struct.pack("<I", 2) + b"{}")
 FIRST_CODE_AT = 4 + 8 + 4 + 4 + 8   # magic, version and in_dim, n_levels, n_layers, widths
 
 
 def test_activation_codes_are_pinned_golden_bytes(tmp_path):
-    # identity 0, leaky_relu 2, sigmoid 3: what every saved model.fstk holds
+    # identity 0, leaky_relu 2: what every saved model.fstk holds
     path = tmp_path / "model.fstk"
     _tiny_stack().save(path)
     assert path.read_bytes() == TINY_STACK_BYTES
     again = TrainedStack.load(path)
-    assert [act for _, _, act in again.levels[0]] == ["leaky_relu", "sigmoid", "identity"]
+    assert [act for _, _, act in again.levels[0]] == ["leaky_relu", "leaky_relu", "identity"]
 
 
-@pytest.mark.parametrize("code", [1, 4])
+@pytest.mark.parametrize("code", [1, 3, 4])   # 1 was relu, 3 sigmoid
 def test_load_rejects_an_unassigned_activation_code(tmp_path, code):
     blob = bytearray(TINY_STACK_BYTES)
     blob[FIRST_CODE_AT] = code

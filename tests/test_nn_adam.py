@@ -4,9 +4,10 @@ import pytest
 from fairstack.autodiff import (Var, backward, bce_loss, forward, mse_loss, parameter,
                                 scale, zero_grads)
 from fairstack.model import CRITERIA, adversary_input, build, stacked_spec
-from fairstack.nn import (ACTIVATIONS, BCE_EPS, Adam, MLP, bce, bce_grad, bce_step,
-                          dense_forward, init_weight, sigmoid)
-from oracles import AdamReference, adam_reference_trace, masked_sigmoid
+from fairstack.nn import (ACTIVATIONS, Adam, MLP, bce, bce_grad, bce_step, dense_forward,
+                          init_weight, sigmoid)
+from oracles import (BCE_EPS, AdamReference, adam_reference_trace, masked_sigmoid,
+                     sigmoid_head_bce)
 
 
 # ---------------------------------------------------------------------------
@@ -23,11 +24,14 @@ def test_init_weight_bounds_and_determinism():
 
 
 def test_mlp_rejects_unknown_activation():
-    with pytest.raises(ValueError) as exc:
-        MLP([2, 2], np.random.default_rng(0), output_activation="tanh")
-    assert "tanh" in str(exc.value)
-    for name in ACTIVATIONS:
-        assert name in str(exc.value)
+    # a layer runs identity or leaky ReLU; sigmoid is no longer one of them
+    layer = (np.eye(2), np.zeros((1, 2)))
+    for bad in ("tanh", "sigmoid"):
+        with pytest.raises(ValueError) as exc:
+            dense_forward([(*layer, bad)], np.ones((1, 2)))
+        assert bad in str(exc.value)
+        for name in ACTIVATIONS:
+            assert name in str(exc.value)
 
 
 def test_mlp_bias_starts_at_zero():
@@ -36,8 +40,8 @@ def test_mlp_bias_starts_at_zero():
 
 
 def test_mlp_activation_assignment():
-    mlp = MLP([4, 3, 2, 1], np.random.default_rng(0), output_activation="sigmoid")
-    assert mlp.activations == ["leaky_relu", "leaky_relu", "sigmoid"]
+    mlp = MLP([4, 3, 2, 1], np.random.default_rng(0))
+    assert mlp.activations == ["leaky_relu", "leaky_relu", "identity"]
     assert mlp.in_dim == 4 and mlp.out_dim == 1
 
 
@@ -48,7 +52,7 @@ def test_mlp_needs_two_dims():
 
 def test_graph_forward_matches_raw_forward_bitwise():
     rng = np.random.default_rng(5)
-    mlp = MLP([3, 4, 2], rng, output_activation="sigmoid")
+    mlp = MLP([3, 4, 2], rng)
     x = np.random.default_rng(6).normal(size=(7, 3))
     assert np.array_equal(forward(mlp, Var(x)).value, mlp.forward_value(x))
 
@@ -67,15 +71,16 @@ def test_sigmoid_matches_the_masked_form_bytewise():
 
 
 def test_a_tape_records_each_layer_and_leaves_the_forward_unchanged():
-    mlp = MLP([5, 4, 3, 1], np.random.default_rng(2), output_activation="sigmoid")
+    mlp = MLP([5, 4, 3, 1], np.random.default_rng(2))
     x = np.random.default_rng(3).normal(size=(9, 5))
     tape: list = []
     out = mlp.forward_value(x, tape)
     assert out.tobytes() == mlp.forward_value(x).tobytes()
     assert len(tape) == len(mlp.weights)
-    assert tape[0][0] is x and tape[-1][2] is out
-    assert all(a[2] is b[0] for a, b in zip(tape, tape[1:]))
-    for (W, b, act), (inp, pre, post) in zip(mlp.triples(), tape):
+    assert tape[0][0] is x
+    # each layer's output is the next layer's input, and the last one is out
+    outputs = [inp for inp, _ in tape[1:]] + [out]
+    for (W, b, act), (inp, pre), post in zip(mlp.triples(), tape, outputs):
         assert pre.tobytes() == (inp @ W + b).tobytes()
         assert post.tobytes() == dense_forward([(W, b, act)], inp).tobytes()
 
@@ -162,26 +167,44 @@ def test_flat_adam_matches_the_reference_bytewise():
 
 
 # ---------------------------------------------------------------------------
-# bce's value and pullback against the graph's bce_loss
+# bce's value and pullback against the graph's bce_loss, and against the BCE
+# of a sigmoid head that the logit form replaced
 
 
 @pytest.mark.parametrize("c", [1.0, 0.7, -5.0])
 def test_bce_pullback_is_scale_times_the_graph_backward(c):
     rng = np.random.default_rng(0)
-    p = sigmoid(3.0 * rng.normal(size=(40, 1)))
-    p[:6, 0] = [0.0, BCE_EPS / 2, BCE_EPS, 1.0 - BCE_EPS, 1.0 - BCE_EPS / 4, 1.0]  # clamped
+    lg = 3.0 * rng.normal(size=(40, 1))
+    lg[:6, 0] = [-800.0, -40.0, -17.0, 17.0, 40.0, 800.0]   # where a sigmoid head clamped
     t = rng.integers(0, 2, size=(40, 1)).astype(float)
-    value, g = bce(p, t, c)
-    pv = parameter(p)
-    loss = bce_loss(pv, t)
+    value, g = bce(lg, t, c)
+    lv = parameter(lg)
+    loss = bce_loss(lv, t)
     backward(scale(loss, c))
-    acc = np.zeros_like(p)
+    acc = np.zeros_like(lg)
     acc += g  # accumulated as a .grad is, on both sides
-    assert acc.tobytes() == pv.grad.tobytes()
-    assert (g[:6] == 0).all() and (g[6:] != 0).all()
+    assert acc.tobytes() == lv.grad.tobytes()
+    # a saturated logit's gradient is 0 only where its sigmoid rounds to its target
+    assert ((g[:6] != 0) == (sigmoid(lg[:6]) != t[:6])).all() and (g[6:] != 0).all()
     assert value == loss.item()
-    assert bce(p, t) == (value, None)
-    assert bce_grad(p, t).tobytes() == bce(p, t, 1.0)[1].tobytes()
+    assert bce(lg, t) == (value, None)
+    assert bce_grad(lg, t).tobytes() == bce(lg, t, 1.0)[1].tobytes()
+
+
+@pytest.mark.parametrize("c", [1.0, 0.7, -5.0])
+def test_bce_on_logits_matches_the_sigmoid_head_bce(c):
+    # on logits whose sigmoid the old clamp left alone, the value and the
+    # pullback agree to a relative 1e-12; only the rounding differs
+    rng = np.random.default_rng(1)
+    lg = np.concatenate([3.0 * rng.normal(size=300), rng.uniform(-16.0, 16.0, 300),
+                         [0.0, -16.1, 16.1]]).reshape(-1, 1)
+    t = rng.integers(0, 2, size=lg.shape).astype(float)
+    p = masked_sigmoid(lg)
+    assert ((p > BCE_EPS) & (p < 1.0 - BCE_EPS)).all()
+    ref_value, ref_g = sigmoid_head_bce(p, t, c)
+    value, g = bce(lg, t, c)
+    assert value == pytest.approx(ref_value, rel=1e-12, abs=0)
+    np.testing.assert_allclose(g, ref_g, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +215,13 @@ def test_bce_pullback_is_scale_times_the_graph_backward(c):
 def _assert_steps_match_the_graph(make_net, x, target, steps=200, lr=0.01):
     """Run ``steps`` steps of both paths on two copies of one net; the
     parameters must agree byte for byte after every step. Returns the count
-    of steps whose predictions sat on the BCE clamp."""
+    of steps with a logit past where a sigmoid head's BCE clamped."""
     net, ref = make_net(), make_net()
     opt, ref_opt = Adam(net.params(), lr=lr), AdamReference(ref.params(), lr=lr)
     xv = Var(x)
     clamped = 0
     for step in range(steps):
-        pred = net.forward_value(x)
+        pred = sigmoid(net.forward_value(x))
         clamped += bool(((pred <= BCE_EPS) | (pred >= 1.0 - BCE_EPS)).any())
         bce_step(net, opt, x, target)
         zero_grads(ref.params())
@@ -215,7 +238,7 @@ def test_bce_step_matches_the_graph_with_clamped_predictions(hidden):
     x = 40.0 * rng.normal(size=(50, 3))   # large logits: the sigmoid saturates
     target = (x[:, :1] + 20.0 * rng.normal(size=(50, 1)) > 0).astype(float)
     dims = [3, hidden, 1] if hidden else [3, 1]
-    make = lambda: MLP(dims, np.random.default_rng(7), output_activation="sigmoid")
+    make = lambda: MLP(dims, np.random.default_rng(7))
     assert _assert_steps_match_the_graph(make, x, target, steps=200, lr=0.05) > 0
 
 
