@@ -60,7 +60,10 @@ def _check(value, key: str, kind, nullable: bool = False, min=None, choices=None
     if value is None and nullable:
         return None
     if kind is float and _is_int(value):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:   # past float range: refused below as not finite
+            value = math.inf if value > 0 else -math.inf
     if kind is int and isinstance(value, bool):
         raise ConfigError(f"{key}: expected int, got bool")
     if not isinstance(value, kind):
@@ -301,8 +304,10 @@ def load_config(path, seed: int | None = None) -> ExperimentConfig:
         raise ConfigError(f"config {p} is not UTF-8 text: {exc.reason}") from None
     except OSError as exc:
         raise ConfigError(f"config {p} cannot be read: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except ConfigError:   # a repeated key
+        raise
+    except ValueError as exc:   # a decode error, or an integer past Python's digit limit
+        raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise ConfigError(f"config {p} nests too deeply to parse") from None
     if not isinstance(raw, dict):

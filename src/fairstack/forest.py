@@ -12,13 +12,15 @@ express XOR-like concepts. Each tree's bootstrap sample, drawn from a
 per-tree seeded stream, is kept as counts on the original rows: CART on
 counts splits exactly as CART on the duplicated rows, and X is ranked once
 per forest instead of copied per tree (at most MAX_ROWS = 2**21 rows).
-The forest predicts by strict-majority vote (ties go to class 0).
+A forest exists only fitted, as its trees' node arrays and its input width;
+it predicts by strict-majority vote (ties go to class 0).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +43,7 @@ class ForestSpec:
 def _fit_input(X, y) -> tuple[np.ndarray, np.ndarray]:
     """X as a float matrix and y as int64 labels, refused unless they align,
     X has a row and a column and is finite, and y holds only 0 and 1. Every
-    downstream predictor (forest, logreg, probe) checks its input here."""
+    predictor (forest, logreg, probe) and ``train_stack`` check their input here."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y).reshape(-1)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -139,111 +141,90 @@ def _midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where((a <= mid) & (mid < b), mid, a)
 
 
-class DecisionTree:
-    """One CART tree stored as flat node arrays (feature -1 marks a leaf)."""
+class Tree(NamedTuple):
+    """One CART tree as flat node arrays, ids breadth-first (feature -1 marks a leaf)."""
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
-    def __init__(self, spec: ForestSpec, rng: np.random.Generator):
-        self.spec = spec
-        self._rng = rng
-        self.n_features: int | None = None
-        self.feature = self.threshold = self.left = self.right = self.value = None
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
-        X, y = _fit_input(X, y)
-        return self._grow(X, _ranks(X), y, np.ones(X.shape[0]))
-
-    def _grow(self, X: np.ndarray, ranks: np.ndarray, y: np.ndarray,
-              counts: np.ndarray) -> "DecisionTree":
-        """Grow on the rows of X weighted by ``counts`` (a bootstrap's
-        multiplicities), one depth per iteration; node ids are breadth-first."""
-        d = X.shape[1]
-        m = math.ceil(math.sqrt(d))
-        spec = self.spec
-        rows = np.flatnonzero(counts)
-        w = counts[rows].astype(np.float64)
-        wy = w * y[rows]
-        node = np.zeros(rows.size, dtype=np.intp)   # each live row's node within its depth
-        parts = []                                  # per depth: its nodes' arrays, ids in order
-        width, next_id, depth = 1, 1, 0
-        while width:
-            size = np.bincount(node, weights=w, minlength=width)
-            pos = np.bincount(node, weights=wy, minlength=width)
-            feature, left, right = (np.full(width, -1, dtype=np.intp) for _ in range(3))
-            threshold = np.zeros(width)
-            parts.append((feature, threshold, left, right, (2 * pos > size).astype(np.int64)))
-            depth_ok = spec.max_depth is None or depth < spec.max_depth
-            can = (pos > 0) & (pos < size) & depth_ok
-            cand = np.flatnonzero(can)
-            if not cand.size:
-                break
-            feats = self._rng.random((cand.size, d)).argsort(axis=1, kind="stable")[:, :m]
-            live = can[node]
-            rows, w, wy = rows[live], w[live], wy[live]
-            node = (np.cumsum(can) - 1)[node[live]]
-            slot, thr = _best_splits(X, ranks, rows, w, wy, node, feats, size[cand], pos[cand])
-            hit = slot >= 0
-            at = cand[hit]
-            feature[at] = feats[hit, slot[hit]]
-            threshold[at] = thr[hit]
-            left[at] = next_id + 2 * np.arange(at.size)
-            right[at] = left[at] + 1
-            next_id += 2 * at.size
-            live = hit[node]
-            rows, w, wy, node = rows[live], w[live], wy[live], node[live]
-            go_left = X[rows, feats[node, slot[node]]] <= thr[node]
-            node = 2 * (np.cumsum(hit) - 1)[node] + ~go_left
-            width = 2 * at.size
-            depth += 1
-
-        self.n_features = d
-        self.feature, self.threshold, self.left, self.right, self.value = (
-            np.concatenate(field) for field in zip(*parts))
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.n_features is None:
-            raise ValueError("the tree is not fitted: call fit before predict")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(f"X has shape {X.shape}; the tree was fitted on "
-                             f"{self.n_features} features")
-        cur = np.zeros(X.shape[0], dtype=np.intp)
-        while True:
-            f = self.feature[cur]
-            rows = np.nonzero(f >= 0)[0]
-            if rows.size == 0:
-                return self.value[cur]
-            go_left = X[rows, f[rows]] <= self.threshold[cur[rows]]
-            cur[rows] = np.where(go_left, self.left[cur[rows]], self.right[cur[rows]])
+def _grow(X: np.ndarray, ranks: np.ndarray, y: np.ndarray, counts: np.ndarray,
+          rng: np.random.Generator, max_depth: int | None) -> Tree:
+    """Grow on the rows of X weighted by ``counts`` (a bootstrap's
+    multiplicities), one depth per iteration; columns are drawn from ``rng``."""
+    d = X.shape[1]
+    m = math.ceil(math.sqrt(d))
+    rows = np.flatnonzero(counts)
+    w = counts[rows].astype(np.float64)
+    wy = w * y[rows]
+    node = np.zeros(rows.size, dtype=np.intp)   # each live row's node within its depth
+    parts = []                                  # per depth: its nodes' arrays, ids in order
+    width, next_id, depth = 1, 1, 0
+    while width:
+        size = np.bincount(node, weights=w, minlength=width)
+        pos = np.bincount(node, weights=wy, minlength=width)
+        feature, left, right = (np.full(width, -1, dtype=np.intp) for _ in range(3))
+        threshold = np.zeros(width)
+        parts.append((feature, threshold, left, right, (2 * pos > size).astype(np.int64)))
+        can = (pos > 0) & (pos < size) & (max_depth is None or depth < max_depth)
+        cand = np.flatnonzero(can)
+        if not cand.size:
+            break
+        feats = rng.random((cand.size, d)).argsort(axis=1, kind="stable")[:, :m]
+        live = can[node]
+        rows, w, wy = rows[live], w[live], wy[live]
+        node = (np.cumsum(can) - 1)[node[live]]
+        slot, thr = _best_splits(X, ranks, rows, w, wy, node, feats, size[cand], pos[cand])
+        hit = slot >= 0
+        at = cand[hit]
+        feature[at] = feats[hit, slot[hit]]
+        threshold[at] = thr[hit]
+        left[at] = next_id + 2 * np.arange(at.size)
+        right[at] = left[at] + 1
+        next_id += 2 * at.size
+        live = hit[node]
+        rows, w, wy, node = rows[live], w[live], wy[live], node[live]
+        go_left = X[rows, feats[node, slot[node]]] <= thr[node]
+        node = 2 * (np.cumsum(hit) - 1)[node] + ~go_left
+        width = 2 * at.size
+        depth += 1
+    return Tree(*(np.concatenate(field) for field in zip(*parts)))
 
 
 class RandomForest:
-    """Bagged trees; ``predict`` is a strict-majority vote over trees."""
+    """Bagged trees and the width they were fitted on, built only by
+    :func:`train_forest`; ``predict`` is a strict-majority vote over trees."""
 
-    def __init__(self, spec: ForestSpec):
-        self.spec = spec
-        self.trees: list[DecisionTree] = []
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
-        X, y = _fit_input(X, y)
-        n = X.shape[0]
-        ranks = _ranks(X)
-        self.trees = []
-        for t in range(self.spec.n_trees):
-            rng = np.random.default_rng([self.spec.seed, t])
-            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
-            self.trees.append(DecisionTree(self.spec, rng)._grow(X, ranks, y, counts))
-        return self
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if not self.trees:
-            raise ValueError("the forest is not fitted: call fit before predict")
-        return np.mean([tree.predict(X) for tree in self.trees], axis=0)
+    def __init__(self, trees: list[Tree], n_features: int):
+        self.trees = trees
+        self.n_features = n_features
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        votes = self.predict_proba(X) * len(self.trees)
-        return (2.0 * votes > len(self.trees)).astype(np.int64)
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise ValueError(f"X has shape {X.shape}; the forest was fitted on "
+                             f"{self.n_features} features")
+        votes = np.zeros(X.shape[0], dtype=np.int64)
+        for tree in self.trees:
+            cur = np.zeros(X.shape[0], dtype=np.intp)
+            while (rows := np.flatnonzero(tree.feature[cur] >= 0)).size:
+                at = cur[rows]
+                go_left = X[rows, tree.feature[at]] <= tree.threshold[at]
+                cur[rows] = np.where(go_left, tree.left[at], tree.right[at])
+            votes += tree.value[cur]
+        return (2 * votes > len(self.trees)).astype(np.int64)
 
 
 def train_forest(features: np.ndarray, y: np.ndarray, spec: ForestSpec | None = None) -> RandomForest:
-    return RandomForest(spec or ForestSpec()).fit(features, y)
+    spec = spec or ForestSpec()
+    X, y = _fit_input(features, y)
+    n = X.shape[0]
+    ranks = _ranks(X)
+    trees = []
+    for t in range(spec.n_trees):
+        rng = np.random.default_rng([spec.seed, t])
+        counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        trees.append(_grow(X, ranks, y, counts, rng, spec.max_depth))
+    return RandomForest(trees, X.shape[1])

@@ -381,6 +381,23 @@ def reference_forest_trees(X: np.ndarray, y: np.ndarray, spec) -> list[dict]:
     return trees
 
 
+def reference_forest_predict(trees: list[dict], X: np.ndarray) -> np.ndarray:
+    """Strict-majority vote of ``trees`` (as :func:`reference_forest_trees`
+    returns them), each row walked from the root one node at a time; a tie
+    goes to 0."""
+    out = []
+    for row in np.asarray(X, dtype=np.float64):
+        votes = 0
+        for t in trees:
+            node = 0
+            while t["feature"][node] >= 0:
+                go_left = row[t["feature"][node]] <= t["threshold"][node]
+                node = t["left"][node] if go_left else t["right"][node]
+            votes += int(t["value"][node])
+        out.append(1 if 2 * votes > len(trees) else 0)
+    return np.array(out, dtype=np.int64)
+
+
 # ---------------------------------------------------------------------------
 # Data: the list-then-stack synthetic generator and UCI encoder, and the
 # copy-everything z-scoring, the forms the in-place versions must reproduce

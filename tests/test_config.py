@@ -122,10 +122,11 @@ def _with(d: dict, key: str, value) -> dict:
 
 def _bad_values(f):
     """A wrong-type value for every key, one just outside its bound, and the
-    non-finite numbers JSON can spell for a float key."""
+    non-finite numbers JSON can spell for a float key, an integer past float
+    range among them."""
     meta = f.metadata
     bad = [{"not": "a value"}]
-    non_finite = [float("nan"), float("inf"), float("-inf")]
+    non_finite = [float("nan"), float("inf"), float("-inf"), 10**400]
     if (typing.get_args(f.type) or (f.type,))[0] is float:
         bad += non_finite
     if f.name == "betas":

@@ -18,14 +18,14 @@ from fairstack.downstream import (
     train_logreg,
     train_probe,
 )
-from fairstack.forest import (MAX_ROWS, DecisionTree, ForestSpec, RandomForest, _ranks,
-                              _weighted_gini, train_forest)
+from fairstack.forest import (MAX_ROWS, ForestSpec, RandomForest, Tree, _fit_input, _grow,
+                              _ranks, _weighted_gini, train_forest)
 from fairstack.metrics import FairnessReport
 from fairstack.model import TrainedStack, build, stacked_spec
 from fairstack.nn import MLP, Param, dense_forward, sigmoid
 from fairstack.training import DivergenceError
-from oracles import (adam_logreg, brute_force_best_split, reference_forest_trees,
-                     reference_tree, reference_weighted_gini)
+from oracles import (adam_logreg, brute_force_best_split, reference_forest_predict,
+                     reference_forest_trees, reference_tree, reference_weighted_gini)
 
 
 def _separable_toy(n=400, seed=0):
@@ -267,6 +267,19 @@ def test_trained_predictors_hold_no_training_cache():
         assert not any(isinstance(o, (MLP, Param)) for o in reachable)
 
 
+def test_trained_forest_holds_only_its_node_arrays_and_width():
+    # no tree keeps its spec, its random stream or a view of the training rows
+    X, y = _separable_toy(n=90, seed=8)
+    forest = train_forest(X, y, ForestSpec(n_trees=3, max_depth=4, seed=1))
+    assert vars(forest).keys() == {"trees", "n_features"} and forest.n_features == 2
+    assert all(type(tree) is Tree for tree in forest.trees)
+    reachable = _reachable(forest)
+    assert not any(isinstance(o, (np.random.Generator, ForestSpec)) for o in reachable)
+    arrays = [o for o in reachable if isinstance(o, np.ndarray)]
+    assert not any(np.shares_memory(a, X) for a in arrays)
+    assert {id(a) for a in arrays} == {id(a) for tree in forest.trees for a in tree}
+
+
 # ---------------------------------------------------------------------------
 # random forest
 
@@ -287,12 +300,21 @@ def test_forest_learns_xor_exactly():
     assert (forest.predict(X) == y).mean() == 1.0
 
 
+def _unit_tree(X, y, max_depth=None, seed=0) -> Tree:
+    """One tree grown on every row once, its columns drawn from a stream seeded ``seed``."""
+    X, y = _fit_input(X, y)
+    return _grow(X, _ranks(X), y, np.ones(X.shape[0]), np.random.default_rng(seed), max_depth)
+
+
+def _tree_predict(tree: Tree, X) -> np.ndarray:
+    return RandomForest([tree], np.shape(X)[1]).predict(X)
+
+
 def test_single_tree_split_matches_brute_force_oracle():
     rng = np.random.default_rng(8)
     x = rng.normal(size=25)
     y = (x + 0.3 * rng.normal(size=25) > 0).astype(int)
-    spec = ForestSpec(n_trees=1, max_depth=1)
-    tree = DecisionTree(spec, np.random.default_rng(0)).fit(x.reshape(-1, 1), y)
+    tree = _unit_tree(x.reshape(-1, 1), y, max_depth=1)
     thr, _ = brute_force_best_split(x.tolist(), y.tolist())
     assert tree.feature[0] == 0
     assert tree.threshold[0] == pytest.approx(thr, abs=1e-12)
@@ -301,16 +323,15 @@ def test_single_tree_split_matches_brute_force_oracle():
 def test_threshold_sits_between_closest_opposite_values():
     x = np.array([0.0, 1.0, 2.0, 2.4, 3.0, 4.0])
     y = np.array([0, 0, 0, 1, 1, 1])
-    spec = ForestSpec(n_trees=1, max_depth=1)
-    tree = DecisionTree(spec, np.random.default_rng(0)).fit(x.reshape(-1, 1), y)
+    tree = _unit_tree(x.reshape(-1, 1), y, max_depth=1)
     assert tree.threshold[0] == pytest.approx(2.2)
 
 
 def test_split_between_adjacent_doubles_separates_them():
     # (a + b) / 2 rounds up to b here; the threshold falls back to a
     X = [[1 + 2**-52], [1 + 2**-51]]
-    tree = DecisionTree(ForestSpec(n_trees=1, max_depth=5), np.random.default_rng(0)).fit(X, [0, 1])
-    np.testing.assert_array_equal(tree.predict(X), [0, 1])
+    tree = _unit_tree(X, [0, 1], max_depth=5)
+    np.testing.assert_array_equal(_tree_predict(tree, X), [0, 1])
     assert tree.feature.size == 3 and tree.threshold[0] == 1 + 2**-52
 
 
@@ -319,8 +340,8 @@ def test_unbounded_tree_on_rounding_midpoints_ends():
     # node forever when max_depth is None
     X, y = _rounding_column()
     with _deadline(seconds=20):
-        tree = DecisionTree(ForestSpec(n_trees=1), np.random.default_rng(0)).fit(X, y)
-    np.testing.assert_array_equal(tree.predict(X), y)
+        tree = _unit_tree(X, y)
+    np.testing.assert_array_equal(_tree_predict(tree, X), y)
     assert tree.feature.size == 2 * y.size - 1   # one leaf per row
 
 
@@ -353,29 +374,27 @@ def test_forest_vote_is_tree_order_invariant():
 
 def test_forest_tie_vote_goes_to_zero():
     X = np.random.default_rng(0).normal(size=(20, 2))
-    spec = ForestSpec(n_trees=2)
-    always_one = DecisionTree(spec, np.random.default_rng(0)).fit(X, np.ones(20, dtype=int))
-    always_zero = DecisionTree(spec, np.random.default_rng(0)).fit(X, np.zeros(20, dtype=int))
-    forest = RandomForest(spec)
-    forest.trees = [always_one, always_zero]
+    always_one = _unit_tree(X, np.ones(20, dtype=int))
+    always_zero = _unit_tree(X, np.zeros(20, dtype=int))
+    np.testing.assert_array_equal(_tree_predict(always_one, X), np.ones(20, dtype=int))
+    np.testing.assert_array_equal(_tree_predict(always_zero, X), np.zeros(20, dtype=int))
+    forest = RandomForest([always_one, always_zero], 2)
     np.testing.assert_array_equal(forest.predict(X), np.zeros(20, dtype=int))
-    np.testing.assert_allclose(forest.predict_proba(X), np.full(20, 0.5))
 
 
 def test_leaf_majority_tie_predicts_zero():
     X = np.array([[0.0], [0.0]])   # one value: the root cannot split
     y = np.array([0, 1])
-    tree = DecisionTree(ForestSpec(n_trees=1), np.random.default_rng(0)).fit(X, y)
-    np.testing.assert_array_equal(tree.predict(X), np.zeros(2, dtype=int))
+    tree = _unit_tree(X, y)
+    np.testing.assert_array_equal(_tree_predict(tree, X), np.zeros(2, dtype=int))
 
 
 def test_forest_seeded_determinism():
     ds = make_synthetic(n=100, seed=10, flip_y=0.3)
-    a = train_forest(ds.X, ds.y, ForestSpec(n_trees=8, seed=2))
-    b = train_forest(ds.X, ds.y, ForestSpec(n_trees=8, seed=2))
-    np.testing.assert_array_equal(a.predict_proba(ds.X), b.predict_proba(ds.X))
-    c = train_forest(ds.X, ds.y, ForestSpec(n_trees=8, seed=3))
-    assert not np.array_equal(a.predict_proba(ds.X), c.predict_proba(ds.X))
+    a, b, c = (train_forest(ds.X, ds.y, ForestSpec(n_trees=8, seed=seed)) for seed in (2, 2, 3))
+    node_bytes = [[arr.tobytes() for tree in f.trees for arr in tree] for f in (a, b, c)]
+    assert node_bytes[0] == node_bytes[1]
+    assert node_bytes[0] != node_bytes[2]
 
 
 def test_forest_input_validation():
@@ -443,9 +462,26 @@ def _rounding_column():
     return x.reshape(-1, 1), np.arange(x.size) % 2
 
 
+def _recombined_rows(X, rows=60):
+    """Rows drawn column by column from X's values, each value as it is and
+    one double to either side of it: mostly rows no tree trained on, on and
+    beside the values the trees split between."""
+    X = np.asarray(X, dtype=np.float64)
+    rng = np.random.default_rng(0)
+    drawn = X[rng.integers(0, X.shape[0], size=(rows, X.shape[1])), np.arange(X.shape[1])]
+    return np.concatenate([drawn, np.nextafter(drawn, np.inf), np.nextafter(drawn, -np.inf)])
+
+
+def _assert_forest_matches_reference(X, y, spec):
+    forest, reference = train_forest(X, y, spec), reference_forest_trees(X, y, spec)
+    _assert_same_trees(forest.trees, reference)
+    rows = _recombined_rows(X)
+    np.testing.assert_array_equal(forest.predict(rows), reference_forest_predict(reference, rows))
+
+
 @pytest.mark.parametrize("X,y,spec", _grower_cases())
 def test_level_wise_grower_matches_fifo_reference(X, y, spec):
-    _assert_same_trees(train_forest(X, y, spec).trees, reference_forest_trees(X, y, spec))
+    _assert_forest_matches_reference(X, y, spec)
 
 
 @settings(max_examples=80, deadline=None)
@@ -460,8 +496,7 @@ def test_grower_matches_reference_on_tied_data(n, d, levels, max_depth, seed):
     rng = np.random.default_rng(seed)
     X = rng.integers(0, levels, size=(n, d)) / 2.0   # few distinct values: heavy ties
     y = rng.integers(0, 2, size=n)
-    spec = ForestSpec(n_trees=2, max_depth=max_depth, seed=seed)
-    _assert_same_trees(train_forest(X, y, spec).trees, reference_forest_trees(X, y, spec))
+    _assert_forest_matches_reference(X, y, ForestSpec(n_trees=2, max_depth=max_depth, seed=seed))
 
 
 def test_single_tree_on_unit_counts_matches_reference():
@@ -469,7 +504,7 @@ def test_single_tree_on_unit_counts_matches_reference():
     X = np.round(rng.normal(size=(400, 9)), 1)
     y = (X[:, 0] + X[:, 3] + rng.normal(size=400) > 0).astype(int)
     spec = ForestSpec(n_trees=1, max_depth=7)
-    tree = DecisionTree(spec, np.random.default_rng(5)).fit(X, y)
+    tree = _unit_tree(X, y, spec.max_depth, seed=5)
     _assert_same_trees([tree], [reference_tree(X, y, spec, np.random.default_rng(5))])
 
 
@@ -508,7 +543,7 @@ def test_packed_sort_matches_reference_on_ties(X, y):
     # order, the reference sorts stably per node: the trees must agree anyway
     X, y = np.asarray(X, dtype=float), np.asarray(y)
     spec = ForestSpec(n_trees=3, seed=4)
-    tree = DecisionTree(spec, np.random.default_rng(5)).fit(X, y)
+    tree = _unit_tree(X, y, spec.max_depth, seed=5)
     _assert_same_trees([tree], [reference_tree(X, y, spec, np.random.default_rng(5))])
     _assert_same_trees(train_forest(X, y, spec).trees, reference_forest_trees(X, y, spec))
 
@@ -519,9 +554,9 @@ def test_forest_refuses_more_rows_than_the_packed_sort_holds():
     assert ((N // 2 - 1) * N + N - 1) * N + N - 1 < 2 ** 63
     X, y = np.broadcast_to(0.0, (N + 1, 1)), np.broadcast_to(0, (N + 1,))
     with pytest.raises(ValueError, match=f"at most {MAX_ROWS} rows"):
-        RandomForest(ForestSpec(n_trees=1)).fit(X, y)
+        train_forest(X, y, ForestSpec(n_trees=1))
     with pytest.raises(ValueError, match=f"at most {MAX_ROWS} rows"):
-        DecisionTree(ForestSpec(), np.random.default_rng(0)).fit(X, y)
+        _ranks(X)
     assert _ranks(X[:N]).shape == (N, 1)   # the limit itself is allowed
 
 
@@ -559,19 +594,7 @@ def test_probe_and_logreg_reject_zero_rows(train):
         train(np.zeros((0, 3)), np.zeros(0))
 
 
-def test_forest_predict_before_fit_raises():
-    with pytest.raises(ValueError, match="not fitted"):
-        RandomForest(ForestSpec(n_trees=2)).predict(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="not fitted"):
-        RandomForest(ForestSpec(n_trees=2)).predict_proba(np.zeros((2, 3)))
-
-
-
-def _fit_tree(X, y):
-    return DecisionTree(ForestSpec(n_trees=1), np.random.default_rng(0)).fit(X, y)
-
-
-@pytest.mark.parametrize("fit", [train_forest, _fit_tree], ids=["forest", "tree"])
+@pytest.mark.parametrize("fit", [train_forest], ids=["forest"])   # the id keeps each case's name
 @pytest.mark.parametrize("X, y, error", [
     (np.zeros((4, 0)), [0, 1, 0, 1], "zero features"),
     (np.zeros((0, 3)), [], "zero rows"),
@@ -582,11 +605,6 @@ def _fit_tree(X, y):
 def test_forest_and_tree_fits_check_their_input(fit, X, y, error):
     with pytest.raises(ValueError, match=error):
         fit(X, y)
-
-
-def test_tree_predict_before_fit_raises():
-    with pytest.raises(ValueError, match="not fitted"):
-        DecisionTree(ForestSpec(), np.random.default_rng(0)).predict(np.zeros((2, 3)))
 
 
 def _stable_ranks(X):
@@ -620,7 +638,7 @@ def test_ranks_match_the_stable_sort_on_ties(seed):
 def test_forest_predict_rejects_another_width(width):
     X, y = _separable_toy(n=60, seed=2)
     forest = train_forest(X, y, ForestSpec(n_trees=3, max_depth=3))
-    assert all(tree.n_features == 2 for tree in forest.trees)
+    assert forest.n_features == 2
     with pytest.raises(ValueError, match="fitted on 2 features"):
         forest.predict(np.zeros((5, width)))
 
