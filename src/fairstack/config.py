@@ -3,8 +3,8 @@
 Every config key is declared once, as a field of :class:`ExperimentConfig`:
 its dotted key, type, default and bound. The parser, ``to_dict`` and the
 README key list (:func:`describe_keys`) are all derived from those fields.
-``stack.levels`` lists the code widths only; :func:`stack_spec_for` hands them
-to :mod:`model`'s two spec builders, one per variant.
+``stack.levels`` lists the code widths only; :func:`stack_spec_for` hands that
+one list to the spec builder of the variant, which groups it into levels.
 
 Unknown keys are rejected with their full dotted path, so typos fail loudly
 instead of silently running defaults; so is a ``dataset.*`` key that the
@@ -71,6 +71,8 @@ def _check(value, key: str, kind, nullable: bool = False, min=None, choices=None
                           f"got {type(value).__name__} ({value!r})")
     if kind is float and not math.isfinite(value):
         raise ConfigError(f"{key}: must be a finite number, got {value}")
+    if kind is int and not -2**63 <= value < 2**63:
+        raise ConfigError(f"{key}: must fit in a 64-bit integer")
     if min is not None and value < min:
         raise ConfigError(f"{key}: must be >= {min}, got {value}")
     if choices is not None and value not in choices:
@@ -370,21 +372,17 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
 
 def stack_spec_for(cfg: ExperimentConfig, in_dim: int, variant: str = "stacked",
                    beta: float | None = None) -> StackSpec:
-    """The architecture implied by the config for a given input width.
-
-    ``stacked`` gives one single-layer level per configured latent;
-    ``vanilla`` is one level whose encoder runs through the same widths (every
-    latent but the last becomes an interior hidden layer), so only the final
-    code carries fairness pressure.
-    """
+    """The architecture implied by the config for a given input width: the
+    configured latents grouped as ``stacked``, one single-layer level each, or
+    as ``vanilla``, one level through them all whose final code alone carries
+    fairness pressure."""
     beta = cfg.beta if beta is None else float(beta)
-    common = dict(alpha=cfg.alpha, beta=beta, gamma=cfg.gamma, criterion=cfg.criterion,
-                  adv_hidden=cfg.adv_hidden, cls_hidden=cfg.cls_hidden)
-    if variant == "stacked":
-        return stacked_spec(in_dim, cfg.levels, **common)
-    if variant == "vanilla":
-        return vanilla_spec(in_dim, hidden=cfg.levels[:-1], latent=cfg.levels[-1], **common)
-    raise ValueError(f"unknown variant {variant!r}, expected 'stacked' or 'vanilla'")
+    builders = {"stacked": stacked_spec, "vanilla": vanilla_spec}
+    if variant not in builders:
+        raise ValueError(f"unknown variant {variant!r}, expected 'stacked' or 'vanilla'")
+    return builders[variant](in_dim, cfg.levels, alpha=cfg.alpha, beta=beta, gamma=cfg.gamma,
+                             criterion=cfg.criterion, adv_hidden=cfg.adv_hidden,
+                             cls_hidden=cfg.cls_hidden)
 
 
 def train_config_for(cfg: ExperimentConfig, seed: int) -> TrainConfig:

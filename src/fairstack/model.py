@@ -7,8 +7,10 @@ sensitive attribute from z_i: from every row under dp, every row plus the
 label column under eo, and the y = 1 rows under eopp. Both heads end in a
 logit, on which their BCE is taken.
 Levels compose: z_0 is the raw input, z_i = E_i(z_{i-1}), with strictly
-decreasing code widths, and level i trains on the frozen codes z_{i-1}; a
-:class:`StackSpec` states z_0's width once and each level only its own widths.
+decreasing code widths, and level i trains on the frozen codes z_{i-1}. A
+:class:`StackSpec` states z_0's width once, then groups the encoder widths
+into levels: the stack and its single-level baseline are two groupings of
+one width list (:func:`stacked_spec`, :func:`vanilla_spec`).
 :func:`level_grads` computes a level's signed objective and its gradients on
 the explicit :mod:`nn` kernel, holding the forward tape of each net it
 back-propagates through; the graph form of the same objective, which the
@@ -49,24 +51,15 @@ class ModelFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class LevelSpec:
-    """Widths of one level's encoder past its input: hidden... -> latent. The
-    input width is the stack's ``in_dim`` or the previous level's latent."""
-
-    latent: int
-    hidden: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-
-
-@dataclass(frozen=True)
 class StackSpec:
     """A stack: its input width, its levels in order, the loss weights and
-    criterion every level trains with, and the widths of the heads."""
+    criterion every level trains with, and the widths of the heads. A level
+    is its encoder's widths past its input, its code width last: 100 -> 20 -> 8
+    is ``((20,), (8,))`` as a stack and ``((20, 8),)`` as one level. Lists
+    are taken as tuples, so ``StackSpec(**d)`` reads back its JSON form."""
 
     in_dim: int
-    levels: tuple[LevelSpec, ...]
+    levels: tuple[tuple[int, ...], ...]
     alpha: float = 1.0
     beta: float = 1.0
     gamma: float = 1.0
@@ -75,12 +68,30 @@ class StackSpec:
     cls_hidden: int = 20
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(self.levels))
-        validate_spec(self)
+        levels = tuple(tuple(lv) if isinstance(lv, (list, tuple)) else lv for lv in self.levels)
+        object.__setattr__(self, "levels", levels)
+        if not levels:
+            raise SpecError("a stack needs at least one level")
+        for i, widths in enumerate(levels):
+            if not (isinstance(widths, tuple) and widths
+                    and all(type(w) is int and w >= 1 for w in widths)):
+                raise SpecError(f"level {i}: expected a non-empty list of int widths >= 1, "
+                                f"got {widths!r}")
+        for i, (in_dim, widths) in enumerate(zip(self.level_inputs(), levels)):
+            if widths[-1] >= in_dim:
+                raise SpecError(f"level {i}: code width {widths[-1]} must be strictly smaller "
+                                f"than its input width {in_dim} (widths must decrease)")
+        for name in ("alpha", "beta", "gamma"):
+            if getattr(self, name) < 0:
+                raise SpecError(f"loss weight {name} must be >= 0, got {getattr(self, name)}")
+        if self.criterion not in CRITERIA:
+            raise SpecError(f"unknown criterion {self.criterion!r}, expected one of {CRITERIA}")
+        if self.adv_hidden < 0 or self.cls_hidden < 0:
+            raise SpecError("adv_hidden and cls_hidden must be >= 0 (0 = linear head)")
 
     def level_inputs(self) -> list[int]:
         """Each level's input width: ``in_dim``, then each code width but the last."""
-        return [self.in_dim, *(lv.latent for lv in self.levels[:-1])]
+        return [self.in_dim, *(widths[-1] for widths in self.levels[:-1])]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -91,35 +102,15 @@ def spec_hash(spec: StackSpec) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def validate_spec(spec: StackSpec) -> None:
-    if not spec.levels:
-        raise SpecError("a stack needs at least one level")
-    for i, (in_dim, lv) in enumerate(zip(spec.level_inputs(), spec.levels)):
-        if lv.latent < 1 or any(h < 1 for h in lv.hidden):
-            raise SpecError(f"level {i}: all dims must be >= 1, got {lv}")
-        if lv.latent >= in_dim:
-            raise SpecError(
-                f"level {i}: code width {lv.latent} must be strictly smaller "
-                f"than its input width {in_dim} (widths must decrease)"
-            )
-    for name in ("alpha", "beta", "gamma"):
-        if getattr(spec, name) < 0:
-            raise SpecError(f"loss weight {name} must be >= 0, got {getattr(spec, name)}")
-    if spec.criterion not in CRITERIA:
-        raise SpecError(f"unknown criterion {spec.criterion!r}, expected one of {CRITERIA}")
-    if spec.adv_hidden < 0 or spec.cls_hidden < 0:
-        raise SpecError("adv_hidden and cls_hidden must be >= 0 (0 = linear head)")
-
-
 def stacked_spec(in_dim: int, latents, **kwargs) -> StackSpec:
     """A stack of single-layer encoders: in_dim -> latents[0] -> latents[1] ..."""
-    return StackSpec(in_dim, tuple(LevelSpec(latent) for latent in latents), **kwargs)
+    return StackSpec(in_dim, tuple((latent,) for latent in latents), **kwargs)
 
 
-def vanilla_spec(in_dim: int, hidden, latent: int, **kwargs) -> StackSpec:
-    """The single-level baseline: one encoder with interior hidden layers and
-    one adversary acting on the final code only."""
-    return StackSpec(in_dim, (LevelSpec(latent, tuple(hidden)),), **kwargs)
+def vanilla_spec(in_dim: int, latents, **kwargs) -> StackSpec:
+    """The single-level baseline: one encoder through the same widths and one
+    adversary acting on the final code only."""
+    return StackSpec(in_dim, (tuple(latents),), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +125,14 @@ def head_dims(in_dim: int, hidden: int) -> list[int]:
 class Level:
     """One trainable level: encoder, mirrored decoder, classifier, adversary."""
 
-    def __init__(self, in_dim: int, spec: LevelSpec, criterion: str, adv_hidden: int,
+    def __init__(self, in_dim: int, widths: tuple[int, ...], criterion: str, adv_hidden: int,
                  cls_hidden: int, rng: np.random.Generator):
-        enc_dims = [in_dim, *spec.hidden, spec.latent]
+        enc_dims = [in_dim, *widths]
         self.criterion = criterion
         self.encoder = MLP(enc_dims, rng)
         self.decoder = MLP(enc_dims[::-1], rng)
-        self.classifier = MLP(head_dims(spec.latent, cls_hidden), rng)
-        adv_in = spec.latent + (1 if criterion == "eo" else 0)
+        self.classifier = MLP(head_dims(widths[-1], cls_hidden), rng)
+        adv_in = widths[-1] + (1 if criterion == "eo" else 0)
         self.adversary = MLP(head_dims(adv_in, adv_hidden), rng)
 
 
@@ -149,8 +140,8 @@ def build(spec: StackSpec, seed: int) -> list[Level]:
     """Freshly initialized levels; deterministic per seed (one rng stream,
     networks created in a fixed order)."""
     rng = np.random.default_rng(seed)
-    return [Level(in_dim, lv, spec.criterion, spec.adv_hidden, spec.cls_hidden, rng)
-            for in_dim, lv in zip(spec.level_inputs(), spec.levels)]
+    return [Level(in_dim, widths, spec.criterion, spec.adv_hidden, spec.cls_hidden, rng)
+            for in_dim, widths in zip(spec.level_inputs(), spec.levels)]
 
 
 # ---------------------------------------------------------------------------

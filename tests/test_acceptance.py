@@ -24,8 +24,7 @@ from fairstack.cli import main
 from fairstack.data import make_synthetic, standardize, train_val_test_split
 from fairstack.downstream import ProbeSpec, train_probe
 from fairstack.metrics import PredictionBatch, UndefinedMetricError, evaluate
-from fairstack.model import (LevelSpec, StackSpec, adversary_rows, build, level_grads,
-                             stacked_spec)
+from fairstack.model import StackSpec, adversary_rows, build, level_grads, stacked_spec
 from fairstack.nn import Adam
 from fairstack.training import TrainConfig, train_stack
 from oracles import (adam_reference_trace, all_params, enumerate_count_batches,
@@ -95,7 +94,7 @@ def test_gradients_match_finite_differences():
     # - beta*adv, through encoder, decoder, classifier and adversary at once,
     # for every criterion
     for seed, crit in enumerate(("dp", "eo", "eopp")):
-        spec = StackSpec(in_dim=4, levels=(LevelSpec(latent=2, hidden=(3,)),),
+        spec = StackSpec(in_dim=4, levels=((3, 2),),
                          alpha=0.7, beta=1.3, gamma=0.9, criterion=crit,
                          adv_hidden=3, cls_hidden=3)
         level = build(spec, seed=seed)[0]
@@ -127,8 +126,7 @@ def test_gradients_match_finite_differences():
     # the adversary is frozen in the main step, and with alpha = 0 the
     # decoder's gradient is zero
     for seed, crit in enumerate(("dp", "eo", "eopp")):
-        spec = StackSpec(in_dim=5, levels=(LevelSpec(latent=4, hidden=(3,)),
-                                           LevelSpec(latent=2, hidden=(3,))),
+        spec = StackSpec(in_dim=5, levels=((3, 4), (3, 2)),
                          criterion=crit, adv_hidden=3, cls_hidden=3)
         first, level = build(spec, seed=seed)
         z = first.encoder.forward_value(rng.uniform(-1, 1, (6, 5)))

@@ -287,15 +287,21 @@ def test_stack_spec_for_both_variants():
 
     stacked = stack_spec_for(parsed, in_dim=20, variant="stacked")
     assert stacked.in_dim == 20
-    assert [(l.latent, l.hidden) for l in stacked.levels] == [(10, ()), (8, ()), (4, ())]
+    assert stacked.levels == ((10,), (8,), (4,))
 
-    # vanilla folds the whole chain into one level: the earlier latent widths
-    # become interior hidden layers, only the last code is adversarially shaped
+    # vanilla groups the same widths as one level: the earlier latent widths
+    # are interior layers, only the last code is adversarially shaped
     vanilla = stack_spec_for(parsed, in_dim=20, variant="vanilla")
-    assert len(vanilla.levels) == 1
     assert vanilla.in_dim == 20
-    assert vanilla.levels[0].latent == 4
-    assert vanilla.levels[0].hidden == (10, 8)
+    assert vanilla.levels == ((10, 8, 4),)
+
+    # with one level the two groupings are one spec, which lets sweep and
+    # table1 skip the vanilla training
+    cfg["stack"]["levels"] = [{"latent": 4}]
+    one = parse_config(cfg)
+    for in_dim in (5, 20):
+        assert (stack_spec_for(one, in_dim, "stacked")
+                == stack_spec_for(one, in_dim, "vanilla"))
 
     assert stack_spec_for(parsed, 20, beta=7.5).beta == 7.5
     assert stack_spec_for(parsed, 20).beta == parsed.beta
@@ -395,6 +401,15 @@ def test_non_finite_float_in_config_exit_2(tmp_path, capsys, value):
     if limit and len(value) > limit:   # json.loads itself refuses the literal
         want = f"config error: config {path} is not valid JSON"
     assert want in capsys.readouterr().err
+
+
+def test_oversized_integer_in_a_size_key_exit_2(tmp_path, capsys):
+    path = _write_config(tmp_path, dataset={"n": 10**400})
+    assert main(["fit", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: dataset.n: must fit in a 64-bit integer" in err
+    assert "Traceback" not in err and "0" * 20 not in err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_jobs_must_be_positive(tmp_path, capsys):

@@ -121,14 +121,18 @@ def _with(d: dict, key: str, value) -> dict:
 
 
 def _bad_values(f):
-    """A wrong-type value for every key, one just outside its bound, and the
+    """A wrong-type value for every key, one just outside its bound, the
     non-finite numbers JSON can spell for a float key, an integer past float
-    range among them."""
+    range among them, and that integer for an int key, which must fit in 64
+    bits."""
     meta = f.metadata
     bad = [{"not": "a value"}]
     non_finite = [float("nan"), float("inf"), float("-inf"), 10**400]
-    if (typing.get_args(f.type) or (f.type,))[0] is float:
+    kind = (typing.get_args(f.type) or (f.type,))[0]
+    if kind is float:
         bad += non_finite
+    if kind is int:
+        bad.append(10**400)
     if f.name == "betas":
         bad += [[1.0, x] for x in non_finite]
     if meta["min"] is not None:

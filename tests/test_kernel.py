@@ -27,7 +27,7 @@ from fairstack import autodiff as ad
 from fairstack import training
 from fairstack.autodiff import Var, forward, level_loss
 from fairstack.data import batches, make_synthetic
-from fairstack.model import CRITERIA, LevelSpec, StackSpec, build, level_grads
+from fairstack.model import CRITERIA, StackSpec, build, level_grads
 from fairstack.nn import sigmoid
 from fairstack.training import EpochRecord, TrainConfig, train_stack
 from oracles import BCE_EPS, AdamReference, all_params, main_params
@@ -38,8 +38,7 @@ from oracles import BCE_EPS, AdamReference, all_params, main_params
 
 
 def _spec(criterion: str, alpha: float, hidden=(3,), adv_hidden: int = 4) -> StackSpec:
-    return StackSpec(in_dim=7, levels=(LevelSpec(latent=5, hidden=hidden),
-                                       LevelSpec(latent=3, hidden=hidden)),
+    return StackSpec(in_dim=7, levels=((*hidden, 5), (*hidden, 3)),
                      alpha=alpha, beta=1.3, gamma=0.9, criterion=criterion,
                      adv_hidden=adv_hidden, cls_hidden=4)
 
@@ -205,8 +204,7 @@ def test_train_stack_matches_the_graph_trainer(name, monkeypatch):
     train, val = _data(rare_positives="empty" in name)
     spec_kw = {"alpha": 0.0, "criterion": "dp", "adv_hidden": 5, "cls_hidden": 5, **spec_kw}
     hidden = spec_kw.pop("hidden", ())
-    spec = StackSpec(in_dim=train.d, levels=(LevelSpec(latent=4, hidden=hidden),
-                                             LevelSpec(latent=2, hidden=hidden)),
+    spec = StackSpec(in_dim=train.d, levels=((*hidden, 4), (*hidden, 2)),
                      beta=1.0, gamma=1.0, **spec_kw)
     cfg = TrainConfig(**{"epochs": 3, "batch_size": 32, "seed": 0, **cfg_kw})
     if "empty" in name:  # the case must reach batches without a y == 1 row
@@ -237,13 +235,13 @@ print(" ".join(m for m in ("concurrent.futures.process", "multiprocessing")
                if m in sys.modules) or "-")
 from fairstack.data import make_synthetic
 from fairstack.downstream import ProbeSpec, train_logreg, train_probe
-from fairstack.model import CRITERIA, LevelSpec, StackSpec
+from fairstack.model import CRITERIA, StackSpec
 from fairstack.training import TrainConfig, train_stack
 
 ds = make_synthetic(n=240, seed=5, n_noise=4)
 train, val = ds.subset(range(180)), ds.subset(range(180, 240))
 for crit in CRITERIA:
-    spec = StackSpec(in_dim=train.d, levels=(LevelSpec(latent=4), LevelSpec(latent=2)),
+    spec = StackSpec(in_dim=train.d, levels=((4,), (2,)),
                      criterion=crit)
     stack, _ = train_stack(spec, train, TrainConfig(epochs=2, batch_size=32), val=val)
 train_probe(stack, train.X, train.y, ProbeSpec(hidden=3, epochs=2))

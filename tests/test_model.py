@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from fairstack.autodiff import backward, level_loss
 from fairstack.cli import main
+from fairstack.data import make_synthetic
 from fairstack.model import (
     ACTIVATION_CODES,
     Level,
-    LevelSpec,
     ModelFormatError,
     SpecError,
     StackSpec,
@@ -23,13 +23,8 @@ from fairstack.model import (
     vanilla_spec,
 )
 from fairstack.nn import ACTIVATIONS, DimensionError
+from fairstack.training import TrainConfig, train_stack
 from oracles import all_params
-
-
-def spec_from_dict(d: dict) -> StackSpec:
-    """The inverse of :meth:`StackSpec.to_dict`; absent keys take the defaults."""
-    rest = {k: v for k, v in d.items() if k != "levels"}
-    return StackSpec(levels=tuple(LevelSpec(**l) for l in d["levels"]), **rest)
 
 
 def _sigmoid(t):
@@ -44,10 +39,9 @@ def test_stacked_spec_widths():
     # the input width is stated once; each level states its own widths only
     spec = stacked_spec(in_dim=104, latents=(20, 8))
     assert spec.in_dim == 104
-    assert spec.levels == (LevelSpec(latent=20), LevelSpec(latent=8))
+    assert spec.levels == ((20,), (8,))
     assert spec.level_inputs() == [104, 20]
-    assert spec.to_dict()["levels"] == ({"latent": 20, "hidden": ()},
-                                        {"latent": 8, "hidden": ()})
+    assert spec.to_dict()["levels"] == ((20,), (8,))
 
 
 def test_build_chains_each_level_from_the_code_before_it():
@@ -55,7 +49,7 @@ def test_build_chains_each_level_from_the_code_before_it():
     assert [(lv.encoder.in_dim, lv.encoder.out_dim) for lv in levels] == [(104, 20), (20, 8)]
     assert [(lv.decoder.in_dim, lv.decoder.out_dim) for lv in levels] == [(20, 104), (8, 20)]
     # with hidden layers too, a decoder's dims are its encoder's reversed
-    level = build(vanilla_spec(12, hidden=(9, 6), latent=4), seed=0)[0]
+    level = build(vanilla_spec(12, (9, 6, 4)), seed=0)[0]
     enc = [W.value.shape for W in level.encoder.weights]
     dec = [W.value.shape for W in level.decoder.weights]
     assert enc == [(12, 9), (9, 6), (6, 4)]
@@ -63,20 +57,24 @@ def test_build_chains_each_level_from_the_code_before_it():
 
 
 def test_vanilla_spec_single_level_with_hidden():
-    spec = vanilla_spec(in_dim=58, hidden=(15,), latent=8)
-    assert len(spec.levels) == 1
-    assert spec.levels[0].hidden == (15,)
+    spec = vanilla_spec(in_dim=58, latents=(15, 8))
+    assert spec.levels == ((15, 8),)
 
 
 def test_spec_rejects_nondecreasing_codes():
     with pytest.raises(SpecError) as exc:
-        StackSpec(10, levels=(LevelSpec(4), LevelSpec(4)))
+        StackSpec(10, levels=((4,), (4,)))
     assert "strictly decrease" in str(exc.value) or "strictly smaller" in str(exc.value)
 
 
 def test_spec_rejects_expanding_level():
     with pytest.raises(SpecError):
-        StackSpec(4, levels=(LevelSpec(9),))
+        StackSpec(4, levels=((9,),))
+    # a level is a non-empty list of int widths >= 1: a float is not
+    # truncated, a bool is not a width, and nothing is left for build to trip on
+    for levels in [((6.9, 4),), ((4.5,),), ((True,),), ((),), (4,)]:
+        with pytest.raises(SpecError, match="level 0"):
+            StackSpec(10, levels=levels)
 
 
 def test_spec_rejects_unknown_criterion():
@@ -102,15 +100,21 @@ def test_spec_hash_tracks_content():
     assert spec_hash(a) != spec_hash(c)
 
 
-def test_spec_dict_round_trip():
+def test_spec_dict_round_trip(tmp_path):
     spec = stacked_spec(12, (6, 3), alpha=0.0, beta=5.0, criterion="eo", adv_hidden=0)
-    again = spec_from_dict(spec.to_dict())
+    again = StackSpec(**spec.to_dict())
     assert again == spec
+    # the spec a saved model's provenance JSON holds reads back as the trained one
+    ds = make_synthetic(n=40, seed=0, n_noise=9)
+    stack, _ = train_stack(spec, ds, TrainConfig(epochs=1, batch_size=20))
+    stack.save(tmp_path / "model.fstk")
+    read = StackSpec(**TrainedStack.load(tmp_path / "model.fstk").provenance["spec"])
+    assert read == spec and spec_hash(read) == spec_hash(spec)
 
 
 def test_spec_from_dict_fills_the_spec_defaults():
-    spec = spec_from_dict({"in_dim": 12, "levels": [{"latent": 6}, {"latent": 3}]})
-    assert spec == StackSpec(12, levels=(LevelSpec(6), LevelSpec(3)))
+    spec = StackSpec(**{"in_dim": 12, "levels": [[6], [3]]})
+    assert spec == StackSpec(12, levels=((6,), (3,)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +193,7 @@ def test_beta_zero_kills_adversary_gradient():
 
 
 def test_level_loss_hand_computed_two_samples():
-    level = Level(2, LevelSpec(1), criterion="dp", adv_hidden=0, cls_hidden=0,
+    level = Level(2, (1,), criterion="dp", adv_hidden=0, cls_hidden=0,
                   rng=np.random.default_rng(0))
     level.encoder.weights[0].value[...] = [[0.5], [-0.25]]
     level.encoder.biases[0].value[...] = [[0.1]]

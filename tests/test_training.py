@@ -166,7 +166,7 @@ def test_train_stack_provenance():
     stack, _ = train_stack(spec, train, cfg)
     assert set(stack.provenance) == {"spec", "spec_hash", "train_config", "dataset"}
     assert stack.provenance["spec"]["in_dim"] == train.d
-    assert stack.provenance["spec"]["levels"] == ({"latent": 3, "hidden": ()},)
+    assert stack.provenance["spec"]["levels"] == ((3,),)
     assert stack.provenance["train_config"]["seed"] == 2
     assert stack.provenance["spec"]["beta"] == 0.5
     assert stack.provenance["train_config"]["epochs"] == 1
