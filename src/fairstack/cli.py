@@ -70,10 +70,11 @@ SWEEP_COLUMNS = ("beta", "seed", "variant") + ("status",) + METRIC_COLUMNS
 VARIANTS = ("stacked", "vanilla")
 TABLE1_VARIANTS = ("unfair", "lafr", "stacked")
 TABLE1_MODELS = ("logreg", "forest")
-# What main maps to exit code 2 (the config) and to exit code 1 (the run);
-# a sweep job turns a run error into a failed row.
+# What main maps to exit code 2 (the config) and to exit code 1 (the run, a
+# failed allocation included); a sweep job turns a run error into a failed row.
 CONFIG_ERRORS = (ConfigError, SpecError)
-RUN_ERRORS = (DivergenceError, DatasetError, ModelFormatError, UndefinedMetricError, OSError)
+RUN_ERRORS = (DivergenceError, DatasetError, ModelFormatError, UndefinedMetricError, OSError,
+              MemoryError)
 
 
 def _run_dir(out_dir: str, command: str) -> Path:
@@ -486,8 +487,8 @@ def main(argv=None) -> int:
     except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except RUN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RUN_ERRORS as exc:  # a bare MemoryError has no message: name it
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

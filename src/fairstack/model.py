@@ -70,6 +70,9 @@ class StackSpec:
     def __post_init__(self):
         levels = tuple(tuple(lv) if isinstance(lv, (list, tuple)) else lv for lv in self.levels)
         object.__setattr__(self, "levels", levels)
+        for name, low in (("in_dim", 1), ("adv_hidden", 0), ("cls_hidden", 0)):  # head 0: linear
+            if not (type(getattr(self, name)) is int and getattr(self, name) >= low):
+                raise SpecError(f"{name} must be an int >= {low}, got {getattr(self, name)!r}")
         if not levels:
             raise SpecError("a stack needs at least one level")
         for i, widths in enumerate(levels):
@@ -86,8 +89,6 @@ class StackSpec:
                 raise SpecError(f"loss weight {name} must be >= 0, got {getattr(self, name)}")
         if self.criterion not in CRITERIA:
             raise SpecError(f"unknown criterion {self.criterion!r}, expected one of {CRITERIA}")
-        if self.adv_hidden < 0 or self.cls_hidden < 0:
-            raise SpecError("adv_hidden and cls_hidden must be >= 0 (0 = linear head)")
 
     def level_inputs(self) -> list[int]:
         """Each level's input width: ``in_dim``, then each code width but the last."""
@@ -157,19 +158,19 @@ def adversary_rows(level: Level, y: np.ndarray) -> np.ndarray:
 
 
 def adversary_input(level: Level, z: np.ndarray,
-                    y: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-    """The adversary's input rows of the codes ``z`` and their row index.
+                    y: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The adversary's input rows of the codes ``z`` and their index into ``z``.
 
-    The rows are those :func:`adversary_rows` picks; under eo the label column
-    is appended. The input is None when no row qualifies.
+    The rows are those :func:`adversary_rows` picks; under eo the labels ``y``,
+    an (n, 1) float column, are appended. The index is None when the rows are
+    all of ``z``'s, in order; the input is None when no row qualifies.
     """
+    if level.criterion != "eopp":
+        return (np.concatenate((z, y), axis=1) if level.criterion == "eo" else z), None
     idx = adversary_rows(level, y)
     if idx.size == 0:
         return None, idx
-    rows = z if idx.size == y.shape[0] else z[idx]
-    if level.criterion == "eo":
-        rows = np.hstack([rows, y[idx].reshape(-1, 1).astype(float)])
-    return rows, idx
+    return (z[idx], idx) if idx.size < z.shape[0] else (z, None)
 
 
 def _check_rows(n: int, y: np.ndarray, s: np.ndarray, what: str) -> None:
@@ -185,22 +186,21 @@ def level_grads(level: Level, x: np.ndarray, y: np.ndarray, s: np.ndarray,
     classifier and decoder. The adversary is only read; the trainer updates
     it separately to minimize adv, so the two sides play against each other.
 
-    Each net that back-propagates gets its own tape, held here for the
-    length of the call. With ``alpha == 0`` the decoder's gradient is exactly
-    zero: its forward pass still gives the rec value, but it keeps no tape,
-    its backward pass is skipped and its ``.grad`` is left alone. Returns the
-    rec, cls and adv loss values; adv is None when the criterion subset of
-    the batch is empty.
+    ``y`` and ``s`` hold 0/1 values, one per row; the trainer's float columns
+    are used as they are. Each net that back-propagates gets its own tape,
+    held here for the length of the call. With ``alpha == 0`` the decoder's
+    gradient is exactly zero: its forward pass still gives the rec value, but
+    it keeps no tape, its backward pass is skipped and its ``.grad`` is left
+    alone. Returns the rec, cls and adv loss values; adv is None when the
+    criterion subset of the batch is empty.
     """
-    y = np.asarray(y).reshape(-1)
-    s = np.asarray(s).reshape(-1)
+    y = np.asarray(y, dtype=np.float64).reshape(-1, 1)  # no copy of a float column
+    s = np.asarray(s, dtype=np.float64).reshape(-1, 1)
     _check_rows(x.shape[0], y, s, "level_grads")
     enc_tape, cls_tape, dec_tape = [], [], ([] if alpha else None)
     z = level.encoder.forward_value(x, enc_tape)
     rec, g_rec = mse(level.decoder.forward_value(z, dec_tape), x, alpha if alpha else None)
-    y_logit = level.classifier.forward_value(z, cls_tape)
-    y_col = y.reshape(-1, 1).astype(float)
-    cls, g_cls = bce(y_logit, y_col, gamma)
+    cls, g_cls = bce(level.classifier.forward_value(z, cls_tape), y, gamma)
     # d(objective)/dz sums the heads in the graph's order: rec, cls, adv
     g_z = level.classifier.backward(cls_tape, g_cls)
     if g_rec is not None:
@@ -210,12 +210,10 @@ def level_grads(level: Level, x: np.ndarray, y: np.ndarray, s: np.ndarray,
     if rows is not None:
         adv_tape: list = []
         s_logit = level.adversary.forward_value(rows, adv_tape)
-        s_col = s[idx].reshape(-1, 1).astype(float)
-        adv, g_adv = bce(s_logit, s_col, -beta)
-        g_rows = level.adversary.backward(adv_tape, g_adv, param_grads=False)
-        if level.criterion == "eo":
-            g_rows = g_rows[:, :level.encoder.out_dim]
-        if idx.size < y.shape[0]:
+        adv, g_adv = bce(s_logit, s if idx is None else s[idx], -beta)
+        # the codes' columns of the input gradient: under eo the last is the label
+        g_rows = level.adversary.backward(adv_tape, g_adv, param_grads=False)[:, :z.shape[1]]
+        if idx is not None:
             scattered = np.zeros_like(z)
             scattered[idx] += g_rows
             g_rows = scattered

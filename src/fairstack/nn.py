@@ -3,21 +3,22 @@
 Each :class:`MLP` owns its parameters, one weight and one bias :class:`Param`
 per layer, and there is no per-layer object. Weight initialization is uniform
 in +-sqrt(6 / (fan_in + fan_out)); biases start at zero. Hidden layers are
-leaky ReLU (slope 0.01) and the last layer is identity: these two are
-:data:`ACTIVATIONS`, all a network can have. A classifier, adversary or probe
-head therefore ends in a logit, and its BCE is taken on that logit. The model
-file stores each activation by the code :data:`model.ACTIVATION_CODES` gives
-it, not by its position here.
+leaky ReLU (slope 0.01), ``max(x, 0.01 * x)``, and the last layer is
+identity: these two are :data:`ACTIVATIONS`, all a network can have. A
+classifier, adversary or probe head therefore ends in a logit, and its BCE is
+taken on that logit. The model file stores each activation by the code
+:data:`model.ACTIVATION_CODES` gives it, not by its position here.
 
 Every forward pass, training or inference, is one :func:`dense_forward`.
 A training step hands it a tape, a list that receives each layer's input
-and pre-activation; ``MLP.backward(tape, g)`` walks that tape in
-reverse and accumulates into each :class:`Param`'s ``.grad``. The caller owns
-the tape, so a network keeps no copy of what it last saw. :func:`mse` and
-:func:`bce` return a loss and ``scale`` times its gradient; :func:`bce_grad`
-is the gradient alone, for a step that reads no loss (a non-finite
-gradient then fails :class:`Adam`'s check). The reference graph does the
-same math in the same order, byte for byte; no production module imports it.
+and pre-activation; ``MLP.backward(tape, g)`` walks that tape in reverse,
+through each layer's :func:`activation_pullback`, and accumulates into each
+:class:`Param`'s ``.grad``. The caller owns the tape, so a network keeps no
+copy of what it last saw. :func:`mse` and :func:`bce` return a loss and
+``scale`` times its gradient; :func:`bce_grad` is the gradient alone, for a
+step that reads no loss (a non-finite gradient then fails :class:`Adam`'s
+check). The reference graph does the same math in the same order, byte for
+byte; no production module imports it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class DimensionError(ValueError):
 
 
 def assert_finite(arr: np.ndarray, what: str) -> None:
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise FloatingPointError(f"non-finite values in {what}")
 
 
@@ -55,18 +56,22 @@ class Param:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) without overflow: exp only ever sees -|x|."""
     t = np.exp(-np.abs(x))
-    d = 1.0 + t
-    return np.where(x >= 0, 1.0 / d, t / d)
+    return np.where(x >= 0, 1.0, t) / (1.0 + t)
 
 
 def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
-    """One of :data:`ACTIVATIONS` on a raw matrix; the graph's ops apply the
-    same functions, so a forward pass gives the same bytes on both paths."""
+    """One of :data:`ACTIVATIONS` on a raw matrix; the graph's ops give the
+    same bytes, so a forward pass gives the same bytes on both paths."""
     if name == "identity":
         return x
-    if name == "leaky_relu":
-        return np.where(x > 0, x, LEAKY_SLOPE * x)
+    if name == "leaky_relu":  # x where x > 0, else the larger LEAKY_SLOPE * x
+        return np.maximum(x, LEAKY_SLOPE * x)
     raise ValueError(f"unknown activation {name!r}, expected one of {ACTIVATIONS}")
+
+
+def activation_pullback(name: str, pre: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """d(loss)/d(pre) from ``g`` = d(loss)/d(activation ``name`` of ``pre``)."""
+    return np.where(pre > 0, g, g * LEAKY_SLOPE) if name == "leaky_relu" else g
 
 
 def dense_forward(layers, x: np.ndarray, tape: list | None = None) -> np.ndarray:
@@ -123,8 +128,7 @@ class MLP:
         d(loss)/d(input) (None unless ``input_grad``)."""
         for i in range(len(self.weights) - 1, -1, -1):
             x, pre = tape[i]
-            if self.activations[i] == "leaky_relu":
-                g = g * np.where(pre > 0, 1.0, LEAKY_SLOPE)
+            g = activation_pullback(self.activations[i], pre, g)
             if param_grads:
                 self.weights[i].grad += x.T @ g
                 self.biases[i].grad += np.add.reduce(g, axis=0, keepdims=True)
@@ -141,7 +145,8 @@ def bce(logits: np.ndarray, target: np.ndarray,
     logits as ``mean(logaddexp(0, l) - t*l)``, and ``scale`` times its
     gradient :func:`bce_grad`, None without a ``scale``: the value and
     pullback of the graph's ``bce_loss``."""
-    value = float((np.logaddexp(0.0, logits) - target * logits).mean())
+    value = float(np.add.reduce(np.logaddexp(0.0, logits) - target * logits, axis=None)
+                  / logits.size)
     if not math.isfinite(value):
         raise FloatingPointError("non-finite values in bce_loss")
     if scale is None:
@@ -161,7 +166,7 @@ def mse(reconstruction: np.ndarray, target: np.ndarray,
     a ``scale``: the value and pullback of the graph's ``mse_loss``."""
     diff = reconstruction - target
     n_rows = target.shape[0]
-    value = float((diff * diff).sum() / n_rows)
+    value = float(np.add.reduce(diff * diff, axis=None) / n_rows)
     if not math.isfinite(value):
         raise FloatingPointError("non-finite values in mse_loss")
     if scale is None:

@@ -79,11 +79,11 @@ LOG_COLUMNS = tuple(f.name for f in fields(EpochRecord))
 
 def _adversary_accuracy(level: Level, z_val: np.ndarray, y_val: np.ndarray,
                         s_val: np.ndarray) -> float:
-    rows, idx = adversary_input(level, z_val, y_val)
+    rows, idx = adversary_input(level, z_val, y_val.reshape(-1, 1).astype(float))
     if rows is None:
         return math.nan
     pred = threshold_predictions(level.adversary.forward_value(rows))
-    return float((pred == s_val[idx]).mean())
+    return float((pred == (s_val if idx is None else s_val[idx])).mean())
 
 
 def _classifier_gaps(level: Level, z_val: np.ndarray, y_val: np.ndarray,
@@ -108,7 +108,8 @@ def _run_level(level: Level, level_index: int, X: np.ndarray, y: np.ndarray,
     adam_main = Adam([p for net in nets for p in net.params()], lr=cfg.lr)
     adam_adv = Adam(level.adversary.params(), lr=cfg.lr)
     records: list[EpochRecord] = []
-    s_col = s.reshape(-1, 1).astype(float)   # the adversary's targets, made once
+    # the targets as float columns, made once; a batch gathers its rows
+    y_col, s_col = y.reshape(-1, 1).astype(float), s.reshape(-1, 1).astype(float)
 
     for epoch in range(cfg.epochs):
         rec_sum = cls_sum = 0.0
@@ -117,8 +118,7 @@ def _run_level(level: Level, level_index: int, X: np.ndarray, y: np.ndarray,
         n_adv_batches = 0
         for b_num, idx in enumerate(batches(n, cfg.batch_size, (cfg.seed, level_index), epoch)):
             try:
-                xb = X[idx]
-                yb, sb = y[idx], s[idx]
+                xb, yb, sb = X.take(idx, axis=0), y_col.take(idx, axis=0), s_col.take(idx, axis=0)
                 # Main step: encoder/decoder/classifier descend the signed
                 # level objective.
                 adam_main.zero_grad()
@@ -133,10 +133,9 @@ def _run_level(level: Level, level_index: int, X: np.ndarray, y: np.ndarray,
                     n_adv_batches += 1
 
                 # Adversary step on the updated, detached codes.
-                z_now = level.encoder.forward_value(xb)
-                rows, sub = adversary_input(level, z_now, yb)
+                rows, sub = adversary_input(level, level.encoder.forward_value(xb), yb)
                 if rows is not None:
-                    bce_step(level.adversary, adam_adv, rows, s_col[idx[sub]])
+                    bce_step(level.adversary, adam_adv, rows, sb if sub is None else sb[sub])
             except FloatingPointError as exc:
                 raise DivergenceError(f"non-finite value at level {level_index}, epoch {epoch}, "
                                       f"batch {b_num}: {exc}") from exc

@@ -51,6 +51,29 @@ def masked_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Leaky ReLU, its pullback and the loss values as the package computed them
+# before their cheaper forms: each select by np.where with its mask, each
+# reduction through the ndarray methods.
+
+
+def masked_leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
+    return np.where(x > 0, x, slope * x)
+
+
+def masked_leaky_relu_pullback(pre: np.ndarray, g: np.ndarray, slope: float) -> np.ndarray:
+    return g * np.where(pre > 0, 1.0, slope)
+
+
+def method_bce_value(logits: np.ndarray, target: np.ndarray) -> float:
+    return float((np.logaddexp(0.0, logits) - target * logits).mean())
+
+
+def method_mse_value(reconstruction: np.ndarray, target: np.ndarray) -> float:
+    diff = reconstruction - target
+    return float((diff * diff).sum() / target.shape[0])
+
+
+# ---------------------------------------------------------------------------
 # BCE as the package took it when every head ended in a sigmoid, kept
 # verbatim: the prediction clamped into [BCE_EPS, 1 - BCE_EPS], its value,
 # the pullback (zero where clamped) and the head's sigmoid pullback after it.

@@ -987,6 +987,54 @@ def test_sweep_job_errors_outside_the_run_contract_propagate(tmp_path, monkeypat
     assert [r["status"] for r in _read_csv_rows(run / "sweep.csv")] == ["failed", "failed"]
 
 
+def _unallocatable(*args, **kwargs):
+    """Raise what numpy raises for an array it cannot allocate, without allocating."""
+    try:
+        from numpy._core._exceptions import _ArrayMemoryError
+    except ImportError:  # numpy 1.x
+        from numpy.core._exceptions import _ArrayMemoryError
+    raise _ArrayMemoryError((2**40, 100), np.dtype(np.float64))
+
+
+@pytest.mark.parametrize("command", ["fit", "table1", "transform"])
+def test_an_unallocatable_array_exits_1_with_an_error_line(command, tmp_path, monkeypatch, capsys):
+    # a dataset.n that passes validation but cannot be allocated ends the
+    # run, not in a traceback; transform meets it reading its input
+    monkeypatch.setattr(cli, "load_dataset", _unallocatable)
+    monkeypatch.setattr(cli, "_read_numeric_csv", _unallocatable)
+    if command == "transform":
+        TrainedStack.identity(3).save(tmp_path / "model.fstk")
+        args = ["--model", str(tmp_path / "model.fstk"), "--input", str(tmp_path / "in.csv"),
+                "--output", str(tmp_path / "out.csv")]
+    else:
+        args = ["--config", str(_write_config(tmp_path))]
+    assert main([command, *args]) == 1
+    assert capsys.readouterr().err == \
+        "error: Unable to allocate 800. TiB for an array with shape (1099511627776, 100) " \
+        "and data type float64\n"
+
+
+def test_a_bare_memory_error_is_named_on_its_error_line(tmp_path, monkeypatch, capsys):
+    # Python's own MemoryError carries no message
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "load_dataset", no_memory)
+    assert main(["fit", "--config", str(_write_config(tmp_path))]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+
+def test_an_unallocatable_dataset_fails_each_sweep_row(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "load_dataset", _unallocatable)
+    path = _write_config(tmp_path, sweep={"betas": [1.0]})
+    assert main(["sweep", "--config", str(path)]) == 1
+    run = _run_dir_from(capsys.readouterr().out)
+    rows = _read_csv_rows(run / "sweep.csv") + _read_csv_rows(run / "baseline.csv")
+    assert [r["status"] for r in rows] == ["failed"] * 3
+    failures = json.loads((run / "run.json").read_text())["failures"]
+    assert all(f["error"].startswith("MemoryError: Unable to allocate") for f in failures)
+
+
 def test_sweep_failed_baseline_rows_exit_1(tmp_path, monkeypatch, capsys):
     cfg = load_config(_write_config(tmp_path, seeds=[0, 1], sweep={"betas": [1.0]}))
 

@@ -77,6 +77,15 @@ def test_spec_rejects_expanding_level():
             StackSpec(10, levels=levels)
 
 
+@pytest.mark.parametrize("field,value", [("in_dim", 10.5), ("in_dim", True), ("adv_hidden", 2.5),
+                                         ("adv_hidden", False), ("cls_hidden", True),
+                                         ("cls_hidden", 2.0)])
+def test_spec_rejects_a_float_or_bool_width_field(field, value):
+    # each would pass the other checks and make build fail with a TypeError
+    with pytest.raises(SpecError, match=field):
+        StackSpec(**{"in_dim": 10, "levels": ((4,),), field: value})
+
+
 def test_spec_rejects_unknown_criterion():
     with pytest.raises(SpecError) as exc:
         stacked_spec(10, (4,), criterion="parity")

@@ -4,10 +4,12 @@ import pytest
 from fairstack.autodiff import (Var, backward, bce_loss, forward, mse_loss, parameter,
                                 scale, zero_grads)
 from fairstack.model import CRITERIA, adversary_input, build, stacked_spec
-from fairstack.nn import (ACTIVATIONS, Adam, MLP, bce, bce_grad, bce_step, dense_forward,
-                          init_weight, sigmoid)
-from oracles import (BCE_EPS, AdamReference, adam_reference_trace, masked_sigmoid,
-                     sigmoid_head_bce)
+from fairstack.nn import (ACTIVATIONS, LEAKY_SLOPE, Adam, MLP, activation_pullback,
+                          apply_activation, bce, bce_grad, bce_step, dense_forward, init_weight,
+                          mse, sigmoid)
+from oracles import (BCE_EPS, AdamReference, adam_reference_trace, masked_leaky_relu,
+                     masked_leaky_relu_pullback, masked_sigmoid, method_bce_value,
+                     method_mse_value, sigmoid_head_bce)
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +70,65 @@ def test_sigmoid_matches_the_masked_form_bytewise():
         assert sigmoid(xs).tobytes() == masked_sigmoid(xs).tobytes()
     # a nan only has to stay nan; its sign bit may differ
     assert np.isnan(sigmoid(np.array([[np.nan, -np.nan]]))).all()
+
+
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308, np.inf, -np.inf]
+
+
+def _special_and_random(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    scales = [1e-300, 1e-20, 1e-5, 1.0, 40.0, 1e5, 1e300]
+    return np.concatenate([SPECIAL_VALUES, *(sc * rng.uniform(-1, 1, 200) for sc in scales)])
+
+
+def test_leaky_relu_and_its_pullback_match_the_masked_forms_bytewise():
+    x = _special_and_random(12)
+    # every special pre-activation against every special gradient, then random pairs
+    pre = np.concatenate([np.repeat(SPECIAL_VALUES, len(SPECIAL_VALUES)), x])
+    g = np.concatenate([np.tile(SPECIAL_VALUES, len(SPECIAL_VALUES)),
+                        np.random.default_rng(13).permutation(x)])
+    for shape in ((-1, 1), (-1, 2)):
+        xs, ps, gs = x.reshape(shape), pre.reshape(shape), g.reshape(shape)
+        assert apply_activation("leaky_relu", xs).tobytes() == \
+            masked_leaky_relu(xs, LEAKY_SLOPE).tobytes()
+        assert activation_pullback("leaky_relu", ps, gs).tobytes() == \
+            masked_leaky_relu_pullback(ps, gs, LEAKY_SLOPE).tobytes()
+    # a nan pre-activation takes the slope, as before; a nan only has to stay nan
+    nan = np.array([[np.nan, -np.nan]])
+    assert activation_pullback("leaky_relu", nan, np.ones((1, 2))).tobytes() == \
+        masked_leaky_relu_pullback(nan, np.ones((1, 2)), LEAKY_SLOPE).tobytes()
+    assert np.isnan(apply_activation("leaky_relu", nan)).all()
+    assert np.isnan(activation_pullback("leaky_relu", np.ones((1, 2)), nan)).all()
+
+
+def _loss_cases():
+    """(prediction, target) pairs: each special value alone against each
+    target, the random values of each scale, and all of them at once."""
+    x = _special_and_random(14)
+    rng = np.random.default_rng(15)
+    for v in SPECIAL_VALUES:
+        for t in (0.0, 1.0, -3.5):
+            yield np.array([[v]]), np.array([[t]])
+    for chunk in [x[10:], *np.split(x[10:], 7), x]:
+        yield chunk.reshape(-1, 1), rng.integers(0, 2, (chunk.size, 1)).astype(float)
+        yield chunk.reshape(-1, 2), rng.normal(size=(chunk.size // 2, 2))
+
+
+def test_bce_and_mse_values_match_the_method_forms_bytewise():
+    # a non-finite value is refused where it used to be, and nowhere else
+    n_finite = 0
+    with np.errstate(all="ignore"):
+        for pred, target in _loss_cases():
+            for ours, theirs in ((bce, method_bce_value), (mse, method_mse_value)):
+                expected = theirs(pred, target)
+                if not np.isfinite(expected):
+                    with pytest.raises(FloatingPointError):
+                        ours(pred, target)
+                    continue
+                n_finite += 1
+                assert np.float64(ours(pred, target)[0]).tobytes() == \
+                    np.float64(expected).tobytes()
+    assert n_finite > 40
 
 
 def test_a_tape_records_each_layer_and_leaves_the_forward_unchanged():
@@ -249,8 +310,9 @@ def test_adversary_steps_match_the_graph(criterion):
     y, s = rng.integers(0, 2, 64), rng.integers(0, 2, 64)
     spec = stacked_spec(6, (3,), criterion=criterion, adv_hidden=5)
     level = build(spec, seed=1)[0]
-    rows, idx = adversary_input(level, level.encoder.forward_value(X), y)
+    rows, idx = adversary_input(level, level.encoder.forward_value(X),
+                               y.reshape(-1, 1).astype(float))
     assert rows.shape[1] == 3 + (criterion == "eo")
-    assert (idx.size < 64) == (criterion == "eopp")
-    target = s[idx].reshape(-1, 1).astype(float)
+    assert (idx is not None and idx.size < 64) == (criterion == "eopp")
+    target = (s if idx is None else s[idx]).reshape(-1, 1).astype(float)
     _assert_steps_match_the_graph(lambda: build(spec, seed=1)[0].adversary, rows, target)
