@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nn
-from .model import Level, _check_rows, adversary_rows
+from .model import Level, _check_rows
 from .nn import LEAKY_SLOPE, DimensionError, Param, assert_finite
 
 
@@ -340,13 +340,19 @@ class LevelLoss:
     n_adv: int
 
 
+def adversary_rows(level: Level, y: np.ndarray) -> np.ndarray:
+    """The rows the adversary sees, stated apart from the kernel's
+    :func:`model.adversary_input`: the y == 1 rows under eopp, else all rows."""
+    return np.flatnonzero(y == 1) if level.criterion == "eopp" else np.arange(y.shape[0])
+
+
 def level_loss(level: Level, z_prev, y: np.ndarray, s: np.ndarray,
                alpha: float, beta: float, gamma: float) -> LevelLoss:
     """Reconstruction + adversary + classifier losses at one level, as a graph.
 
     ``z_prev`` is the level's input (matrix or graph node); the reconstruction
     target is its detached value. The adversary sees the rows
-    :func:`model.adversary_input` picks. This is the reference
+    :func:`adversary_rows` picks. This is the reference
     :func:`model.level_grads` is checked against.
     """
     z_in = as_var(z_prev)

@@ -1,8 +1,10 @@
 """Experiment configuration: one JSON file drives every CLI command.
 
 Every config key is declared once, as a field of :class:`ExperimentConfig`:
-its dotted key, type, default and bound. The parser, ``to_dict`` and the
-README key list (:func:`describe_keys`) are all derived from those fields.
+its dotted key, type, default and bound; a key that sets a spec field takes
+that field's default and bound. Each value is checked by :func:`data._check`,
+as each spec field is. The parser, ``to_dict`` and the README key list
+(:func:`describe_keys`) are all derived from those fields.
 ``stack.levels`` lists the code widths only; :func:`stack_spec_for` hands that
 one list to the spec builder of the variant, which groups it into levels.
 
@@ -14,19 +16,18 @@ chosen ``dataset.id`` does not read, unless it holds its default.
 import dataclasses
 import hashlib
 import json
-import math
 import os
-import typing
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .data import TEXT_ENCODING, Dataset, load_adult, load_german, make_planted, make_synthetic
+from .data import (TEXT_ENCODING, Dataset, _check, _kind, load_adult, load_german, make_planted,
+                   make_synthetic)
 from .downstream import ProbeSpec
 from .forest import ForestSpec
 from .metrics import EO_MODES
-from .model import CRITERIA, StackSpec, stacked_spec, vanilla_spec
+from .model import StackSpec, stacked_spec, vanilla_spec
 from .training import TrainConfig
 
 DATA_DIR_ENV = "FAIRSTACK_DATA_DIR"
@@ -51,36 +52,6 @@ def _reject_unknown(d: dict, allowed, path: str) -> None:
         )
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _check(value, key: str, kind, nullable: bool = False, min=None, choices=None):
-    """Type- and bound-check one scalar value; an int widens to a float."""
-    if value is None and nullable:
-        return None
-    if kind is float and _is_int(value):
-        try:
-            value = float(value)
-        except OverflowError:   # past float range: refused below as not finite
-            value = math.inf if value > 0 else -math.inf
-    if kind is int and isinstance(value, bool):
-        raise ConfigError(f"{key}: expected int, got bool")
-    if not isinstance(value, kind):
-        raise ConfigError(f"{key}: expected {kind.__name__}, "
-                          f"got {type(value).__name__} ({value!r})")
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"{key}: must be a finite number, got {value}")
-    if kind is int and not -2**63 <= value < 2**63:
-        raise ConfigError(f"{key}: must fit in a 64-bit integer")
-    if min is not None and value < min:
-        raise ConfigError(f"{key}: must be >= {min}, got {value}")
-    if choices is not None and value not in choices:
-        raise ConfigError(f"{key}: unknown value {value!r}, "
-                          f"allowed values: {', '.join(map(str, choices))}")
-    return value
-
-
 def _parse_levels(raw, key: str) -> tuple:
     """The latent width of each level, checked to strictly decrease."""
     if not isinstance(raw, list) or not raw:
@@ -93,7 +64,7 @@ def _parse_levels(raw, key: str) -> tuple:
         _reject_unknown(item, {"latent"}, path)
         if "latent" not in item:
             raise ConfigError(f"{path}.latent: required")
-        latents.append(_check(item["latent"], f"{path}.latent", int, min=1))
+        latents.append(_check(item["latent"], f"{path}.latent", int, min=1, error=ConfigError))
     for i in range(len(latents) - 1):
         if latents[i + 1] >= latents[i]:
             raise ConfigError(f"{key}[{i + 1}].latent: widths must strictly decrease "
@@ -109,7 +80,8 @@ def _check_list(raw, key: str, kind, min=None) -> tuple:
     """A list of scalars, each checked by :func:`_check` under the name ``key[i]``."""
     if not isinstance(raw, list):
         raise ConfigError(f"{key}: expected a list, got {type(raw).__name__}")
-    return tuple(_check(x, f"{key}[{i}]", kind, min=min) for i, x in enumerate(raw))
+    return tuple(_check(x, f"{key}[{i}]", kind, min=min, error=ConfigError)
+                 for i, x in enumerate(raw))
 
 
 def _distinct(values: tuple, key: str) -> tuple:
@@ -144,6 +116,13 @@ def _key(key: str, default=MISSING, doc: str = "", *, min=None, choices=None, pa
         key=key, min=min, choices=choices, parse=parse, dump=dump, doc=doc, ids=ids))
 
 
+def _spec_key(key: str, spec, name: str, doc: str):
+    """A config key that sets field ``name`` of the dataclass ``spec``: its
+    default and bound are that field's."""
+    f = spec.__dataclass_fields__[name]
+    return _key(key, f.default, doc, **f.metadata)
+
+
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """The fully resolved config, and the table of config keys: one field each."""
@@ -160,17 +139,17 @@ class ExperimentConfig:
     subsample_seed: int = _key("dataset.subsample_seed", 0, "subsample and generator seed", min=0)
     levels: tuple = _key("stack.levels", doc="list of {latent}, latents decreasing",
                          parse=_parse_levels, dump=_dump_levels)
-    adv_hidden: int = _key("stack.adv_hidden", StackSpec.adv_hidden,
-                           "adversary hidden width, 0: linear", min=0)
-    cls_hidden: int = _key("stack.cls_hidden", StackSpec.cls_hidden,
-                           "classifier hidden width, 0: linear", min=0)
-    epochs: int = _key("train.epochs", TrainConfig.epochs, "training epochs per level", min=1)
-    batch: int = _key("train.batch", TrainConfig.batch_size, "minibatch rows", min=1)
-    lr: float = _key("train.lr", TrainConfig.lr, "learning rate of both steps", min=1e-12)
-    alpha: float = _key("loss.alpha", StackSpec.alpha, "reconstruction weight", min=0)
-    beta: float = _key("loss.beta", StackSpec.beta, "adversary weight", min=0)
-    gamma: float = _key("loss.gamma", StackSpec.gamma, "classifier weight", min=0)
-    criterion: str = _key("criterion", StackSpec.criterion, "fairness criterion", choices=CRITERIA)
+    adv_hidden: int = _spec_key("stack.adv_hidden", StackSpec, "adv_hidden",
+                                "adversary hidden width, 0: linear")
+    cls_hidden: int = _spec_key("stack.cls_hidden", StackSpec, "cls_hidden",
+                                "classifier hidden width, 0: linear")
+    epochs: int = _spec_key("train.epochs", TrainConfig, "epochs", "training epochs per level")
+    batch: int = _spec_key("train.batch", TrainConfig, "batch_size", "minibatch rows")
+    lr: float = _spec_key("train.lr", TrainConfig, "lr", "learning rate of both steps")
+    alpha: float = _spec_key("loss.alpha", StackSpec, "alpha", "reconstruction weight")
+    beta: float = _spec_key("loss.beta", StackSpec, "beta", "adversary weight")
+    gamma: float = _spec_key("loss.gamma", StackSpec, "gamma", "classifier weight")
+    criterion: str = _spec_key("criterion", StackSpec, "criterion", "fairness criterion")
     eo_mode: str = _key("eo_mode", "sum", "how the two eo gaps combine", choices=EO_MODES)
     betas: tuple = _key("sweep.betas", (1.0, 2.0, 3.0, 5.0, 15.0),
                         "beta values of sweep, each once", parse=_parse_betas)
@@ -179,12 +158,12 @@ class ExperimentConfig:
     out_dir: str = _key("out_dir", "runs", "artifact root")
     val_frac: float = _key("val_frac", 0.2, "validation share, in (0, 0.5)")
     cv_folds: int = _key("cv_folds", 5, "cross-validation folds of table1", min=2)
-    probe_hidden: int = _key("probe.hidden", ProbeSpec.hidden, "probe hidden width, 0: linear",
-                             min=0)
-    probe_epochs: int = _key("probe.epochs", ProbeSpec.epochs, "probe epochs", min=1)
-    forest_trees: int = _key("forest.n_trees", ForestSpec.n_trees, "trees per forest", min=1)
-    forest_max_depth: int | None = _key("forest.max_depth", ForestSpec.max_depth,
-                                        "depth cap; null: none", min=1)
+    probe_hidden: int = _spec_key("probe.hidden", ProbeSpec, "hidden",
+                                  "probe hidden width, 0: linear")
+    probe_epochs: int = _spec_key("probe.epochs", ProbeSpec, "epochs", "probe epochs")
+    forest_trees: int = _spec_key("forest.n_trees", ForestSpec, "n_trees", "trees per forest")
+    forest_max_depth: int | None = _spec_key("forest.max_depth", ForestSpec, "max_depth",
+                                             "depth cap; null: none")
 
     def to_dict(self) -> dict:
         """The fully resolved config in its file shape (defaults filled in)."""
@@ -203,18 +182,12 @@ def _file_value(f: dataclasses.Field, value):
     return list(value) if isinstance(value, tuple) else value
 
 
-def _kind(f: dataclasses.Field) -> tuple[type, bool]:
-    """The scalar type of a field and whether it may be null (``int | None``)."""
-    args = typing.get_args(f.type)
-    return next((a for a in args if a is not type(None)), f.type), type(None) in args
-
-
 def describe_keys() -> str:
     """The README's config key list, one line per key."""
     lines = []
     for f in fields(ExperimentConfig):
         meta = f.metadata
-        kind, nullable = _kind(f)
+        kind, nullable = _kind(f.type)
         bound = ("list" if meta["parse"] else
                  " | ".join(map(str, meta["choices"])) if meta["choices"] else kind.__name__)
         bound += f" >= {meta['min']}" if meta["min"] is not None else ""
@@ -268,7 +241,8 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         if meta["parse"]:
             values[f.name] = meta["parse"](value, meta["key"])
         else:
-            values[f.name] = _check(value, meta["key"], *_kind(f), meta["min"], meta["choices"])
+            values[f.name] = _check(value, meta["key"], f.type, meta["min"], meta["choices"],
+                                    ConfigError)
     cfg = ExperimentConfig(**values)
 
     if not 0.0 < cfg.val_frac < 0.5:
@@ -315,9 +289,7 @@ def load_config(path, seed: int | None = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root: expected a JSON object")
     if seed is not None:
-        if seed < 0:
-            raise ConfigError(f"--seed must be non-negative, got {seed}")
-        raw["seeds"] = [seed]
+        raw["seeds"] = [_check(seed, "--seed", int, min=0, error=ConfigError)]
     return parse_config(raw, base_dir=p.parent)
 
 
@@ -377,12 +349,10 @@ def stack_spec_for(cfg: ExperimentConfig, in_dim: int, variant: str = "stacked",
     as ``vanilla``, one level through them all whose final code alone carries
     fairness pressure."""
     beta = cfg.beta if beta is None else float(beta)
-    builders = {"stacked": stacked_spec, "vanilla": vanilla_spec}
-    if variant not in builders:
-        raise ValueError(f"unknown variant {variant!r}, expected 'stacked' or 'vanilla'")
-    return builders[variant](in_dim, cfg.levels, alpha=cfg.alpha, beta=beta, gamma=cfg.gamma,
-                             criterion=cfg.criterion, adv_hidden=cfg.adv_hidden,
-                             cls_hidden=cfg.cls_hidden)
+    _check(variant, "variant", str, choices=("stacked", "vanilla"))
+    builder = stacked_spec if variant == "stacked" else vanilla_spec
+    return builder(in_dim, cfg.levels, alpha=cfg.alpha, beta=beta, gamma=cfg.gamma,
+                   criterion=cfg.criterion, adv_hidden=cfg.adv_hidden, cls_hidden=cfg.cls_hidden)
 
 
 def train_config_for(cfg: ExperimentConfig, seed: int) -> TrainConfig:

@@ -24,7 +24,9 @@ standardized copy of the whole matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,78 @@ TEXT_ENCODING = "utf-8-sig"  # user files are UTF-8; a leading byte-order mark i
 
 class DatasetError(ValueError):
     """A raw file could not be turned into a valid (X, y, s) dataset."""
+
+
+# ---------------------------------------------------------------------------
+# Checks: the one scalar checker, of config keys and spec fields, and fit input
+
+
+def _check(value, key: str, kind, min=None, choices=None, error: type[Exception] = ValueError):
+    """Type- and bound-check one scalar value, raising ``error`` named by
+    ``key``; ``kind`` is a type, or ``X | None`` to allow None, and an int
+    widens to a float."""
+    kind, nullable = _kind(kind)
+    if value is None and nullable:
+        return None
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:   # past float range: refused below as not finite
+            value = math.inf if value > 0 else -math.inf
+    if kind is int and isinstance(value, bool):
+        raise error(f"{key}: expected int, got bool")
+    if not isinstance(value, kind):
+        raise error(f"{key}: expected {kind.__name__}, got {type(value).__name__} ({value!r})")
+    if kind is float and not math.isfinite(value):
+        raise error(f"{key}: must be a finite number, got {value}")
+    if kind is int and not -2**63 <= value < 2**63:
+        raise error(f"{key}: must fit in a 64-bit integer")
+    if min is not None and value < min:
+        raise error(f"{key}: must be >= {min}, got {value}")
+    if choices is not None and value not in choices:
+        raise error(f"{key}: unknown value {value!r}, "
+                    f"allowed values: {', '.join(map(str, choices))}")
+    return value
+
+
+def _kind(annotation) -> tuple[type, bool]:
+    """The scalar type of an annotation and whether it may be null (``int | None``)."""
+    args = typing.get_args(annotation)
+    return next((a for a in args if a is not type(None)), annotation), type(None) in args
+
+
+def _bounded(default=MISSING, *, min=None, choices=None):
+    """A spec field whose type is its annotation and whose bound is ``min`` or
+    ``choices``; a config key that sets the field takes its default and bound."""
+    return field(default=default, metadata={"min": min, "choices": choices})
+
+
+def _check_fields(spec, error: type[Exception] = ValueError) -> None:
+    """Check and keep each :func:`_bounded` field of the dataclass ``spec``, named
+    by the field; its module does not postpone annotations, so ``f.type`` is a type."""
+    for f in fields(spec):
+        if "min" in f.metadata:
+            object.__setattr__(spec, f.name, _check(getattr(spec, f.name), f.name, f.type,
+                                                    error=error, **f.metadata))
+
+
+def _fit_input(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """X as a float matrix and y as int64 labels, refused unless they align,
+    X has a row and a column and is finite, and y holds only 0 and 1. Every
+    predictor (forest, logreg, probe) and ``train_stack`` check their input here."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y).reshape(-1)
+    if X.ndim != 2 or X.shape[0] != y.shape[0]:
+        raise ValueError(f"X {X.shape} and y {y.shape} do not align")
+    if X.shape[0] == 0:
+        raise ValueError("cannot fit on zero rows")
+    if X.shape[1] == 0:
+        raise ValueError("cannot fit on zero features")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be 0/1")
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite")
+    return X, y.astype(np.int64)
 
 
 @dataclass
@@ -310,8 +384,7 @@ def make_synthetic(n: int = 2000, seed: int = 0, n_noise: int = 3,
     recovers s almost perfectly; y is independent of feature 0 by
     construction. ``flip_y`` adds label noise.
     """
-    if n < 4:
-        raise DatasetError("synthetic dataset needs n >= 4")
+    _check(n, "n", int, min=4, error=DatasetError)
     rng = np.random.default_rng(seed)
     s = np.zeros(n, dtype=np.int64)
     s[: n // 2] = 1
@@ -341,8 +414,7 @@ def make_planted(n: int, seed: int) -> Dataset:
     0.5(2y-1) + 0.5(2s-1) + N(0, 1) and 20 noise columns N(0, 1), in that
     order, each drawing its N(0, 1) from the one stream after s and y.
     """
-    if n < 4:
-        raise DatasetError("planted dataset needs n >= 4")
+    _check(n, "n", int, min=4, error=DatasetError)
     rng = np.random.default_rng(seed)
     s = rng.random(n) < 0.33
     y = rng.random(n) < np.where(s, 0.31, 0.11)
@@ -433,8 +505,7 @@ def batches(n: int, batch_size: int, seed, epoch: int) -> list[np.ndarray]:
     ``seed`` may be an int or a sequence of ints (e.g. (run_seed, level));
     the epoch is mixed into the stream so every epoch reshuffles.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    _check(batch_size, "batch_size", int, min=1)
     entropy = [int(x) for x in (seed if isinstance(seed, (list, tuple)) else [seed])]
     if any(x < 0 for x in entropy) or epoch < 0:
         raise ValueError("seed and epoch must be non-negative")

@@ -12,14 +12,13 @@ report fairness metrics on the test fold — and aggregates mean and sample
 standard deviation per metric.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, batches, make_folds, fold_train_indices
-from .forest import ForestSpec, _fit_input, train_forest
+from .data import (Dataset, _bounded, _check, _check_fields, _fit_input, batches, make_folds,
+                   fold_train_indices)
+from .forest import ForestSpec, train_forest
 from .metrics import PredictionBatch, evaluate, threshold_predictions
 from .model import TrainedStack, head_dims
 from .nn import MLP, Adam, bce_step, dense_forward, sigmoid
@@ -33,19 +32,17 @@ LOGREG_TOL = 1e-10
 LOGREG_MAX_STEPS = 50
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProbeSpec:
     """Probe width, epochs and seed; every probe trains with Adam at
-    ``PROBE_LR`` on minibatches of ``PROBE_BATCH`` rows."""
-    hidden: int = 20
-    epochs: int = 100
-    seed: int = 0
+    ``PROBE_LR`` on minibatches of ``PROBE_BATCH`` rows. Each field is
+    checked against its type and bound when the spec is made."""
+    hidden: int = _bounded(20, min=0)   # 0: linear
+    epochs: int = _bounded(100, min=1)
+    seed: int = _bounded(0, min=0)
 
     def __post_init__(self):
-        if self.hidden < 0:
-            raise ValueError(f"hidden must be >= 0 (0 = linear), got {self.hidden}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        _check_fields(self)
 
 
 class MLPPredictor:
@@ -187,8 +184,7 @@ def cross_validate(model_kind: str, stack: TrainedStack, dataset: Dataset,
     with the spec it is given, so the forest's or the probe's own seed seeds
     that model (a spec left None is the default, seed 0).
     """
-    if model_kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {model_kind!r}, expected one of {MODEL_KINDS}")
+    _check(model_kind, "model_kind", str, choices=MODEL_KINDS)
     z = stack.encode(dataset.X)
     folds = make_folds(dataset.n, k, seed)
     reports = []

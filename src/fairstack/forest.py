@@ -16,47 +16,26 @@ A forest exists only fitted, as its trees' node arrays and its input width;
 it predicts by strict-majority vote (ties go to class 0).
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .data import _bounded, _check_fields, _fit_input
+
 MAX_ROWS = 2 ** 21   # keeps the packed int64 sort values of _best_splits below 2**63
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForestSpec:
-    n_trees: int = 100
-    max_depth: int | None = None      # None = grow until pure
-    seed: int = 0
+    """Each field is checked against its type and bound when the spec is made."""
+    n_trees: int = _bounded(100, min=1)
+    max_depth: int | None = _bounded(None, min=1)   # None = grow until pure
+    seed: int = _bounded(0, min=0)
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1 or None, got {self.max_depth}")
-
-
-def _fit_input(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """X as a float matrix and y as int64 labels, refused unless they align,
-    X has a row and a column and is finite, and y holds only 0 and 1. Every
-    predictor (forest, logreg, probe) and ``train_stack`` check their input here."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y).reshape(-1)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ValueError(f"X {X.shape} and y {y.shape} do not align")
-    if X.shape[0] == 0:
-        raise ValueError("cannot fit on zero rows")
-    if X.shape[1] == 0:
-        raise ValueError("cannot fit on zero features")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be 0/1")
-    if not np.isfinite(X).all():
-        raise ValueError("features must be finite")
-    return X, y.astype(np.int64)
+        _check_fields(self)
 
 
 def _ranks(X: np.ndarray) -> np.ndarray:
@@ -151,7 +130,8 @@ class Tree(NamedTuple):
 
 
 def _grow(X: np.ndarray, ranks: np.ndarray, y: np.ndarray, counts: np.ndarray,
-          rng: np.random.Generator, max_depth: int | None) -> Tree:
+          rng: "np.random.Generator",  # quoted: numpy.random loads on use
+          max_depth: int | None) -> Tree:
     """Grow on the rows of X weighted by ``counts`` (a bootstrap's
     multiplicities), one depth per iteration; columns are drawn from ``rng``."""
     d = X.shape[1]

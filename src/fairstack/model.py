@@ -20,8 +20,6 @@ serializes to a small binary format; the format, not :mod:`nn`, fixes the
 code each activation is stored as (:data:`ACTIVATION_CODES`).
 """
 
-from __future__ import annotations
-
 import hashlib
 import json
 import struct
@@ -29,6 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .data import _bounded, _check, _check_fields
 from .nn import MLP, DimensionError, bce, dense_forward, mse
 
 CRITERIA = ("dp", "eo", "eopp")
@@ -56,39 +55,33 @@ class StackSpec:
     criterion every level trains with, and the widths of the heads. A level
     is its encoder's widths past its input, its code width last: 100 -> 20 -> 8
     is ``((20,), (8,))`` as a stack and ``((20, 8),)`` as one level. Lists
-    are taken as tuples, so ``StackSpec(**d)`` reads back its JSON form."""
+    are taken as tuples, so ``StackSpec(**d)`` reads back its JSON form. A
+    field outside its type or bound raises :class:`SpecError`."""
 
-    in_dim: int
+    in_dim: int = _bounded(min=2)   # a code, at least 1 wide, is narrower
     levels: tuple[tuple[int, ...], ...]
-    alpha: float = 1.0
-    beta: float = 1.0
-    gamma: float = 1.0
-    criterion: str = "dp"
-    adv_hidden: int = 20
-    cls_hidden: int = 20
+    alpha: float = _bounded(1.0, min=0)
+    beta: float = _bounded(1.0, min=0)
+    gamma: float = _bounded(1.0, min=0)
+    criterion: str = _bounded("dp", choices=CRITERIA)
+    adv_hidden: int = _bounded(20, min=0)   # a head's hidden width, 0: linear
+    cls_hidden: int = _bounded(20, min=0)
 
     def __post_init__(self):
+        _check_fields(self, SpecError)
         levels = tuple(tuple(lv) if isinstance(lv, (list, tuple)) else lv for lv in self.levels)
         object.__setattr__(self, "levels", levels)
-        for name, low in (("in_dim", 1), ("adv_hidden", 0), ("cls_hidden", 0)):  # head 0: linear
-            if not (type(getattr(self, name)) is int and getattr(self, name) >= low):
-                raise SpecError(f"{name} must be an int >= {low}, got {getattr(self, name)!r}")
         if not levels:
             raise SpecError("a stack needs at least one level")
         for i, widths in enumerate(levels):
-            if not (isinstance(widths, tuple) and widths
-                    and all(type(w) is int and w >= 1 for w in widths)):
-                raise SpecError(f"level {i}: expected a non-empty list of int widths >= 1, "
-                                f"got {widths!r}")
+            if not (isinstance(widths, tuple) and widths):
+                raise SpecError(f"level {i}: expected a non-empty list of widths, got {widths!r}")
+            for w in widths:
+                _check(w, f"level {i} width", int, min=1, error=SpecError)
         for i, (in_dim, widths) in enumerate(zip(self.level_inputs(), levels)):
             if widths[-1] >= in_dim:
                 raise SpecError(f"level {i}: code width {widths[-1]} must be strictly smaller "
                                 f"than its input width {in_dim} (widths must decrease)")
-        for name in ("alpha", "beta", "gamma"):
-            if getattr(self, name) < 0:
-                raise SpecError(f"loss weight {name} must be >= 0, got {getattr(self, name)}")
-        if self.criterion not in CRITERIA:
-            raise SpecError(f"unknown criterion {self.criterion!r}, expected one of {CRITERIA}")
 
     def level_inputs(self) -> list[int]:
         """Each level's input width: ``in_dim``, then each code width but the last."""
@@ -127,7 +120,7 @@ class Level:
     """One trainable level: encoder, mirrored decoder, classifier, adversary."""
 
     def __init__(self, in_dim: int, widths: tuple[int, ...], criterion: str, adv_hidden: int,
-                 cls_hidden: int, rng: np.random.Generator):
+                 cls_hidden: int, rng: "np.random.Generator"):  # quoted: numpy.random loads on use
         enc_dims = [in_dim, *widths]
         self.criterion = criterion
         self.encoder = MLP(enc_dims, rng)
@@ -149,25 +142,16 @@ def build(spec: StackSpec, seed: int) -> list[Level]:
 # Per-level loss
 
 
-def adversary_rows(level: Level, y: np.ndarray) -> np.ndarray:
-    """Index of the rows the adversary sees: under eopp the y == 1 rows, the
-    rows whose TPR gap ``delta_eopp`` measures; otherwise all rows."""
-    if level.criterion == "eopp":
-        return np.flatnonzero(y == 1)
-    return np.arange(y.shape[0])
-
-
 def adversary_input(level: Level, z: np.ndarray,
                     y: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The adversary's input rows of the codes ``z`` and their index into ``z``.
 
-    The rows are those :func:`adversary_rows` picks; under eo the labels ``y``,
-    an (n, 1) float column, are appended. The index is None when the rows are
-    all of ``z``'s, in order; the input is None when no row qualifies.
-    """
+    The rows are the y == 1 rows under eopp, else all rows; under eo the labels
+    ``y``, an (n, 1) float column, are appended. The index is None when the
+    rows are all of ``z``'s, in order; the input is None when no row qualifies."""
     if level.criterion != "eopp":
         return (np.concatenate((z, y), axis=1) if level.criterion == "eo" else z), None
-    idx = adversary_rows(level, y)
+    idx = np.flatnonzero(y == 1)
     if idx.size == 0:
         return None, idx
     return (z[idx], idx) if idx.size < z.shape[0] else (z, None)

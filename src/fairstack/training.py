@@ -6,7 +6,7 @@ adversary alone takes one adversary step, at the same learning rate, on
 the BCE of its logits f(z) against s, on the freshly updated (and detached)
 codes. Every BCE is taken on a head's logits, and a head predicts 1 on the
 val split where its logit is >= 0. In both steps the adversary sees the rows
-:func:`model.adversary_rows` picks: every row under dp and eo, the y == 1
+:func:`model.adversary_input` picks: every row under dp and eo, the y == 1
 rows under eopp. Levels train sequentially, each on the codes of the frozen
 level before it, computed once by that level's encoder.
 
@@ -18,15 +18,12 @@ backward pass and Adam update are skipped; it still runs forward, so the
 ``loss_rec`` column is unchanged.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import Dataset, batches
-from .forest import _fit_input
+from .data import Dataset, _bounded, _check_fields, _fit_input, batches
 from .metrics import PredictionBatch, UndefinedMetricError, evaluate, threshold_predictions
 from .model import Level, StackSpec, TrainedStack, adversary_input, build, level_grads, spec_hash
 from .nn import Adam, DimensionError, bce_step
@@ -36,22 +33,16 @@ class DivergenceError(RuntimeError):
     """Training hit a non-finite loss or parameter value, or did not converge."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 150
-    batch_size: int = 64
-    lr: float = 0.01                  # both sides: the main step and the adversary step
-    seed: int = 0
+    """Each field is checked against its type and bound when the config is made."""
+    epochs: int = _bounded(150, min=1)
+    batch_size: int = _bounded(64, min=1)
+    lr: float = _bounded(0.01, min=1e-12)   # both sides: the main step and the adversary step
+    seed: int = _bounded(0, min=0)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        _check_fields(self)
 
     def to_dict(self) -> dict:
         return asdict(self)

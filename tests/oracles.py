@@ -166,7 +166,7 @@ def adam_logreg(features: np.ndarray, y: np.ndarray, seed: int = 0):
     ``DivergenceError`` on a non-finite value or if the loss before the last
     step is not below the loss before the first."""
     from fairstack.downstream import MLPPredictor
-    from fairstack.forest import _fit_input
+    from fairstack.data import _fit_input
     from fairstack.nn import MLP, Adam, bce, bce_step
     from fairstack.training import DivergenceError
 

@@ -17,14 +17,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairstack.autodiff import (Var, add, backward, bce_loss, concat_cols,
+from fairstack.autodiff import (Var, add, adversary_rows, backward, bce_loss, concat_cols,
                                 leaky_relu, level_loss, matmul, mse_loss, parameter,
                                 scale, sigmoid, sum_all, take_rows, zero_grads)
 from fairstack.cli import main
 from fairstack.data import make_synthetic, standardize, train_val_test_split
 from fairstack.downstream import ProbeSpec, train_probe
 from fairstack.metrics import PredictionBatch, UndefinedMetricError, evaluate
-from fairstack.model import StackSpec, adversary_rows, build, level_grads, stacked_spec
+from fairstack.model import (CRITERIA, StackSpec, adversary_input, build, level_grads,
+                             stacked_spec)
 from fairstack.nn import Adam
 from fairstack.training import TrainConfig, train_stack
 from oracles import (adam_reference_trace, all_params, enumerate_count_batches,
@@ -458,6 +459,14 @@ def test_adversary_wiring_invariants():
         l_flip = level_loss(level, X, 1 - y, s, alpha=0.0, beta=1.0, gamma=0.0)
         differs = l_y.adv.value.item() != l_flip.adv.value.item()
         assert differs == should_differ, crit
+
+    # the kernel picks the adversary's rows as the reference does, each stating
+    # the rule on its own: all rows under dp and eo, the y == 1 rows under eopp
+    for crit in CRITERIA:
+        level = build(stacked_spec(6, (3,), criterion=crit), seed=4)[0]
+        _, idx = adversary_input(level, X[:, :3], y.reshape(-1, 1).astype(float))
+        kernel_rows = np.arange(y.size) if idx is None else idx
+        assert np.array_equal(kernel_rows, adversary_rows(level, y)), crit
 
     # eopp: the adversary sees the y == 1 rows, the rows delta_eopp conditions
     # on, and its gradient vanishes exactly on the y == 0 rows

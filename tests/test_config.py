@@ -1,12 +1,15 @@
 """The config key table: pinned hashes of the shipped configs, the parse /
-to_dict round trip, one rejection per key, the README key list, and the
-README's library example.
+to_dict round trip, one rejection per key, the spec fields that share the
+keys' checker and bounds, the README key list, and the README's library
+example.
 
 ``ExperimentConfig``'s fields are the one declaration of every config key, so
 these tests walk ``dataclasses.fields`` rather than naming keys by hand.
 """
 
 import dataclasses
+import json
+import math
 import re
 import typing
 from pathlib import Path
@@ -17,6 +20,10 @@ from hypothesis import strategies as st
 
 from fairstack.config import (DATASET_IDS, ConfigError, ExperimentConfig, config_hash,
                               describe_keys, load_config, parse_config)
+from fairstack.downstream import ProbeSpec
+from fairstack.forest import ForestSpec
+from fairstack.model import SpecError, StackSpec
+from fairstack.training import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 FIELDS = dataclasses.fields(ExperimentConfig)
@@ -169,6 +176,88 @@ def test_every_key_rejects_a_bad_value_by_name(f):
 def test_list_entries_are_named_by_index(key, value, error):
     with pytest.raises(ConfigError, match=re.escape(error)):
         parse_config(_with(_valid_file(), key, value))
+
+
+# ---------------------------------------------------------------------------
+# spec fields: one checker and one bound, shared with the config keys
+
+# Every bounded field of the four specs, with the kwargs it is built with.
+SPEC_BASE = {StackSpec: {"in_dim": 10, "levels": ((1,),)}, TrainConfig: {}, ProbeSpec: {},
+             ForestSpec: {}}
+BOUNDED = [(StackSpec, "in_dim"), (StackSpec, "alpha"), (StackSpec, "beta"),
+           (StackSpec, "gamma"), (StackSpec, "criterion"), (StackSpec, "adv_hidden"),
+           (StackSpec, "cls_hidden"), (TrainConfig, "epochs"), (TrainConfig, "batch_size"),
+           (TrainConfig, "lr"), (TrainConfig, "seed"), (ProbeSpec, "hidden"),
+           (ProbeSpec, "epochs"), (ProbeSpec, "seed"), (ForestSpec, "n_trees"),
+           (ForestSpec, "max_depth"), (ForestSpec, "seed")]
+# Each config key that sets a spec field, and that field.
+SPEC_KEYS = {"stack.adv_hidden": (StackSpec, "adv_hidden"),
+             "stack.cls_hidden": (StackSpec, "cls_hidden"),
+             "train.epochs": (TrainConfig, "epochs"), "train.batch": (TrainConfig, "batch_size"),
+             "train.lr": (TrainConfig, "lr"), "loss.alpha": (StackSpec, "alpha"),
+             "loss.beta": (StackSpec, "beta"), "loss.gamma": (StackSpec, "gamma"),
+             "criterion": (StackSpec, "criterion"), "probe.hidden": (ProbeSpec, "hidden"),
+             "probe.epochs": (ProbeSpec, "epochs"), "forest.n_trees": (ForestSpec, "n_trees"),
+             "forest.max_depth": (ForestSpec, "max_depth")}
+
+
+def _spec_field(spec, name: str) -> dataclasses.Field:
+    return {f.name: f for f in dataclasses.fields(spec)}[name]
+
+
+def _rule(f: dataclasses.Field) -> tuple[type, bool, object, tuple | None]:
+    """A spec field's kind, whether it may be None, its minimum and its choices."""
+    args = typing.get_args(f.type)
+    kind = next((a for a in args if a is not type(None)), f.type)
+    return kind, type(None) in args, f.metadata["min"], f.metadata["choices"]
+
+
+def test_the_bounded_spec_fields_are_the_listed_ones():
+    found = {(spec, f.name) for spec in SPEC_BASE for f in dataclasses.fields(spec)
+             if "min" in f.metadata}
+    assert found == set(BOUNDED)
+
+
+@pytest.mark.parametrize("spec, name", BOUNDED, ids=[f"{s.__name__}.{n}" for s, n in BOUNDED])
+def test_every_spec_field_is_checked_by_its_rule(spec, name):
+    # Library callers get the config keys' rules. Before, a spec let through
+    # a bool or float int field, a nan float field and a train lr below
+    # 1e-12, or failed on them deep in numpy; an inf beta trained into a
+    # numpy warning.
+    kind, nullable, low, choices = _rule(_spec_field(spec, name))
+    error = SpecError if spec is StackSpec else ValueError
+
+    def build(value):
+        return spec(**{**SPEC_BASE[spec], name: value})
+
+    if kind is int:
+        bad = [True, False, float(low), 1.5, 2.5, low - 1, 2**63]
+        good = [low, low + 1]
+    elif kind is float:
+        bad = [True, False, math.nan, math.inf, -math.inf, math.nextafter(low, -math.inf)]
+        good = [low, float(low), 1.0]
+    else:
+        bad = [1, None, "bogus"]
+        good = list(choices)
+    for value in bad:
+        with pytest.raises(error, match=f"^{name}: "):
+            build(value)
+    for value in good + ([None] if nullable else []):
+        made = build(value)
+        assert getattr(made, name) == value
+        assert type(getattr(made, name)) is (type(None) if value is None else kind)
+    with pytest.raises(dataclasses.FrozenInstanceError):  # checked once, so set once
+        setattr(made, name, bad[0])
+
+
+@pytest.mark.parametrize("key", sorted(SPEC_KEYS))
+def test_a_spec_key_states_its_fields_bound_and_default(key):
+    f = _spec_field(*SPEC_KEYS[key])
+    kind, nullable, low, choices = _rule(f)
+    bound = " | ".join(choices) if choices else kind.__name__
+    bound += (f" >= {low}" if low is not None else "") + (" or null" if nullable else "")
+    line = next(ln for ln in describe_keys().splitlines() if ln.split()[0] == key)
+    assert line.endswith(f"({bound}; default {json.dumps(f.default)})"), line
 
 
 # ---------------------------------------------------------------------------

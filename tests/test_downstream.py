@@ -18,8 +18,9 @@ from fairstack.downstream import (
     train_logreg,
     train_probe,
 )
-from fairstack.forest import (MAX_ROWS, ForestSpec, RandomForest, Tree, _fit_input, _grow,
-                              _ranks, _weighted_gini, train_forest)
+from fairstack.data import _fit_input
+from fairstack.forest import (MAX_ROWS, ForestSpec, RandomForest, Tree, _grow, _ranks,
+                              _weighted_gini, train_forest)
 from fairstack.metrics import FairnessReport
 from fairstack.model import TrainedStack, build, stacked_spec
 from fairstack.nn import MLP, Param, dense_forward, sigmoid
