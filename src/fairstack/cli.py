@@ -32,7 +32,8 @@ non-numeric. A row whose code is not finite fails the command, and nothing is
 written. The codes are written as ``repr`` floats joined by ``,`` with
 ``\\r\\n`` line ends, the bytes ``csv.writer`` writes.
 
-Exit codes: 0 success, 1 runtime failure (training/IO), 2 config error.
+Exit codes: 0 success, 1 runtime failure (training/IO), 2 config error, 130
+interrupted (SIGINT: one ``interrupted`` line; the pool's workers end silently).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import csv
 import json
 import os
 import resource
+import signal
 import sys
 import time
 from pathlib import Path
@@ -284,12 +286,14 @@ def _sweep_job(cfg: ExperimentConfig, seed: int, variant: str) -> list[dict]:
 
 def _map(fn, calls: list[tuple], jobs: int) -> list:
     """``[fn(*c) for c in calls]``, run in one pool of ``min(jobs, len(calls))``
-    worker processes when that is above 1; results keep the order of ``calls``."""
+    worker processes when that is above 1; results keep the order of ``calls``.
+    A worker ends at SIGINT without a traceback; the parent reports it."""
     workers = min(jobs, len(calls))
     if workers <= 1:
         return [fn(*c) for c in calls]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: pool runs only
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
+                             initargs=(signal.SIGINT, signal.SIG_DFL)) as ex:
         return list(ex.map(fn, *zip(*calls)))
 
 
@@ -490,6 +494,9 @@ def main(argv=None) -> int:
     except RUN_ERRORS as exc:  # a bare MemoryError has no message: name it
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

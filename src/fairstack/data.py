@@ -40,7 +40,7 @@ class DatasetError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Checks: the one scalar checker, of config keys and spec fields, and fit input
+# Checks: scalars (config keys, spec fields), 0/1 columns and fit input
 
 
 def _check(value, key: str, kind, min=None, choices=None, error: type[Exception] = ValueError):
@@ -92,6 +92,17 @@ def _check_fields(spec, error: type[Exception] = ValueError) -> None:
                                                     error=error, **f.metadata))
 
 
+def _binary_vector(values, name: str) -> np.ndarray:
+    """``values`` as an int64 vector, refused unless non-empty and all 0 or 1:
+    the one rule for a label, group or prediction column."""
+    arr = np.asarray(values).reshape(-1)
+    if arr.size == 0:
+        raise ValueError(f"{name} is empty")
+    if not ((arr == 0) | (arr == 1)).all():   # the values as given: 0.5 is not 0
+        raise ValueError(f"{name} must contain only 0/1 values")
+    return arr.astype(np.int64)
+
+
 def _fit_input(X, y) -> tuple[np.ndarray, np.ndarray]:
     """X as a float matrix and y as int64 labels, refused unless they align,
     X has a row and a column and is finite, and y holds only 0 and 1. Every
@@ -104,11 +115,10 @@ def _fit_input(X, y) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("cannot fit on zero rows")
     if X.shape[1] == 0:
         raise ValueError("cannot fit on zero features")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be 0/1")
+    y = _binary_vector(y, "labels")
     if not np.isfinite(X).all():
         raise ValueError("features must be finite")
-    return X, y.astype(np.int64)
+    return X, y
 
 
 @dataclass
@@ -168,9 +178,9 @@ class _Column:
 class _Table:
     """One UCI dataset. A line holds one field per column, then the label,
     split on ``sep`` (None: whitespace). ``labels`` maps the label to y and
-    ``groups`` maps field ``sensitive`` to s; that field is left out of X. A
-    directory holds ``files``, read in order. The nouns name the codes in
-    errors.
+    ``groups`` maps the values of the column named ``group`` to s; that column
+    is left out of X. A directory holds ``files``, read in order. Errors name
+    an unknown label by ``label_noun`` and an unknown group by its column.
     """
 
     columns: tuple[_Column, ...]
@@ -178,9 +188,8 @@ class _Table:
     sep: str | None
     labels: dict[str, int]
     groups: dict[str, int]
-    sensitive: int
+    group: str
     label_noun: str
-    group_noun: str
 
 
 ADULT = _Table(
@@ -205,9 +214,8 @@ ADULT = _Table(
     # adult.test spells its labels with a trailing period
     labels={">50K": 1, ">50K.": 1, "<=50K": 0, "<=50K.": 0},
     groups={"Male": 1, "Female": 0},
-    sensitive=9,
+    group="sex",
     label_noun="income label",
-    group_noun="sex value",
 )
 
 GERMAN = _Table(
@@ -238,9 +246,8 @@ GERMAN = _Table(
     labels={"1": 1, "2": 0},
     # personal-status/sex codes: A91/A93/A94 male, A92/A95 female
     groups={"A91": 1, "A93": 1, "A94": 1, "A92": 0, "A95": 0},
-    sensitive=8,
+    group="personal_status",
     label_noun="credit class",
-    group_noun="personal-status code",
 )
 
 
@@ -335,19 +342,20 @@ def _load_table(table: _Table, path) -> Dataset:
 
     y = np.empty(len(rows), dtype=np.int64)
     s = np.empty(len(rows), dtype=np.int64)
+    sensitive = [c.name for c in table.columns].index(table.group)
     for i, r in enumerate(rows):
         if r[-1] not in table.labels:
             raise DatasetError(f"unknown {table.label_noun} {r[-1]!r} in row {i}")
-        group = r[table.sensitive]
+        group = r[sensitive]
         if group not in table.groups:
-            raise DatasetError(f"unknown {table.group_noun} {group!r} in row {i}")
+            raise DatasetError(f"unknown {table.group} value {group!r} in row {i}")
         y[i] = table.labels[r[-1]]
         s[i] = table.groups[group]
     for values, what in ((y, "label"), (s, "sensitive")):
         if len(np.unique(values)) < 2:
             raise DatasetError(f"{what} column degenerate: only one class present")
 
-    keep = [j for j in range(len(table.columns)) if j != table.sensitive]
+    keep = [j for j in range(len(table.columns)) if j != sensitive]
     X, names, continuous = _encode_columns(rows, table.columns, keep)
     return Dataset(
         X=X, y=y, s=s, feature_names=names, continuous=continuous,

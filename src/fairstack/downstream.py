@@ -4,9 +4,9 @@ Three independent predictors score a frozen encoding: a one-hidden-layer MLP
 probe (plain BCE, no fairness terms, minibatch Adam on the explicit kernel of
 :mod:`nn` at the fixed ``PROBE_*`` settings), logistic regression (solved to
 its ridge-regularized optimum by Newton's method at the fixed ``LOGREG_*``
-settings), and a random forest. The probe and logistic regression are both
-an :class:`MLPPredictor`, whose network ends in a logit: it predicts 1 where
-the logit is >= 0.
+settings), and a random forest. A fitted probe or logistic regression is a
+:class:`TrainedStack` whose code is one logit: it predicts 1 where the logit
+is >= 0.
 ``cross_validate`` runs the k-fold protocol — encode, fit on the train fold,
 report fairness metrics on the test fold — and aggregates mean and sample
 standard deviation per metric.
@@ -19,9 +19,9 @@ import numpy as np
 from .data import (Dataset, _bounded, _check, _check_fields, _fit_input, batches, make_folds,
                    fold_train_indices)
 from .forest import ForestSpec, train_forest
-from .metrics import PredictionBatch, evaluate, threshold_predictions
+from .metrics import PredictionBatch, evaluate
 from .model import TrainedStack, head_dims
-from .nn import MLP, Adam, bce_step, dense_forward, sigmoid
+from .nn import MLP, Adam, bce_step, sigmoid
 from .training import DivergenceError
 
 
@@ -45,27 +45,11 @@ class ProbeSpec:
         _check_fields(self)
 
 
-class MLPPredictor:
-    """Thresholded logit-MLP predictor: its ``layers``, (W, b, activation)
-    triples as :func:`nn.dense_forward` takes them, and nothing else of the
-    fit. A probe's layers are its frozen encoder's, then its head's, so it
-    reads raw rows."""
-
-    def __init__(self, layers: list):
-        self.layers = layers
-
-    def logits(self, X: np.ndarray) -> np.ndarray:
-        return dense_forward(self.layers, np.asarray(X, dtype=np.float64)).reshape(-1)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return threshold_predictions(self.logits(X))
-
-
 def train_probe(stack: TrainedStack, X: np.ndarray, y: np.ndarray,
-                spec: ProbeSpec | None = None) -> MLPPredictor:
+                spec: ProbeSpec | None = None) -> TrainedStack:
     """Label probe on frozen encodings: encode X, fit a hidden->logit MLP
-    with plain BCE, minibatch Adam. The stack is only ever read; the
-    predictor runs its layers, then the head's."""
+    with plain BCE, minibatch Adam. The stack is only ever read; the fitted
+    probe is its levels, then the head as one more level, so it reads raw rows."""
     spec = spec or ProbeSpec()
     X, y = _fit_input(X, y)
     z = stack.encode(X)
@@ -78,10 +62,10 @@ def train_probe(stack: TrainedStack, X: np.ndarray, y: np.ndarray,
                 bce_step(mlp, opt, z[idx], target[idx])
     except FloatingPointError as exc:
         raise DivergenceError(f"non-finite value in probe epoch {epoch}: {exc}") from exc
-    return MLPPredictor([layer for layers in stack.levels for layer in layers] + mlp.triples())
+    return TrainedStack(stack.in_dim, [*stack.levels, mlp.triples()])
 
 
-def train_logreg(features: np.ndarray, y: np.ndarray) -> MLPPredictor:
+def train_logreg(features: np.ndarray, y: np.ndarray) -> TrainedStack:
     """Logistic regression = one dense layer to a logit, at the minimum of
     mean BCE plus ``LOGREG_RIDGE / 2`` (1e-6 / 2) times the squared norm of
     the weights and the bias. Newton (IRLS) steps from zero on the
@@ -126,7 +110,7 @@ def train_logreg(features: np.ndarray, y: np.ndarray) -> MLPPredictor:
                     f"steps: decrement {decrement:.3g} >= {LOGREG_TOL:g}")
     except FloatingPointError as exc:
         raise DivergenceError(f"non-finite value in logistic regression: {exc}") from exc
-    return MLPPredictor([(w[:d].reshape(d, 1), w[d:].reshape(1, 1), "identity")])
+    return TrainedStack(d, [[(w[:d].reshape(d, 1), w[d:].reshape(1, 1), "identity")]])
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,9 @@ def _ranks(X: np.ndarray) -> np.ndarray:
     at a time, so no n x d sort temporary is held. Refuses over MAX_ROWS rows."""
     if X.shape[0] > MAX_ROWS:
         raise ValueError(f"a tree grows on at most {MAX_ROWS} rows (2**21), got {X.shape[0]}")
-    ranks = np.zeros(X.shape, dtype=np.int32)
+    ranks = np.empty(X.shape, dtype=np.int32)
     for j, col in enumerate(X.T):
-        order = np.argsort(col)   # any order of equal values gives them one rank
-        xs = col[order]
-        ranks[order[1:], j] = np.cumsum(xs[1:] != xs[:-1])
+        ranks[:, j] = np.unique(col, return_inverse=True)[1]   # dense: 0.0 and -0.0 tie
     return ranks
 
 

@@ -15,18 +15,11 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .data import _binary_vector
+
 
 class UndefinedMetricError(ValueError):
     """A batch has an empty sensitive group, so no gap is defined on it."""
-
-
-def _binary_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values).reshape(-1)
-    if arr.size == 0:
-        raise ValueError(f"{name} is empty")
-    if not ((arr == 0) | (arr == 1)).all():   # the values as given: 0.5 is not 0
-        raise ValueError(f"{name} must contain only 0/1 values")
-    return arr.astype(np.int64)
 
 
 @dataclass(frozen=True)

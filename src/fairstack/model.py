@@ -17,7 +17,9 @@ back-propagates through; the graph form of the same objective, which the
 tests check it against, lives with the reference graph engine. After
 training, only the encoders survive as a :class:`TrainedStack`, which
 serializes to a small binary format; the format, not :mod:`nn`, fixes the
-code each activation is stored as (:data:`ACTIVATION_CODES`).
+code each activation is stored as (:data:`ACTIVATION_CODES`). A fitted
+downstream probe or logistic regression is a :class:`TrainedStack` too, whose
+code is one logit, and predicts 1 where the logit is >= 0.
 """
 
 import hashlib
@@ -28,6 +30,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import _bounded, _check, _check_fields
+from .metrics import threshold_predictions
 from .nn import MLP, DimensionError, bce, dense_forward, mse
 
 CRITERIA = ("dp", "eo", "eopp")
@@ -213,6 +216,7 @@ def level_grads(level: Level, x: np.ndarray, y: np.ndarray, s: np.ndarray,
 @dataclass
 class TrainedStack:
     """Encoder weights of a trained stack; nothing else survives training.
+    A fitted probe or logistic regression is one too, whose code is one logit.
 
     ``levels`` holds, per level, a list of (weight, bias, activation-name)
     dense-layer triples. Supports numpy-only encoding and a binary file
@@ -256,6 +260,12 @@ class TrainedStack:
         for layers in self.levels:
             X = dense_forward(layers, X)
         return X
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Hard 0/1 labels of a stack whose code is one logit: 1 where it is >= 0."""
+        if self.out_dim != 1:
+            raise DimensionError(f"predict: the code must be one logit wide, got {self.out_dim}")
+        return threshold_predictions(self.encode(X))
 
     # -- binary format ------------------------------------------------------
 

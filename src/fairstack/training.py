@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import Dataset, _bounded, _check_fields, _fit_input, batches
+from .data import Dataset, _binary_vector, _bounded, _check_fields, _fit_input, batches
 from .metrics import PredictionBatch, UndefinedMetricError, evaluate, threshold_predictions
 from .model import Level, StackSpec, TrainedStack, adversary_input, build, level_grads, spec_hash
 from .nn import Adam, DimensionError, bce_step
@@ -162,8 +162,7 @@ def train_stack(spec: StackSpec, train: Dataset, cfg: TrainConfig,
         if ds.d != spec.in_dim:
             raise DimensionError(f"train_stack: expected input width {spec.in_dim}, got {ds.d}")
         _fit_input(ds.X, ds.y)
-        if not np.isin(ds.s, (0, 1)).all():
-            raise ValueError("train_stack: the sensitive column s must be 0/1")
+        _binary_vector(ds.s, "train_stack: the sensitive column s")
     levels = build(spec, cfg.seed)
     logs: list[list[EpochRecord]] = []
     X, Xv = train.X, None if val is None else val.X

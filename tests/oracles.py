@@ -165,8 +165,8 @@ def adam_logreg(features: np.ndarray, y: np.ndarray, seed: int = 0):
     BCE (``ADAM_LOGREG_EPOCHS`` steps at ``ADAM_LOGREG_LR``). Raises
     ``DivergenceError`` on a non-finite value or if the loss before the last
     step is not below the loss before the first."""
-    from fairstack.downstream import MLPPredictor
     from fairstack.data import _fit_input
+    from fairstack.model import TrainedStack
     from fairstack.nn import MLP, Adam, bce, bce_step
     from fairstack.training import DivergenceError
 
@@ -185,7 +185,7 @@ def adam_logreg(features: np.ndarray, y: np.ndarray, seed: int = 0):
     if last >= first:
         raise DivergenceError(
             f"logistic regression failed to converge: loss {first:.6f} -> {last:.6f}")
-    return MLPPredictor(mlp.triples())
+    return TrainedStack(X.shape[1], [mlp.triples()])
 
 
 # ---------------------------------------------------------------------------

@@ -1024,6 +1024,20 @@ def test_a_bare_memory_error_is_named_on_its_error_line(tmp_path, monkeypatch, c
     assert capsys.readouterr().err == "error: MemoryError\n"
 
 
+def _interrupted(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("command", [["fit"], ["table1"], ["sweep", "--jobs", "2"]])
+def test_an_interrupt_exits_130_with_one_line(command, tmp_path, monkeypatch, capfd):
+    # in the pooled sweep the interrupt is raised by _sweep_job in a worker
+    # process; capfd reads the workers' stderr too
+    monkeypatch.setattr(cli, "load_dataset", _interrupted)
+    assert main([*command, "--config", str(_write_config(tmp_path))]) == 130
+    assert capfd.readouterr().err == "interrupted\n"
+    assert not (tmp_path / "runs").exists()
+
+
 def test_an_unallocatable_dataset_fails_each_sweep_row(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "load_dataset", _unallocatable)
     path = _write_config(tmp_path, sweep={"betas": [1.0]})

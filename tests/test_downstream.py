@@ -21,7 +21,7 @@ from fairstack.downstream import (
 from fairstack.data import _fit_input
 from fairstack.forest import (MAX_ROWS, ForestSpec, RandomForest, Tree, _grow, _ranks,
                               _weighted_gini, train_forest)
-from fairstack.metrics import FairnessReport
+from fairstack.metrics import FairnessReport, threshold_predictions
 from fairstack.model import TrainedStack, build, stacked_spec
 from fairstack.nn import MLP, Param, dense_forward, sigmoid
 from fairstack.training import DivergenceError
@@ -58,19 +58,35 @@ def _layer_bytes(layers) -> list:
     return [(W.tobytes(), b.tobytes(), act) for W, b, act in layers]
 
 
+def _layers(model: TrainedStack) -> list:
+    """A fitted model's (W, b, activation) triples, its levels flattened."""
+    return [layer for layers in model.levels for layer in layers]
+
+
 def test_probe_predictor_is_its_stack_layers_then_its_head():
     ds = make_synthetic(n=150, seed=5)
     stack = TrainedStack.from_levels(build(stacked_spec(ds.d, (4, 2)), seed=0))
     spec = ProbeSpec(epochs=3, hidden=3, seed=1)
     probe = train_probe(stack, ds.X, ds.y, spec)
     encoder = [layer for layers in stack.levels for layer in layers]
-    head = probe.layers[len(encoder):]
-    assert _layer_bytes(probe.layers[:len(encoder)]) == _layer_bytes(encoder)
+    head = _layers(probe)[len(encoder):]
+    assert _layer_bytes(_layers(probe)[:len(encoder)]) == _layer_bytes(encoder)
     # the head is the probe fitted on the codes themselves
     z = stack.encode(ds.X)
     assert _layer_bytes(head) == _layer_bytes(
-        train_probe(TrainedStack.identity(z.shape[1]), z, ds.y, spec).layers)
-    assert probe.logits(ds.X).tobytes() == dense_forward(head, z).reshape(-1).tobytes()
+        _layers(train_probe(TrainedStack.identity(z.shape[1]), z, ds.y, spec)))
+    assert probe.encode(ds.X)[:, 0].tobytes() == dense_forward(head, z).reshape(-1).tobytes()
+
+
+def test_probe_and_logreg_predict_threshold_their_flat_layers():
+    # each prediction is the one dense_forward over the layers, thresholded
+    ds = make_synthetic(n=150, seed=5)
+    stack = TrainedStack.from_levels(build(stacked_spec(ds.d, (4, 2)), seed=0))
+    probe = train_probe(stack, ds.X, ds.y, ProbeSpec(epochs=3, hidden=3, seed=1))
+    logreg = train_logreg(ds.X, ds.y)
+    for model in (probe, logreg):
+        expected = threshold_predictions(dense_forward(_layers(model), ds.X))
+        assert model.predict(ds.X).tobytes() == expected.tobytes()
 
 
 def test_probe_learns_separable_data_through_identity_stack():
@@ -87,7 +103,7 @@ def test_probe_seeded_determinism():
     spec = ProbeSpec(epochs=10, seed=4)
     a = train_probe(stack, ds.X, ds.y, spec)
     b = train_probe(stack, ds.X, ds.y, spec)
-    np.testing.assert_array_equal(a.logits(ds.X), b.logits(ds.X))
+    np.testing.assert_array_equal(a.encode(ds.X)[:, 0], b.encode(ds.X)[:, 0])
 
 
 def test_sensitive_probe_reads_planted_attribute_from_raw_features():
@@ -120,16 +136,16 @@ LOGREG_RIDGE = 1e-6   # as train_logreg's docstring states it
 def _logreg_gradient(model, X, y) -> np.ndarray:
     """X~'(p - y)/n + ridge w at the model's weights and bias: the gradient
     of the objective ``train_logreg`` minimizes, zero at its optimum."""
-    (W, b, _), = model.layers
+    (W, b, _), = _layers(model)
     w = np.append(W[:, 0], b[0, 0])
-    r = (sigmoid(model.logits(X)) - y) / len(y)
+    r = (sigmoid(model.encode(X)[:, 0]) - y) / len(y)
     return np.append(r @ X, r.sum()) + LOGREG_RIDGE * w
 
 
 def test_logreg_threshold_near_zero_on_signed_line():
     X, y = _signed_line()
     model = train_logreg(X, y)
-    lo, hi = model.logits(np.array([[-0.1], [0.1]]))
+    lo, hi = model.encode(np.array([[-0.1], [0.1]]))[:, 0]
     assert lo < 0.0 <= hi
 
 
@@ -138,7 +154,7 @@ def test_logreg_invariant_to_duplicating_samples():
     a = train_logreg(X, y)
     b = train_logreg(np.vstack([X, X]), np.concatenate([y, y]))
     grid = np.random.default_rng(0).normal(size=(50, 2))
-    np.testing.assert_allclose(sigmoid(a.logits(grid)), sigmoid(b.logits(grid)),
+    np.testing.assert_allclose(sigmoid(a.encode(grid)[:, 0]), sigmoid(b.encode(grid)[:, 0]),
                                atol=1e-6)
 
 
@@ -146,7 +162,7 @@ def test_logreg_seeded_determinism():
     X, y = _separable_toy(n=80, seed=6)
     a = train_logreg(X, y)
     b = train_logreg(X, y)
-    np.testing.assert_array_equal(a.logits(X), b.logits(X))
+    np.testing.assert_array_equal(a.encode(X)[:, 0], b.encode(X)[:, 0])
 
 
 TOY_X, TOY_Y = _separable_toy()
@@ -162,7 +178,7 @@ def test_logreg_converges_on_hard_inputs(X, y):
     # separable data has no finite unregularized optimum, and a dead or
     # duplicated column makes X'WX singular: the ridge keeps each solvable
     model = train_logreg(X, y)
-    assert all(np.isfinite(a).all() for W, b, _ in model.layers for a in (W, b))
+    assert all(np.isfinite(a).all() for W, b, _ in _layers(model) for a in (W, b))
     assert np.abs(_logreg_gradient(model, X, y)).max() <= 1e-9
     assert (model.predict(X) == y).all()
 
@@ -263,7 +279,7 @@ def test_trained_predictors_hold_no_training_cache():
         arrays = [o for o in reachable if isinstance(o, np.ndarray)]
         assert not any(np.shares_memory(a, X) for a in arrays)
         # the layers' weights and biases only: no MLP, Param or gradient array
-        layers = {id(a) for W, b, _ in predictor.layers for a in (W, b)}
+        layers = {id(a) for W, b, _ in _layers(predictor) for a in (W, b)}
         assert {id(a) for a in arrays} == layers
         assert not any(isinstance(o, (MLP, Param)) for o in reachable)
 
@@ -744,6 +760,6 @@ def test_downstream_models_never_see_sensitive_column():
     ds = make_synthetic(n=200, seed=14)
     stack = TrainedStack.identity(ds.d)
     probe = train_probe(stack, ds.X, ds.y, ProbeSpec(epochs=2, hidden=3))
-    assert probe.layers[0][0].shape[0] == ds.d  # width of X, no appended s
+    assert _layers(probe)[0][0].shape[0] == ds.d  # width of X, no appended s
     model = train_logreg(ds.X, ds.y)
-    assert model.layers[0][0].shape[0] == ds.d
+    assert _layers(model)[0][0].shape[0] == ds.d

@@ -170,6 +170,14 @@ def test_encode_width_mismatch():
     assert "6" in str(exc.value) and "7" in str(exc.value)
 
 
+def test_predict_refuses_a_code_wider_than_one_logit():
+    # an encoder's code is not a logit: thresholding its 8 columns would
+    # return 8 labels per row
+    stack = TrainedStack.from_levels(build(stacked_spec(20, (8,)), seed=0))
+    with pytest.raises(DimensionError, match="one logit wide, got 8"):
+        stack.predict(np.zeros((4, 20)))
+
+
 # ---------------------------------------------------------------------------
 # level loss
 

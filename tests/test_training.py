@@ -130,7 +130,7 @@ def _nan_first(X):
 @pytest.mark.parametrize("train_of,val_of,match", [
     (lambda ds: ds.subset([]), None, "zero rows"),
     (lambda ds: dataclasses.replace(ds, X=_nan_first(ds.X)), None, "finite"),
-    (lambda ds: dataclasses.replace(ds, y=2 * ds.y), None, "labels must be 0/1"),
+    (lambda ds: dataclasses.replace(ds, y=2 * ds.y), None, "labels must contain only 0/1 values"),
     (lambda ds: dataclasses.replace(ds, s=2 * ds.s), None, "sensitive column s"),
     (lambda ds: ds, lambda ds: ds.subset([]), "zero rows"),
 ], ids=["no-rows", "nan-feature", "y-in-0-2", "s-in-0-2", "empty-val"])
