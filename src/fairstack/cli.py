@@ -33,7 +33,8 @@ written. The codes are written as ``repr`` floats joined by ``,`` with
 ``\\r\\n`` line ends, the bytes ``csv.writer`` writes.
 
 Exit codes: 0 success, 1 runtime failure (training/IO), 2 config error, 130
-interrupted (SIGINT: one ``interrupted`` line; the pool's workers end silently).
+interrupted (SIGINT, to the process group or to the parent alone: one
+``interrupted`` line; the pool's workers end silently).
 """
 
 from __future__ import annotations
@@ -287,14 +288,20 @@ def _sweep_job(cfg: ExperimentConfig, seed: int, variant: str) -> list[dict]:
 def _map(fn, calls: list[tuple], jobs: int) -> list:
     """``[fn(*c) for c in calls]``, run in one pool of ``min(jobs, len(calls))``
     worker processes when that is above 1; results keep the order of ``calls``.
-    A worker ends at SIGINT without a traceback; the parent reports it."""
+    A worker ends at SIGINT without a traceback; the parent ends any left and reports it."""
     workers = min(jobs, len(calls))
     if workers <= 1:
         return [fn(*c) for c in calls]
-    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: pool runs only
+    import multiprocessing  # loaded with the pool, for pool runs only
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
                              initargs=(signal.SIGINT, signal.SIG_DFL)) as ex:
-        return list(ex.map(fn, *zip(*calls)))
+        try:
+            return list(ex.map(fn, *zip(*calls)))
+        except KeyboardInterrupt:  # else the pool's exit waits out the running jobs
+            for child in multiprocessing.active_children():
+                child.terminate()
+            raise
 
 
 def _write_rows(path: Path, columns, rows, comment: str) -> None:

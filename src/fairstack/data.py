@@ -493,17 +493,15 @@ def train_val_test_split(n: int, seed: int, val_frac: float = 0.2) -> SplitPlan:
     return SplitPlan(val=np.sort(perm[:n_val]), train=np.sort(perm[n_val:]))
 
 
-def make_folds(n: int, k: int, seed: int) -> list[np.ndarray]:
-    """Seeded shuffle partitioned into k near-equal folds covering [0, n)."""
+def make_folds(n: int, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A seeded shuffle of [0, n) cut into k near-equal test parts (the first n % k
+    one row longer), each with the sorted rest: ``(train, test)`` indices its caller applies."""
     if k < 2 or k > n:
         raise ValueError(f"k must satisfy 2 <= k <= n, got k={k}, n={n}")
     perm = np.random.default_rng(seed).permutation(n)
-    return [np.sort(part) for part in np.array_split(perm, k)]  # the first n % k get one more
-
-
-def fold_train_indices(folds: list[np.ndarray], fold: int) -> np.ndarray:
-    rest = [f for i, f in enumerate(folds) if i != fold]
-    return np.sort(np.concatenate(rest))
+    tests = [np.sort(part) for part in np.array_split(perm, k)]
+    return [(np.sort(np.concatenate(tests[:i] + tests[i + 1:])), test)
+            for i, test in enumerate(tests)]
 
 
 def batches(n: int, batch_size: int, seed, epoch: int) -> list[np.ndarray]:

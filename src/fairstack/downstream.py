@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (Dataset, _bounded, _check, _check_fields, _fit_input, batches, make_folds,
-                   fold_train_indices)
+from .data import Dataset, _bounded, _check, _check_fields, _fit_input, batches, make_folds
 from .forest import ForestSpec, train_forest
 from .metrics import PredictionBatch, evaluate
 from .model import TrainedStack, head_dims
@@ -170,10 +169,8 @@ def cross_validate(model_kind: str, stack: TrainedStack, dataset: Dataset,
     """
     _check(model_kind, "model_kind", str, choices=MODEL_KINDS)
     z = stack.encode(dataset.X)
-    folds = make_folds(dataset.n, k, seed)
     reports = []
-    for fold, test_idx in enumerate(folds):
-        train_idx = fold_train_indices(folds, fold)
+    for train_idx, test_idx in make_folds(dataset.n, k, seed):
         predictor = _fit_kind(model_kind, z[train_idx], dataset.y[train_idx],
                               probe_spec, forest_spec)
         pred = predictor.predict(z[test_idx])

@@ -146,18 +146,18 @@ def build(spec: StackSpec, seed: int) -> list[Level]:
 
 
 def adversary_input(level: Level, z: np.ndarray,
-                    y: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """The adversary's input rows of the codes ``z`` and their index into ``z``.
+                    y: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | slice]:
+    """The adversary's input rows of the codes ``z`` and their index into ``z``,
+    which the caller applies to each of its per-row arrays, as ``s[idx]``.
 
     The rows are the y == 1 rows under eopp, else all rows; under eo the labels
-    ``y``, an (n, 1) float column, are appended. The index is None when the
-    rows are all of ``z``'s, in order; the input is None when no row qualifies."""
+    ``y``, an (n, 1) float column, are appended. The index is ``slice(None)``
+    under dp and eo, every row in order, and the y == 1 positions under eopp;
+    the input is None when no row qualifies."""
     if level.criterion != "eopp":
-        return (np.concatenate((z, y), axis=1) if level.criterion == "eo" else z), None
+        return (np.concatenate((z, y), axis=1) if level.criterion == "eo" else z), slice(None)
     idx = np.flatnonzero(y == 1)
-    if idx.size == 0:
-        return None, idx
-    return (z[idx], idx) if idx.size < z.shape[0] else (z, None)
+    return (z[idx] if idx.size else None), idx
 
 
 def _check_rows(n: int, y: np.ndarray, s: np.ndarray, what: str) -> None:
@@ -197,14 +197,10 @@ def level_grads(level: Level, x: np.ndarray, y: np.ndarray, s: np.ndarray,
     if rows is not None:
         adv_tape: list = []
         s_logit = level.adversary.forward_value(rows, adv_tape)
-        adv, g_adv = bce(s_logit, s if idx is None else s[idx], -beta)
-        # the codes' columns of the input gradient: under eo the last is the label
-        g_rows = level.adversary.backward(adv_tape, g_adv, param_grads=False)[:, :z.shape[1]]
-        if idx is not None:
-            scattered = np.zeros_like(z)
-            scattered[idx] += g_rows
-            g_rows = scattered
-        g_z = g_z + g_rows
+        adv, g_adv = bce(s_logit, s[idx], -beta)
+        # the codes' columns of the input gradient, added to the rows they came
+        # from; under eo the last column is the label (g_z is this call's own)
+        g_z[idx] += level.adversary.backward(adv_tape, g_adv, param_grads=False)[:, :z.shape[1]]
     level.encoder.backward(enc_tape, g_z, input_grad=False)
     return rec, cls, adv
 

@@ -6,9 +6,9 @@ adversary alone takes one adversary step, at the same learning rate, on
 the BCE of its logits f(z) against s, on the freshly updated (and detached)
 codes. Every BCE is taken on a head's logits, and a head predicts 1 on the
 val split where its logit is >= 0. In both steps the adversary sees the rows
-:func:`model.adversary_input` picks: every row under dp and eo, the y == 1
-rows under eopp. Levels train sequentially, each on the codes of the frozen
-level before it, computed once by that level's encoder.
+:func:`model.adversary_input` picks, and ``s`` at their index: ``slice(None)``
+under dp and eo, the y == 1 positions under eopp. Levels train sequentially,
+each on the codes of the frozen level before it, computed once by that level's encoder.
 
 Both steps run on the explicit kernel of :mod:`nn` (:func:`model.level_grads`
 for the main step, :func:`nn.bce_step` for the adversary), with one flat Adam
@@ -74,7 +74,7 @@ def _adversary_accuracy(level: Level, z_val: np.ndarray, y_val: np.ndarray,
     if rows is None:
         return math.nan
     pred = threshold_predictions(level.adversary.forward_value(rows))
-    return float((pred == (s_val if idx is None else s_val[idx])).mean())
+    return float((pred == s_val[idx]).mean())
 
 
 def _classifier_gaps(level: Level, z_val: np.ndarray, y_val: np.ndarray,
@@ -126,7 +126,7 @@ def _run_level(level: Level, level_index: int, X: np.ndarray, y: np.ndarray,
                 # Adversary step on the updated, detached codes.
                 rows, sub = adversary_input(level, level.encoder.forward_value(xb), yb)
                 if rows is not None:
-                    bce_step(level.adversary, adam_adv, rows, sb if sub is None else sb[sub])
+                    bce_step(level.adversary, adam_adv, rows, sb[sub])
             except FloatingPointError as exc:
                 raise DivergenceError(f"non-finite value at level {level_index}, epoch {epoch}, "
                                       f"batch {b_num}: {exc}") from exc

@@ -465,7 +465,7 @@ def test_adversary_wiring_invariants():
     for crit in CRITERIA:
         level = build(stacked_spec(6, (3,), criterion=crit), seed=4)[0]
         _, idx = adversary_input(level, X[:, :3], y.reshape(-1, 1).astype(float))
-        kernel_rows = np.arange(y.size) if idx is None else idx
+        kernel_rows = np.arange(y.size)[idx]
         assert np.array_equal(kernel_rows, adversary_rows(level, y)), crit
 
     # eopp: the adversary sees the y == 1 rows, the rows delta_eopp conditions

@@ -9,7 +9,12 @@ import concurrent.futures
 import csv
 import io
 import json
+import multiprocessing
+import os
+import signal
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -1036,6 +1041,21 @@ def test_an_interrupt_exits_130_with_one_line(command, tmp_path, monkeypatch, ca
     assert main([*command, "--config", str(_write_config(tmp_path))]) == 130
     assert capfd.readouterr().err == "interrupted\n"
     assert not (tmp_path / "runs").exists()
+
+
+def test_a_sigint_to_the_parent_alone_ends_the_pool():
+    # kill -INT to the parent only, not the process group: the workers are
+    # still in their jobs, and the pool's exit must not wait them out
+    timer = threading.Timer(1, os.kill, (os.getpid(), signal.SIGINT))
+    start = time.monotonic()
+    timer.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            cli._map(time.sleep, [(20,), (20,)], jobs=2)
+    finally:
+        timer.cancel()
+    assert time.monotonic() - start < 10
+    assert multiprocessing.active_children() == []
 
 
 def test_an_unallocatable_dataset_fails_each_sweep_row(tmp_path, monkeypatch, capsys):

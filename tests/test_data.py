@@ -6,7 +6,6 @@ from fairstack.data import (
     Dataset,
     DatasetError,
     batches,
-    fold_train_indices,
     load_adult,
     load_german,
     make_folds,
@@ -458,26 +457,35 @@ def test_split_deterministic():
 
 
 def test_folds_even_sizes():
-    folds = make_folds(10, k=5, seed=0)
+    folds = [test for _, test in make_folds(10, k=5, seed=0)]
     assert [len(f) for f in folds] == [2, 2, 2, 2, 2]
 
 
 def test_folds_remainder_distributed():
-    folds = make_folds(11, k=5, seed=0)
+    folds = [test for _, test in make_folds(11, k=5, seed=0)]
     assert sorted(len(f) for f in folds) == [2, 2, 2, 2, 3]
     assert len(folds[0]) == 3
 
 
 def test_folds_cover_everything_disjointly():
-    merged = np.concatenate(make_folds(23, k=4, seed=7))
+    merged = np.concatenate([test for _, test in make_folds(23, k=4, seed=7)])
     assert sorted(merged.tolist()) == list(range(23))
 
 
-def test_fold_train_indices_complement():
-    folds = make_folds(10, k=5, seed=3)
-    train = fold_train_indices(folds, 2)
+def test_fold_train_part_complements_its_test_part():
+    train, test = make_folds(10, k=5, seed=3)[2]
     assert len(train) == 8
-    assert not set(train.tolist()) & set(folds[2].tolist())
+    assert not set(train.tolist()) & set(test.tolist())
+
+
+def test_fold_train_parts_are_the_sorted_other_test_parts():
+    for n in range(2, 41):
+        for k in range(2, n + 1):
+            folds = make_folds(n, k, seed=n)
+            tests = [test for _, test in folds]
+            for i, (train, _) in enumerate(folds):
+                rest = np.sort(np.concatenate([f for j, f in enumerate(tests) if j != i]))
+                assert np.array_equal(train, rest), (n, k, i)
 
 
 def test_folds_bounds_check():

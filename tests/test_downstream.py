@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairstack import cli, downstream
-from fairstack.data import fold_train_indices, make_folds, make_synthetic, standardize
+from fairstack.data import make_folds, make_synthetic, standardize
 from fairstack.downstream import (
     CVResult,
     MODEL_KINDS,
@@ -186,8 +186,7 @@ def test_logreg_converges_on_hard_inputs(X, y):
 def _cv_case(n, n_noise, flip_y, k):
     ds = make_synthetic(n=n, seed=0, n_noise=n_noise, flip_y=flip_y)
     ds = standardize(ds, np.arange(ds.n))
-    folds = make_folds(ds.n, k, 0)
-    return ds, [(fold_train_indices(folds, f), test) for f, test in enumerate(folds)]
+    return ds, make_folds(ds.n, k, 0)
 
 
 # table1's raw-feature folds: the smoke config (separable labels, 3 folds of

@@ -123,6 +123,24 @@ def test_kernel_gradients_with_an_empty_eopp_subset():
         assert np.array_equal(k.grad, g.grad)
 
 
+def test_kernel_gradients_with_an_all_positive_eopp_batch():
+    # every row has y == 1: the eopp index is every position, and the
+    # adversary's gradient lands on the codes' rows as the graph's does
+    rng = np.random.default_rng(1)
+    spec = _spec("eopp", 0.7)
+    X = rng.normal(size=(16, 7))
+    y = np.ones(16, dtype=int)
+    s = rng.integers(0, 2, 16)
+    graph, kernel = build(spec, seed=0), build(spec, seed=0)
+    parts = level_loss(graph[0], X, y, s, 0.7, 1.3, 0.9)
+    ad.backward(parts.objective)
+    rec, cls, adv = level_grads(kernel[0], X, y, s, 0.7, 1.3, 0.9)
+    assert (rec, cls, adv) == (parts.rec.item(), parts.cls.item(), parts.adv.item())
+    assert parts.n_adv == 16
+    for g, k in zip(main_params(graph[0]), main_params(kernel[0])):
+        assert np.array_equal(k.grad, g.grad)
+
+
 # ---------------------------------------------------------------------------
 # multi-epoch train_stack traces: the kernel trainer against the graph trainer
 
@@ -219,6 +237,24 @@ def test_train_stack_matches_the_graph_trainer(name, monkeypatch):
     assert repr(logs) == repr(ref_logs)  # exact floats, and nan equals nan
     if "empty" in name:
         assert all(math.isfinite(r.loss_adv) for records in logs for r in records)
+    for level, ref_level in zip(stack.levels, ref_stack.levels):
+        for (w, b, _), (rw, rb, _) in zip(level, ref_level):
+            assert np.array_equal(w, rw) and np.array_equal(b, rb)
+
+
+def test_an_all_positive_eopp_train_stack_matches_the_graph_trainer(monkeypatch):
+    # every batch's eopp subset is the whole batch: both Adam steps, the
+    # adversary accuracy and the logs keep the graph trainer's bytes
+    train, val = (dataclasses.replace(ds, y=np.ones(ds.n, dtype=int)) for ds in _data())
+    spec = StackSpec(in_dim=train.d, levels=((4,), (2,)), alpha=0.7, criterion="eopp",
+                     adv_hidden=5, cls_hidden=5)
+    cfg = TrainConfig(epochs=3, batch_size=32, seed=0)
+    stack, logs = train_stack(spec, train, cfg, val=val)
+    monkeypatch.setattr(training, "_run_level", _reference_run_level)
+    ref_stack, ref_logs = train_stack(spec, train, cfg, val=val)
+    assert repr(logs) == repr(ref_logs)
+    assert all(math.isfinite(r.loss_adv) and math.isfinite(r.adv_acc)
+               for records in logs for r in records)
     for level, ref_level in zip(stack.levels, ref_stack.levels):
         for (w, b, _), (rw, rb, _) in zip(level, ref_level):
             assert np.array_equal(w, rw) and np.array_equal(b, rb)

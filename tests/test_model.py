@@ -17,6 +17,7 @@ from fairstack.model import (
     SpecError,
     StackSpec,
     TrainedStack,
+    adversary_input,
     build,
     spec_hash,
     stacked_spec,
@@ -249,6 +250,19 @@ def test_eopp_subset_restricts_adversary_rows():
     y = np.array([0, 1, 0, 0] * 4)  # the adversary sees the 4 rows with y == 1
     parts = level_loss(levels[0], X, y, s, alpha=1.0, beta=1.0, gamma=1.0)
     assert parts.n_adv == 4
+
+
+@pytest.mark.parametrize("criterion", ["dp", "eo"])
+def test_every_row_index_keeps_each_row_array_whole(criterion):
+    # under dp and eo the adversary's index picks every row in order: applied
+    # to s and to the codes, it leaves them as they are
+    level = build(stacked_spec(10, (4,), criterion=criterion), seed=0)[0]
+    X, y, s = _toy_batch()
+    z = level.encoder.forward_value(X)
+    rows, idx = adversary_input(level, z, y.reshape(-1, 1).astype(float))
+    s_col = s.reshape(-1, 1).astype(float)
+    assert np.array_equal(s_col[idx], s_col) and np.array_equal(s[idx], s)
+    assert np.array_equal(z[idx], z) and np.array_equal(rows[:, :4], z)
 
 
 def test_eopp_empty_subset_drops_adversary_term():

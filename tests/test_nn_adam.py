@@ -313,6 +313,6 @@ def test_adversary_steps_match_the_graph(criterion):
     rows, idx = adversary_input(level, level.encoder.forward_value(X),
                                y.reshape(-1, 1).astype(float))
     assert rows.shape[1] == 3 + (criterion == "eo")
-    assert (idx is not None and idx.size < 64) == (criterion == "eopp")
-    target = (s if idx is None else s[idx]).reshape(-1, 1).astype(float)
+    assert (np.arange(64)[idx].size < 64) == (criterion == "eopp")
+    target = s[idx].reshape(-1, 1).astype(float)
     _assert_steps_match_the_graph(lambda: build(spec, seed=1)[0].adversary, rows, target)
