@@ -10,14 +10,16 @@ hash and seed so a run can be traced back to its exact inputs.
 once, then trains and probes each beta in ``sweep.betas`` order, one row per
 beta. Per seed the raw-feature baseline is the ``unfair`` variant of the same
 job (identity stack, no training, one row and no beta). Rows are kept by
-(beta, seed, variant) and written in that order. With one level the vanilla
-spec is the stacked one, so vanilla is not trained and each vanilla row is
-read from its stacked row; likewise table1 then scores the stacked codes once
-and reads lafr's cells from them. ``--jobs N`` runs the sweep's jobs, or
-table1's CV cells, in one pool of N worker processes (fewer when there are
-fewer jobs). Those workers are the only parallelism: importing this module
-sets each of ``BLAS_THREAD_VARS`` to 1 unless it is already set, so the CLI
-and its workers run BLAS on one thread; code that does not import this module
+(beta, seed, variant) and written in that order. ``table1`` runs one job per
+variant: the job trains the variant's encoder (none for ``unfair``), then
+cross-validates it under each model; its lafr cells are the vanilla job's.
+With one level the vanilla spec is the stacked one, so vanilla is not
+trained, and each vanilla row and lafr cell is read from stacked's.
+``--jobs N`` runs a command's jobs in one pool of N worker processes, fewer
+when there are fewer jobs (table1 has three, two with one level). Those
+workers are the only parallelism: importing this module sets each of
+``BLAS_THREAD_VARS`` to 1 unless it is already set, so the CLI and its
+workers run BLAS on one thread; code that does not import this module
 keeps numpy's default.
 
 ``transform`` reads a UTF-8 CSV of numeric feature rows (a leading byte-order
@@ -334,16 +336,16 @@ def _mean_rows(rows: list[dict], key_cols: tuple) -> list[dict]:
     return means
 
 
-def _vanilla_is_stacked(cfg: ExperimentConfig) -> bool:
-    """One level: the vanilla spec equals the stacked one at every input width."""
-    return len(cfg.levels) == 1
+def _trained_variants(cfg: ExperimentConfig) -> tuple[str, ...]:
+    """stacked, and vanilla unless one level makes its spec the stacked one."""
+    return VARIANTS[:1] if len(cfg.levels) == 1 else VARIANTS
 
 
 def cmd_sweep(cfg: ExperimentConfig, jobs: int = 1) -> int:
     if not cfg.betas:
         raise ConfigError("sweep.betas: must be non-empty for the sweep command")
     chash = config_hash(cfg)
-    trained = VARIANTS[:1] if _vanilla_is_stacked(cfg) else VARIANTS
+    trained = _trained_variants(cfg)
     calls = [(cfg, seed, variant) for variant in trained + ("unfair",) for seed in cfg.seeds]
 
     t0 = time.perf_counter()
@@ -381,41 +383,38 @@ def cmd_sweep(cfg: ExperimentConfig, jobs: int = 1) -> int:
 # table1
 
 
+def _table1_job(cfg: ExperimentConfig, std: Dataset, train_rows, variant: str) -> dict:
+    """One table1 variant: its encoder (identity for "unfair", else trained on
+    ``std``'s train rows), then its CV result on ``std`` per ``TABLE1_MODELS``."""
+    seed = cfg.seeds[0]
+    if variant == "unfair":
+        stack = TrainedStack.identity(std.d)
+    else:
+        spec = stack_spec_for(cfg, in_dim=std.d, variant=variant)
+        stack = train_stack(spec, std.subset(train_rows), train_config_for(cfg, seed))[0]
+    return {kind: cross_validate(kind, stack, std, cfg.cv_folds, seed, cfg.eo_mode, None,
+                                 forest_spec_for(cfg, seed)) for kind in TABLE1_MODELS}
+
+
 def cmd_table1(cfg: ExperimentConfig, jobs: int = 1) -> int:
     seed = cfg.seeds[0]
     ds = load_dataset(cfg)
     if cfg.cv_folds > ds.n:
         raise ConfigError(f"cv_folds: {cfg.cv_folds} folds need at least as many rows, "
                           f"the dataset has {ds.n}")
-    d, summary = ds.d, ds.summary()
+    summary = ds.summary()
     plan = train_val_test_split(ds.n, seed=seed, val_frac=cfg.val_frac)
     std = standardize(ds, plan.train)
     del ds  # CV runs on the standardized rows; the raw matrix is not needed again
-    train_ds = std.subset(plan.train)
 
     t0 = time.perf_counter()
-    tcfg = train_config_for(cfg, seed)
-    encoders = {"unfair": TrainedStack.identity(d),
-                "stacked": train_stack(stack_spec_for(cfg, in_dim=d, variant="stacked"),
-                                       train_ds, tcfg)[0]}
-    if not _vanilla_is_stacked(cfg):
-        encoders["lafr"] = train_stack(stack_spec_for(cfg, in_dim=d, variant="vanilla"),
-                                       train_ds, tcfg)[0]
-    del train_ds
-
-    labels = [(kind, variant) for kind in TABLE1_MODELS for variant in TABLE1_VARIANTS]
-    scored = [(kind, variant) for kind in TABLE1_MODELS for variant in encoders]
-    calls = [(kind, encoders[variant], std, cfg.cv_folds, seed, cfg.eo_mode, None,
-              forest_spec_for(cfg, seed))
-             for kind, variant in scored]
-    results = dict(zip(scored, _map(cross_validate, calls, jobs)))
+    calls = [(cfg, std, plan.train, v) for v in _trained_variants(cfg) + ("unfair",)]
+    results = {call[-1]: cv for call, cv in zip(calls, _map(_table1_job, calls, jobs))}
     wall = time.perf_counter() - t0
-
-    cells: dict = {kind: {} for kind in TABLE1_MODELS}
-    for kind, variant in labels:  # a lafr with no encoder of its own reads stacked's result
-        res = results[kind, variant if variant in encoders else "stacked"]
-        cells[kind][variant] = {f"{m}_{stat}": getattr(res, stat)[m]
-                                for m in METRIC_COLUMNS for stat in ("mean", "std")}
+    results["lafr"] = results.get("vanilla", results["stacked"])  # one level: stacked's encoder
+    cells = {kind: {v: {f"{m}_{stat}": getattr(results[v][kind], stat)[m]
+                        for m in METRIC_COLUMNS for stat in ("mean", "std")}
+                    for v in TABLE1_VARIANTS} for kind in TABLE1_MODELS}
 
     chash = config_hash(cfg)
     run = _run_dir(cfg.out_dir, "table1")
@@ -423,7 +422,7 @@ def cmd_table1(cfg: ExperimentConfig, jobs: int = 1) -> int:
                   dataset=summary, seed=seed, cells=cells)
     csv_rows = [{"model": kind, "variant": variant,
                  **{k: ("" if v is None else v) for k, v in cells[kind][variant].items()}}
-                for kind, variant in labels]
+                for kind in TABLE1_MODELS for variant in TABLE1_VARIANTS]
     _write_rows(run / "table1.csv",
                 ("model", "variant", "delta_dp_mean", "delta_dp_std",
                  "accuracy_mean", "accuracy_std"),

@@ -40,7 +40,7 @@ class DatasetError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Checks: scalars (config keys, spec fields), 0/1 columns and fit input
+# Checks: scalars (config keys, spec fields), array shapes, 0/1 columns and fit input
 
 
 def _check(value, key: str, kind, min=None, choices=None, error: type[Exception] = ValueError):
@@ -90,6 +90,14 @@ def _check_fields(spec, error: type[Exception] = ValueError) -> None:
         if "min" in f.metadata:
             object.__setattr__(spec, f.name, _check(getattr(spec, f.name), f.name, f.type,
                                                     error=error, **f.metadata))
+
+
+def _allocatable(*shape: int) -> tuple[int, ...]:
+    """``shape`` of a float64 array, refused as a failed allocation (MemoryError)
+    if its byte count is past numpy's limit, where numpy would raise ValueError."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"cannot allocate a float64 array of shape {shape}: too large")
+    return shape
 
 
 def _binary_vector(values, name: str) -> np.ndarray:
@@ -393,11 +401,11 @@ def make_synthetic(n: int = 2000, seed: int = 0, n_noise: int = 3,
     construction. ``flip_y`` adds label noise.
     """
     _check(n, "n", int, min=4, error=DatasetError)
+    X = np.empty(_allocatable(n, 3 + n_noise))  # columns drawn in order, straight into place
     rng = np.random.default_rng(seed)
     s = np.zeros(n, dtype=np.int64)
     s[: n // 2] = 1
     rng.shuffle(s)
-    X = np.empty((n, 3 + n_noise))  # columns drawn in order, straight into place
     X[:, 0] = (np.abs(rng.normal(size=n)) + 0.2) * np.where(s == 1, 1.0, -1.0)
     X[:, 1] = rng.normal(size=n)
     X[:, 2] = rng.normal(size=n)
@@ -423,14 +431,15 @@ def make_planted(n: int, seed: int) -> Dataset:
     order, each drawing its N(0, 1) from the one stream after s and y.
     """
     _check(n, "n", int, min=4, error=DatasetError)
+    counts = {"label": 4, "proxy": 4, "mixed": 2, "noise": 20}
+    X = np.empty(_allocatable(n, sum(counts.values())))
     rng = np.random.default_rng(seed)
     s = rng.random(n) < 0.33
     y = rng.random(n) < np.where(s, 0.31, 0.11)
     label, proxy = 2.0 * y - 1.0, 2.0 * s - 1.0
-    kinds = [("label", label, 4), ("proxy", proxy, 4),
-             ("mixed", 0.5 * label + 0.5 * proxy, 2), ("noise", 0.0, 20)]
-    columns = [(f"{kind}{i}", signal) for kind, signal, count in kinds for i in range(count)]
-    X = np.empty((n, len(columns)))
+    signals = {"label": label, "proxy": proxy, "mixed": 0.5 * label + 0.5 * proxy, "noise": 0.0}
+    columns = [(f"{kind}{i}", signals[kind]) for kind, count in counts.items()
+               for i in range(count)]
     for j, (_, signal) in enumerate(columns):
         X[:, j] = signal + rng.normal(size=n)
     names = [name for name, _ in columns]

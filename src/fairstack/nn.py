@@ -28,6 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import _allocatable
+
 LEAKY_SLOPE = 0.01
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 ACTIVATIONS = ("identity", "leaky_relu")
@@ -87,7 +89,7 @@ def dense_forward(layers, x: np.ndarray, tape: list | None = None) -> np.ndarray
 
 def init_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return rng.uniform(-limit, limit, size=_allocatable(fan_in, fan_out))
 
 
 class MLP:

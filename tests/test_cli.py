@@ -1029,6 +1029,28 @@ def test_a_bare_memory_error_is_named_on_its_error_line(tmp_path, monkeypatch, c
     assert capsys.readouterr().err == "error: MemoryError\n"
 
 
+@pytest.mark.parametrize("value", [2**62, 2**63 - 1], ids=["2**62", "2**63-1"])
+@pytest.mark.parametrize("key", ["dataset.n", "dataset.n_noise", "stack.adv_hidden",
+                                 "stack.cls_hidden", "probe.hidden"])
+def test_a_size_key_past_numpys_largest_array_ends_each_command_cleanly(tmp_path, capsys,
+                                                                        key, value):
+    # each value makes an array whose byte count overflows int64, which numpy
+    # refuses with a ValueError; a smaller width could be granted and filled
+    section, name = key.split(".")
+    path = _write_config(tmp_path, **{section: {name: value}})
+    # table1 fits no probe, so it reads no probe key
+    commands = ("fit", "sweep") if section == "probe" else ("fit", "sweep", "table1")
+    for command in commands:
+        assert main([command, "--config", str(path)]) in (1, 2), command
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if command == "sweep":
+            assert err and all("MemoryError: cannot allocate" in line
+                               for line in err.splitlines())
+        else:
+            assert err.startswith("error: cannot allocate") and err.count("\n") == 1, err
+
+
 def _interrupted(*args, **kwargs):
     raise KeyboardInterrupt
 
@@ -1202,14 +1224,20 @@ def test_sweep_trains_a_one_level_spec_once_per_beta_and_seed(tmp_path, monkeypa
     assert [{k: str(v) for k, v in row.items()} for row in vanilla] == rows[1::2]
 
 
-@pytest.mark.parametrize("command,workers", [("table1", 4), ("sweep", 2)])
-def test_pool_forks_no_more_workers_than_jobs(tmp_path, monkeypatch, capsys, command, workers):
-    # smoke: four table1 cells are scored (lafr reads stacked's); a one-level
-    # sweep has one seed, so one stacked job (betas 0, 1 and 5) and one baseline
+@pytest.mark.parametrize("command,levels,workers", [
+    ("table1", None, 2), ("table1", [{"latent": 4}, {"latent": 2}], 3), ("sweep", None, 2),
+], ids=["table1-2", "table1-two-levels-3", "sweep-2"])
+def test_pool_forks_no_more_workers_than_jobs(tmp_path, monkeypatch, capsys, command, levels,
+                                              workers):
+    # smoke: table1 runs one job per variant, unfair and stacked (lafr reads
+    # stacked's), and with two levels vanilla too; a one-level sweep has one
+    # seed, so one stacked job (betas 0, 1 and 5) and one baseline
     config = json.loads((Path(__file__).parents[1] / "configs" /
                          "synthetic-smoke.json").read_text())
     config.update(out_dir=str(tmp_path / "runs"), train={"epochs": 1},
                   probe={"hidden": 2, "epochs": 1}, forest={"n_trees": 1, "max_depth": 1})
+    if levels:
+        config["stack"]["levels"] = levels
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     asked = []
@@ -1342,6 +1370,35 @@ def test_table1_in_a_pool_matches_the_serial_run(tmp_path, capsys):
         cells = json.loads((run / "table1.json").read_text())["cells"]
         outputs.append(((run / "table1.csv").read_bytes(), cells))
     assert outputs[0] == outputs[1]
+
+
+def test_two_level_table1_in_three_workers_matches_the_serial_run(tmp_path, capsys):
+    # the stacked, vanilla and unfair jobs each run in a worker of their own
+    path = _write_config(tmp_path, dataset={"id": "synthetic", "n": 80, "n_noise": 1},
+                         stack={"levels": [{"latent": 3}, {"latent": 2}]})
+    outputs = []
+    for jobs in ("1", "3"):
+        assert main(["table1", "--config", str(path), "--jobs", jobs]) == 0
+        run = _run_dir_from(capsys.readouterr().out)
+        cells = json.loads((run / "table1.json").read_text())["cells"]
+        outputs.append(((run / "table1.csv").read_bytes(), cells))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1]["logreg"]["lafr"] != outputs[0][1]["logreg"]["stacked"]
+
+
+def test_pooled_table1_trains_its_encoders_in_the_workers(tmp_path, monkeypatch, capsys):
+    # a worker's calls land in its own copy of the list, not in this process's
+    path = _write_config(tmp_path, dataset={"id": "synthetic", "n": 80, "n_noise": 1},
+                         stack={"levels": [{"latent": 3}, {"latent": 2}]})
+    in_parent = []
+
+    def spy(*args, **kwargs):
+        in_parent.append(args[0])
+        return train_stack(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_stack", spy)
+    assert main(["table1", "--config", str(path), "--jobs", "2"]) == 0
+    assert in_parent == []
 
 
 # ---------------------------------------------------------------------------
